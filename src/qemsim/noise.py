@@ -8,12 +8,17 @@ with a configurable number of substeps; the integrator itself must
 preserve the trace (no renormalization), which doubles as a correctness
 signal.
 
-For small registers the right-hand side is compiled to a dense
-superoperator acting on vec(rho); one RK4 substep of the linear master
-equation is then exactly the degree-4 Taylor polynomial of h*L, so the
-whole interval propagator is precomputed as that step matrix raised to
-the substep count.  Larger registers fall back to per-term tensor
-kernels, O(4^n) per term per substep.
+A model is split into blocks, the connected components of its terms'
+qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
+so their generators commute and each interval applies one block after
+another.  Every block works on its own qubits only, as a superoperator on
+the doubled (row, column) register applied with `state.apply_local`:
+
+- a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
+  (RK4 step)^substeps, a 4^k x 4^k matrix; one RK4 substep of the linear
+  master equation is exactly the degree-4 Taylor polynomial of h*L;
+- a wider block runs RK4, its L*rho a sum of one local superoperator per
+  term.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError
-from .state import DensityMatrix, apply_gate, apply_matrix_left, apply_matrix_right, embed
+from .state import DensityMatrix, apply_gate, apply_local, doubled_axes, embed
 
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
-# Dense superoperators are 16^n; cap at n=5 (16 MiB) to bound memory.
-SUPEROP_MAX_QUBITS = 5
 TRACE_DRIFT_LIMIT = 1e-6
+# A precomputed block is a 16^k complex matrix: 1 MiB at k = 4.
+DENSE_BLOCK_MAX_QUBITS = 4
+# RK4 keeps |R(z)| <= 1 on the negative real axis down to z = -2.785.
+RK4_STABILITY_LIMIT = 2.785
 
 _SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _SIGMA_DAG = _SIGMA.conj().T
@@ -141,45 +148,66 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
+def build_liouvillian(ops, n_qubits: int) -> np.ndarray:
+    """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec.
+
+    `ops` are (rate, small collapse matrix, qubits) triples, as returned
+    by LindbladTerm.collapse_ops; the result is 4^n x 4^n, so callers
+    build it on a block's own few qubits.
+    """
+    dim = 2**n_qubits
+    eye = np.eye(dim, dtype=complex)
+    lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for rate, c_small, qubits in ops:
+        if rate == 0.0:
+            continue
+        c = embed(c_small, qubits, n_qubits)
+        cdc = c.conj().T @ c
+        lmat += rate * (
+            np.kron(c, c.conj())
+            - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        )
+    return lmat
+
+
+def _local_liouvillian(ops, qubits) -> np.ndarray:
+    """build_liouvillian of `ops` relabelled onto `qubits` as a register
+    of their own, qubits[0] its most-significant bit; the result acts on
+    doubled_axes(qubits, n) of an n-qubit rho."""
+    k = len(qubits)
+    local = {q: k - 1 - i for i, q in enumerate(qubits)}
+    return build_liouvillian(
+        [(rate, c, tuple(local[q] for q in qs)) for rate, c, qs in ops], k
+    )
+
+
+def _term_parts(terms):
+    """(qubits, local superoperator) of each term with a nonzero rate."""
+    return [
+        (t.qubits, _local_liouvillian(t.collapse_ops(), t.qubits))
+        for t in terms
+        if t.rate != 0.0
+    ]
+
+
+def _rhs(data: np.ndarray, parts, n_qubits: int) -> np.ndarray:
+    out = np.zeros_like(data)
+    for qubits, superop in parts:
+        out += apply_local(data, superop, doubled_axes(qubits, n_qubits))
+    return out
+
+
 def dissipator(rho_data: np.ndarray, collapse: np.ndarray, qubits, n_qubits: int) -> np.ndarray:
     """D[C](rho) = C rho C^dag - (C^dag C rho + rho C^dag C) / 2."""
+    qubits = tuple(qubits)
     c = np.asarray(collapse, dtype=complex)
-    sandwich = apply_matrix_right(
-        apply_matrix_left(rho_data, c, qubits, n_qubits), c.conj().T, qubits, n_qubits
-    )
-    cdc = c.conj().T @ c
-    anti = apply_matrix_left(rho_data, cdc, qubits, n_qubits) + apply_matrix_right(
-        rho_data, cdc, qubits, n_qubits
-    )
-    return sandwich - 0.5 * anti
+    superop = _local_liouvillian([(1.0, c, qubits)], qubits)
+    return apply_local(rho_data, superop, doubled_axes(qubits, n_qubits))
 
 
 def lindblad_rhs(rho_data: np.ndarray, model: NoiseModel, n_qubits: int) -> np.ndarray:
     """Sum of all dissipator contributions; traceless by construction."""
-    out = np.zeros_like(rho_data)
-    for term in model.terms:
-        for rate, c, qubits in term.collapse_ops():
-            if rate != 0.0:
-                out += rate * dissipator(rho_data, c, qubits, n_qubits)
-    return out
-
-
-def build_liouvillian(model: NoiseModel, n_qubits: int) -> np.ndarray:
-    """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec."""
-    dim = 2**n_qubits
-    eye = np.eye(dim, dtype=complex)
-    lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for term in model.terms:
-        for rate, c_small, qubits in term.collapse_ops():
-            if rate == 0.0:
-                continue
-            c = embed(c_small, qubits, n_qubits)
-            cdc = c.conj().T @ c
-            lmat += rate * (
-                np.kron(c, c.conj())
-                - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
-            )
-    return lmat
+    return _rhs(rho_data, _term_parts(model.terms), n_qubits)
 
 
 def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
@@ -195,6 +223,61 @@ def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
     return np.eye(dim, dtype=complex) + hl + hl2 / 2.0 + hl3 / 6.0 + (hl3 @ hl) / 24.0
 
 
+def _components(model: NoiseModel) -> list[tuple[LindbladTerm, ...]]:
+    """Nonzero-rate terms grouped by the connected components of their
+    qubit supports, each group in model order."""
+    groups: list[tuple[set, list[int]]] = []
+    for i, term in enumerate(model.terms):
+        if term.rate == 0.0:
+            continue
+        support, members = set(term.qubits), [i]
+        for group in [g for g in groups if g[0] & support]:
+            groups.remove(group)
+            support |= group[0]
+            members += group[1]
+        groups.append((support, members))
+    return [tuple(model.terms[i] for i in sorted(members)) for _, members in groups]
+
+
+class _Block:
+    """One block's channel over one interval, on its own qubits."""
+
+    def __init__(self, terms, cfg: PropagatorConfig):
+        # Descending, so the block's own register is little-endian too.
+        qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
+        self.qubits = qubits
+        self.h = cfg.tau / cfg.substeps
+        self.substeps = cfg.substeps
+        ops = [op for t in terms for op in t.collapse_ops()]
+        # 2 * sum rate_k ||c_k||_F^2 bounds the spectral radius of L.
+        radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c, _ in ops)
+        if self.h * radius > RK4_STABILITY_LIMIT:
+            raise IntegrationError(
+                f"step {self.h:.3g} times the decay-rate bound {radius:.3g} on "
+                f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
+                f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
+            )
+        if len(qubits) <= DENSE_BLOCK_MAX_QUBITS:
+            step = _rk4_step_matrix(_local_liouvillian(ops, qubits), self.h)
+            self.matrix = np.linalg.matrix_power(step, cfg.substeps)
+            self.parts = None
+        else:
+            self.matrix = None
+            self.parts = _term_parts(terms)
+
+    def apply(self, data: np.ndarray, n_qubits: int) -> np.ndarray:
+        if self.matrix is not None:
+            return apply_local(data, self.matrix, doubled_axes(self.qubits, n_qubits))
+        h = self.h
+        for _ in range(self.substeps):
+            k1 = _rhs(data, self.parts, n_qubits)
+            k2 = _rhs(data + 0.5 * h * k1, self.parts, n_qubits)
+            k3 = _rhs(data + 0.5 * h * k2, self.parts, n_qubits)
+            k4 = _rhs(data + h * k3, self.parts, n_qubits)
+            data = data + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return data
+
+
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed model and config."""
 
@@ -202,31 +285,15 @@ class IntervalPropagator:
         self.model = model
         self.n_qubits = n_qubits
         self.cfg = cfg
-        self.trivial = all(
-            rate == 0.0 for t in model.terms for rate, _, _ in t.collapse_ops()
-        )
-        self._vmat = None
-        if not self.trivial and n_qubits <= SUPEROP_MAX_QUBITS:
-            lmat = build_liouvillian(model, n_qubits)
-            step = _rk4_step_matrix(lmat, cfg.tau / cfg.substeps)
-            self._vmat = np.linalg.matrix_power(step, cfg.substeps)
+        self.blocks = [_Block(terms, cfg) for terms in _components(model)]
 
     def propagate(self, rho: DensityMatrix) -> DensityMatrix:
-        if self.trivial:
+        if not self.blocks:
             return rho
-        if self._vmat is not None:
-            vec = self._vmat @ rho.data.reshape(-1)
-            out = DensityMatrix(rho.n_qubits, vec.reshape(rho.data.shape))
-        else:
-            h = self.cfg.tau / self.cfg.substeps
-            data = rho.data
-            for _ in range(self.cfg.substeps):
-                k1 = lindblad_rhs(data, self.model, self.n_qubits)
-                k2 = lindblad_rhs(data + 0.5 * h * k1, self.model, self.n_qubits)
-                k3 = lindblad_rhs(data + 0.5 * h * k2, self.model, self.n_qubits)
-                k4 = lindblad_rhs(data + h * k3, self.model, self.n_qubits)
-                data = data + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out = DensityMatrix(rho.n_qubits, data)
+        data = rho.data
+        for block in self.blocks:
+            data = block.apply(data, self.n_qubits)
+        out = DensityMatrix(rho.n_qubits, data)
         drift = abs(out.trace() - 1.0)
         if drift > TRACE_DRIFT_LIMIT:
             raise IntegrationError(

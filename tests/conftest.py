@@ -22,6 +22,22 @@ def kron_embed(op, qubit, n):
     return full
 
 
+def kron_embed_multi(m, qubits, n):
+    """Independent embedding of a 2^k x 2^k matrix, qubits[0] its
+    most-significant bit, as a sum of products of elementary |i><j| krons."""
+    k = len(qubits)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for row in range(2**k):
+        for col in range(2**k):
+            term = np.eye(2**n, dtype=complex)
+            for b, qubit in enumerate(qubits):
+                unit = np.zeros((2, 2), dtype=complex)
+                unit[(row >> (k - 1 - b)) & 1, (col >> (k - 1 - b)) & 1] = 1
+                term = term @ kron_embed(unit, qubit, n)
+            full += m[row, col] * term
+    return full
+
+
 def pauli_string_dense(ps, n):
     """Independent dense matrix of a PauliString via explicit krons."""
     full = np.eye(2**n, dtype=complex)
@@ -35,6 +51,57 @@ def pauli_sum_dense(psum):
     for coeff, ps in psum.terms:
         out += coeff * pauli_string_dense(ps, psum.n_qubits)
     return out
+
+
+SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+SIGMA_DAG = SIGMA.conj().T
+
+
+def dense_collapse_ops(term, n):
+    """Independent (rate, 2^n x 2^n collapse matrix) pairs of a LindbladTerm."""
+    a = term.qubits[0]
+    if term.kind == "amplitude_damping":
+        return [(term.rate, kron_embed(SIGMA, a, n))]
+    if term.kind == "dephasing":
+        return [(term.rate, kron_embed(SIGMA_DAG @ SIGMA, a, n))]
+    if term.kind == "thermal":
+        return [
+            (term.rate * (term.n_th + 1.0), kron_embed(SIGMA, a, n)),
+            (term.rate * term.n_th, kron_embed(SIGMA_DAG, a, n)),
+        ]
+    b = term.qubits[1]
+    return [
+        (term.rate, kron_embed(SIGMA_DAG, a, n) @ kron_embed(SIGMA, b, n)),
+        (term.rate, kron_embed(SIGMA, a, n) @ kron_embed(SIGMA_DAG, b, n)),
+    ]
+
+
+def dense_liouvillian(model, n):
+    """Independent full-register oracle L, vec(drho/dt) = L vec(rho) with
+    row-major vec, so vec(A rho B) = kron(A, B^T) vec(rho)."""
+    dim = 2**n
+    eye = np.eye(dim, dtype=complex)
+    lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for term in model.terms:
+        for rate, c in dense_collapse_ops(term, n):
+            cdc = c.conj().T @ c
+            lmat += rate * (
+                np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye) - 0.5 * np.kron(eye, cdc.T)
+            )
+    return lmat
+
+
+def dense_rk4(lmat, rho_data, tau, substeps):
+    """Classic RK4 of vec' = L vec on the full register, as the oracle."""
+    h = tau / substeps
+    v = rho_data.reshape(-1)
+    for _ in range(substeps):
+        k1 = lmat @ v
+        k2 = lmat @ (v + 0.5 * h * k1)
+        k3 = lmat @ (v + 0.5 * h * k2)
+        k4 = lmat @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return v.reshape(rho_data.shape)
 
 
 def random_density_matrix(n, rng):

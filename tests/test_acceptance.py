@@ -174,8 +174,8 @@ def test_criterion_9_large_configuration_accepted(report, tmp_path):
     payload = json.loads(out.read_text())
     ok = refused and code == 0 and len(payload["theta_opt"]) == 60
 
-    # beyond the dense-superoperator size the per-term integrator takes
-    # over; exercise that path with actual noise at 6 qubits
+    # a 6-qubit register with actual noise: gamma1_gamma2 factorizes
+    # into one precomputed 1-qubit block per qubit
     circuit = q.BoundCircuit(
         6, (q.BoundGate("H", (0,)), q.BoundGate("CNOT", (0, 1)), q.BoundGate("X", (5,)))
     )

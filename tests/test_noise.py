@@ -7,14 +7,13 @@ import qemsim as q
 from qemsim.errors import IntegrationError
 from qemsim.noise import (
     IntervalPropagator,
-    build_liouvillian,
     build_template_model,
     parse_noise_terms,
     remove_terms,
     scale_terms,
 )
 
-from conftest import random_density_matrix
+from conftest import dense_liouvillian, dense_rk4, random_density_matrix
 
 SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)
 EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -104,10 +103,10 @@ class TestLindbladRhs:
                 q.LindbladTerm("correlated", (0, 1), 0.15),
             )
         )
-        lmat = build_liouvillian(model, 2)
-        via_superop = (lmat @ rho.data.reshape(-1)).reshape(4, 4)
-        direct = q.lindblad_rhs(rho.data, model, 2)
-        assert np.max(np.abs(via_superop - direct)) < 1e-12
+        lmat = dense_liouvillian(model, 2)
+        via_oracle = (lmat @ rho.data.reshape(-1)).reshape(4, 4)
+        factorized = q.lindblad_rhs(rho.data, model, 2)
+        assert np.max(np.abs(via_oracle - factorized)) < 1e-12
 
 
 class TestEvolve:
@@ -160,26 +159,73 @@ class TestEvolve:
         assert error(4) / error(8) > 8.0
 
     def test_tensor_path_matches_superoperator_path(self):
-        # n = 2 uses the dense superoperator; force the per-term path by
-        # propagating manually with lindblad_rhs via RK4
+        # per-qubit blocks, each precomputed, against full-register RK4
+        # on the dense oracle; splitting RK4 by block changes it only at
+        # O((h * rate)^5), under 1e-15 here
         model = build_template_model("gamma1_gamma2", 2, 0.1)
         rho = q.apply_gate(q.new_pure_ground(2), q.BoundGate("H", (0,)))
         cfg = q.PropagatorConfig(tau=1.0, substeps=32)
         fast = q.evolve(rho, model, cfg)
-        h = cfg.tau / cfg.substeps
-        data = rho.data
-        for _ in range(cfg.substeps):
-            k1 = q.lindblad_rhs(data, model, 2)
-            k2 = q.lindblad_rhs(data + 0.5 * h * k1, model, 2)
-            k3 = q.lindblad_rhs(data + 0.5 * h * k2, model, 2)
-            k4 = q.lindblad_rhs(data + h * k3, model, 2)
-            data = data + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.max(np.abs(fast.data - data)) < 1e-12
+        want = dense_rk4(dense_liouvillian(model, 2), rho.data, cfg.tau, cfg.substeps)
+        assert np.max(np.abs(fast.data - want)) < 1e-12
+
+    def test_correlated_ring_wide_block_matches_dense_oracle(self):
+        # a 5-qubit ring is one block wider than the precomputed ones, so
+        # it runs RK4 with one local superoperator per term
+        n = 5
+        model = build_template_model("correlated", n, 0.2)
+        propagator = IntervalPropagator(model, n, q.PropagatorConfig(substeps=8))
+        assert [b.qubits for b in propagator.blocks] == [(4, 3, 2, 1, 0)]
+        assert propagator.blocks[0].matrix is None
+        rho = random_density_matrix(n, np.random.default_rng(11))
+        # populations alone would only see the exchange terms' diagonal
+        rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
+        got = propagator.propagate(rho)
+        want = dense_rk4(dense_liouvillian(model, n), rho.data, 1.0, 8)
+        assert np.max(np.abs(got.data - want)) < 1e-12
+        assert np.max(np.abs(got.data - rho.data)) > 1e-3
+
+    def test_mixed_blocks_match_dense_oracle(self):
+        # a 2-qubit correlated block, a 3-qubit chain and a lone qubit,
+        # one zero-rate term bridging two of them
+        n = 6
+        model = q.NoiseModel(
+            (
+                q.LindbladTerm("correlated", (5, 1), 0.3),
+                q.LindbladTerm("thermal", (0,), 0.2, n_th=0.4),
+                q.LindbladTerm("correlated", (2, 4), 0.1),
+                q.LindbladTerm("correlated", (1, 0), 0.0),
+                q.LindbladTerm("amplitude_damping", (3,), 0.25),
+                q.LindbladTerm("correlated", (4, 3), 0.15),
+                q.LindbladTerm("dephasing", (5,), 0.05),
+            )
+        )
+        cfg = q.PropagatorConfig(tau=1.0, substeps=16)
+        propagator = IntervalPropagator(model, n, cfg)
+        assert sorted(b.qubits for b in propagator.blocks) == [(0,), (4, 3, 2), (5, 1)]
+        rho = random_density_matrix(n, np.random.default_rng(4))
+        got = propagator.propagate(rho)
+        # the blocks commute, so one dense RK4 per block in any order is
+        # the factorized channel; a single full-model RK4 differs at O(h^5)
+        want = rho.data
+        for terms in ([0, 6], [1], [2, 4, 5]):
+            block = q.NoiseModel(tuple(model.terms[i] for i in terms))
+            want = dense_rk4(dense_liouvillian(block, n), want, cfg.tau, cfg.substeps)
+        assert np.max(np.abs(got.data - want)) < 1e-12
 
     def test_integrator_failure_raises(self):
         rho = q.DensityMatrix(1, EXCITED.copy())
         with pytest.raises(IntegrationError, match="substeps"):
             q.evolve(rho, ad_model(5e4), q.PropagatorConfig(tau=1.0, substeps=1))
+
+    def test_unstable_step_raises(self):
+        # h * 2 * gamma = 20 is far outside RK4's stability interval; the
+        # integrator used to return population 291 with trace exactly 1
+        rho = q.DensityMatrix(1, EXCITED.copy())
+        with pytest.raises(IntegrationError, match="substeps"):
+            q.evolve(rho, ad_model(10.0), q.PropagatorConfig(tau=1.0, substeps=1))
+        out = q.evolve(rho, ad_model(10.0), q.PropagatorConfig(tau=1.0, substeps=64))
+        assert out.data[1, 1].real == pytest.approx(math.exp(-10.0), abs=1e-6)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

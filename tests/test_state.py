@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import qemsim as q
-from qemsim.state import apply_matrix_left, apply_matrix_right, embed
+from qemsim.state import apply_local, col_axes, doubled_axes, embed, row_axes
 
-from conftest import PAULI, kron_embed
+from conftest import PAULI, kron_embed, kron_embed_multi
 
 
 def bound(kind, qubits, angle=None):
@@ -140,36 +140,31 @@ class TestDiagnostics:
 
 
 class TestKernels:
-    @staticmethod
-    def _two_qubit_dense(m, qubits, n):
-        """Independent embedding via elementary |i><k| krons; qubits[0] is
-        the most-significant bit of m's index."""
-        full = np.zeros((2**n, 2**n), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        e_a = np.zeros((2, 2), dtype=complex)
-                        e_a[i, k] = 1
-                        e_b = np.zeros((2, 2), dtype=complex)
-                        e_b[j, l] = 1
-                        full += (
-                            m[(i << 1) | j, (k << 1) | l]
-                            * kron_embed(e_a, qubits[0], n)
-                            @ kron_embed(e_b, qubits[1], n)
-                        )
-        return full
-
     def test_left_right_match_dense(self):
+        # U on the row axes is U @ rho; M on the column axes is rho @ M^T
         n = 3
         rng = np.random.default_rng(9)
         rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for qubits in [(0, 1), (2, 0), (1, 2)]:
-            full = self._two_qubit_dense(m, qubits, n)
-            assert np.max(np.abs(apply_matrix_left(rho, m, qubits, n) - full @ rho)) < 1e-12
-            assert np.max(np.abs(apply_matrix_right(rho, m, qubits, n) - rho @ full)) < 1e-12
+        for qubits in [(0, 1), (2, 0), (1, 2), (2, 1)]:
+            full = kron_embed_multi(m, qubits, n)
+            left = apply_local(rho, m, row_axes(qubits, n))
+            right = apply_local(rho, m, col_axes(qubits, n))
+            assert np.max(np.abs(left - full @ rho)) < 1e-12
+            assert np.max(np.abs(right - rho @ full.T)) < 1e-12
             assert np.max(np.abs(embed(m, qubits, n) - full)) < 1e-12
+
+    def test_superoperator_on_doubled_register(self):
+        # kron(A, B^T) on the doubled axes of a qubit is A rho B
+        n = 3
+        rng = np.random.default_rng(6)
+        rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for qb in range(n):
+            got = apply_local(rho, np.kron(a, b.T), doubled_axes((qb,), n))
+            want = kron_embed(a, qb, n) @ rho @ kron_embed(b, qb, n)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_embed_against_kron(self):
         rng = np.random.default_rng(2)
