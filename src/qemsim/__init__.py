@@ -43,7 +43,13 @@ from .paulis import (
     format_pauli_sum,
     parse_pauli_sum,
 )
-from .state import DensityMatrix, apply_gate, new_pure_ground
+from .state import (
+    DensityMatrix,
+    StateVector,
+    apply_gate,
+    new_pure_ground,
+    new_statevector,
+)
 from .vqe import (
     OptimizerSettings,
     VqeProblem,

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -79,6 +80,8 @@ def _build_problem_parts(config: dict):
     if not isinstance(ansatz_cfg, dict) or "kind" not in ansatz_cfg:
         raise ConfigError("config needs an 'ansatz' object with a 'kind'")
     if ansatz_cfg["kind"] == "uccsd":
+        if "path" not in ansatz_cfg:
+            raise ConfigError("ansatz kind 'uccsd' needs a generator file 'path'")
         spec, n_qubits = parse_ansatz_file(_read_input(ansatz_cfg["path"]))
         if n_qubits != hamiltonian.n_qubits:
             raise ConfigError(
@@ -86,6 +89,8 @@ def _build_problem_parts(config: dict):
                 f"hamiltonian has {hamiltonian.n_qubits}"
             )
     elif ansatz_cfg["kind"] == "entangling":
+        if "layers" not in ansatz_cfg:
+            raise ConfigError("ansatz kind 'entangling' needs a 'layers' count")
         spec = AnsatzSpec("Entangling", layers=int(ansatz_cfg["layers"]))
         n_qubits = hamiltonian.n_qubits
     else:
@@ -103,6 +108,9 @@ def _propagator(config: dict) -> PropagatorConfig:
 
 def _optimizer_settings(config: dict, seed_override=None) -> OptimizerSettings:
     opt = dict(config.get("optimizer", {}))
+    unknown = sorted(set(opt) - {f.name for f in fields(OptimizerSettings)})
+    if unknown:
+        raise ConfigError(f"unknown optimizer setting(s): {', '.join(unknown)}")
     if seed_override is not None:
         opt["seed"] = seed_override
     return OptimizerSettings(**opt)

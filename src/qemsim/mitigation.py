@@ -27,7 +27,7 @@ from .noise import (
     scale_terms,
 )
 from .paulis import PauliSum, expectation
-from .state import new_pure_ground
+from .state import new_statevector
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,8 @@ def corrected_value(a_noisy: float, removed) -> float:
 
 
 def _measure(circuit, model, observable, cfg):
-    rho = run_noisy_circuit(
-        new_pure_ground(circuit.n_qubits), circuit, model, cfg
-    )
-    return expectation(rho, observable)
+    state = run_noisy_circuit(new_statevector(circuit.n_qubits), circuit, model, cfg)
+    return expectation(state, observable)
 
 
 def _run_all(circuit, models, observable, cfg, workers):

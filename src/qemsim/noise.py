@@ -28,7 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError
-from .state import DensityMatrix, apply_gate, apply_local, doubled_axes, embed
+from .state import (
+    DensityMatrix,
+    StateVector,
+    apply_gate,
+    apply_local,
+    doubled_axes,
+    embed,
+)
 
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
@@ -303,39 +310,49 @@ class IntervalPropagator:
         return out
 
 
-def evolve(rho: DensityMatrix, model: NoiseModel, cfg: PropagatorConfig) -> DensityMatrix:
-    """rho(t + tau) = exp(tau L) rho, via RK4 with cfg.substeps steps."""
+def evolve(
+    rho: StateVector | DensityMatrix, model: NoiseModel, cfg: PropagatorConfig
+) -> DensityMatrix:
+    """rho(t + tau) = exp(tau L) rho, via RK4 with cfg.substeps steps; a
+    StateVector is taken as |psi><psi|."""
+    if isinstance(rho, StateVector):
+        rho = rho.to_density_matrix()
     model.validate_for(rho.n_qubits)
     return IntervalPropagator(model, rho.n_qubits, cfg).propagate(rho)
 
 
 def run_noisy_circuit(
-    rho0: DensityMatrix,
+    state0: StateVector | DensityMatrix,
     circuit,
     model: NoiseModel,
     cfg: PropagatorConfig | None = None,
-) -> DensityMatrix:
+) -> StateVector | DensityMatrix:
     """Alternate gate jumps with inter-gate Lindblad evolution.
 
     Gate 1, evolve tau, gate 2, ..., gate G; there is no evolution after
-    the final gate, so total noisy time is (G - 1) * tau.  With an empty
-    model this reduces to plain sequential gate application.
+    the final gate, so total noisy time is (G - 1) * tau.  With no
+    nonzero-rate term this reduces to plain sequential gate application,
+    and a StateVector start stays a StateVector.  Otherwise a StateVector
+    start becomes |psi><psi| before the first gate.
     """
     if cfg is None:
         cfg = PropagatorConfig()
-    if circuit.n_qubits != rho0.n_qubits:
+    if circuit.n_qubits != state0.n_qubits:
         raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits, state has {rho0.n_qubits}"
+            f"circuit has {circuit.n_qubits} qubits, state has {state0.n_qubits}"
         )
-    model.validate_for(rho0.n_qubits)
-    propagator = IntervalPropagator(model, rho0.n_qubits, cfg)
-    rho = rho0.copy()
+    model.validate_for(state0.n_qubits)
+    propagator = IntervalPropagator(model, state0.n_qubits, cfg)
+    if propagator.blocks and isinstance(state0, StateVector):
+        state = state0.to_density_matrix()
+    else:
+        state = state0.copy()
     last = len(circuit.gates) - 1
     for i, gate in enumerate(circuit.gates):
-        rho = apply_gate(rho, gate)
+        state = apply_gate(state, gate)
         if i != last:
-            rho = propagator.propagate(rho)
-    return rho
+            state = propagator.propagate(state)
+    return state
 
 
 def parse_noise_terms(entries) -> NoiseModel:

@@ -104,19 +104,26 @@ def _string_phases(ps: PauliString, indices: np.ndarray) -> np.ndarray:
     return (1j**n_y) * signs
 
 
-def expectation(rho, a: PauliSum) -> float:
-    """Tr(rho A), term by term; asserts the imaginary part is negligible."""
-    if rho.n_qubits != a.n_qubits:
+def expectation(state, a: PauliSum) -> float:
+    """Tr(rho A) of a DensityMatrix, <psi|A|psi> of a StateVector, term by
+    term; asserts the imaginary part is negligible."""
+    if state.n_qubits != a.n_qubits:
         raise ValueError(
-            f"qubit-count mismatch: state has {rho.n_qubits}, observable {a.n_qubits}"
+            f"qubit-count mismatch: state has {state.n_qubits}, observable {a.n_qubits}"
         )
     dim = 2**a.n_qubits
     idx = np.arange(dim)
+    data = state.data
     total = 0.0 + 0.0j
     for coeff, ps in a.terms:
         flip, _, _ = ps.masks()
         phases = _string_phases(ps, idx)
-        total += coeff * np.sum(phases * rho.data[idx, idx ^ flip])
+        # rho[j, j ^ flip], which is psi[j] conj(psi[j ^ flip]) when rho is pure
+        if data.ndim == 1:
+            entries = data * data[idx ^ flip].conj()
+        else:
+            entries = data[idx, idx ^ flip]
+        total += coeff * np.sum(phases * entries)
     if abs(total.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {total.imag:g}")
     return float(total.real)

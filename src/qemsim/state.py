@@ -1,21 +1,25 @@
-"""Dense density-matrix state and the local-operator kernel.
+"""Quantum states and the local-operator kernel.
 
-The state of an n-qubit register is a 2^n x 2^n complex matrix rho.
-Basis indexing is little-endian: qubit 0 is the least-significant bit of
-the computational-basis index.  Viewed as a (2,)*2n tensor, rho has one
-axis per qubit for its rows (axis n-1-q) and one for its columns (axis
-2n-1-q).  `apply_local` applies a small 2^k x 2^k matrix to k chosen
-axes of that view, O(2^k * 4^n) per call instead of the O(8^n) of a full
-matrix product.  It serves gates (U on the row axes, conj(U) on the
-column axes), embeddings, and noise superoperators on the doubled (row,
-column) register: with row-major vec, vec(A rho B) = (A kron B^T) vec(rho)
-(Havel, J. Math. Phys. 44, 534, 2003), so a k-qubit superoperator is a
-4^k x 4^k matrix on the 2k axes `doubled_axes(qubits, n)`.
+A run from a pure state under unitaries alone stays pure, so it is
+carried as a `StateVector`: 2^n complex amplitudes.  Any other run is a
+`DensityMatrix`: the 2^n x 2^n complex matrix rho.  Basis indexing is
+little-endian: qubit 0 is the least-significant bit of the
+computational-basis index.  Viewed as a (2,)*n tensor, a state vector
+has one axis per qubit (axis n-1-q); viewed as a (2,)*2n tensor, rho has
+one such axis for its rows and one for its columns (axis 2n-1-q).
+
+`apply_local` applies a small 2^k x 2^k matrix to k chosen axes of either
+view, O(2^k * 2^N) per call for N axes instead of the O(8^n) of a full
+matrix product.  It serves gates (U on the vector's axes; U on rho's row
+axes and conj(U) on its column axes), embeddings, and noise
+superoperators on the doubled (row, column) register: with row-major
+vec, vec(A rho B) = (A kron B^T) vec(rho) (Havel, J. Math. Phys. 44, 534,
+2003), so a k-qubit superoperator is a 4^k x 4^k matrix on the 2k axes
+`doubled_axes(qubits, n)`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,40 +112,46 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.data)[0])
 
-    def to_debug_json(self) -> str:
-        """Row-major dump as nested [re, im] pairs; test-only interface."""
-        pairs = [
-            [[float(z.real), float(z.imag)] for z in row] for row in self.data
-        ]
-        return json.dumps(pairs)
 
-    @classmethod
-    def from_debug_json(cls, text: str) -> "DensityMatrix":
-        pairs = json.loads(text)
-        data = np.array([[complex(re, im) for re, im in row] for row in pairs])
-        n = int(np.log2(data.shape[0]) + 0.5)
-        return cls(n, data)
+@dataclass
+class StateVector:
+    n_qubits: int
+    data: np.ndarray  # (2^n,) complex128
+
+    def copy(self) -> "StateVector":
+        return StateVector(self.n_qubits, self.data.copy())
+
+    def to_density_matrix(self) -> DensityMatrix:
+        """|psi><psi|."""
+        return DensityMatrix(self.n_qubits, np.outer(self.data, self.data.conj()))
 
 
-def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatrix:
-    """|0...0><0...0| on n qubits."""
+def new_statevector(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """|0...0> on n qubits."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     if n_qubits > cap:
         raise CapacityError(
             f"{n_qubits} qubits exceeds the cap of {cap} "
-            f"(state storage is 4^n complex numbers)"
+            f"(a noisy run stores 4^n complex numbers)"
         )
-    dim = 2**n_qubits
-    data = np.zeros((dim, dim), dtype=complex)
-    data[0, 0] = 1.0
-    return DensityMatrix(n_qubits, data)
+    data = np.zeros(2**n_qubits, dtype=complex)
+    data[0] = 1.0
+    return StateVector(n_qubits, data)
 
 
-def apply_gate(rho: DensityMatrix, gate) -> DensityMatrix:
-    """rho -> U rho U^dagger for a bound (fully resolved) gate."""
-    _check_qubits(gate.qubits, rho.n_qubits)
+def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatrix:
+    """|0...0><0...0| on n qubits."""
+    return new_statevector(n_qubits, cap).to_density_matrix()
+
+
+def apply_gate(state, gate):
+    """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
+    DensityMatrix, for a bound (fully resolved) gate."""
+    _check_qubits(gate.qubits, state.n_qubits)
     u = gate.matrix()
-    out = apply_local(rho.data, u, row_axes(gate.qubits, rho.n_qubits))
-    out = apply_local(out, u.conj(), col_axes(gate.qubits, rho.n_qubits))
-    return DensityMatrix(rho.n_qubits, out)
+    out = apply_local(state.data, u, row_axes(gate.qubits, state.n_qubits))
+    if isinstance(state, StateVector):
+        return StateVector(state.n_qubits, out)
+    out = apply_local(out, u.conj(), col_axes(gate.qubits, state.n_qubits))
+    return DensityMatrix(state.n_qubits, out)

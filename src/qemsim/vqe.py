@@ -1,9 +1,10 @@
-"""Variational loop: E(theta) = Tr(rho(theta) H) minimized by Nelder-Mead.
+"""Variational loop: E(theta) = <H> in the ansatz state, minimized by Nelder-Mead.
 
-Expectations are exact traces over the simulated density matrix (no
-measurement-shot sampling).  By default the parameters are optimized
-with the noise model emptied and reused at every noise rate; optimizing
-under the full model is available behind a flag.
+Expectations are exact (no measurement-shot sampling): <psi|H|psi> of a
+state vector for a noiseless objective, Tr(rho H) of the density matrix
+for a noisy one.  By default the parameters are optimized with the noise
+model emptied, so on the state-vector path, and reused at every noise
+rate; optimizing under the full model is available behind a flag.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .circuit import Circuit, bind
 from .noise import NoiseModel, PropagatorConfig, run_noisy_circuit
 from .paulis import PauliSum, expectation
-from .state import new_pure_ground
+from .state import new_statevector
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,18 @@ class VqeResult:
 
 
 def energy_objective(problem: VqeProblem, theta) -> float:
-    """Run the noisy circuit from |0...0> and take Tr(rho H).
+    """Run the circuit from |0...0> and take the energy of the final state.
 
-    Evolution is trace preserving, so the variational denominator is
-    identically 1 and never computed.
+    With no nonzero-rate noise term the run stays pure: the circuit acts
+    on a 2^n state vector and the energy is <psi|H|psi>.  Otherwise it is
+    Tr(rho H) of the noisy density matrix.  Evolution is trace (norm)
+    preserving, so the variational denominator is identically 1 and never
+    computed.
     """
     bound = bind(problem.ansatz, theta)
-    rho0 = new_pure_ground(problem.ansatz.n_qubits)
-    rho = run_noisy_circuit(rho0, bound, problem.noise, problem.propagator)
-    return expectation(rho, problem.hamiltonian)
+    state0 = new_statevector(problem.ansatz.n_qubits)
+    state = run_noisy_circuit(state0, bound, problem.noise, problem.propagator)
+    return expectation(state, problem.hamiltonian)
 
 
 def nelder_mead(objective, theta0, settings: OptimizerSettings) -> VqeResult:

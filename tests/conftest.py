@@ -1,5 +1,7 @@
 """Shared fixtures: bundled H2 problem, optimized parameters, kron oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ def random_density_matrix(n, rng):
     rho = a @ a.conj().T
     rho /= np.trace(rho)
     return q.DensityMatrix(n, rho)
+
+
+def to_debug_json(rho):
+    """Row-major dump of a DensityMatrix as nested [re, im] pairs."""
+    return json.dumps([[[float(z.real), float(z.imag)] for z in row] for row in rho.data])
+
+
+def from_debug_json(text):
+    data = np.array([[complex(re, im) for re, im in row] for row in json.loads(text)])
+    return q.DensityMatrix(int(np.log2(data.shape[0]) + 0.5), data)
 
 
 @pytest.fixture(scope="session")

@@ -269,3 +269,19 @@ class TestErrorHandling:
             base_config(theta=[0.1], noise={"template": "gamma1", "rate": 1e-3}),
         )
         assert main(["mitigate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (base_config(ansatz={"kind": "entangling"}), "'layers'"),
+            (base_config(ansatz={"kind": "uccsd"}), "'path'"),
+            (base_config(optimizer={"max_evalz": 5}), "max_evalz"),
+        ],
+        ids=["entangling_without_layers", "uccsd_without_path", "unknown_optimizer_key"],
+    )
+    def test_incomplete_config_is_config_error(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, "ic.json", config)
+        assert main(["vqe", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err

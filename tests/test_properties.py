@@ -1,5 +1,8 @@
-"""Property tests: the local-operator kernel against the kron oracle, and
-block channels on random models."""
+"""Property tests: the local-operator kernel against the kron oracle, block
+channels on random models, the state-vector path against the density
+matrix, and the invariants of the correction estimator."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qemsim as q
+from qemsim.mitigation import build_groups, corrected_value
 from qemsim.noise import KINDS, IntervalPropagator
 from qemsim.state import apply_local, col_axes, doubled_axes, row_axes
 
@@ -119,3 +123,165 @@ def test_block_channel_positive_on_entangled_input():
     out = q.evolve(rho, model, q.PropagatorConfig(tau=1.0, substeps=1))
     assert abs(out.trace() - 1.0) < 1e-12
     assert out.min_eigenvalue() >= -1e-12
+
+
+GATE_KINDS = ("H", "X", "CNOT", "Rx", "Ry", "Rz")
+
+
+@st.composite
+def circuits(draw, min_qubits=1, max_qubits=5):
+    n = draw(st.integers(min_qubits, max_qubits))
+    kinds = GATE_KINDS if n > 1 else tuple(k for k in GATE_KINDS if k != "CNOT")
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        width = 2 if kind == "CNOT" else 1
+        qubits = tuple(draw(st.permutations(range(n)))[:width])
+        angle = draw(st.floats(-np.pi, np.pi)) if kind[0] == "R" else None
+        gates.append(q.BoundGate(kind, qubits, angle))
+    return q.BoundCircuit(n, tuple(gates))
+
+
+@st.composite
+def pauli_sums(draw, n):
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        qubits = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        ops = {qb: draw(st.sampled_from("XYZ")) for qb in qubits}
+        terms.append((draw(st.floats(-2.0, 2.0)), q.PauliString(ops)))
+    return q.PauliSum(terms, n)
+
+
+@st.composite
+def models_on(draw, n, rates):
+    kinds = KINDS if n > 1 else tuple(k for k in KINDS if k != "correlated")
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        width = 2 if kind == "correlated" else 1
+        qubits = tuple(draw(st.permutations(range(n)))[:width])
+        n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+        terms.append(q.LindbladTerm(kind, qubits, draw(rates), n_th))
+    return q.NoiseModel(tuple(terms))
+
+
+@st.composite
+def noiseless_cases(draw, allow_empty=True):
+    """(circuit, observable, model) with no nonzero-rate term in the model."""
+    circuit = draw(circuits())
+    n = circuit.n_qubits
+    empty = allow_empty and draw(st.booleans())
+    model = q.NoiseModel() if empty else draw(models_on(n, st.just(0.0)))
+    return circuit, draw(pauli_sums(n)), model
+
+
+@settings(max_examples=80, deadline=None)
+@given(noiseless_cases())
+def test_pure_start_matches_density_matrix_without_noise(case):
+    circuit, observable, model = case
+    n = circuit.n_qubits
+    psi = q.run_noisy_circuit(q.new_statevector(n), circuit, model)
+    rho = q.run_noisy_circuit(q.new_pure_ground(n), circuit, model)
+    assert isinstance(psi, q.StateVector)
+    assert isinstance(rho, q.DensityMatrix)
+    assert abs(q.expectation(psi, observable) - q.expectation(rho, observable)) < 1e-12
+
+
+@st.composite
+def noisy_cases(draw):
+    circuit = draw(circuits())
+    rates = st.floats(1e-4, 0.01)
+    return circuit, draw(models_on(circuit.n_qubits, rates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(noisy_cases())
+def test_pure_start_under_noise_runs_the_density_matrix(case):
+    # the StateVector start is turned into |psi><psi| before the first
+    # gate, so every later step is the same arithmetic
+    circuit, model = case
+    n = circuit.n_qubits
+    cfg = q.PropagatorConfig(substeps=4)
+    from_pure = q.run_noisy_circuit(q.new_statevector(n), circuit, model, cfg)
+    from_rho = q.run_noisy_circuit(q.new_pure_ground(n), circuit, model, cfg)
+    assert isinstance(from_pure, q.DensityMatrix)
+    assert np.array_equal(from_pure.data, from_rho.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(noisy_cases())
+def test_evolve_takes_a_statevector_as_its_density_matrix(case):
+    circuit, model = case
+    n = circuit.n_qubits
+    psi = q.run_noisy_circuit(q.new_statevector(n), circuit, q.NoiseModel())
+    cfg = q.PropagatorConfig(substeps=4)
+    got = q.evolve(psi, model, cfg)
+    assert np.array_equal(got.data, q.evolve(psi.to_density_matrix(), model, cfg).data)
+
+
+@given(st.integers(5, 64))
+def test_statevector_capacity_error(n):
+    # cap=4, so the refusal comes before any allocation
+    with pytest.raises(q.CapacityError):
+        q.new_statevector(n, cap=4)
+
+
+def test_statevector_needs_a_qubit():
+    with pytest.raises(ValueError):
+        q.new_statevector(0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: models_on(n, st.floats(0.0, 1.0))))
+def test_group_weights_sum_to_one_per_term(model):
+    n = model.max_qubit() + 1
+    totals = [0.0] * len(model.terms)
+    for group in build_groups(model, n):
+        for i in group.removed_terms:
+            totals[i] += group.weight
+    assert all(abs(t - 1.0) < 1e-12 for t in totals)
+
+
+@given(
+    st.floats(-10.0, 10.0),
+    st.lists(st.floats(0.01, 1.0), min_size=0, max_size=12),
+)
+def test_corrected_value_identity_at_zero_noise(a, weights):
+    # at zero noise every removed run reads the noisy value
+    assert corrected_value(a, [(a, w) for w in weights]) == a
+
+
+@settings(max_examples=25, deadline=None)
+@given(noiseless_cases(allow_empty=False))
+def test_mitigation_identity_at_zero_noise(case):
+    circuit, observable, model = case
+    report = q.run_mitigation(circuit, model, observable)
+    assert report.a_noisy == report.a_ideal
+    assert report.a_corrected == report.a_noisy
+
+
+@st.composite
+def mitigation_cases(draw):
+    circuit = draw(circuits(max_qubits=4))
+    n = circuit.n_qubits
+    return (
+        circuit,
+        draw(models_on(n, st.floats(1e-4, 0.01))),
+        draw(pauli_sums(n)),
+        draw(st.sampled_from(["removal", "scaled"])),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(mitigation_cases())
+def test_stored_report_reconstructs_corrected_value(case):
+    circuit, model, observable, variant = case
+    cfg = q.PropagatorConfig(substeps=4)
+    if variant == "removal":
+        report = q.run_mitigation(circuit, model, observable, cfg)
+    else:
+        report = q.scaled_noise_correction(circuit, model, observable, 2.0, cfg)
+    stored = json.loads(report.to_json())
+    assert stored["variant"] == variant
+    removed = [(g["value"], g["weight"]) for g in stored["groups"]]
+    assert corrected_value(stored["a_noisy"], removed) == stored["a_corrected"]

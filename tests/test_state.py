@@ -4,7 +4,7 @@ import pytest
 import qemsim as q
 from qemsim.state import apply_local, col_axes, doubled_axes, embed, row_axes
 
-from conftest import PAULI, kron_embed, kron_embed_multi
+from conftest import PAULI, from_debug_json, kron_embed, kron_embed_multi, to_debug_json
 
 
 def bound(kind, qubits, angle=None):
@@ -134,7 +134,7 @@ class TestDiagnostics:
 
     def test_debug_json_round_trip(self):
         rho = q.apply_gate(q.new_pure_ground(2), bound("H", [1]))
-        back = q.DensityMatrix.from_debug_json(rho.to_debug_json())
+        back = from_debug_json(to_debug_json(rho))
         assert back.n_qubits == 2
         assert np.allclose(back.data, rho.data)
 
