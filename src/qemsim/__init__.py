@@ -31,9 +31,7 @@ from .noise import (
     dissipator,
     evolve,
     lindblad_rhs,
-    remove_group,
     run_noisy_circuit,
-    scale_model,
 )
 from .paulis import (
     PauliString,

@@ -91,12 +91,24 @@ def _build_problem_parts(config: dict):
     elif ansatz_cfg["kind"] == "entangling":
         if "layers" not in ansatz_cfg:
             raise ConfigError("ansatz kind 'entangling' needs a 'layers' count")
-        spec = AnsatzSpec("Entangling", layers=int(ansatz_cfg["layers"]))
+        try:
+            layers = int(ansatz_cfg["layers"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ansatz 'layers' must be an integer: {exc}")
+        spec = AnsatzSpec("Entangling", layers=layers)
         n_qubits = hamiltonian.n_qubits
     else:
         raise ConfigError(f"unknown ansatz kind {ansatz_cfg['kind']!r}")
     circuit = build_ansatz(spec, n_qubits)
     return hamiltonian, circuit, n_qubits
+
+
+def _bound_problem(config: dict, args):
+    """(hamiltonian, circuit bound to the config's theta) for the modes
+    that run fixed angles."""
+    hamiltonian, circuit, n_qubits = _build_problem_parts(config)
+    _check_size(n_qubits, args.large)
+    return hamiltonian, bind(circuit, _theta(config, circuit.n_params))
 
 
 def _propagator(config: dict) -> PropagatorConfig:
@@ -113,7 +125,10 @@ def _optimizer_settings(config: dict, seed_override=None) -> OptimizerSettings:
         raise ConfigError(f"unknown optimizer setting(s): {', '.join(unknown)}")
     if seed_override is not None:
         opt["seed"] = seed_override
-    return OptimizerSettings(**opt)
+    try:
+        return OptimizerSettings(**opt)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad optimizer setting: {exc}")
 
 
 def _noise_model(config: dict, n_qubits: int, rate: float):
@@ -218,34 +233,24 @@ def cmd_vqe(config, args) -> int:
 
 
 def cmd_mitigate(config, args) -> int:
-    hamiltonian, circuit, n_qubits = _build_problem_parts(config)
-    _check_size(n_qubits, args.large)
-    theta = _theta(config, circuit.n_params)
-    bound = bind(circuit, theta)
-    model = _noise_model(config, n_qubits, _single_rate(config))
+    hamiltonian, bound = _bound_problem(config, args)
+    model = _noise_model(config, bound.n_qubits, _single_rate(config))
     cfg = _propagator(config)
-    workers = args.workers or int(config.get("parallel_workers", 1))
     factor = config.get("scaled_noise_factor")
     if factor is not None:
-        report = scaled_noise_correction(
-            bound, model, hamiltonian, float(factor), cfg, workers=workers
-        )
+        report = scaled_noise_correction(bound, model, hamiltonian, float(factor), cfg)
     else:
-        report = run_mitigation(bound, model, hamiltonian, cfg, workers=workers)
+        report = run_mitigation(bound, model, hamiltonian, cfg)
     _write_text(args.output or config.get("output"), report.to_json() + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(config, args) -> int:
-    hamiltonian, circuit, n_qubits = _build_problem_parts(config)
-    _check_size(n_qubits, args.large)
-    theta = _theta(config, circuit.n_params)
-    bound = bind(circuit, theta)
+    hamiltonian, bound = _bound_problem(config, args)
     noise = config.get("noise", {})
     template = noise.get("template")
     if template is None:
         raise ConfigError("sweep mode needs a noise.template")
-    workers = args.workers or int(config.get("parallel_workers", 1))
     rows = sweep(
         bound,
         hamiltonian,
@@ -253,7 +258,6 @@ def cmd_sweep(config, args) -> int:
         _rate_grid(config),
         _propagator(config),
         float(noise.get("n_th", 0.5)),
-        workers,
     )
     header = [
         "rate",
@@ -269,21 +273,17 @@ def cmd_sweep(config, args) -> int:
 
 
 def cmd_tau_scaling(config, args) -> int:
-    hamiltonian, circuit, n_qubits = _build_problem_parts(config)
-    _check_size(n_qubits, args.large)
-    theta = _theta(config, circuit.n_params)
-    bound = bind(circuit, theta)
-    model = _noise_model(config, n_qubits, _single_rate(config))
+    hamiltonian, bound = _bound_problem(config, args)
+    model = _noise_model(config, bound.n_qubits, _single_rate(config))
     ladder_cfg = config.get("tau_scaling", {})
-    workers = args.workers or int(config.get("parallel_workers", 1))
+    cfg = _propagator(config)
     rows, slope_raw, slope_corr = scaling_ladder(
         bound,
         model,
         hamiltonian,
-        tau0=float(ladder_cfg.get("tau0", config.get("tau", 1.0))),
-        substeps=int(config.get("substeps", 64)),
+        tau0=float(ladder_cfg.get("tau0", cfg.tau)),
+        substeps=cfg.substeps,
         n_points=int(ladder_cfg.get("points", 4)),
-        workers=workers,
     )
     header = [
         "scale",
@@ -334,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config", default=None)
         p.add_argument("--output", help="output file (default stdout)", default=None)
-        p.add_argument("--workers", type=int, default=None)
+        # Runs are serial; --workers is still accepted, and ignored, for
+        # one release so existing command lines keep working.
+        p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--large", action="store_true", help="allow >8-qubit runs")
     return parser

@@ -16,7 +16,7 @@ from .noise import (
     build_template_model,
     evolve,
 )
-from .paulis import PauliString, PauliSum, expectation
+from .paulis import PauliString, PauliSum, dense_matrix
 from .state import DensityMatrix, embed, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
@@ -40,7 +40,6 @@ def sweep(
     rates,
     cfg: PropagatorConfig | None = None,
     n_th: float = 0.5,
-    workers: int = 1,
 ) -> list[dict]:
     """One mitigation run per rate; rows mirror the output CSV columns."""
     if cfg is None:
@@ -48,7 +47,7 @@ def sweep(
     rows = []
     for rate in rates:
         model = build_template_model(template, circuit.n_qubits, float(rate), n_th)
-        report = run_mitigation(circuit, model, observable, cfg, workers=workers)
+        report = run_mitigation(circuit, model, observable, cfg)
         rows.append(
             {
                 "rate": float(rate),
@@ -101,7 +100,6 @@ def scaling_ladder(
     tau0: float = 1.0,
     substeps: int = 64,
     n_points: int = 4,
-    workers: int = 1,
 ) -> tuple[list[dict], float, float]:
     """Dyadic ladder tau0, tau0/2, ... with fitted log-log error slopes.
 
@@ -113,7 +111,7 @@ def scaling_ladder(
     for k in range(n_points):
         scale = 0.5**k
         cfg = PropagatorConfig(tau=tau0 * scale, substeps=substeps)
-        report = run_mitigation(circuit, model, observable, cfg, workers=workers)
+        report = run_mitigation(circuit, model, observable, cfg)
         rows.append(
             {
                 "scale": scale,
@@ -211,18 +209,6 @@ def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     return u
 
 
-def _pauli_dense(ps: PauliString, n_qubits: int) -> np.ndarray:
-    mats = {
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    out = np.eye(2**n_qubits, dtype=complex)
-    for q, letter in ps.ops:
-        out = out @ embed(mats[letter], (q,), n_qubits)
-    return out
-
-
 def check_compiled_exponentials(
     n_strings: int = 20, seed: int = 11, tol: float = 1e-10
 ) -> tuple[bool, str]:
@@ -237,7 +223,7 @@ def check_compiled_exponentials(
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         gates = compile_pauli_exponential(ps, theta, n)
         compiled = dense_unitary(bind(Circuit(n, tuple(gates), 0), []))
-        p_dense = _pauli_dense(ps, n)
+        p_dense = dense_matrix(PauliSum([(1.0, ps)], n))
         exact = math.cos(theta / 2) * np.eye(2**n) - 1j * math.sin(theta / 2) * p_dense
         worst = max(worst, float(np.max(np.abs(compiled - exact))))
     return worst < tol, f"worst deviation {worst:.3g} over {n_strings} strings"

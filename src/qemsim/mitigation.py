@@ -4,28 +4,21 @@ The corrected observable is
 
     A_tilde = <A> - sum_i w_i (<A> - <A_i>)
 
-where <A_i> is measured with removal group i switched off ("removal"
-means zeroing those rates in simulation).  Groups are per qubit; a term
-whose qubit list spans k qubits would be removed k times by the per-qubit
-sweep, so it carries per-group weight 1/k.  Groups mixing multiplicities
-are split into one sub-group per multiplicity so every term's weights
-sum to exactly 1 across groups, which is what makes the first-order
-noise contributions cancel.
+where <A_i> is measured with removal group i switched off, i.e. its
+rates scaled by 0; the runs are made one after another.  Groups are per
+qubit; a term whose qubit list spans k qubits would be removed k times by
+the per-qubit sweep, so it carries per-group weight 1/k.  Groups mixing
+multiplicities are split into one sub-group per multiplicity so every
+term's weights sum to exactly 1 across groups, which is what makes the
+first-order noise contributions cancel.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .noise import (
-    NoiseModel,
-    PropagatorConfig,
-    remove_terms,
-    run_noisy_circuit,
-    scale_terms,
-)
+from .noise import NoiseModel, PropagatorConfig, run_noisy_circuit, scale_terms
 from .paulis import PauliSum, expectation
 from .state import new_statevector
 
@@ -111,14 +104,31 @@ def _measure(circuit, model, observable, cfg):
     return expectation(state, observable)
 
 
-def _run_all(circuit, models, observable, cfg, workers):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_measure, circuit, m, observable, cfg) for m in models
-            ]
-            return [f.result() for f in futures]
-    return [_measure(circuit, m, observable, cfg) for m in models]
+def _correct(circuit, model, observable, factor, cfg, groups, compute_ideal):
+    """Full-noise run, one run per group with its rates scaled by `factor`,
+    plus the noiseless run, one after another."""
+    if cfg is None:
+        cfg = PropagatorConfig()
+    if observable.n_qubits != circuit.n_qubits:
+        raise ValueError("observable and circuit qubit counts differ")
+    if groups is None:
+        groups = build_groups(model, circuit.n_qubits)
+    models = [model] + [scale_terms(model, g.removed_terms, factor) for g in groups]
+    if compute_ideal:
+        models.append(NoiseModel())
+    values = [_measure(circuit, m, observable, cfg) for m in models]
+    a_noisy = values[0]
+    removed = []
+    for g, a_i in zip(groups, values[1:]):
+        if factor != 0.0:
+            # Extrapolate (<A_scaled,i> - <A>) / (factor - 1) to the removed run.
+            a_i = a_noisy - (a_i - a_noisy) / (factor - 1.0)
+        removed.append((g.label, a_i, g.weight))
+    a_corr = corrected_value(a_noisy, [(v, w) for _, v, w in removed])
+    a_ideal = values[-1] if compute_ideal else None
+    return CorrectionReport(
+        a_noisy, removed, a_corr, a_ideal, "removal" if factor == 0.0 else "scaled"
+    )
 
 
 def run_mitigation(
@@ -128,30 +138,14 @@ def run_mitigation(
     cfg: PropagatorConfig | None = None,
     groups: list[RemovalGroup] | None = None,
     compute_ideal: bool = True,
-    workers: int = 1,
 ) -> CorrectionReport:
     """Full-noise run, one removed run per group, plus the noiseless run.
 
-    All runs are independent and may execute in parallel; results do not
-    depend on execution order.
+    Removing a group scales its rates by 0; the propagator drops
+    zero-rate terms, so that is the same run as deleting them.  Each
+    <A_i> is stored as measured.
     """
-    if cfg is None:
-        cfg = PropagatorConfig()
-    if observable.n_qubits != circuit.n_qubits:
-        raise ValueError("observable and circuit qubit counts differ")
-    if groups is None:
-        groups = build_groups(model, circuit.n_qubits)
-    models = [model] + [remove_terms(model, g.removed_terms) for g in groups]
-    if compute_ideal:
-        models.append(NoiseModel())
-    values = _run_all(circuit, models, observable, cfg, workers)
-    a_noisy = values[0]
-    a_ideal = values[1 + len(groups)] if compute_ideal else None
-    removed = [
-        (g.label, values[1 + i], g.weight) for i, g in enumerate(groups)
-    ]
-    a_corr = corrected_value(a_noisy, [(v, w) for _, v, w in removed])
-    return CorrectionReport(a_noisy, removed, a_corr, a_ideal)
+    return _correct(circuit, model, observable, 0.0, cfg, groups, compute_ideal)
 
 
 def scaled_noise_correction(
@@ -162,7 +156,6 @@ def scaled_noise_correction(
     cfg: PropagatorConfig | None = None,
     groups: list[RemovalGroup] | None = None,
     compute_ideal: bool = True,
-    workers: int = 1,
 ) -> CorrectionReport:
     """Controlled-noise-inflation variant of the correction.
 
@@ -173,21 +166,6 @@ def scaled_noise_correction(
     <A> - correction_i per group, so the standard correction identity
     still reconstructs a_corrected from the stored fields.
     """
-    if factor <= 1:
+    if not factor > 1:
         raise ValueError(f"inflation factor must exceed 1, got {factor}")
-    if cfg is None:
-        cfg = PropagatorConfig()
-    if groups is None:
-        groups = build_groups(model, circuit.n_qubits)
-    models = [model] + [scale_terms(model, g.removed_terms, factor) for g in groups]
-    if compute_ideal:
-        models.append(NoiseModel())
-    values = _run_all(circuit, models, observable, cfg, workers)
-    a_noisy = values[0]
-    a_ideal = values[1 + len(groups)] if compute_ideal else None
-    removed = []
-    for i, g in enumerate(groups):
-        estimate = (values[1 + i] - a_noisy) / (factor - 1.0)
-        removed.append((g.label, a_noisy - estimate, g.weight))
-    a_corr = corrected_value(a_noisy, [(v, w) for _, v, w in removed])
-    return CorrectionReport(a_noisy, removed, a_corr, a_ideal, variant="scaled")
+    return _correct(circuit, model, observable, factor, cfg, groups, compute_ideal)

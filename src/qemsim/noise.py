@@ -23,6 +23,7 @@ the doubled (row, column) register applied with `state.apply_local`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,12 +67,12 @@ class LindbladTerm:
             raise ValueError(
                 f"{self.kind} needs {want} distinct qubit(s), got {self.qubits}"
             )
-        if self.rate < 0:
-            raise ValueError(f"negative rate {self.rate}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
         if (self.n_th is not None) != (self.kind == "thermal"):
             raise ValueError("n_th is required for thermal terms and only those")
-        if self.n_th is not None and self.n_th < 0:
-            raise ValueError(f"negative n_th {self.n_th}")
+        if self.n_th is not None and not 0 <= self.n_th < math.inf:
+            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
 
     def collapse_ops(self) -> list[tuple[float, np.ndarray, tuple[int, ...]]]:
         """(rate, small collapse matrix, qubits) pairs for this term."""
@@ -119,28 +120,10 @@ class PropagatorConfig:
     substeps: int = 64
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-
-
-def remove_group(model: NoiseModel, qubit: int) -> NoiseModel:
-    """Copy of the model with every term touching `qubit` deleted."""
-    return NoiseModel(tuple(t for t in model.terms if qubit not in t.qubits))
-
-
-def remove_terms(model: NoiseModel, indices) -> NoiseModel:
-    drop = set(indices)
-    return NoiseModel(
-        tuple(t for i, t in enumerate(model.terms) if i not in drop)
-    )
-
-
-def scale_model(model: NoiseModel, factor: float) -> NoiseModel:
-    if factor < 0:
-        raise ValueError(f"scale factor must be >= 0, got {factor}")
-    return NoiseModel(tuple(replace(t, rate=t.rate * factor) for t in model.terms))
 
 
 def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
@@ -155,37 +138,29 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
-def build_liouvillian(ops, n_qubits: int) -> np.ndarray:
-    """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec.
+def _local_liouvillian(ops, qubits) -> np.ndarray:
+    """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec,
+    on `qubits` as a register of their own, qubits[0] its most-significant
+    bit; the result acts on doubled_axes(qubits, n) of an n-qubit rho.
 
     `ops` are (rate, small collapse matrix, qubits) triples, as returned
-    by LindbladTerm.collapse_ops; the result is 4^n x 4^n, so callers
-    build it on a block's own few qubits.
+    by LindbladTerm.collapse_ops; L is 4^k x 4^k for k qubits.
     """
-    dim = 2**n_qubits
+    k = len(qubits)
+    local = {q: k - 1 - i for i, q in enumerate(qubits)}
+    dim = 2**k
     eye = np.eye(dim, dtype=complex)
     lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for rate, c_small, qubits in ops:
+    for rate, c_small, op_qubits in ops:
         if rate == 0.0:
             continue
-        c = embed(c_small, qubits, n_qubits)
+        c = embed(c_small, tuple(local[q] for q in op_qubits), k)
         cdc = c.conj().T @ c
         lmat += rate * (
             np.kron(c, c.conj())
             - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
         )
     return lmat
-
-
-def _local_liouvillian(ops, qubits) -> np.ndarray:
-    """build_liouvillian of `ops` relabelled onto `qubits` as a register
-    of their own, qubits[0] its most-significant bit; the result acts on
-    doubled_axes(qubits, n) of an n-qubit rho."""
-    k = len(qubits)
-    local = {q: k - 1 - i for i, q in enumerate(qubits)}
-    return build_liouvillian(
-        [(rate, c, tuple(local[q] for q in qs)) for rate, c, qs in ops], k
-    )
 
 
 def _term_parts(terms):
@@ -302,7 +277,7 @@ class IntervalPropagator:
             data = block.apply(data, self.n_qubits)
         out = DensityMatrix(rho.n_qubits, data)
         drift = abs(out.trace() - 1.0)
-        if drift > TRACE_DRIFT_LIMIT:
+        if not drift <= TRACE_DRIFT_LIMIT:  # also catches NaN
             raise IntegrationError(
                 f"trace drifted by {drift:.3g} over one interval; "
                 f"increase substeps (currently {self.cfg.substeps})"

@@ -121,6 +121,16 @@ class TestMitigate:
         labels = [g["label"] for g in json.loads(out.read_text())["groups"]]
         assert labels == ["q0/m1", "q0/m2", "q1"]
 
+    @pytest.mark.parametrize("rate", [-1e-3, float("nan")], ids=["negative", "nan"])
+    def test_bad_rate_is_failure(self, tmp_path, capsys, theta_file, rate):
+        cfg = write_config(
+            tmp_path,
+            "m5.json",
+            base_config(theta_file=theta_file, noise={"template": "gamma1", "rate": rate}),
+        )
+        assert main(["mitigate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("failure:")
+
     def test_missing_theta_is_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path, "m4.json", base_config(noise={"template": "gamma1", "rate": 1e-3})
@@ -276,8 +286,16 @@ class TestErrorHandling:
             (base_config(ansatz={"kind": "entangling"}), "'layers'"),
             (base_config(ansatz={"kind": "uccsd"}), "'path'"),
             (base_config(optimizer={"max_evalz": 5}), "max_evalz"),
+            (base_config(optimizer={"max_evals": "5"}), "optimizer"),
+            (base_config(ansatz={"kind": "entangling", "layers": "x"}), "'layers'"),
         ],
-        ids=["entangling_without_layers", "uccsd_without_path", "unknown_optimizer_key"],
+        ids=[
+            "entangling_without_layers",
+            "uccsd_without_path",
+            "unknown_optimizer_key",
+            "string_max_evals",
+            "string_layers",
+        ],
     )
     def test_incomplete_config_is_config_error(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, "ic.json", config)

@@ -111,14 +111,6 @@ class TestRunMitigation:
         raw_error = abs(report.a_noisy - report.a_ideal)
         assert report.residual < raw_error
 
-    def test_parallel_matches_serial_bitwise(self):
-        model = build_template_model("gamma1_gamma2", 2, 0.01)
-        serial = q.run_mitigation(make_circuit(), model, zz_observable(), workers=1)
-        parallel = q.run_mitigation(make_circuit(), model, zz_observable(), workers=4)
-        assert parallel.a_noisy == serial.a_noisy
-        assert parallel.a_corrected == serial.a_corrected
-        assert parallel.a_removed == serial.a_removed
-
     def test_skip_ideal(self):
         model = build_template_model("gamma1", 2, 0.01)
         report = q.run_mitigation(
@@ -131,6 +123,8 @@ class TestRunMitigation:
         obs = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)
         with pytest.raises(ValueError):
             q.run_mitigation(make_circuit(), q.NoiseModel(), obs)
+        with pytest.raises(ValueError):
+            q.scaled_noise_correction(make_circuit(), q.NoiseModel(), obs, 2.0)
 
     def test_json_round_trip_keys(self):
         import json

@@ -9,7 +9,6 @@ from qemsim.noise import (
     IntervalPropagator,
     build_template_model,
     parse_noise_terms,
-    remove_terms,
     scale_terms,
 )
 
@@ -38,6 +37,16 @@ class TestLindbladTerm:
     def test_negative_rate(self):
         with pytest.raises(ValueError):
             q.LindbladTerm("amplitude_damping", (0,), -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate(self, value):
+        with pytest.raises(ValueError):
+            q.LindbladTerm("amplitude_damping", (0,), value)
+
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_bad_n_th(self, value):
+        with pytest.raises(ValueError):
+            q.LindbladTerm("thermal", (0,), 0.1, n_th=value)
 
     def test_n_th_only_for_thermal(self):
         with pytest.raises(ValueError):
@@ -228,8 +237,9 @@ class TestEvolve:
         assert out.data[1, 1].real == pytest.approx(math.exp(-10.0), abs=1e-6)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            q.PropagatorConfig(tau=0.0)
+        for tau in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                q.PropagatorConfig(tau=tau)
         with pytest.raises(ValueError):
             q.PropagatorConfig(substeps=0)
 
@@ -287,36 +297,8 @@ class TestRunNoisyCircuit:
 
 
 class TestModelEditing:
-    def test_remove_group_single_qubit_terms(self):
-        model = q.NoiseModel(
-            (
-                q.LindbladTerm("amplitude_damping", (0,), 0.1),
-                q.LindbladTerm("amplitude_damping", (1,), 0.1),
-            )
-        )
-        left = q.remove_group(model, 0)
-        assert len(left) == 1 and left.terms[0].qubits == (1,)
-        assert len(model) == 2  # original untouched
-
-    def test_remove_group_correlated_double_count(self):
-        model = q.NoiseModel((q.LindbladTerm("correlated", (0, 1), 0.1),))
-        assert len(q.remove_group(model, 0)) == 0
-        assert len(q.remove_group(model, 1)) == 0
-
-    def test_remove_group_empty_model(self):
-        assert len(q.remove_group(q.NoiseModel(), 0)) == 0
-
-    def test_scale_model(self):
-        model = ad_model(0.001)
-        assert q.scale_model(model, 0.0).terms[0].rate == 0.0
-        assert q.scale_model(model, 2.0).terms[0].rate == pytest.approx(0.002)
-        assert q.scale_model(model, 1.0) == model
-        with pytest.raises(ValueError):
-            q.scale_model(model, -1.0)
-
     def test_remove_and_scale_terms(self):
         model = build_template_model("gamma1", 3, 0.1)
-        assert len(remove_terms(model, [0, 2])) == 1
         scaled = scale_terms(model, [1], 3.0)
         assert scaled.terms[1].rate == pytest.approx(0.3)
         assert scaled.terms[0].rate == pytest.approx(0.1)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qemsim as q
 from qemsim.mitigation import build_groups, corrected_value
-from qemsim.noise import KINDS, IntervalPropagator
+from qemsim.noise import KINDS, IntervalPropagator, scale_terms
 from qemsim.state import apply_local, col_axes, doubled_axes, row_axes
 
 from conftest import kron_embed_multi
@@ -229,6 +229,29 @@ def test_statevector_capacity_error(n):
 def test_statevector_needs_a_qubit():
     with pytest.raises(ValueError):
         q.new_statevector(0)
+
+
+@st.composite
+def removal_cases(draw):
+    circuit, model = draw(noisy_cases())
+    indices = draw(st.sets(st.integers(0, len(model.terms) - 1)))
+    return circuit, model, indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(removal_cases())
+def test_scale_by_zero_is_removal(case):
+    # the mitigation driver removes a group by scaling its rates by 0
+    circuit, model, indices = case
+    n = circuit.n_qubits
+    cfg = q.PropagatorConfig(substeps=4)
+    kept = q.NoiseModel(tuple(t for i, t in enumerate(model.terms) if i not in indices))
+    scaled = q.run_noisy_circuit(
+        q.new_statevector(n), circuit, scale_terms(model, indices, 0.0), cfg
+    )
+    removed = q.run_noisy_circuit(q.new_statevector(n), circuit, kept, cfg)
+    assert type(scaled) is type(removed)
+    assert np.array_equal(scaled.data, removed.data)
 
 
 @settings(max_examples=100, deadline=None)
