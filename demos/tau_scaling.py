@@ -21,7 +21,7 @@ circuit = q.bind(ansatz, result.theta_opt)
 model = q.build_template_model("gamma1_gamma2", n_qubits, 3e-4)
 
 rows, slope_raw, slope_corr = scaling_ladder(
-    circuit, model, hamiltonian, tau0=1.0, n_points=4
+    circuit, model, hamiltonian, n_points=4
 )
 print(f"{'tau':>8} {'raw error':>12} {'corrected':>12}")
 for row in rows:

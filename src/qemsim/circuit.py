@@ -116,6 +116,8 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
         raise ValueError(
             f"theta has length {theta.size}, circuit expects {circuit.n_params}"
         )
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {theta.tolist()}")
     bound = []
     for g in circuit.gates:
         if g.param is None:

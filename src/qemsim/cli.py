@@ -4,7 +4,9 @@ Subcommands: vqe, mitigate, sweep, tau-scaling, validate.  All take a
 single JSON config (--config); physical quantities use the natural units
 of the problem (energies in Hartree, noise rates in inverse gate
 intervals).  Exit codes: 0 success, 1 validation/acceptance failure,
-2 I/O or config error.
+2 I/O or config error.  Every config value is read once, by `_get`,
+which refuses a value of the wrong JSON type (exit 2); a key the config
+leaves out is not passed on, so the library's default holds.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields
-
-import numpy as np
+from dataclasses import dataclass, fields, replace
 
 from .circuit import AnsatzSpec, bind, build_ansatz, parse_ansatz_file
 from .errors import IntegrationError, PauliParseError
@@ -29,12 +29,7 @@ from .experiments import (
     sweep,
 )
 from .mitigation import run_mitigation, scaled_noise_correction
-from .noise import (
-    NoiseModel,
-    PropagatorConfig,
-    build_template_model,
-    parse_noise_terms,
-)
+from .noise import LindbladTerm, NoiseModel, PropagatorConfig, build_template_model
 from .paulis import parse_pauli_sum
 from .vqe import OptimizerSettings, VqeProblem, solve_vqe
 
@@ -49,6 +44,59 @@ class ConfigError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Section:
+    """One JSON object of a config, and where it sits in the document."""
+
+    data: dict
+    path: str = ""
+
+
+_REQUIRED = object()
+_JSON_TYPES = {
+    "number": (int, float),
+    "integer": int,
+    "boolean": bool,
+    "string": str,
+    "object": dict,
+}
+
+
+def _matches(value, kind: str) -> bool:
+    """JSON type check: an integer counts as a number, a boolean as neither."""
+    if kind.startswith("list of "):
+        entry = kind.removeprefix("list of ").removesuffix("s")
+        return isinstance(value, list) and all(_matches(v, entry) for v in value)
+    if isinstance(value, bool):
+        return kind == "boolean"
+    return isinstance(value, _JSON_TYPES[kind])
+
+
+def _get(section: Section, key: str, kind: str, default=_REQUIRED):
+    """section[key], refused with a ConfigError unless its JSON type is
+    `kind`: number, integer, boolean, string, object, or "list of" those
+    in the plural.  Nothing is converted; an object comes back as a
+    Section.  `default` (when given) stands in for an absent key."""
+    where = f"'{key}' in {section.path}" if section.path else f"'{key}'"
+    value = section.data.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigError(f"{where} is missing")
+    if key in section.data and not _matches(value, kind):
+        raise ConfigError(f"{where} must be a JSON {kind}, got {json.dumps(value)[:40]}")
+    path = f"{section.path}.{key}" if section.path else key
+    if kind == "object":
+        return Section(value, path)
+    if kind == "list of objects":
+        return [Section(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _given(section: Section, **kinds) -> dict:
+    """{key: value} for each key of `kinds` that the section sets, read
+    with _get, so the callee's own defaults stand for the others."""
+    return {k: _get(section, k, kind) for k, kind in kinds.items() if k in section.data}
+
+
 def _read_input(path_or_alias: str) -> str:
     if path_or_alias in BUNDLED_FILES:
         return bundled_text(path_or_alias)
@@ -61,49 +109,41 @@ def _read_input(path_or_alias: str) -> str:
         raise ConfigError(f"no such file or bundled dataset: {path_or_alias}")
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(document, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return document
 
 
-def _build_problem_parts(config: dict):
+def _build_problem_parts(config: Section):
     """(hamiltonian, circuit, n_qubits) from the config document."""
-    if "hamiltonian" not in config:
-        raise ConfigError("config needs a 'hamiltonian' entry")
-    hamiltonian = parse_pauli_sum(_read_input(config["hamiltonian"]))
-    ansatz_cfg = config.get("ansatz")
-    if not isinstance(ansatz_cfg, dict) or "kind" not in ansatz_cfg:
-        raise ConfigError("config needs an 'ansatz' object with a 'kind'")
-    if ansatz_cfg["kind"] == "uccsd":
-        if "path" not in ansatz_cfg:
-            raise ConfigError("ansatz kind 'uccsd' needs a generator file 'path'")
-        spec, n_qubits = parse_ansatz_file(_read_input(ansatz_cfg["path"]))
+    hamiltonian = parse_pauli_sum(_read_input(_get(config, "hamiltonian", "string")))
+    ansatz = _get(config, "ansatz", "object")
+    kind = _get(ansatz, "kind", "string")
+    if kind == "uccsd":
+        spec, n_qubits = parse_ansatz_file(_read_input(_get(ansatz, "path", "string")))
         if n_qubits != hamiltonian.n_qubits:
             raise ConfigError(
                 f"ansatz file declares {n_qubits} qubits, "
                 f"hamiltonian has {hamiltonian.n_qubits}"
             )
-    elif ansatz_cfg["kind"] == "entangling":
-        if "layers" not in ansatz_cfg:
-            raise ConfigError("ansatz kind 'entangling' needs a 'layers' count")
-        try:
-            layers = int(ansatz_cfg["layers"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"ansatz 'layers' must be an integer: {exc}")
-        spec = AnsatzSpec("Entangling", layers=layers)
+    elif kind == "entangling":
+        spec = AnsatzSpec("Entangling", layers=_get(ansatz, "layers", "integer"))
         n_qubits = hamiltonian.n_qubits
     else:
-        raise ConfigError(f"unknown ansatz kind {ansatz_cfg['kind']!r}")
+        raise ConfigError(f"unknown ansatz kind {kind!r}")
     circuit = build_ansatz(spec, n_qubits)
     return hamiltonian, circuit, n_qubits
 
 
-def _bound_problem(config: dict, args):
+def _bound_problem(config: Section, args):
     """(hamiltonian, circuit bound to the config's theta) for the modes
     that run fixed angles."""
     hamiltonian, circuit, n_qubits = _build_problem_parts(config)
@@ -111,71 +151,63 @@ def _bound_problem(config: dict, args):
     return hamiltonian, bind(circuit, _theta(config, circuit.n_params))
 
 
-def _propagator(config: dict) -> PropagatorConfig:
-    return PropagatorConfig(
-        tau=float(config.get("tau", 1.0)),
-        substeps=int(config.get("substeps", 64)),
-    )
+def _propagator(config: Section) -> PropagatorConfig:
+    return PropagatorConfig(**_given(config, tau="number", substeps="integer"))
 
 
-def _optimizer_settings(config: dict, seed_override=None) -> OptimizerSettings:
-    opt = dict(config.get("optimizer", {}))
-    unknown = sorted(set(opt) - {f.name for f in fields(OptimizerSettings)})
+# Each optimizer setting takes the JSON type of its default.
+_OPTIMIZER_KINDS = {
+    f.name: "integer" if isinstance(f.default, int) else "number"
+    for f in fields(OptimizerSettings)
+}
+
+
+def _optimizer_settings(config: Section, seed_override=None) -> OptimizerSettings:
+    opt = _get(config, "optimizer", "object", {})
+    unknown = sorted(set(opt.data) - set(_OPTIMIZER_KINDS))
     if unknown:
         raise ConfigError(f"unknown optimizer setting(s): {', '.join(unknown)}")
+    settings = _given(opt, **_OPTIMIZER_KINDS)
     if seed_override is not None:
-        opt["seed"] = seed_override
+        settings["seed"] = seed_override
     try:
-        return OptimizerSettings(**opt)
-    except (TypeError, ValueError) as exc:
+        return OptimizerSettings(**settings)
+    except ValueError as exc:
         raise ConfigError(f"bad optimizer setting: {exc}")
 
 
-def _noise_model(config: dict, n_qubits: int, rate: float):
-    noise = config.get("noise", {})
-    if "terms" in noise:
-        return parse_noise_terms(noise["terms"])
-    template = noise.get("template")
-    if template is None:
-        raise ConfigError("config 'noise' needs a 'template' or explicit 'terms'")
-    return build_template_model(
-        template, n_qubits, rate, float(noise.get("n_th", 0.5))
+def _noise_model(config: Section, n_qubits: int) -> NoiseModel:
+    """Explicit noise.terms, or a noise.template at its single noise.rate."""
+    noise = _get(config, "noise", "object")
+    if "terms" not in noise.data:
+        template = _get(noise, "template", "string")
+        rate = _get(noise, "rate", "number")
+        n_th = _given(noise, n_th="number")
+        return build_template_model(template, n_qubits, rate, **n_th)
+    return NoiseModel(
+        LindbladTerm(
+            _get(term, "kind", "string"),
+            _get(term, "qubits", "list of integers"),
+            _get(term, "rate", "number"),
+            **_given(term, n_th="number"),
+        )
+        for term in _get(noise, "terms", "list of objects")
     )
 
 
-def _rate_grid(config: dict):
-    rates = config.get("noise", {}).get("rates")
-    if not rates:
-        raise ConfigError("sweep mode needs a non-empty noise.rates grid")
-    return [float(r) for r in rates]
-
-
-def _single_rate(config: dict) -> float:
-    noise = config.get("noise", {})
-    if "terms" in noise:
-        return 0.0  # rates live in the explicit terms
-    if "rate" not in noise:
-        raise ConfigError("this mode needs a single noise.rate")
-    return float(noise["rate"])
-
-
-def _theta(config: dict, n_params: int) -> np.ndarray:
-    if "theta" in config:
-        theta = np.asarray(config["theta"], dtype=float)
-    elif "theta_file" in config:
-        try:
-            with open(config["theta_file"]) as fh:
-                theta = np.asarray(json.load(fh)["theta_opt"], dtype=float)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ConfigError(f"cannot read theta_file: {exc}")
+def _theta(config: Section, n_params: int) -> list:
+    if "theta" in config.data:
+        theta = _get(config, "theta", "list of numbers")
+    elif "theta_file" in config.data:
+        path = _get(config, "theta_file", "string")
+        theta_doc = Section(_load_json(path, "theta_file"), path)
+        theta = _get(theta_doc, "theta_opt", "list of numbers")
     else:
         raise ConfigError(
             "provide 'theta' inline or 'theta_file' (run the vqe subcommand first)"
         )
-    if theta.shape != (n_params,):
-        raise ConfigError(
-            f"theta has length {theta.size}, ansatz expects {n_params}"
-        )
+    if len(theta) != n_params:
+        raise ConfigError(f"theta has length {len(theta)}, ansatz expects {n_params}")
     return theta
 
 
@@ -209,12 +241,8 @@ def _csv_text(header, rows) -> str:
 def cmd_vqe(config, args) -> int:
     hamiltonian, circuit, n_qubits = _build_problem_parts(config)
     _check_size(n_qubits, args.large)
-    optimize_with_noise = bool(config.get("optimize_with_noise", False))
-    model = (
-        _noise_model(config, n_qubits, _single_rate(config))
-        if optimize_with_noise
-        else NoiseModel()
-    )
+    optimize_with_noise = _get(config, "optimize_with_noise", "boolean", False)
+    model = _noise_model(config, n_qubits) if optimize_with_noise else NoiseModel()
     problem = VqeProblem(hamiltonian, circuit, model, _propagator(config))
     result = solve_vqe(
         problem,
@@ -228,91 +256,65 @@ def cmd_vqe(config, args) -> int:
         "converged": result.converged,
         "history": [[i, e] for i, e in result.history],
     }
-    _write_text(args.output or config.get("output"), json.dumps(payload, indent=2) + "\n")
+    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_mitigate(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
-    model = _noise_model(config, bound.n_qubits, _single_rate(config))
+    model = _noise_model(config, bound.n_qubits)
     cfg = _propagator(config)
-    factor = config.get("scaled_noise_factor")
+    factor = _get(config, "scaled_noise_factor", "number", None)
     if factor is not None:
-        report = scaled_noise_correction(bound, model, hamiltonian, float(factor), cfg)
+        report = scaled_noise_correction(bound, model, hamiltonian, factor, cfg)
     else:
         report = run_mitigation(bound, model, hamiltonian, cfg)
-    _write_text(args.output or config.get("output"), report.to_json() + "\n")
+    _write_text(args.output, report.to_json() + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
-    noise = config.get("noise", {})
-    template = noise.get("template")
-    if template is None:
-        raise ConfigError("sweep mode needs a noise.template")
+    noise = _get(config, "noise", "object")
+    template = _get(noise, "template", "string")
+    rates = _get(noise, "rates", "list of numbers")
+    if not rates:
+        raise ConfigError("sweep mode needs a non-empty noise.rates grid")
     rows = sweep(
         bound,
         hamiltonian,
         template,
-        _rate_grid(config),
+        rates,
         _propagator(config),
-        float(noise.get("n_th", 0.5)),
+        **_given(noise, n_th="number"),
     )
-    header = [
-        "rate",
-        "a_noisy",
-        "a_ideal",
-        "a_corrected",
-        "correction_magnitude",
-        "residual",
-    ]
-    text = _csv_text(header, [[row[k] for k in header] for row in rows])
-    _write_text(args.output or config.get("output"), text)
+    # Each row's keys are the CSV columns, in order.
+    _write_text(args.output, _csv_text(list(rows[0]), [list(r.values()) for r in rows]))
     return EXIT_OK
 
 
 def cmd_tau_scaling(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
-    model = _noise_model(config, bound.n_qubits, _single_rate(config))
-    ladder_cfg = config.get("tau_scaling", {})
+    model = _noise_model(config, bound.n_qubits)
     cfg = _propagator(config)
-    rows, slope_raw, slope_corr = scaling_ladder(
-        bound,
-        model,
-        hamiltonian,
-        tau0=float(ladder_cfg.get("tau0", cfg.tau)),
-        substeps=cfg.substeps,
-        n_points=int(ladder_cfg.get("points", 4)),
-    )
-    header = [
-        "scale",
-        "tau",
-        "uncorrected_error",
-        "corrected_error",
-        "uncorrected_slope",
-        "corrected_slope",
-    ]
-    out_rows = [
-        [r["scale"], r["tau"], r["uncorrected_error"], r["corrected_error"],
-         slope_raw, slope_corr]
-        for r in rows
-    ]
-    _write_text(args.output or config.get("output"), _csv_text(header, out_rows))
+    ladder = _get(config, "tau_scaling", "object", {})
+    cfg = replace(cfg, tau=_get(ladder, "tau0", "number", cfg.tau))
+    extra = {}
+    if "points" in ladder.data:
+        extra["n_points"] = _get(ladder, "points", "integer")
+    rows, slope_raw, slope_corr = scaling_ladder(bound, model, hamiltonian, cfg, **extra)
+    header = [*rows[0], "uncorrected_slope", "corrected_slope"]
+    out_rows = [[*r.values(), slope_raw, slope_corr] for r in rows]
+    _write_text(args.output, _csv_text(header, out_rows))
     return EXIT_OK
 
 
 def cmd_validate(config, args) -> int:
-    substeps = int(config.get("substeps", 64)) if config else 64
-    results = run_validation_suite(substeps=substeps)
-    failures = 0
-    lines = []
-    for name, ok, detail in results:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
-    text = "\n".join(lines) + "\n"
-    _write_text(args.output or config.get("output"), text)
-    return EXIT_OK if failures == 0 else EXIT_FAILURE
+    substeps = _get(config, "substeps", "integer", PropagatorConfig().substeps)
+    results = run_validation_suite(substeps)
+    lines = [f"{'PASS' if ok else 'FAIL'} {n}: {d}\n" for n, ok, d in results]
+    _write_text(args.output, "".join(lines))
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_FAILURE
 
 
 MODES = {
@@ -334,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config", default=None)
         p.add_argument("--output", help="output file (default stdout)", default=None)
-        # Runs are serial; --workers is still accepted, and ignored, for
-        # one release so existing command lines keep working.
-        p.add_argument("--workers", type=int, default=None, help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--large", action="store_true", help="allow >8-qubit runs")
     return parser
@@ -345,17 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            config = _load_config(args.config) if args.config else {}
+        if args.config:
+            config = Section(_load_json(args.config, "config"))
+        elif args.command == "validate":
+            config = Section({})
         else:
-            if not args.config:
-                raise ConfigError(f"{args.command} requires --config")
-            config = _load_config(args.config)
-        mode = config.get("mode", args.command.replace("_", "-"))
+            raise ConfigError(f"{args.command} requires --config")
+        mode = _get(config, "mode", "string", args.command)
         if mode.replace("_", "-") != args.command:
             raise ConfigError(
                 f"config mode {mode!r} does not match subcommand {args.command!r}"
             )
+        output = _get(config, "output", "string", None)
+        args.output = args.output or output
         return MODES[args.command](config, args)
     except (ConfigError, PauliParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

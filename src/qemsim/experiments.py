@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -39,14 +40,14 @@ def sweep(
     template: str,
     rates,
     cfg: PropagatorConfig | None = None,
-    n_th: float = 0.5,
+    n_th: float | None = None,
 ) -> list[dict]:
-    """One mitigation run per rate; rows mirror the output CSV columns."""
-    if cfg is None:
-        cfg = PropagatorConfig()
+    """One mitigation run per rate; rows mirror the output CSV columns.
+    Without n_th, build_template_model's default holds."""
+    thermal = {} if n_th is None else {"n_th": n_th}
     rows = []
     for rate in rates:
-        model = build_template_model(template, circuit.n_qubits, float(rate), n_th)
+        model = build_template_model(template, circuit.n_qubits, float(rate), **thermal)
         report = run_mitigation(circuit, model, observable, cfg)
         rows.append(
             {
@@ -65,29 +66,29 @@ def uncorrected_error(row: dict) -> float:
     return abs(row["a_noisy"] - row["a_ideal"])
 
 
-def crossing_rate(rates, errors, threshold: float = CHEMICAL_ACCURACY) -> float | None:
-    """Rate at which the error first crosses the threshold, interpolated
+def crossing_rate(rates, errors) -> float | None:
+    """Rate at which the error first reaches chemical accuracy, interpolated
     log-log between the bracketing grid points.  None if never crossed."""
     rates = np.asarray(rates, dtype=float)
     errors = np.asarray(errors, dtype=float)
     for i in range(len(rates)):
-        if errors[i] >= threshold:
+        if errors[i] >= CHEMICAL_ACCURACY:
             if i == 0 or errors[i - 1] <= 0:
                 return float(rates[i])
             lr0, lr1 = math.log(rates[i - 1]), math.log(rates[i])
             le0, le1 = math.log(errors[i - 1]), math.log(errors[i])
             if le1 == le0:
                 return float(rates[i])
-            frac = (math.log(threshold) - le0) / (le1 - le0)
+            frac = (math.log(CHEMICAL_ACCURACY) - le0) / (le1 - le0)
             return float(math.exp(lr0 + frac * (lr1 - lr0)))
     return None
 
 
-def threshold_ratio(rows, threshold: float = CHEMICAL_ACCURACY) -> float | None:
+def threshold_ratio(rows) -> float | None:
     """Corrected-over-uncorrected ratio of threshold-crossing rates."""
     rates = [r["rate"] for r in rows]
-    raw = crossing_rate(rates, [uncorrected_error(r) for r in rows], threshold)
-    corr = crossing_rate(rates, [r["residual"] for r in rows], threshold)
+    raw = crossing_rate(rates, [uncorrected_error(r) for r in rows])
+    corr = crossing_rate(rates, [r["residual"] for r in rows])
     if raw is None or corr is None:
         return None
     return corr / raw
@@ -97,25 +98,29 @@ def scaling_ladder(
     circuit: BoundCircuit,
     model: NoiseModel,
     observable: PauliSum,
-    tau0: float = 1.0,
-    substeps: int = 64,
+    cfg: PropagatorConfig | None = None,
     n_points: int = 4,
 ) -> tuple[list[dict], float, float]:
-    """Dyadic ladder tau0, tau0/2, ... with fitted log-log error slopes.
+    """Dyadic ladder tau, tau/2, ... from cfg.tau at cfg.substeps, with
+    fitted log-log error slopes.
 
     The uncorrected error |<A> - <A_a>| should scale linearly in the
     interval length while the corrected residual drops quadratically
     (first-order cancellation).
     """
+    if n_points < 2:
+        raise ValueError(f"a slope needs at least 2 points, got {n_points}")
+    if cfg is None:
+        cfg = PropagatorConfig()
     rows = []
     for k in range(n_points):
         scale = 0.5**k
-        cfg = PropagatorConfig(tau=tau0 * scale, substeps=substeps)
-        report = run_mitigation(circuit, model, observable, cfg)
+        step = replace(cfg, tau=cfg.tau * scale)
+        report = run_mitigation(circuit, model, observable, step)
         rows.append(
             {
                 "scale": scale,
-                "tau": tau0 * scale,
+                "tau": step.tau,
                 "uncorrected_error": abs(report.a_noisy - report.a_ideal),
                 "corrected_error": report.residual,
             }
@@ -229,7 +234,7 @@ def check_compiled_exponentials(
     return worst < tol, f"worst deviation {worst:.3g} over {n_strings} strings"
 
 
-def run_validation_suite(substeps: int = 64) -> list[tuple[str, bool, str]]:
+def run_validation_suite(substeps: int) -> list[tuple[str, bool, str]]:
     checks = [
         ("amplitude_damping_decay", check_amplitude_damping(substeps=substeps)),
         ("dephasing_coherence", check_dephasing(substeps=substeps)),

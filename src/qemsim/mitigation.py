@@ -41,7 +41,7 @@ class CorrectionReport:
     a_noisy: float
     a_removed: list[tuple[str, float, float]]  # (label, <A_i>, weight)
     a_corrected: float
-    a_ideal: float | None = None
+    a_ideal: float
     variant: str = "removal"
 
     @property
@@ -49,9 +49,7 @@ class CorrectionReport:
         return abs(self.a_corrected - self.a_noisy)
 
     @property
-    def residual(self) -> float | None:
-        if self.a_ideal is None:
-            return None
+    def residual(self) -> float:
         return abs(self.a_corrected - self.a_ideal)
 
     def to_dict(self) -> dict:
@@ -104,18 +102,14 @@ def _measure(circuit, model, observable, cfg):
     return expectation(state, observable)
 
 
-def _correct(circuit, model, observable, factor, cfg, groups, compute_ideal):
+def _correct(circuit, model, observable, factor, cfg):
     """Full-noise run, one run per group with its rates scaled by `factor`,
     plus the noiseless run, one after another."""
-    if cfg is None:
-        cfg = PropagatorConfig()
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
-    if groups is None:
-        groups = build_groups(model, circuit.n_qubits)
-    models = [model] + [scale_terms(model, g.removed_terms, factor) for g in groups]
-    if compute_ideal:
-        models.append(NoiseModel())
+    groups = build_groups(model, circuit.n_qubits)
+    scaled = [scale_terms(model, g.removed_terms, factor) for g in groups]
+    models = [model] + scaled + [NoiseModel()]
     values = [_measure(circuit, m, observable, cfg) for m in models]
     a_noisy = values[0]
     removed = []
@@ -125,9 +119,8 @@ def _correct(circuit, model, observable, factor, cfg, groups, compute_ideal):
             a_i = a_noisy - (a_i - a_noisy) / (factor - 1.0)
         removed.append((g.label, a_i, g.weight))
     a_corr = corrected_value(a_noisy, [(v, w) for _, v, w in removed])
-    a_ideal = values[-1] if compute_ideal else None
     return CorrectionReport(
-        a_noisy, removed, a_corr, a_ideal, "removal" if factor == 0.0 else "scaled"
+        a_noisy, removed, a_corr, values[-1], "removal" if factor == 0.0 else "scaled"
     )
 
 
@@ -136,8 +129,6 @@ def run_mitigation(
     model: NoiseModel,
     observable: PauliSum,
     cfg: PropagatorConfig | None = None,
-    groups: list[RemovalGroup] | None = None,
-    compute_ideal: bool = True,
 ) -> CorrectionReport:
     """Full-noise run, one removed run per group, plus the noiseless run.
 
@@ -145,7 +136,7 @@ def run_mitigation(
     zero-rate terms, so that is the same run as deleting them.  Each
     <A_i> is stored as measured.
     """
-    return _correct(circuit, model, observable, 0.0, cfg, groups, compute_ideal)
+    return _correct(circuit, model, observable, 0.0, cfg)
 
 
 def scaled_noise_correction(
@@ -154,8 +145,6 @@ def scaled_noise_correction(
     observable: PauliSum,
     factor: float,
     cfg: PropagatorConfig | None = None,
-    groups: list[RemovalGroup] | None = None,
-    compute_ideal: bool = True,
 ) -> CorrectionReport:
     """Controlled-noise-inflation variant of the correction.
 
@@ -168,4 +157,4 @@ def scaled_noise_correction(
     """
     if not factor > 1:
         raise ValueError(f"inflation factor must exceed 1, got {factor}")
-    return _correct(circuit, model, observable, factor, cfg, groups, compute_ideal)
+    return _correct(circuit, model, observable, factor, cfg)

@@ -67,6 +67,8 @@ class LindbladTerm:
             raise ValueError(
                 f"{self.kind} needs {want} distinct qubit(s), got {self.qubits}"
             )
+        if min(self.qubits) < 0:
+            raise ValueError(f"qubit indices must be >= 0, got {self.qubits}")
         if not 0 <= self.rate < math.inf:
             raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
         if (self.n_th is not None) != (self.kind == "thermal"):
@@ -328,21 +330,6 @@ def run_noisy_circuit(
         if i != last:
             state = propagator.propagate(state)
     return state
-
-
-def parse_noise_terms(entries) -> NoiseModel:
-    """Build a model from JSON-style dicts: {kind, qubits, rate, n_th?}."""
-    terms = []
-    for entry in entries:
-        terms.append(
-            LindbladTerm(
-                kind=entry["kind"],
-                qubits=tuple(entry["qubits"]),
-                rate=float(entry["rate"]),
-                n_th=float(entry["n_th"]) if "n_th" in entry else None,
-            )
-        )
-    return NoiseModel(tuple(terms))
 
 
 def build_template_model(

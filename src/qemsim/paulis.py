@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, PauliParseError
+from .state import DEFAULT_QUBIT_CAP
 
 _PAULI_LETTERS = ("X", "Y", "Z")
-EIG_QUBIT_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def expectation(state, a: PauliSum) -> float:
 
 def dense_matrix(a: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n Hermitian matrix of the sum (oracle-scale only)."""
-    if a.n_qubits > EIG_QUBIT_CAP:
-        raise CapacityError(f"{a.n_qubits} qubits exceeds cap {EIG_QUBIT_CAP}")
+    if a.n_qubits > DEFAULT_QUBIT_CAP:
+        raise CapacityError(f"{a.n_qubits} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
     dim = 2**a.n_qubits
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)

@@ -110,7 +110,7 @@ def test_criterion_4_thermal_and_correlated(report, uccsd_sweeps):
 def test_criterion_5_first_order_cancellation(report, h2_hamiltonian, h2_bound_circuit):
     model = build_template_model("gamma1_gamma2", 4, 3e-4)
     _, slope_raw, slope_corr = scaling_ladder(
-        h2_bound_circuit, model, h2_hamiltonian, tau0=1.0, n_points=4
+        h2_bound_circuit, model, h2_hamiltonian, n_points=4
     )
     ok = abs(slope_raw - 1.0) <= 0.15 and slope_corr >= 1.8
     report(5, "tau-scaling slopes 1.0 / >= 1.8", ok)

@@ -28,6 +28,12 @@ class TestBind:
         with pytest.raises(ValueError):
             q.bind(c, [0.1, 0.2])
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_angle(self, angle):
+        c = q.Circuit(1, (q.Gate("Rz", (0,), Param(0)), q.Gate("Rx", (0,), Param(1))), 2)
+        with pytest.raises(ValueError):
+            q.bind(c, [0.1, angle])
+
     def test_literal_angles_pass_through(self):
         c = q.Circuit(1, (q.Gate("Rx", (0,), 0.75),), 0)
         assert q.bind(c, []).gates[0].angle == pytest.approx(0.75)

@@ -1,9 +1,10 @@
+import copy
 import csv
 import json
 
 import pytest
 
-from qemsim.cli import main
+from qemsim.cli import Section, _noise_model, main
 
 
 def write_config(tmp_path, name, payload):
@@ -121,13 +122,21 @@ class TestMitigate:
         labels = [g["label"] for g in json.loads(out.read_text())["groups"]]
         assert labels == ["q0/m1", "q0/m2", "q1"]
 
-    @pytest.mark.parametrize("rate", [-1e-3, float("nan")], ids=["negative", "nan"])
-    def test_bad_rate_is_failure(self, tmp_path, capsys, theta_file, rate):
-        cfg = write_config(
-            tmp_path,
-            "m5.json",
-            base_config(theta_file=theta_file, noise={"template": "gamma1", "rate": rate}),
-        )
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"noise": {"template": "gamma1", "rate": -1e-3}},
+            {"noise": {"template": "gamma1", "rate": float("nan")}},
+            {
+                "theta": [float("nan"), 0.2, 0.3],
+                "noise": {"template": "gamma1", "rate": 0},
+            },
+        ],
+        ids=["negative", "nan", "nan_theta"],
+    )
+    def test_bad_rate_is_failure(self, tmp_path, capsys, theta_file, extra):
+        config = base_config(theta_file=theta_file, **extra)
+        cfg = write_config(tmp_path, "m5.json", config)
         assert main(["mitigate", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("failure:")
 
@@ -175,8 +184,11 @@ class TestSweep:
         cfg = self.sweep_config(tmp_path, theta_file, [1e-4, 1e-3])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--config", cfg, "--output", str(a)]) == 0
-        assert main(["sweep", "--config", cfg, "--workers", "4", "--output", str(b)]) == 0
+        assert main(["sweep", "--config", cfg, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--workers", "4"])
+        assert exc.value.code == 2
 
     def test_missing_rates_is_config_error(self, tmp_path, theta_file):
         cfg = write_config(
@@ -209,6 +221,20 @@ class TestTauScaling:
         assert raw_slope == pytest.approx(1.0, abs=0.15)
         assert corr_slope > 1.8
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_too_few_points_is_failure(self, tmp_path, capsys, points):
+        cfg = write_config(
+            tmp_path,
+            "t2.json",
+            base_config(
+                theta=[0.1, 0.2, 0.3],
+                noise={"template": "gamma1", "rate": 1e-3},
+                tau_scaling={"points": points},
+            ),
+        )
+        assert main(["tau-scaling", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("failure:")
+
 
 class TestValidate:
     def test_passes_and_prints_lines(self, tmp_path, capsys):
@@ -221,6 +247,11 @@ class TestValidate:
         out = tmp_path / "validation.txt"
         assert main(["validate", "--output", str(out)]) == 0
         assert "PASS" in out.read_text()
+
+    def test_reads_only_substeps(self, tmp_path):
+        # tau is not a validate setting, so even an invalid one is ignored.
+        cfg = write_config(tmp_path, "v.json", {"tau": 0, "substeps": 64})
+        assert main(["validate", "--config", cfg]) == 0
 
 
 class TestErrorHandling:
@@ -300,6 +331,226 @@ class TestErrorHandling:
     def test_incomplete_config_is_config_error(self, tmp_path, capsys, config, message):
         cfg = write_config(tmp_path, "ic.json", config)
         assert main(["vqe", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+
+THETA = [0.1, 0.2, 0.3]
+VQE = base_config(optimizer={"max_evals": 1})
+ENTANGLING = {
+    "hamiltonian": "h2",
+    "ansatz": {"kind": "entangling", "layers": 1},
+    "optimizer": {"max_evals": 1},
+}
+MITIGATE = base_config(
+    theta=THETA, noise={"template": "thermal", "rate": 1e-3, "n_th": 0.5}
+)
+THETA_FILE = base_config(
+    theta_file="theta.json", noise={"template": "gamma1", "rate": 1e-3}
+)
+TERMS = base_config(
+    theta=THETA,
+    noise={
+        "terms": [
+            {"kind": "amplitude_damping", "qubits": [0], "rate": 1e-3},
+            {"kind": "thermal", "qubits": [1], "rate": 1e-3, "n_th": 0.5},
+        ]
+    },
+)
+SWEEP = base_config(
+    theta=THETA, noise={"template": "gamma1", "rates": [1e-3], "n_th": 0.5}
+)
+TAU = base_config(
+    theta=THETA,
+    noise={"template": "gamma1", "rate": 1e-3},
+    tau_scaling={"tau0": 1.0, "points": 2},
+)
+
+# Every config key README lists: (subcommand, a valid config that reads
+# the key, the key's path in it, the JSON types the key takes).
+CONFIG_KEYS = [
+    ("vqe", VQE, ("hamiltonian",), {"string"}),
+    ("vqe", VQE, ("ansatz",), {"object"}),
+    ("vqe", VQE, ("ansatz", "kind"), {"string"}),
+    ("vqe", VQE, ("ansatz", "path"), {"string"}),
+    ("vqe", ENTANGLING, ("ansatz", "layers"), {"integer"}),
+    ("vqe", VQE, ("optimizer",), {"object"}),
+    ("vqe", VQE, ("optimizer", "max_evals"), {"integer"}),
+    ("vqe", VQE, ("optimizer", "f_tol"), {"number"}),
+    ("vqe", VQE, ("optimizer", "x_tol"), {"number"}),
+    ("vqe", VQE, ("optimizer", "initial_step"), {"number"}),
+    ("vqe", VQE, ("optimizer", "seed"), {"integer"}),
+    ("vqe", VQE, ("optimize_with_noise",), {"bool"}),
+    ("vqe", VQE, ("tau",), {"number"}),
+    ("vqe", VQE, ("substeps",), {"integer"}),
+    ("vqe", VQE, ("output",), {"string"}),
+    ("vqe", VQE, ("mode",), {"string"}),
+    ("mitigate", MITIGATE, ("theta",), {"list"}),
+    ("mitigate", THETA_FILE, ("theta_file",), {"string"}),
+    ("mitigate", MITIGATE, ("noise",), {"object"}),
+    ("mitigate", MITIGATE, ("noise", "template"), {"string"}),
+    ("mitigate", MITIGATE, ("noise", "rate"), {"number"}),
+    ("mitigate", MITIGATE, ("noise", "n_th"), {"number"}),
+    ("mitigate", MITIGATE, ("scaled_noise_factor",), {"number"}),
+    ("mitigate", TERMS, ("noise", "terms"), {"list"}),
+    ("mitigate", TERMS, ("noise", "terms", 1), {"object"}),
+    ("mitigate", TERMS, ("noise", "terms", 1, "kind"), {"string"}),
+    ("mitigate", TERMS, ("noise", "terms", 1, "qubits"), {"list"}),
+    ("mitigate", TERMS, ("noise", "terms", 1, "rate"), {"number"}),
+    ("mitigate", TERMS, ("noise", "terms", 1, "n_th"), {"number"}),
+    ("sweep", SWEEP, ("noise", "rates"), {"list"}),
+    ("sweep", SWEEP, ("noise", "n_th"), {"number"}),
+    ("tau-scaling", TAU, ("tau_scaling",), {"object"}),
+    ("tau-scaling", TAU, ("tau_scaling", "tau0"), {"number"}),
+    ("tau-scaling", TAU, ("tau_scaling", "points"), {"integer"}),
+    ("validate", {}, ("substeps",), {"integer"}),
+]
+WRONG_VALUES = {
+    "string": "x",
+    "number": 2.5,
+    "bool": True,
+    "null": None,
+    "list": [1],
+    "object": {"a": 1},
+}
+# Lists of the right type whose entries have the wrong one.
+WRONG_ENTRIES = {
+    ("theta",): ["x", 0.2, 0.3],
+    ("noise", "terms"): [1, 2],
+    ("noise", "terms", 1, "qubits"): [0.5],
+    ("noise", "rates"): [1e-3, "x"],
+}
+
+
+def _key_cases():
+    for mode, config, path, takes in CONFIG_KEYS:
+        name = ".".join(map(str, path))
+        wrong = {kind: v for kind, v in WRONG_VALUES.items() if kind not in takes}
+        if path in WRONG_ENTRIES:
+            wrong["entries"] = WRONG_ENTRIES[path]
+        for kind, value in wrong.items():
+            yield pytest.param(mode, config, path, value, id=f"{name}-{kind}")
+
+
+def _set(config, path, value):
+    config = copy.deepcopy(config)
+    parent = config
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return config
+
+
+def _where(path):
+    """How an error message names the key at `path`; a list entry of the
+    wrong type is reported against its list."""
+    *parents, key = path
+    if isinstance(key, int):
+        return _where(tuple(parents))
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in parents)
+    return f"'{key}' in {where[1:]}" if where else f"'{key}'"
+
+
+def _run(tmp_path, monkeypatch, mode, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.json").write_text(json.dumps({"theta_opt": THETA}))
+    return main([mode, "--config", write_config(tmp_path, "c.json", config)])
+
+
+class TestConfigReader:
+    def test_parse_noise_terms(self):
+        terms = [
+            {"kind": "amplitude_damping", "qubits": [0], "rate": 0.1},
+            {"kind": "thermal", "qubits": [1], "rate": 0.2, "n_th": 0.5},
+            {"kind": "correlated", "qubits": [0, 1], "rate": 0.05},
+        ]
+        model = _noise_model(Section({"noise": {"terms": terms}}), 2)
+        assert len(model) == 3
+        assert model.terms[1].n_th == 0.5
+
+    @pytest.mark.parametrize(
+        "mode, config",
+        [
+            ("vqe", VQE),
+            ("vqe", ENTANGLING),
+            ("mitigate", MITIGATE),
+            ("mitigate", THETA_FILE),
+            ("mitigate", TERMS),
+            ("sweep", SWEEP),
+            ("tau-scaling", TAU),
+        ],
+        ids=["vqe", "entangling", "mitigate", "theta_file", "terms", "sweep", "tau"],
+    )
+    def test_matrix_configs_run(self, tmp_path, monkeypatch, mode, config):
+        assert _run(tmp_path, monkeypatch, mode, config) == 0
+
+    @pytest.mark.parametrize("mode, config, path, value", list(_key_cases()))
+    def test_wrong_type_is_config_error(
+        self, tmp_path, monkeypatch, capsys, mode, config, path, value
+    ):
+        assert _run(tmp_path, monkeypatch, mode, _set(config, path, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert _where(path) in err
+
+    @pytest.mark.parametrize(
+        "mode, config, message",
+        [
+            ("mitigate", _set(MITIGATE, ("tau",), "x"), "'tau'"),
+            ("mitigate", _set(MITIGATE, ("theta",), "abc"), "'theta'"),
+            (
+                "mitigate",
+                _set(TERMS, ("noise", "terms", 0, "rate"), "x"),
+                "'rate' in noise.terms[0]",
+            ),
+            (
+                "mitigate",
+                _set(TERMS, ("noise", "terms", 1, "n_th"), "hot"),
+                "'n_th' in noise.terms[1]",
+            ),
+            (
+                "mitigate",
+                _set(MITIGATE, ("scaled_noise_factor",), [2]),
+                "'scaled_noise_factor'",
+            ),
+            (
+                "mitigate",
+                _set(TERMS, ("noise", "terms", 0), {"qubits": [0], "rate": 1e-3}),
+                "'kind' in noise.terms[0]",
+            ),
+            (
+                "mitigate",
+                _set(TERMS, ("noise", "terms", 0, "qubits"), 0),
+                "'qubits' in noise.terms[0]",
+            ),
+            ("mitigate", [1, 2], "JSON object"),
+            ("mitigate", _set(MITIGATE, ("substeps",), 2.7), "'substeps'"),
+            ("sweep", _set(SWEEP, ("noise", "rates"), "15"), "'rates' in noise"),
+            (
+                "vqe",
+                _set(VQE, ("optimize_with_noise",), "false"),
+                "'optimize_with_noise'",
+            ),
+        ],
+        ids=[
+            "tau_string",
+            "theta_string",
+            "term_rate_string",
+            "term_n_th_string",
+            "factor_list",
+            "term_without_kind",
+            "qubits_number",
+            "top_level_list",
+            "fractional_substeps",
+            "rates_string",
+            "bool_as_string",
+        ],
+    )
+    def test_known_bad_values_are_config_errors(
+        self, tmp_path, monkeypatch, capsys, mode, config, message
+    ):
+        assert _run(tmp_path, monkeypatch, mode, config) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err

@@ -111,14 +111,6 @@ class TestRunMitigation:
         raw_error = abs(report.a_noisy - report.a_ideal)
         assert report.residual < raw_error
 
-    def test_skip_ideal(self):
-        model = build_template_model("gamma1", 2, 0.01)
-        report = q.run_mitigation(
-            make_circuit(), model, zz_observable(), compute_ideal=False
-        )
-        assert report.a_ideal is None
-        assert report.residual is None
-
     def test_observable_size_mismatch(self):
         obs = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)
         with pytest.raises(ValueError):

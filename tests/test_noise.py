@@ -8,7 +8,6 @@ from qemsim.errors import IntegrationError
 from qemsim.noise import (
     IntervalPropagator,
     build_template_model,
-    parse_noise_terms,
     scale_terms,
 )
 
@@ -33,6 +32,10 @@ class TestLindbladTerm:
     def test_single_qubit_kinds_need_one_qubit(self):
         with pytest.raises(ValueError):
             q.LindbladTerm("dephasing", (0, 1), 0.1)
+
+    def test_negative_qubit(self):
+        with pytest.raises(ValueError):
+            q.LindbladTerm("amplitude_damping", (-1,), 0.1)
 
     def test_negative_rate(self):
         with pytest.raises(ValueError):
@@ -305,17 +308,6 @@ class TestModelEditing:
 
 
 class TestConfigHelpers:
-    def test_parse_noise_terms(self):
-        model = parse_noise_terms(
-            [
-                {"kind": "amplitude_damping", "qubits": [0], "rate": 0.1},
-                {"kind": "thermal", "qubits": [1], "rate": 0.2, "n_th": 0.5},
-                {"kind": "correlated", "qubits": [0, 1], "rate": 0.05},
-            ]
-        )
-        assert len(model) == 3
-        assert model.terms[1].n_th == 0.5
-
     def test_template_models(self):
         both = build_template_model("gamma1_gamma2", 4, 0.1)
         assert len(both) == 8
