@@ -28,9 +28,7 @@ from .noise import (
     NoiseModel,
     PropagatorConfig,
     build_template_model,
-    dissipator,
     evolve,
-    lindblad_rhs,
     run_noisy_circuit,
 )
 from .paulis import (
@@ -38,7 +36,6 @@ from .paulis import (
     PauliSum,
     exact_ground_energy,
     expectation,
-    format_pauli_sum,
     parse_pauli_sum,
 )
 from .state import (

@@ -4,9 +4,10 @@ Subcommands: vqe, mitigate, sweep, tau-scaling, validate.  All take a
 single JSON config (--config); physical quantities use the natural units
 of the problem (energies in Hartree, noise rates in inverse gate
 intervals).  Exit codes: 0 success, 1 validation/acceptance failure,
-2 I/O or config error.  Every config value is read once, by `_get`,
-which refuses a value of the wrong JSON type (exit 2); a key the config
-leaves out is not passed on, so the library's default holds.
+2 I/O or config error.  Before any run, a key that no mode reads is
+refused (exit 2).  Every config value is read once, by `_get`, which
+refuses a value of the wrong JSON type (exit 2); a key the config leaves
+out is not passed on, so the library's default holds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .circuit import AnsatzSpec, bind, build_ansatz, parse_ansatz_file
 from .errors import IntegrationError, PauliParseError
@@ -51,6 +52,9 @@ class Section:
     data: dict
     path: str = ""
 
+    def where(self, key: str) -> str:
+        return f"'{key}' in {self.path}" if self.path else f"'{key}'"
+
 
 _REQUIRED = object()
 _JSON_TYPES = {
@@ -77,7 +81,7 @@ def _get(section: Section, key: str, kind: str, default=_REQUIRED):
     `kind`: number, integer, boolean, string, object, or "list of" those
     in the plural.  Nothing is converted; an object comes back as a
     Section.  `default` (when given) stands in for an absent key."""
-    where = f"'{key}' in {section.path}" if section.path else f"'{key}'"
+    where = section.where(key)
     value = section.data.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"{where} is missing")
@@ -161,12 +165,36 @@ _OPTIMIZER_KINDS = {
     for f in fields(OptimizerSettings)
 }
 
+# Every key some mode reads: an object's keys map to a dict of its own,
+# a list of objects to a one-entry list of that, any other value to None.
+_KNOWN_KEYS = {
+    **dict.fromkeys(["mode", "output", "hamiltonian", "theta", "theta_file"]),
+    **dict.fromkeys(["tau", "substeps", "optimize_with_noise", "scaled_noise_factor"]),
+    "ansatz": dict.fromkeys(["kind", "path", "layers"]),
+    "optimizer": dict.fromkeys(_OPTIMIZER_KINDS),
+    "noise": {
+        **dict.fromkeys(["template", "rate", "rates", "n_th"]),
+        "terms": [dict.fromkeys(["kind", "qubits", "rate", "n_th"])],
+    },
+    "tau_scaling": {"points": None},
+}
+
+
+def _refuse_unknown_keys(section: Section, known: dict) -> None:
+    """Raise a ConfigError naming the first key, at any depth, that no
+    mode reads; the objects on the way are read with _get."""
+    for key in section.data:
+        if key not in known:
+            raise ConfigError(f"unknown key {section.where(key)}")
+        if isinstance(known[key], dict):
+            _refuse_unknown_keys(_get(section, key, "object"), known[key])
+        elif isinstance(known[key], list):
+            for entry in _get(section, key, "list of objects"):
+                _refuse_unknown_keys(entry, known[key][0])
+
 
 def _optimizer_settings(config: Section, seed_override=None) -> OptimizerSettings:
     opt = _get(config, "optimizer", "object", {})
-    unknown = sorted(set(opt.data) - set(_OPTIMIZER_KINDS))
-    if unknown:
-        raise ConfigError(f"unknown optimizer setting(s): {', '.join(unknown)}")
     settings = _given(opt, **_OPTIMIZER_KINDS)
     if seed_override is not None:
         settings["seed"] = seed_override
@@ -298,7 +326,6 @@ def cmd_tau_scaling(config, args) -> int:
     model = _noise_model(config, bound.n_qubits)
     cfg = _propagator(config)
     ladder = _get(config, "tau_scaling", "object", {})
-    cfg = replace(cfg, tau=_get(ladder, "tau0", "number", cfg.tau))
     extra = {}
     if "points" in ladder.data:
         extra["n_points"] = _get(ladder, "points", "integer")
@@ -350,6 +377,7 @@ def main(argv=None) -> int:
             config = Section({})
         else:
             raise ConfigError(f"{args.command} requires --config")
+        _refuse_unknown_keys(config, _KNOWN_KEYS)
         mode = _get(config, "mode", "string", args.command)
         if mode.replace("_", "-") != args.command:
             raise ConfigError(

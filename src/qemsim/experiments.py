@@ -152,10 +152,9 @@ def _one_qubit_plus() -> DensityMatrix:
     return rho
 
 
-def check_amplitude_damping(
-    gamma: float = 0.1, t: float = 5.0, substeps: int = 64
-) -> tuple[bool, str]:
-    """Excited population must follow exp(-gamma t)."""
+def check_amplitude_damping(substeps: int) -> tuple[bool, str]:
+    """Excited population must follow exp(-gamma t), gamma = 0.1, t = 5."""
+    gamma, t = 0.1, 5.0
     cfg = PropagatorConfig(tau=t, substeps=int(substeps * t))
     model = NoiseModel((LindbladTerm("amplitude_damping", (0,), gamma),))
     rho = evolve(_one_qubit_excited(), model, cfg)
@@ -163,10 +162,9 @@ def check_amplitude_damping(
     return err < 1e-6, f"population error {err:.3g}"
 
 
-def check_dephasing(
-    gamma: float = 0.1, t: float = 5.0, substeps: int = 64
-) -> tuple[bool, str]:
-    """|+> coherence must follow exp(-gamma t / 2) / 2."""
+def check_dephasing(substeps: int) -> tuple[bool, str]:
+    """|+> coherence must follow exp(-gamma t / 2) / 2, gamma = 0.1, t = 5."""
+    gamma, t = 0.1, 5.0
     cfg = PropagatorConfig(tau=t, substeps=int(substeps * t))
     model = NoiseModel((LindbladTerm("dephasing", (0,), gamma),))
     rho = evolve(_one_qubit_plus(), model, cfg)
@@ -174,11 +172,10 @@ def check_dephasing(
     return err < 1e-6, f"coherence error {err:.3g}"
 
 
-def check_thermal_steady_state(
-    gamma: float = 0.5, n_th: float = 0.5, t: float = 60.0, substeps: int = 16
-) -> tuple[bool, str]:
+def check_thermal_steady_state() -> tuple[bool, str]:
     """Long-time excited population must reach n_th / (2 n_th + 1)."""
-    cfg = PropagatorConfig(tau=t, substeps=int(substeps * t))
+    gamma, n_th, t = 0.5, 0.5, 60.0
+    cfg = PropagatorConfig(tau=t, substeps=int(16 * t))
     model = NoiseModel((LindbladTerm("thermal", (0,), gamma, n_th=n_th),))
     rho = evolve(new_pure_ground(1), model, cfg)
     target = n_th / (2.0 * n_th + 1.0)
@@ -186,10 +183,9 @@ def check_thermal_steady_state(
     return err < 1e-6, f"steady-state error {err:.3g}"
 
 
-def check_rk4_convergence(
-    gamma: float = 0.8, substeps: int = 2
-) -> tuple[bool, str]:
-    """Doubling substeps must shrink the closed-form error ~16x (> 8x)."""
+def check_rk4_convergence() -> tuple[bool, str]:
+    """Substeps 2 -> 4 must shrink the closed-form error ~16x (> 8x)."""
+    gamma = 0.8
     model = NoiseModel((LindbladTerm("amplitude_damping", (0,), gamma),))
     exact = math.exp(-gamma)
 
@@ -198,11 +194,11 @@ def check_rk4_convergence(
         rho = evolve(_one_qubit_excited(), model, cfg)
         return abs(rho.data[1, 1].real - exact)
 
-    e1, e2 = err(substeps), err(2 * substeps)
+    e1, e2 = err(2), err(4)
     if e2 == 0:
         return True, "fine-step error at machine precision"
     ratio = e1 / e2
-    return ratio > 8.0, f"error ratio {ratio:.2f} (substeps {substeps} vs {2 * substeps})"
+    return ratio > 8.0, f"error ratio {ratio:.2f} (substeps 2 vs 4)"
 
 
 def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
@@ -214,13 +210,11 @@ def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     return u
 
 
-def check_compiled_exponentials(
-    n_strings: int = 20, seed: int = 11, tol: float = 1e-10
-) -> tuple[bool, str]:
-    """Compiled exp(-i theta/2 P) vs the closed form cos - i sin P, n <= 3."""
-    rng = np.random.default_rng(seed)
+def check_compiled_exponentials() -> tuple[bool, str]:
+    """Compiled exp(-i theta/2 P) vs cos - i sin P, 20 random strings, n <= 3."""
+    rng = np.random.default_rng(11)
     worst = 0.0
-    for _ in range(n_strings):
+    for _ in range(20):
         n = int(rng.integers(1, 4))
         n_ops = int(rng.integers(1, n + 1))
         qubits = rng.choice(n, size=n_ops, replace=False)
@@ -231,13 +225,13 @@ def check_compiled_exponentials(
         p_dense = dense_matrix(PauliSum([(1.0, ps)], n))
         exact = math.cos(theta / 2) * np.eye(2**n) - 1j * math.sin(theta / 2) * p_dense
         worst = max(worst, float(np.max(np.abs(compiled - exact))))
-    return worst < tol, f"worst deviation {worst:.3g} over {n_strings} strings"
+    return worst < 1e-10, f"worst deviation {worst:.3g} over 20 strings"
 
 
 def run_validation_suite(substeps: int) -> list[tuple[str, bool, str]]:
     checks = [
-        ("amplitude_damping_decay", check_amplitude_damping(substeps=substeps)),
-        ("dephasing_coherence", check_dephasing(substeps=substeps)),
+        ("amplitude_damping_decay", check_amplitude_damping(substeps)),
+        ("dephasing_coherence", check_dephasing(substeps)),
         ("thermal_steady_state", check_thermal_steady_state()),
         ("rk4_convergence_order", check_rk4_convergence()),
         ("compiled_pauli_exponentials", check_compiled_exponentials()),

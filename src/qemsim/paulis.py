@@ -209,10 +209,3 @@ def parse_pauli_sum(text: str) -> PauliSum:
         terms.append((coeff, ps))
     return PauliSum(terms, n_qubits)
 
-
-def format_pauli_sum(a: PauliSum) -> str:
-    """Inverse of parse_pauli_sum; coefficients keep 17 significant digits."""
-    lines = [f"qubits {a.n_qubits}"]
-    for coeff, ps in a.terms:
-        lines.append(f"{coeff:.17g} {ps}")
-    return "\n".join(lines) + "\n"

@@ -103,9 +103,6 @@ class DensityMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.data @ self.data)))
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.data - self.data.conj().T)))
 

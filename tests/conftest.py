@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import qemsim as q
 
@@ -80,15 +81,19 @@ def dense_collapse_ops(term, n):
 
 def dense_liouvillian(model, n):
     """Independent full-register oracle L, vec(drho/dt) = L vec(rho) with
-    row-major vec, so vec(A rho B) = kron(A, B^T) vec(rho)."""
+    row-major vec, so vec(A rho B) = kron(A, B^T) vec(rho).  Sparse: at
+    n = 6 the 4096 x 4096 dense matrix takes seconds to build and apply."""
     dim = 2**n
-    eye = np.eye(dim, dtype=complex)
-    lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    eye = sparse.identity(dim, dtype=complex, format="csr")
+    lmat = sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
     for term in model.terms:
         for rate, c in dense_collapse_ops(term, n):
-            cdc = c.conj().T @ c
+            cdc = sparse.csr_matrix(c.conj().T @ c)
+            c = sparse.csr_matrix(c)
             lmat += rate * (
-                np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye) - 0.5 * np.kron(eye, cdc.T)
+                sparse.kron(c, c.conj())
+                - 0.5 * sparse.kron(cdc, eye)
+                - 0.5 * sparse.kron(eye, cdc.T)
             )
     return lmat
 

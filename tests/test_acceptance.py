@@ -118,8 +118,8 @@ def test_criterion_5_first_order_cancellation(report, h2_hamiltonian, h2_bound_c
 
 def test_criterion_6_channel_closed_forms(report):
     checks = [
-        check_amplitude_damping(),
-        check_dephasing(),
+        check_amplitude_damping(substeps=64),
+        check_dephasing(substeps=64),
         check_thermal_steady_state(),
         check_rk4_convergence(),
     ]

@@ -207,7 +207,8 @@ class TestTauScaling:
             base_config(
                 theta_file=theta_file,
                 noise={"template": "gamma1_gamma2", "rate": 3e-4},
-                tau_scaling={"tau0": 1.0, "points": 3},
+                tau=1.0,
+                tau_scaling={"points": 3},
             ),
         )
         out = tmp_path / "tau.csv"
@@ -364,7 +365,7 @@ SWEEP = base_config(
 TAU = base_config(
     theta=THETA,
     noise={"template": "gamma1", "rate": 1e-3},
-    tau_scaling={"tau0": 1.0, "points": 2},
+    tau_scaling={"points": 2},
 )
 
 # Every config key README lists: (subcommand, a valid config that reads
@@ -402,9 +403,13 @@ CONFIG_KEYS = [
     ("sweep", SWEEP, ("noise", "rates"), {"list"}),
     ("sweep", SWEEP, ("noise", "n_th"), {"number"}),
     ("tau-scaling", TAU, ("tau_scaling",), {"object"}),
-    ("tau-scaling", TAU, ("tau_scaling", "tau0"), {"number"}),
     ("tau-scaling", TAU, ("tau_scaling", "points"), {"integer"}),
     ("validate", {}, ("substeps",), {"integer"}),
+]
+# Keys since deleted, with the types they once took: a value of any type is
+# now refused as an unknown key. tau_scaling.tau0 repeated the top-level tau.
+REMOVED_KEYS = [
+    ("tau-scaling", TAU, ("tau_scaling", "tau0"), {"number"}),
 ]
 WRONG_VALUES = {
     "string": "x",
@@ -424,13 +429,15 @@ WRONG_ENTRIES = {
 
 
 def _key_cases():
-    for mode, config, path, takes in CONFIG_KEYS:
+    keys = [(k, "must be a JSON") for k in CONFIG_KEYS]
+    keys += [(k, "unknown key") for k in REMOVED_KEYS]
+    for (mode, config, path, takes), expect in keys:
         name = ".".join(map(str, path))
         wrong = {kind: v for kind, v in WRONG_VALUES.items() if kind not in takes}
         if path in WRONG_ENTRIES:
             wrong["entries"] = WRONG_ENTRIES[path]
         for kind, value in wrong.items():
-            yield pytest.param(mode, config, path, value, id=f"{name}-{kind}")
+            yield pytest.param(mode, config, path, value, expect, id=f"{name}-{kind}")
 
 
 def _set(config, path, value):
@@ -485,13 +492,14 @@ class TestConfigReader:
     def test_matrix_configs_run(self, tmp_path, monkeypatch, mode, config):
         assert _run(tmp_path, monkeypatch, mode, config) == 0
 
-    @pytest.mark.parametrize("mode, config, path, value", list(_key_cases()))
+    @pytest.mark.parametrize("mode, config, path, value, expect", list(_key_cases()))
     def test_wrong_type_is_config_error(
-        self, tmp_path, monkeypatch, capsys, mode, config, path, value
+        self, tmp_path, monkeypatch, capsys, mode, config, path, value, expect
     ):
         assert _run(tmp_path, monkeypatch, mode, _set(config, path, value)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        # a type error for a known key; an unknown-key error for a removed one
+        assert err.startswith("error:") and expect in err
         assert _where(path) in err
 
     @pytest.mark.parametrize(
@@ -532,6 +540,39 @@ class TestConfigReader:
                 _set(VQE, ("optimize_with_noise",), "false"),
                 "'optimize_with_noise'",
             ),
+            ("mitigate", _set(MITIGATE, ("substep",), 1), "unknown key 'substep'"),
+            ("validate", {"substep": 1}, "unknown key 'substep'"),
+            (
+                "vqe",
+                _set(ENTANGLING, ("ansatz", "layer"), 1),
+                "unknown key 'layer' in ansatz",
+            ),
+            (
+                "mitigate",
+                _set(MITIGATE, ("noise", "ratee"), 1),
+                "unknown key 'ratee' in noise",
+            ),
+            (
+                "mitigate",
+                _set(TERMS, ("noise", "terms", 1, "ratee"), 1),
+                "unknown key 'ratee' in noise.terms[1]",
+            ),
+            (
+                "vqe",
+                _set(VQE, ("optimizer", "max_evalz"), 1),
+                "unknown key 'max_evalz' in optimizer",
+            ),
+            (
+                "tau-scaling",
+                _set(TAU, ("tau_scaling", "point"), 2),
+                "unknown key 'point' in tau_scaling",
+            ),
+            # the ladder starts at the top-level tau, which tau0 used to repeat
+            (
+                "tau-scaling",
+                _set(TAU, ("tau_scaling", "tau0"), 1.0),
+                "unknown key 'tau0' in tau_scaling",
+            ),
         ],
         ids=[
             "tau_string",
@@ -545,6 +586,14 @@ class TestConfigReader:
             "fractional_substeps",
             "rates_string",
             "bool_as_string",
+            "unknown_key",
+            "unknown_key_in_validate",
+            "unknown_ansatz_key",
+            "unknown_noise_key",
+            "unknown_term_key",
+            "unknown_optimizer_key",
+            "unknown_tau_scaling_key",
+            "removed_tau0",
         ],
     )
     def test_known_bad_values_are_config_errors(

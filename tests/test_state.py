@@ -11,6 +11,11 @@ def bound(kind, qubits, angle=None):
     return q.BoundGate(kind, tuple(qubits), angle)
 
 
+def purity(rho):
+    """tr(rho^2), which for a Hermitian rho is the sum of |rho_ij|^2."""
+    return np.vdot(rho.data, rho.data).real
+
+
 class TestNewPureGround:
     def test_single_qubit(self):
         rho = q.new_pure_ground(1)
@@ -25,7 +30,7 @@ class TestNewPureGround:
     def test_four_qubits_trace_and_purity(self):
         rho = q.new_pure_ground(4)
         assert abs(rho.trace() - 1) < 1e-12
-        assert abs(rho.purity() - 1) < 1e-12
+        assert abs(purity(rho) - 1) < 1e-12
 
     def test_capacity_error(self):
         with pytest.raises(q.CapacityError):
@@ -73,7 +78,7 @@ class TestApplyGate:
         gate = bound("Rx", [int(rng.integers(3))], float(rng.uniform(-3, 3)))
         rho1 = q.apply_gate(rho0, gate)
         assert abs(rho1.trace() - rho0.trace()) < 1e-12
-        assert abs(rho1.purity() - rho0.purity()) < 1e-9
+        assert abs(purity(rho1) - purity(rho0)) < 1e-9
         inverse = bound("Rx", gate.qubits, -gate.angle)
         back = q.apply_gate(rho1, inverse)
         assert np.max(np.abs(back.data - rho0.data)) < 1e-9
@@ -113,13 +118,6 @@ class TestApplyGate:
 
 
 class TestDiagnostics:
-    def test_pure_state_purity(self):
-        assert abs(q.new_pure_ground(2).purity() - 1) < 1e-12
-
-    def test_maximally_mixed_purity(self):
-        rho = q.DensityMatrix(1, np.eye(2, dtype=complex) / 2)
-        assert abs(rho.purity() - 0.5) < 1e-12
-
     def test_min_eigenvalue_of_pure_state(self):
         rho = q.new_pure_ground(2)
         rho = q.apply_gate(rho, bound("H", [0]))
