@@ -11,6 +11,7 @@ import numpy as np
 from .circuit import BoundCircuit, Circuit, bind, compile_pauli_exponential
 from .mitigation import run_mitigation
 from .noise import (
+    MAX_SUBSTEPS,
     LindbladTerm,
     NoiseModel,
     PropagatorConfig,
@@ -140,6 +141,11 @@ def scaling_ladder(
 # order, compiled-unitary equivalence.
 
 
+# The decay and dephasing checks run `substeps` RK4 steps per unit time
+# over this span, in one interval.
+_DECAY_CHECK_T = 5.0
+
+
 def _one_qubit_excited() -> DensityMatrix:
     rho = new_pure_ground(1)
     rho.data[:] = [[0, 0], [0, 1]]
@@ -154,7 +160,7 @@ def _one_qubit_plus() -> DensityMatrix:
 
 def check_amplitude_damping(substeps: int) -> tuple[bool, str]:
     """Excited population must follow exp(-gamma t), gamma = 0.1, t = 5."""
-    gamma, t = 0.1, 5.0
+    gamma, t = 0.1, _DECAY_CHECK_T
     cfg = PropagatorConfig(tau=t, substeps=int(substeps * t))
     model = NoiseModel((LindbladTerm("amplitude_damping", (0,), gamma),))
     rho = evolve(_one_qubit_excited(), model, cfg)
@@ -164,7 +170,7 @@ def check_amplitude_damping(substeps: int) -> tuple[bool, str]:
 
 def check_dephasing(substeps: int) -> tuple[bool, str]:
     """|+> coherence must follow exp(-gamma t / 2) / 2, gamma = 0.1, t = 5."""
-    gamma, t = 0.1, 5.0
+    gamma, t = 0.1, _DECAY_CHECK_T
     cfg = PropagatorConfig(tau=t, substeps=int(substeps * t))
     model = NoiseModel((LindbladTerm("dephasing", (0,), gamma),))
     rho = evolve(_one_qubit_plus(), model, cfg)
@@ -229,6 +235,12 @@ def check_compiled_exponentials() -> tuple[bool, str]:
 
 
 def run_validation_suite(substeps: int) -> list[tuple[str, bool, str]]:
+    limit = int(MAX_SUBSTEPS // _DECAY_CHECK_T)
+    if substeps > limit:
+        raise ValueError(
+            f"validate substeps must be <= {limit}, got {substeps}: the decay "
+            f"checks take {_DECAY_CHECK_T:g} * substeps steps, at most {MAX_SUBSTEPS}"
+        )
     checks = [
         ("amplitude_damping_decay", check_amplitude_damping(substeps)),
         ("dephasing_coherence", check_dephasing(substeps)),

@@ -11,9 +11,13 @@ signal.
 A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
 so their generators commute and each interval applies one block after
-another.  Every block works on its own qubits only, as a superoperator on
-the doubled (row, column) register applied with `state.apply_local`.
-One RK4 substep of the linear master equation is exactly the degree-4
+another.  Every block works on its own qubits only, as a 4^k x 4^k
+superoperator (the Havel vec identity, see `state`) on the qubit-paired
+rho that `run_noisy_circuit` and `evolve` hold between their two
+conversions.  Each is built on its qubits in descending order and
+reordered by `paired_superop` once, at build, so its paired axes ascend
+and, on adjacent qubits, form one contiguous `state.apply_local`.  One
+RK4 substep of the linear master equation is exactly the degree-4
 Taylor polynomial of h*L, and one `_rk4` serves both kinds of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
@@ -32,11 +36,15 @@ import numpy as np
 from .errors import IntegrationError
 from .state import (
     DensityMatrix,
+    PairedDensity,
     StateVector,
     apply_gate,
     apply_local,
-    doubled_axes,
     embed,
+    pair,
+    paired_axes,
+    paired_superop,
+    unpair,
 )
 
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
@@ -152,7 +160,7 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
 def _local_liouvillian(ops, qubits) -> np.ndarray:
     """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec,
     on `qubits` as a register of their own, qubits[0] its most-significant
-    bit; the result acts on doubled_axes(qubits, n) of an n-qubit rho.
+    bit: (rows, columns) index order, before `paired_superop`.
 
     `ops` are (rate, small collapse matrix, qubits) triples, as returned
     by LindbladTerm.collapse_ops; L is 4^k x 4^k for k qubits.
@@ -174,10 +182,10 @@ def _local_liouvillian(ops, qubits) -> np.ndarray:
     return lmat
 
 
-def _rhs(data: np.ndarray, parts, n_qubits: int) -> np.ndarray:
+def _rhs(data: np.ndarray, parts) -> np.ndarray:
     out = np.zeros_like(data)
-    for qubits, superop in parts:
-        out += apply_local(data, superop, doubled_axes(qubits, n_qubits))
+    for axes, superop in parts:
+        out += apply_local(data, superop, axes)
     return out
 
 
@@ -210,10 +218,12 @@ def _components(model: NoiseModel) -> list[tuple[LindbladTerm, ...]]:
 
 
 class _Block:
-    """One block's channel over one interval, on its own qubits."""
+    """One block's channel over one interval, on its own qubits of a
+    paired n-qubit rho."""
 
-    def __init__(self, terms, cfg: PropagatorConfig):
-        # Descending, so the block's own register is little-endian too.
+    def __init__(self, terms, n_qubits: int, cfg: PropagatorConfig):
+        # Descending, so the block's own register is little-endian too
+        # and its paired axes ascend.
         qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
         self.qubits = qubits
         self.h = cfg.tau / cfg.substeps
@@ -230,21 +240,25 @@ class _Block:
         if len(qubits) <= DENSE_BLOCK_MAX_QUBITS:
             hl = self.h * _local_liouvillian(ops, qubits)
             step = _rk4(lambda m: m @ hl, np.eye(len(hl), dtype=complex), hl)
-            self.matrix = np.linalg.matrix_power(step, cfg.substeps)
+            self.axes = paired_axes(qubits, n_qubits)
+            self.matrix = paired_superop(np.linalg.matrix_power(step, cfg.substeps))
             self.parts = None
         else:
             self.matrix = None
-            self.parts = [
-                (t.qubits, _local_liouvillian(t.collapse_ops(), t.qubits))
-                for t in terms
-            ]
+            self.parts = []
+            for t in terms:
+                term_qubits = tuple(sorted(t.qubits, reverse=True))
+                superop = _local_liouvillian(t.collapse_ops(), term_qubits)
+                self.parts.append(
+                    (paired_axes(term_qubits, n_qubits), paired_superop(superop))
+                )
 
-    def apply(self, data: np.ndarray, n_qubits: int) -> np.ndarray:
+    def apply(self, data: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
-            return apply_local(data, self.matrix, doubled_axes(self.qubits, n_qubits))
+            return apply_local(data, self.matrix, self.axes)
 
         def step(x):
-            return self.h * _rhs(x, self.parts, n_qubits)
+            return self.h * _rhs(x, self.parts)
 
         for _ in range(self.substeps):
             data = _rk4(step, data, step(data))
@@ -252,20 +266,20 @@ class _Block:
 
 
 class IntervalPropagator:
-    """Reusable approximation of exp(tau * L) for a fixed model and config."""
+    """Reusable approximation of exp(tau * L) for a fixed model and config,
+    on a paired rho."""
 
     def __init__(self, model: NoiseModel, n_qubits: int, cfg: PropagatorConfig):
-        self.n_qubits = n_qubits
         self.cfg = cfg
-        self.blocks = [_Block(terms, cfg) for terms in _components(model)]
+        self.blocks = [_Block(terms, n_qubits, cfg) for terms in _components(model)]
 
-    def propagate(self, rho: DensityMatrix) -> DensityMatrix:
+    def propagate(self, rho: PairedDensity) -> PairedDensity:
         if not self.blocks:
             return rho
         data = rho.data
         for block in self.blocks:
-            data = block.apply(data, self.n_qubits)
-        out = DensityMatrix(rho.n_qubits, data)
+            data = block.apply(data)
+        out = PairedDensity(rho.n_qubits, data)
         drift = abs(out.trace() - 1.0)
         if not drift <= TRACE_DRIFT_LIMIT:  # also catches NaN
             raise IntegrationError(
@@ -283,7 +297,8 @@ def evolve(
     if isinstance(rho, StateVector):
         rho = rho.to_density_matrix()
     model.validate_for(rho.n_qubits)
-    return IntervalPropagator(model, rho.n_qubits, cfg).propagate(rho)
+    propagator = IntervalPropagator(model, rho.n_qubits, cfg)
+    return unpair(propagator.propagate(pair(rho)))
 
 
 def run_noisy_circuit(
@@ -298,7 +313,8 @@ def run_noisy_circuit(
     the final gate, so total noisy time is (G - 1) * tau.  With no
     nonzero-rate term this reduces to plain sequential gate application,
     and a StateVector start stays a StateVector.  Otherwise a StateVector
-    start becomes |psi><psi| before the first gate.
+    start becomes |psi><psi| before the first gate, and rho is held in
+    paired order from the first gate to the last.
     """
     if cfg is None:
         cfg = PropagatorConfig()
@@ -308,8 +324,10 @@ def run_noisy_circuit(
         )
     model.validate_for(state0.n_qubits)
     propagator = IntervalPropagator(model, state0.n_qubits, cfg)
-    if propagator.blocks and isinstance(state0, StateVector):
-        state = state0.to_density_matrix()
+    if isinstance(state0, DensityMatrix):
+        state = pair(state0)
+    elif propagator.blocks:
+        state = pair(state0.to_density_matrix())
     else:
         state = state0.copy()
     last = len(circuit.gates) - 1
@@ -317,7 +335,7 @@ def run_noisy_circuit(
         state = apply_gate(state, gate)
         if i != last:
             state = propagator.propagate(state)
-    return state
+    return unpair(state) if isinstance(state, PairedDensity) else state
 
 
 def build_template_model(

@@ -5,32 +5,40 @@ carried as a `StateVector`: 2^n complex amplitudes.  Any other run is a
 `DensityMatrix`: the 2^n x 2^n complex matrix rho.  Basis indexing is
 little-endian: qubit 0 is the least-significant bit of the
 computational-basis index.  Viewed as a (2,)*n tensor, a state vector
-has one axis per qubit (axis n-1-q); viewed as a (2,)*2n tensor, rho has
-one such axis for its rows and one for its columns (axis 2n-1-q).
+has one axis per qubit (axis n-1-q).
 
-`apply_local` applies a small 2^k x 2^k matrix to k chosen axes of either
-view, O(2^k * 2^N) per call for N axes instead of the O(8^n) of a full
-matrix product.  It serves gates (U on the vector's axes; U on rho's row
-axes and conj(U) on its column axes), embeddings, and noise
-superoperators on the doubled (row, column) register: with row-major
-vec, vec(A rho B) = (A kron B^T) vec(rho) (Havel, J. Math. Phys. 44, 534,
-2003), so a k-qubit superoperator is a 4^k x 4^k matrix on the 2k axes
-`doubled_axes(qubits, n)`.
+`apply_local` applies a small 2^k x 2^k matrix to k chosen axes of a
+(2,)*N view, O(2^k * 2^N) per call instead of the O(8^n) of a full
+matrix product.  Gates and noise act on rho as superoperators: with
+row-major vec, vec(A rho B) = (A kron B^T) vec(rho) (Havel, J. Math.
+Phys. 44, 534, 2003), so a k-qubit channel is a 4^k x 4^k matrix and a
+gate U is kron(U, conj(U)).
+
+While a noisy run is in progress rho is held as a `PairedDensity`, the
+same 4^n entries in qubit-paired order: viewed as a (2,)*2n tensor,
+qubit q's row bit is axis 2(n-1-q) and its column bit axis 2(n-1-q)+1,
+so each qubit is one contiguous 4-entry axis.  A superoperator reordered
+once by `paired_superop` from (rows, columns) to (row, column) pairs
+then acts on `paired_axes(qubits, n)`: one contiguous apply for a
+1-qubit gate or channel, and for an op on adjacent qubits.  `pair` and
+`unpair` convert at the two ends of a run, one 4^n transpose each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError
 
 DEFAULT_QUBIT_CAP = 14
-# Below this many trailing entries a batched matmul makes one tiny BLAS
-# call per leading index; folding them into the small matrix as
-# kron(m, I) keeps it to one call.
-_MIN_MATMUL_TAIL = 16
+# With few trailing entries a batched matmul makes one tiny BLAS call per
+# leading index; folding them into the small matrix as kron(m, I) keeps
+# it to one call, and pays while the folded matrix has at most this many
+# rows.
+_MAX_FOLDED = 16
 
 
 def _check_qubits(qubits, n_qubits):
@@ -41,19 +49,32 @@ def _check_qubits(qubits, n_qubits):
             raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
 
 
-def row_axes(qubits, n_qubits) -> list[int]:
-    """Axes of rho's (2,)*2n view that index the rows of `qubits`."""
-    return [n_qubits - 1 - q for q in qubits]
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without the
+    generic overhead that dominates np.kron on matrices this small."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def col_axes(qubits, n_qubits) -> list[int]:
-    """Axes of rho's (2,)*2n view that index the columns of `qubits`."""
-    return [2 * n_qubits - 1 - q for q in qubits]
+def paired_axes(qubits, n_qubits) -> list[int]:
+    """Axes of a paired rho's (2,)*2n view that hold `qubits`, each
+    qubit's row bit then its column bit."""
+    return [a for q in qubits for a in (2 * (n_qubits - 1 - q), 2 * (n_qubits - q) - 1)]
 
 
-def doubled_axes(qubits, n_qubits) -> list[int]:
-    """Axes a 4^k x 4^k superoperator on `qubits` acts on (rows, then columns)."""
-    return row_axes(qubits, n_qubits) + col_axes(qubits, n_qubits)
+def _pair_order(k: int) -> list[int]:
+    # (rows, columns) axes of a (2,)*2k view, taken as (row, column) pairs
+    return [a for j in range(k) for a in (j, k + j)]
+
+
+def paired_superop(superop: np.ndarray) -> np.ndarray:
+    """A 4^k x 4^k superoperator in Havel (rows, columns) index order,
+    reordered to act on the paired axes of its k qubits."""
+    k = (superop.shape[0].bit_length() - 1) // 2
+    if k == 1:
+        return superop  # one qubit's (row, column) pair is already paired order
+    order = _pair_order(k)
+    t = superop.reshape((2,) * (4 * k)).transpose(order + [2 * k + a for a in order])
+    return t.reshape(superop.shape)
 
 
 def apply_local(data: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
@@ -76,9 +97,9 @@ def apply_local(data: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
         m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
         m = m.reshape(2**k, 2**k)
     pre, post = 2**lo, 2 ** (ndim - lo - k)
-    if post < _MIN_MATMUL_TAIL:
+    if post == 1 or 2**k * post <= _MAX_FOLDED:
         if post > 1:
-            m = np.kron(m, np.eye(post))
+            m = _kron(m, np.eye(post))
         out = data.reshape(pre, -1) @ m.T
     else:
         out = np.matmul(m, data.reshape(pre, 2**k, post))
@@ -89,7 +110,8 @@ def embed(u, qubits, n_qubits):
     """Dense 2^n x 2^n embedding of a small operator on the given qubits."""
     _check_qubits(qubits, n_qubits)
     eye = np.eye(2**n_qubits, dtype=complex)
-    return apply_local(eye, np.asarray(u, dtype=complex), row_axes(qubits, n_qubits))
+    axes = [n_qubits - 1 - q for q in qubits]
+    return apply_local(eye, np.asarray(u, dtype=complex), axes)
 
 
 @dataclass
@@ -123,6 +145,44 @@ class StateVector:
         return DensityMatrix(self.n_qubits, np.outer(self.data, self.data.conj()))
 
 
+@dataclass
+class PairedDensity:
+    """rho inside a noisy run, in qubit-paired order (see the module
+    docstring); `pair` and `unpair` convert from and to a DensityMatrix."""
+
+    n_qubits: int
+    data: np.ndarray  # (4^n,) complex128
+
+    def trace(self) -> complex:
+        return complex(self.data[_paired_diagonal(self.n_qubits)].sum())
+
+
+@lru_cache(maxsize=None)
+def _paired_diagonal(n_qubits: int) -> np.ndarray:
+    """Flat indices of rho's diagonal in paired order: (i, i) is at the
+    base-4 number whose digit q is 3 * (bit q of i)."""
+    idx = np.zeros(1, dtype=np.intp)
+    for q in range(n_qubits):
+        idx = np.concatenate([idx, idx + 3 * 4**q])
+    idx.flags.writeable = False
+    return idx
+
+
+def pair(rho: DensityMatrix) -> PairedDensity:
+    """rho in paired order, as a new array."""
+    n = rho.n_qubits
+    t = rho.data.reshape((2,) * (2 * n)).transpose(_pair_order(n))
+    return PairedDensity(n, t.copy().reshape(-1))
+
+
+def unpair(rho: PairedDensity) -> DensityMatrix:
+    """The (2^n, 2^n) matrix of a paired rho, as a new array."""
+    n = rho.n_qubits
+    rows_then_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    t = rho.data.reshape((2,) * (2 * n)).transpose(rows_then_cols)
+    return DensityMatrix(n, t.copy().reshape(2**n, 2**n))
+
+
 def new_statevector(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """|0...0> on n qubits."""
     if n_qubits < 1:
@@ -144,11 +204,17 @@ def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatri
 
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
-    DensityMatrix, for a bound (fully resolved) gate."""
-    _check_qubits(gate.qubits, state.n_qubits)
+    PairedDensity or DensityMatrix, for a bound (fully resolved) gate.
+
+    On rho the gate is the one superoperator kron(U, conj(U)) on the
+    paired axes of its qubits; a DensityMatrix is paired for the call and
+    unpaired after it."""
+    if isinstance(state, DensityMatrix):
+        return unpair(apply_gate(pair(state), gate))
+    n = state.n_qubits
+    _check_qubits(gate.qubits, n)
     u = gate.matrix()
-    out = apply_local(state.data, u, row_axes(gate.qubits, state.n_qubits))
     if isinstance(state, StateVector):
-        return StateVector(state.n_qubits, out)
-    out = apply_local(out, u.conj(), col_axes(gate.qubits, state.n_qubits))
-    return DensityMatrix(state.n_qubits, out)
+        return StateVector(n, apply_local(state.data, u, [n - 1 - q for q in gate.qubits]))
+    superop = paired_superop(_kron(u, u.conj()))
+    return PairedDensity(n, apply_local(state.data, superop, paired_axes(gate.qubits, n)))

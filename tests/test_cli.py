@@ -254,6 +254,15 @@ class TestValidate:
         cfg = write_config(tmp_path, "v.json", {"tau": 0, "substeps": 64})
         assert main(["validate", "--config", cfg]) == 0
 
+    def test_refuses_substeps_past_its_own_limit(self, tmp_path, capsys):
+        # the decay checks take 5 * substeps steps, so the limit is 10^6 / 5
+        cfg = write_config(tmp_path, "v.json", {"substeps": 200001})
+        assert main(["validate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure:")
+        assert "200001" in err and "200000" in err
+        assert "1000005" not in err
+
 
 class TestErrorHandling:
     def test_missing_config_file(self):

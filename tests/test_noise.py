@@ -13,6 +13,7 @@ from qemsim.noise import (
     build_template_model,
     scale_terms,
 )
+from qemsim.state import PairedDensity, pair, paired_axes, paired_superop, unpair
 
 from conftest import dense_liouvillian, dense_rk4, random_density_matrix
 
@@ -25,11 +26,19 @@ def ad_model(gamma, qubit=0):
     return q.NoiseModel((q.LindbladTerm("amplitude_damping", (qubit,), gamma),))
 
 
+def paired_rhs(rho_data, parts, n):
+    """`_rhs` on rho_data in paired order, the result unpaired again;
+    `parts` are (qubits, superoperator in (rows, columns) order) pairs."""
+    paired = pair(q.DensityMatrix(n, rho_data)).data
+    parts = [(paired_axes(qubits, n), paired_superop(m)) for qubits, m in parts]
+    return unpair(PairedDensity(n, _rhs(paired, parts))).data
+
+
 def dissipator(rho_data, collapse, qubits, n):
     """D[C](rho) = C rho C^dag - (C^dag C rho + rho C^dag C) / 2, through
     the local superoperator and the sum that wide blocks use."""
     superop = _local_liouvillian([(1.0, collapse, qubits)], qubits)
-    return _rhs(rho_data, [(qubits, superop)], n)
+    return paired_rhs(rho_data, [(qubits, superop)], n)
 
 
 def lindblad_rhs(rho_data, model, n):
@@ -40,7 +49,7 @@ def lindblad_rhs(rho_data, model, n):
         for t in model.terms
         if t.rate
     ]
-    return _rhs(rho_data, parts, n)
+    return paired_rhs(rho_data, parts, n)
 
 
 class TestLindbladTerm:
@@ -213,7 +222,7 @@ class TestEvolve:
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
-        got = propagator.propagate(rho)
+        got = unpair(propagator.propagate(pair(rho)))
         want = dense_rk4(dense_liouvillian(model, n), rho.data, 1.0, 8)
         assert np.max(np.abs(got.data - want)) < 1e-12
         assert np.max(np.abs(got.data - rho.data)) > 1e-3
@@ -237,7 +246,7 @@ class TestEvolve:
         propagator = IntervalPropagator(model, n, cfg)
         assert sorted(b.qubits for b in propagator.blocks) == [(0,), (4, 3, 2), (5, 1)]
         rho = random_density_matrix(n, np.random.default_rng(4))
-        got = propagator.propagate(rho)
+        got = unpair(propagator.propagate(pair(rho)))
         # the blocks commute, so one dense RK4 per block in any order is
         # the factorized channel; a single full-model RK4 differs at O(h^5)
         want = rho.data
@@ -250,6 +259,20 @@ class TestEvolve:
         rho = q.DensityMatrix(1, EXCITED.copy())
         with pytest.raises(IntegrationError, match="substeps"):
             q.evolve(rho, ad_model(5e4), q.PropagatorConfig(tau=1.0, substeps=1))
+
+    def test_drift_guard_reads_the_paired_diagonal(self):
+        n = 3
+        rho = random_density_matrix(n, np.random.default_rng(7))
+        paired = pair(rho)
+        assert paired.trace() == pytest.approx(np.trace(rho.data), abs=1e-15)
+        propagator = IntervalPropagator(
+            build_template_model("gamma1_gamma2", n, 0.05), n, q.PropagatorConfig()
+        )
+        assert abs(propagator.propagate(paired).trace() - 1.0) < 1e-12
+        # the channels keep the trace, so an input 1e-3 off leaves 1e-3 off
+        off = PairedDensity(n, paired.data * (1 + 1e-3))
+        with pytest.raises(IntegrationError, match="trace drifted by 0.001"):
+            propagator.propagate(off)
 
     def test_unstable_step_raises(self):
         # h * 2 * gamma = 20 is far outside RK4's stability interval; the

@@ -1,6 +1,7 @@
-"""Property tests: the local-operator kernel against the kron oracle, block
-channels on random models, the state-vector path against the density
-matrix, and the invariants of the correction estimator."""
+"""Property tests: the local-operator kernel and the qubit-paired layout
+against the kron oracle, block channels and noisy runs on random models,
+the state-vector path against the density matrix, and the invariants of
+the correction estimator."""
 
 import json
 
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 import qemsim as q
 from qemsim.mitigation import build_groups, corrected_value
 from qemsim.noise import KINDS, IntervalPropagator, scale_terms
-from qemsim.state import apply_local, col_axes, doubled_axes, row_axes
+from qemsim.state import PairedDensity, apply_local, pair, paired_axes, unpair
 
-from conftest import kron_embed_multi
+from conftest import dense_liouvillian, dense_rk4, kron_embed_multi
 
 
 def random_matrix(rng, dim):
@@ -46,11 +47,13 @@ def test_kernel_matches_kron_oracle(case):
     rng = np.random.default_rng(seed)
     rho = random_matrix(rng, 2**n)
     m = random_matrix(rng, 2 ** len(qubits))
+    # in rho's (2,)*2n view qubit j's row bit is axis n-1-j, its column
+    # bit axis 2n-1-j
     if register == "rows":
-        got = apply_local(rho, m, row_axes(qubits, n))
+        got = apply_local(rho, m, [n - 1 - j for j in qubits])
         want = kron_embed_multi(m, qubits, n) @ rho
     elif register == "cols":
-        got = apply_local(rho, m, col_axes(qubits, n))
+        got = apply_local(rho, m, [2 * n - 1 - j for j in qubits])
         want = rho @ kron_embed_multi(m, qubits, n).T
     else:
         # doubled-register qubit j is tensor axis 2n-1-j of rho's view
@@ -60,8 +63,57 @@ def test_kernel_matches_kron_oracle(case):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_doubled_axes_are_rows_then_columns():
-    assert doubled_axes((4, 0), 5) == [0, 4, 5, 9]
+def test_paired_axes_interleave_rows_and_columns():
+    assert paired_axes((4, 0), 5) == [0, 1, 8, 9]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_pair_then_unpair_is_the_identity(n, seed):
+    rho = q.DensityMatrix(n, random_matrix(np.random.default_rng(seed), 2**n))
+    paired = pair(rho)
+    assert paired.data.shape == (4**n,)
+    assert np.array_equal(unpair(paired).data, rho.data)
+    # the paired diagonal is rho's diagonal
+    assert paired.trace() == pytest.approx(np.trace(rho.data), abs=1e-12)
+
+
+class UnitaryGate:
+    """A gate of a given matrix, as apply_gate reads a bound gate."""
+
+    def __init__(self, u, qubits):
+        self.u, self.qubits = u, qubits
+
+    def matrix(self):
+        return self.u
+
+
+@st.composite
+def gate_cases(draw):
+    """(n, qubits, seed) of a random 1- or 2-qubit gate, in any order."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, min(2, n)))
+    qubits = tuple(draw(st.permutations(range(n)))[:k])
+    return n, qubits, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_cases())
+@example((5, (4, 0), 0))
+@example((5, (0, 4), 1))
+@example((4, (1, 0), 2))
+@example((4, (2, 3), 3))
+@example((3, (2, 0), 4))
+def test_paired_gate_matches_kron_oracle(case):
+    n, qubits, seed = case
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(random_matrix(rng, 2 ** len(qubits)))
+    rho = random_matrix(rng, 2**n)
+    got = q.apply_gate(pair(q.DensityMatrix(n, rho)), UnitaryGate(u, qubits))
+    assert isinstance(got, PairedDensity)
+    full = kron_embed_multi(u, qubits, n)
+    want = full @ rho @ full.conj().T
+    assert np.max(np.abs(unpair(got).data - want)) < 1e-12
 
 
 @st.composite
@@ -92,7 +144,7 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator(model, n, q.PropagatorConfig())
     for block in propagator.blocks:
-        out = q.DensityMatrix(n, block.apply(rho.data, n))
+        out = unpair(PairedDensity(n, block.apply(pair(rho).data)))
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
         assert out.min_eigenvalue() >= -1e-12
@@ -192,6 +244,88 @@ def noisy_cases(draw):
     circuit = draw(circuits())
     rates = st.floats(1e-4, 0.01)
     return circuit, draw(models_on(circuit.n_qubits, rates))
+
+
+def connected_blocks(model):
+    """The nonzero-rate terms grouped by connected qubit support, each
+    group as a model of its own."""
+    groups = []
+    for term in model.terms:
+        if term.rate == 0.0:
+            continue
+        support, members = set(term.qubits), [term]
+        for group in [g for g in groups if g[0] & support]:
+            groups.remove(group)
+            support |= group[0]
+            members += group[1]
+        groups.append((support, members))
+    return [q.NoiseModel(tuple(members)) for _, members in groups]
+
+
+def dense_noisy_run(circuit, model, cfg):
+    """Gates as full 2^n unitaries and each block's interval as RK4 on the
+    full register: the blocks commute, so this is the factorized channel."""
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    lmats = [dense_liouvillian(block, n) for block in connected_blocks(model)]
+    for i, gate in enumerate(circuit.gates):
+        full = kron_embed_multi(gate.matrix(), gate.qubits, n)
+        rho = full @ rho @ full.conj().T
+        if i != len(circuit.gates) - 1:
+            for lmat in lmats:
+                rho = dense_rk4(lmat, rho, cfg.tau, cfg.substeps)
+    return rho
+
+
+@st.composite
+def wrapped_noisy_cases(draw):
+    """A noisy run whose model joins the end qubits, n-1 and 0, whose
+    paired axes are the farthest apart."""
+    circuit = draw(circuits(min_qubits=2))
+    n = circuit.n_qubits
+    model = draw(models_on(n, st.floats(1e-4, 0.01)))
+    wrap = q.LindbladTerm("correlated", (n - 1, 0), draw(st.floats(1e-4, 0.01)))
+    return circuit, q.NoiseModel(model.terms + (wrap,))
+
+
+_FIVE_QUBIT_CIRCUIT = q.BoundCircuit(
+    5,
+    (
+        q.BoundGate("H", (0,)),
+        q.BoundGate("H", (4,)),
+        q.BoundGate("CNOT", (0, 1)),
+        q.BoundGate("Rx", (2,), 0.3),
+        q.BoundGate("CNOT", (4, 0)),
+        q.BoundGate("Ry", (3,), 0.7),
+        q.BoundGate("H", (2,)),
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(wrapped_noisy_cases())
+# the 5-qubit ring is one wide block, its (4, 0) term a non-contiguous part
+@example((_FIVE_QUBIT_CIRCUIT, q.build_template_model("correlated", 5, 0.01)))
+# (4, 0) alone is a dense 2-qubit block on non-contiguous axes
+@example(
+    (
+        _FIVE_QUBIT_CIRCUIT,
+        q.NoiseModel(
+            (
+                q.LindbladTerm("correlated", (4, 0), 0.01),
+                q.LindbladTerm("amplitude_damping", (0,), 0.005),
+                q.LindbladTerm("thermal", (2,), 0.008, n_th=0.3),
+            )
+        ),
+    )
+)
+def test_noisy_run_matches_dense_oracle(case):
+    circuit, model = case
+    cfg = q.PropagatorConfig(substeps=4)
+    got = q.run_noisy_circuit(q.new_pure_ground(circuit.n_qubits), circuit, model, cfg)
+    want = dense_noisy_run(circuit, model, cfg)
+    assert np.max(np.abs(got.data - want)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

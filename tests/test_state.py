@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qemsim as q
-from qemsim.state import apply_local, col_axes, doubled_axes, embed, row_axes
+from qemsim.state import PairedDensity, apply_local, embed, pair, paired_axes, unpair
 
 from conftest import PAULI, from_debug_json, kron_embed, kron_embed_multi, to_debug_json
 
@@ -146,21 +146,23 @@ class TestKernels:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for qubits in [(0, 1), (2, 0), (1, 2), (2, 1)]:
             full = kron_embed_multi(m, qubits, n)
-            left = apply_local(rho, m, row_axes(qubits, n))
-            right = apply_local(rho, m, col_axes(qubits, n))
+            left = apply_local(rho, m, [n - 1 - qb for qb in qubits])
+            right = apply_local(rho, m, [2 * n - 1 - qb for qb in qubits])
             assert np.max(np.abs(left - full @ rho)) < 1e-12
             assert np.max(np.abs(right - rho @ full.T)) < 1e-12
             assert np.max(np.abs(embed(m, qubits, n) - full)) < 1e-12
 
     def test_superoperator_on_doubled_register(self):
-        # kron(A, B^T) on the doubled axes of a qubit is A rho B
+        # kron(A, B^T) on the paired axes of a qubit is A rho B
         n = 3
         rng = np.random.default_rng(6)
         rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        paired = pair(q.DensityMatrix(n, rho)).data
         for qb in range(n):
-            got = apply_local(rho, np.kron(a, b.T), doubled_axes((qb,), n))
+            out = apply_local(paired, np.kron(a, b.T), paired_axes((qb,), n))
+            got = unpair(PairedDensity(n, out)).data
             want = kron_embed(a, qb, n) @ rho @ kron_embed(b, qb, n)
             assert np.max(np.abs(got - want)) < 1e-12
 
