@@ -29,6 +29,7 @@ from .noise import (
     PropagatorConfig,
     build_template_model,
     evolve,
+    run_noisy_batch,
     run_noisy_circuit,
 )
 from .paulis import (

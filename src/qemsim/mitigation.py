@@ -5,7 +5,11 @@ The corrected observable is
     A_tilde = <A> - sum_i w_i (<A> - <A_i>)
 
 where <A_i> is measured with removal group i switched off, i.e. its
-rates scaled by 0; the runs are made one after another.  Groups are per
+rates scaled by 0.  The full-noise run and every group's run differ only
+in their rates, so they are the rows of one batched run
+(`noise.run_noisy_batch`): one pass through the gates, each distinct
+noise block built once.  The noiseless run stays a state vector, and a
+row left with no nonzero rate takes its value.  Groups are per
 qubit; a term whose qubit list spans k qubits would be removed k times by
 the per-qubit sweep, so it carries per-group weight 1/k.  Groups mixing
 multiplicities are split into one sub-group per multiplicity so every
@@ -18,7 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .noise import NoiseModel, PropagatorConfig, run_noisy_circuit, scale_terms
+from .noise import (
+    NoiseModel,
+    PropagatorConfig,
+    run_noisy_batch,
+    run_noisy_circuit,
+    scale_terms,
+)
 from .paulis import PauliSum, expectation
 from .state import new_statevector
 
@@ -97,20 +107,22 @@ def corrected_value(a_noisy: float, removed) -> float:
     return a_noisy - sum(w * (a_noisy - a_i) for a_i, w in removed)
 
 
-def _measure(circuit, model, observable, cfg):
-    state = run_noisy_circuit(new_statevector(circuit.n_qubits), circuit, model, cfg)
-    return expectation(state, observable)
-
-
 def _correct(circuit, model, observable, factor, cfg):
-    """Full-noise run, one run per group with its rates scaled by `factor`,
-    plus the noiseless run, one after another."""
+    """Full-noise run and one run per group with its rates scaled by
+    `factor`, as rows of one batched run, plus the noiseless run."""
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     groups = build_groups(model, circuit.n_qubits)
-    scaled = [scale_terms(model, g.removed_terms, factor) for g in groups]
-    models = [model] + scaled + [NoiseModel()]
-    values = [_measure(circuit, m, observable, cfg) for m in models]
+    models = [model] + [scale_terms(model, g.removed_terms, factor) for g in groups]
+    psi0 = new_statevector(circuit.n_qubits)
+    ideal = run_noisy_circuit(psi0, circuit, NoiseModel(), cfg)
+    a_ideal = expectation(ideal, observable)
+    # A model with no nonzero rate is the noiseless run: it takes its value.
+    values = [a_ideal] * len(models)
+    noisy = [i for i, m in enumerate(models) if any(t.rate for t in m.terms)]
+    rhos = run_noisy_batch(psi0, circuit, [models[i] for i in noisy], cfg)
+    for i, rho in zip(noisy, rhos):
+        values[i] = expectation(rho, observable)
     a_noisy = values[0]
     removed = []
     for g, a_i in zip(groups, values[1:]):
@@ -120,7 +132,7 @@ def _correct(circuit, model, observable, factor, cfg):
         removed.append((g.label, a_i, g.weight))
     a_corr = corrected_value(a_noisy, [(v, w) for _, v, w in removed])
     return CorrectionReport(
-        a_noisy, removed, a_corr, values[-1], "removal" if factor == 0.0 else "scaled"
+        a_noisy, removed, a_corr, a_ideal, "removal" if factor == 0.0 else "scaled"
     )
 
 

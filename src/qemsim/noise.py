@@ -13,31 +13,44 @@ qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
 so their generators commute and each interval applies one block after
 another.  Every block works on its own qubits only, as a 4^k x 4^k
 superoperator (the Havel vec identity, see `state`) on the qubit-paired
-rho that `run_noisy_circuit` and `evolve` hold between their two
-conversions.  Each is built on its qubits in descending order and
-reordered by `paired_superop` once, at build, so its paired axes ascend
-and, on adjacent qubits, form one contiguous `state.apply_local`.  One
-RK4 substep of the linear master equation is exactly the degree-4
-Taylor polynomial of h*L, and one `_rk4` serves both kinds of block:
+rho that a run holds between its two conversions.  Each term's
+superoperator is built on its qubits in descending order and reordered
+by `paired_superop` once, at build, so its paired axes ascend and, on
+adjacent qubits, form one contiguous `state.apply_local`.  One RK4
+substep of the linear master equation is exactly the degree-4 Taylor
+polynomial of h*L, and one `_rk4` serves both kinds of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
   (RK4 step)^substeps, a 4^k x 4^k matrix, by `_rk4` on the identity;
+  its generator h*L is the sum of its term superoperators applied to
+  the 4^k x 4^k identity;
 - a wider block runs `_rk4` on rho each substep, its h*L*rho a sum of
   one local superoperator per term.
+
+A run carries a stack of paired rho, one row per noise model, through
+one gate loop: `run_noisy_batch` for the runs of a mitigation, and
+`run_noisy_circuit` as the batch of one.  Each gate is one kernel call
+on all rows.  The propagator's blocks are the union of the rows' own
+blocks; each distinct one is built once and applied once per interval
+to exactly the rows that hold it, so every row takes the arithmetic of
+its run alone.  Rows are split into chunks of at most BATCH_BYTES.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import CapacityError, IntegrationError
 from .state import (
+    DEFAULT_QUBIT_CAP,
     DensityMatrix,
     PairedDensity,
     StateVector,
+    _kron,
     apply_gate,
     apply_local,
     embed,
@@ -57,6 +70,9 @@ RK4_STABILITY_LIMIT = 2.785
 # Past this many substeps round-off outgrows the RK4 error: one damped
 # qubit at rate 1e-3 loses 2.6e-11 of trace at 10^6, 3.1e-7 at 10^10.
 MAX_SUBSTEPS = 10**6
+# A batched run holds at most this many bytes of rho stack (16 B an
+# entry, 4^n entries a row); a single row larger than that runs alone.
+BATCH_BYTES = 64 * 2**20
 
 _SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _SIGMA_DAG = _SIGMA.conj().T
@@ -176,16 +192,15 @@ def _local_liouvillian(ops, qubits) -> np.ndarray:
         c = embed(c_small, tuple(local[q] for q in op_qubits), k)
         cdc = c.conj().T @ c
         lmat += rate * (
-            np.kron(c, c.conj())
-            - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+            _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
         )
     return lmat
 
 
-def _rhs(data: np.ndarray, parts) -> np.ndarray:
+def _rhs(data: np.ndarray, parts, n_axes: int | None = None) -> np.ndarray:
     out = np.zeros_like(data)
     for axes, superop in parts:
-        out += apply_local(data, superop, axes)
+        out += apply_local(data, superop, axes, n_axes)
     return out
 
 
@@ -201,9 +216,10 @@ def _rk4(apply, v, t1):
     return v + t1 + t2 * 0.5 + t3 * (1 / 6) + t4 * (1 / 24)
 
 
-def _components(model: NoiseModel) -> list[tuple[LindbladTerm, ...]]:
+def _components(model: NoiseModel) -> list[tuple[int, tuple[LindbladTerm, ...]]]:
     """Nonzero-rate terms grouped by the connected components of their
-    qubit supports, each group in model order."""
+    qubit supports, each group in model order and keyed by the index of
+    its last term, which is also the order of the groups."""
     groups: list[tuple[set, list[int]]] = []
     for i, term in enumerate(model.terms):
         if term.rate == 0.0:
@@ -214,18 +230,22 @@ def _components(model: NoiseModel) -> list[tuple[LindbladTerm, ...]]:
             support |= group[0]
             members += group[1]
         groups.append((support, members))
-    return [tuple(model.terms[i] for i in sorted(members)) for _, members in groups]
+    return [
+        (max(members), tuple(model.terms[i] for i in sorted(members)))
+        for _, members in groups
+    ]
 
 
 class _Block:
     """One block's channel over one interval, on its own qubits of a
-    paired n-qubit rho."""
+    stack of paired n-qubit rho."""
 
     def __init__(self, terms, n_qubits: int, cfg: PropagatorConfig):
         # Descending, so the block's own register is little-endian too
         # and its paired axes ascend.
         qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
         self.qubits = qubits
+        self.n_axes = 2 * n_qubits
         self.h = cfg.tau / cfg.substeps
         self.substeps = cfg.substeps
         ops = [op for t in terms for op in t.collapse_ops()]
@@ -237,55 +257,99 @@ class _Block:
                 f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
                 f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
             )
+        # One paired superoperator per term, on its qubits in descending order.
+        parts = []
+        for t in terms:
+            term_qubits = tuple(sorted(t.qubits, reverse=True))
+            superop = _local_liouvillian(t.collapse_ops(), term_qubits)
+            parts.append((term_qubits, paired_superop(superop)))
         if len(qubits) <= DENSE_BLOCK_MAX_QUBITS:
-            hl = self.h * _local_liouvillian(ops, qubits)
-            step = _rk4(lambda m: m @ hl, np.eye(len(hl), dtype=complex), hl)
+            # The block's generator is the sum of its term parts applied to
+            # the identity: on the row axes of the flat 4^k x 4^k identity,
+            # each part gives its own embedded superoperator.
+            k = len(qubits)
+            local = {q: k - 1 - i for i, q in enumerate(qubits)}
+            eye = np.eye(4**k, dtype=complex)
+            local_parts = [
+                (paired_axes([local[q] for q in tq], k), superop)
+                for tq, superop in parts
+            ]
+            hl = self.h * _rhs(eye.reshape(-1), local_parts).reshape(eye.shape)
+            step = _rk4(lambda m: m @ hl, eye, hl)
             self.axes = paired_axes(qubits, n_qubits)
-            self.matrix = paired_superop(np.linalg.matrix_power(step, cfg.substeps))
+            self.matrix = np.linalg.matrix_power(step, cfg.substeps)
             self.parts = None
         else:
             self.matrix = None
-            self.parts = []
-            for t in terms:
-                term_qubits = tuple(sorted(t.qubits, reverse=True))
-                superop = _local_liouvillian(t.collapse_ops(), term_qubits)
-                self.parts.append(
-                    (paired_axes(term_qubits, n_qubits), paired_superop(superop))
-                )
+            self.parts = [(paired_axes(tq, n_qubits), superop) for tq, superop in parts]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
+        """The channel on every row of a (rows, 4^n) stack."""
         if self.matrix is not None:
-            return apply_local(data, self.matrix, self.axes)
+            return apply_local(data, self.matrix, self.axes, self.n_axes)
 
         def step(x):
-            return self.h * _rhs(x, self.parts)
+            return self.h * _rhs(x, self.parts, self.n_axes)
 
         for _ in range(self.substeps):
             data = _rk4(step, data, step(data))
         return data
 
 
-class IntervalPropagator:
-    """Reusable approximation of exp(tau * L) for a fixed model and config,
-    on a paired rho."""
+def _row_index(rows: list[int], n_rows: int):
+    """How a block reaches its rows of the stack: None for all of them, a
+    slice view for a run of adjacent rows, else an index array to gather."""
+    if len(rows) == n_rows:
+        return None
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows)
 
-    def __init__(self, model: NoiseModel, n_qubits: int, cfg: PropagatorConfig):
+
+class IntervalPropagator:
+    """Reusable approximation of exp(tau * L) for a fixed config, on a
+    (rows, 4^n) stack of paired rho, with one model per row (see the
+    module docstring).  Blocks run in the order of their last term, so
+    rows whose models share term positions, as a mitigation's do, apply
+    their blocks in the order of their runs alone.  Rows are numbered
+    from `first_row` in error messages.
+    """
+
+    def __init__(
+        self, models, n_qubits: int, cfg: PropagatorConfig, first_row: int = 0
+    ):
         self.cfg = cfg
-        self.blocks = [_Block(terms, n_qubits, cfg) for terms in _components(model)]
+        self.first_row = first_row
+        rows_of: dict[tuple[LindbladTerm, ...], list[int]] = {}
+        last_of: dict[tuple[LindbladTerm, ...], int] = {}
+        for row, model in enumerate(models):
+            for last, terms in _components(model):
+                last_of.setdefault(terms, last)
+                rows_of.setdefault(terms, []).append(row)
+        union = sorted(rows_of, key=last_of.__getitem__)
+        self.blocks = [_Block(terms, n_qubits, cfg) for terms in union]
+        self.rows = [_row_index(rows_of[terms], len(models)) for terms in union]
 
     def propagate(self, rho: PairedDensity) -> PairedDensity:
         if not self.blocks:
             return rho
         data = rho.data
-        for block in self.blocks:
-            data = block.apply(data)
+        for block, rows in zip(self.blocks, self.rows):
+            if rows is None:
+                data = block.apply(data)
+                continue
+            if data is rho.data:
+                data = data.copy()  # the caller's stack stays as it was
+            data[rows] = block.apply(data[rows])
         out = PairedDensity(rho.n_qubits, data)
-        drift = abs(out.trace() - 1.0)
-        if not drift <= TRACE_DRIFT_LIMIT:  # also catches NaN
-            raise IntegrationError(
-                f"trace drifted by {drift:.3g} over one interval; "
-                f"increase substeps (currently {self.cfg.substeps})"
-            )
+        for row, trace in enumerate(out.trace().tolist()):
+            drift = abs(trace - 1.0)
+            if not drift <= TRACE_DRIFT_LIMIT:  # also catches NaN
+                raise IntegrationError(
+                    f"trace drifted by {drift:.3g} over one interval in row "
+                    f"{self.first_row + row}; increase substeps "
+                    f"(currently {self.cfg.substeps})"
+                )
         return out
 
 
@@ -294,11 +358,51 @@ def evolve(
 ) -> DensityMatrix:
     """rho(t + tau) = exp(tau L) rho, via RK4 with cfg.substeps steps; a
     StateVector is taken as |psi><psi|."""
-    if isinstance(rho, StateVector):
-        rho = rho.to_density_matrix()
     model.validate_for(rho.n_qubits)
-    propagator = IntervalPropagator(model, rho.n_qubits, cfg)
-    return unpair(propagator.propagate(pair(rho)))
+    propagator = IntervalPropagator([model], rho.n_qubits, cfg)
+    (out,) = _unstack(propagator.propagate(_stack(rho, 1)))
+    return out
+
+
+def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
+    """`rows` copies of the start state in paired order: a read-only view,
+    which the first gate replaces by an array of its own."""
+    if isinstance(state0, StateVector):
+        state0 = state0.to_density_matrix()
+    data = pair(state0).data
+    return PairedDensity(state0.n_qubits, np.broadcast_to(data, (rows, data.size)))
+
+
+def _unstack(stack: PairedDensity):
+    """Each row of a paired stack as a DensityMatrix."""
+    for row in stack.data:
+        yield unpair(PairedDensity(stack.n_qubits, row))
+
+
+def _chunks(n_rows: int, n_qubits: int) -> list[range]:
+    """The rows of a batch, in order, split so each chunk's stack fits
+    BATCH_BYTES."""
+    size = max(1, BATCH_BYTES // (16 * 4**n_qubits))
+    return [range(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+
+
+def _run(state, circuit, propagator):
+    """Gate 1, propagate, gate 2, ..., gate G, on one state or stack."""
+    last = len(circuit.gates) - 1
+    for i, gate in enumerate(circuit.gates):
+        state = apply_gate(state, gate)
+        if i != last:
+            state = propagator.propagate(state)
+    return state
+
+
+def _check_run(state0, circuit, models) -> None:
+    if circuit.n_qubits != state0.n_qubits:
+        raise ValueError(
+            f"circuit has {circuit.n_qubits} qubits, state has {state0.n_qubits}"
+        )
+    for model in models:
+        model.validate_for(state0.n_qubits)
 
 
 def run_noisy_circuit(
@@ -313,29 +417,53 @@ def run_noisy_circuit(
     the final gate, so total noisy time is (G - 1) * tau.  With no
     nonzero-rate term this reduces to plain sequential gate application,
     and a StateVector start stays a StateVector.  Otherwise a StateVector
-    start becomes |psi><psi| before the first gate, and rho is held in
-    paired order from the first gate to the last.
+    start becomes |psi><psi| before the first gate: the run is the batch
+    of one of `run_noisy_batch`.
     """
     if cfg is None:
         cfg = PropagatorConfig()
-    if circuit.n_qubits != state0.n_qubits:
-        raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits, state has {state0.n_qubits}"
+    if isinstance(state0, StateVector) and not any(t.rate for t in model.terms):
+        _check_run(state0, circuit, [model])
+        propagator = IntervalPropagator([model], state0.n_qubits, cfg)
+        return _run(state0.copy(), circuit, propagator)
+    (rho,) = run_noisy_batch(state0, circuit, [model], cfg)
+    return rho
+
+
+def run_noisy_batch(
+    state0: StateVector | DensityMatrix,
+    circuit,
+    models,
+    cfg: PropagatorConfig | None = None,
+) -> Iterator[DensityMatrix]:
+    """`run_noisy_circuit` of one circuit under each of `models`, as the
+    rows of one paired stack: one kernel call per gate and one propagator
+    per chunk of rows (see BATCH_BYTES).  Returns an iterator over the
+    final DensityMatrix of each model, in order, made chunk by chunk.
+
+    Each row's channel is that of its own model, so a row matches its run
+    alone; a model with no nonzero-rate term still runs as a density
+    matrix.
+    """
+    if cfg is None:
+        cfg = PropagatorConfig()
+    models = list(models)
+    _check_run(state0, circuit, models)
+    n = state0.n_qubits
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
+            f"(a noisy run stores 4^n complex numbers per row)"
         )
-    model.validate_for(state0.n_qubits)
-    propagator = IntervalPropagator(model, state0.n_qubits, cfg)
-    if isinstance(state0, DensityMatrix):
-        state = pair(state0)
-    elif propagator.blocks:
-        state = pair(state0.to_density_matrix())
-    else:
-        state = state0.copy()
-    last = len(circuit.gates) - 1
-    for i, gate in enumerate(circuit.gates):
-        state = apply_gate(state, gate)
-        if i != last:
-            state = propagator.propagate(state)
-    return unpair(state) if isinstance(state, PairedDensity) else state
+    return _batch_rows(state0, circuit, models, cfg)
+
+
+def _batch_rows(state0, circuit, models, cfg):
+    for chunk in _chunks(len(models), state0.n_qubits):
+        propagator = IntervalPropagator(
+            [models[i] for i in chunk], state0.n_qubits, cfg, first_row=chunk.start
+        )
+        yield from _unstack(_run(_stack(state0, len(chunk)), circuit, propagator))
 
 
 def build_template_model(

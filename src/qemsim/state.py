@@ -21,7 +21,10 @@ so each qubit is one contiguous 4-entry axis.  A superoperator reordered
 once by `paired_superop` from (rows, columns) to (row, column) pairs
 then acts on `paired_axes(qubits, n)`: one contiguous apply for a
 1-qubit gate or channel, and for an op on adjacent qubits.  `pair` and
-`unpair` convert at the two ends of a run, one 4^n transpose each.
+`unpair` convert at the two ends of a run, one 4^n transpose each.  A
+batched run holds several such rho as the rows of one (rows, 4^n)
+array, and `apply_local` folds the row axis into its leading count, so
+one call acts on every row.
 """
 
 from __future__ import annotations
@@ -77,26 +80,31 @@ def paired_superop(superop: np.ndarray) -> np.ndarray:
     return t.reshape(superop.shape)
 
 
-def apply_local(data: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
-    """m applied to `axes` of data viewed as a (2,)*N tensor.
+def apply_local(
+    data: np.ndarray, m: np.ndarray, axes, n_axes: int | None = None
+) -> np.ndarray:
+    """m applied to `axes` of each row of data, viewed as (rows,) + (2,)*N.
 
-    m is 2^k x 2^k with axes[0] as the most-significant bit of its index.
-    Returns a new C-contiguous array of data's shape.  Contiguous axes, in
-    any order, take a reshape+matmul view; others fall back to tensordot.
+    N is `n_axes`; by default the whole array is one row.  m is 2^k x 2^k
+    with axes[0] as the most-significant bit of its index.  Returns a new
+    C-contiguous array of data's shape.  Contiguous axes, in any order,
+    take a reshape+matmul view with the rows folded into its leading
+    count; others are moved last, applied there and moved back.
     """
     k = len(axes)
-    ndim = data.size.bit_length() - 1
+    ndim = data.size.bit_length() - 1 if n_axes is None else n_axes
     order = sorted(range(k), key=axes.__getitem__)
     lo = axes[order[0]]
     if axes[order[-1]] - lo != k - 1:
-        t = data.reshape((2,) * ndim)
-        mt = m.reshape((2,) * (2 * k))
-        out = np.tensordot(mt, t, axes=(list(range(k, 2 * k)), axes))
-        return np.ascontiguousarray(np.moveaxis(out, range(k), axes)).reshape(data.shape)
+        perm = [0] + [a + 1 for a in range(ndim) if a not in axes] + [a + 1 for a in axes]
+        t = data.reshape((-1,) + (2,) * ndim).transpose(perm)
+        out = np.ascontiguousarray(t).reshape(-1, 2**k) @ m.T
+        out = out.reshape(t.shape).transpose(np.argsort(perm))
+        return np.ascontiguousarray(out).reshape(data.shape)
     if order != list(range(k)):
         m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
         m = m.reshape(2**k, 2**k)
-    pre, post = 2**lo, 2 ** (ndim - lo - k)
+    pre, post = data.size >> (ndim - lo), 2 ** (ndim - lo - k)
     if post == 1 or 2**k * post <= _MAX_FOLDED:
         if post > 1:
             m = _kron(m, np.eye(post))
@@ -148,13 +156,16 @@ class StateVector:
 @dataclass
 class PairedDensity:
     """rho inside a noisy run, in qubit-paired order (see the module
-    docstring); `pair` and `unpair` convert from and to a DensityMatrix."""
+    docstring): one rho, or a stack of them, one per row, that a batched
+    run carries through the same gates.  `pair` and `unpair` convert one
+    rho from and to a DensityMatrix."""
 
     n_qubits: int
-    data: np.ndarray  # (4^n,) complex128
+    data: np.ndarray  # (4^n,) or (rows, 4^n) complex128
 
-    def trace(self) -> complex:
-        return complex(self.data[_paired_diagonal(self.n_qubits)].sum())
+    def trace(self):
+        """Tr(rho), or one per row of a stack."""
+        return self.data.take(_paired_diagonal(self.n_qubits), axis=-1).sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +215,8 @@ def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatri
 
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
-    PairedDensity or DensityMatrix, for a bound (fully resolved) gate.
+    PairedDensity (on every row of a stack) or DensityMatrix, for a bound
+    (fully resolved) gate.
 
     On rho the gate is the one superoperator kron(U, conj(U)) on the
     paired axes of its qubits; a DensityMatrix is paired for the call and
@@ -217,4 +229,5 @@ def apply_gate(state, gate):
     if isinstance(state, StateVector):
         return StateVector(n, apply_local(state.data, u, [n - 1 - q for q in gate.qubits]))
     superop = paired_superop(_kron(u, u.conj()))
-    return PairedDensity(n, apply_local(state.data, superop, paired_axes(gate.qubits, n)))
+    axes = paired_axes(gate.qubits, n)
+    return PairedDensity(n, apply_local(state.data, superop, axes, 2 * n))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qemsim as q
+from qemsim import noise
 from qemsim.errors import IntegrationError
 from qemsim.noise import (
     MAX_SUBSTEPS,
@@ -24,6 +25,14 @@ PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 def ad_model(gamma, qubit=0):
     return q.NoiseModel((q.LindbladTerm("amplitude_damping", (qubit,), gamma),))
+
+
+def propagate_rows(propagator, rhos):
+    """One interval of `propagator` on a stack with one row per rho, each
+    row unpaired again."""
+    n = rhos[0].n_qubits
+    stack = PairedDensity(n, np.stack([pair(rho).data for rho in rhos]))
+    return [unpair(PairedDensity(n, row)) for row in propagator.propagate(stack).data]
 
 
 def paired_rhs(rho_data, parts, n):
@@ -216,13 +225,13 @@ class TestEvolve:
         # it runs RK4 with one local superoperator per term
         n = 5
         model = build_template_model("correlated", n, 0.2)
-        propagator = IntervalPropagator(model, n, q.PropagatorConfig(substeps=8))
+        propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert [b.qubits for b in propagator.blocks] == [(4, 3, 2, 1, 0)]
         assert propagator.blocks[0].matrix is None
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
-        got = unpair(propagator.propagate(pair(rho)))
+        (got,) = propagate_rows(propagator, [rho])
         want = dense_rk4(dense_liouvillian(model, n), rho.data, 1.0, 8)
         assert np.max(np.abs(got.data - want)) < 1e-12
         assert np.max(np.abs(got.data - rho.data)) > 1e-3
@@ -243,10 +252,10 @@ class TestEvolve:
             )
         )
         cfg = q.PropagatorConfig(tau=1.0, substeps=16)
-        propagator = IntervalPropagator(model, n, cfg)
+        propagator = IntervalPropagator([model], n, cfg)
         assert sorted(b.qubits for b in propagator.blocks) == [(0,), (4, 3, 2), (5, 1)]
         rho = random_density_matrix(n, np.random.default_rng(4))
-        got = unpair(propagator.propagate(pair(rho)))
+        (got,) = propagate_rows(propagator, [rho])
         # the blocks commute, so one dense RK4 per block in any order is
         # the factorized channel; a single full-model RK4 differs at O(h^5)
         want = rho.data
@@ -263,12 +272,14 @@ class TestEvolve:
     def test_drift_guard_reads_the_paired_diagonal(self):
         n = 3
         rho = random_density_matrix(n, np.random.default_rng(7))
-        paired = pair(rho)
-        assert paired.trace() == pytest.approx(np.trace(rho.data), abs=1e-15)
+        paired = PairedDensity(n, pair(rho).data[None])
+        (trace,) = paired.trace()
+        assert trace == pytest.approx(np.trace(rho.data), abs=1e-15)
         propagator = IntervalPropagator(
-            build_template_model("gamma1_gamma2", n, 0.05), n, q.PropagatorConfig()
+            [build_template_model("gamma1_gamma2", n, 0.05)], n, q.PropagatorConfig()
         )
-        assert abs(propagator.propagate(paired).trace() - 1.0) < 1e-12
+        (trace,) = propagator.propagate(paired).trace()
+        assert abs(trace - 1.0) < 1e-12
         # the channels keep the trace, so an input 1e-3 off leaves 1e-3 off
         off = PairedDensity(n, paired.data * (1 + 1e-3))
         with pytest.raises(IntegrationError, match="trace drifted by 0.001"):
@@ -352,6 +363,116 @@ class TestRunNoisyCircuit:
         circuit = q.BoundCircuit(1, (q.BoundGate("H", (0,)),))
         with pytest.raises(ValueError):
             q.run_noisy_circuit(q.new_pure_ground(1), circuit, ad_model(0.1, qubit=1))
+
+
+class TestBatch:
+    """Rows of one batched run: the chunk plan, the capacity check, the
+    drift guard per row, and the call sites the benchmark traces."""
+
+    @staticmethod
+    def circuit():
+        return q.BoundCircuit(
+            3,
+            (
+                q.BoundGate("H", (0,)),
+                q.BoundGate("CNOT", (0, 1)),
+                q.BoundGate("Rx", (2,), 0.4),
+                q.BoundGate("CNOT", (2, 0)),
+                q.BoundGate("H", (1,)),
+            ),
+        )
+
+    @staticmethod
+    def observable():
+        return q.PauliSum(
+            [(1.0, q.PauliString({0: "Z", 2: "Z"})), (0.4, q.PauliString({1: "X"}))], 3
+        )
+
+    def test_chunk_plan(self):
+        # one 12-qubit row is 256 MiB, over the budget: each runs alone
+        assert noise._chunks(13, 12) == [range(i, i + 1) for i in range(13)]
+        # 16 MiB rows, four to a chunk
+        assert noise._chunks(13, 10) == [
+            range(0, 4), range(4, 8), range(8, 12), range(12, 13)
+        ]
+        assert noise._chunks(13, 4) == [range(13)]
+
+    @pytest.mark.parametrize("template", ["gamma1_gamma2", "correlated"])
+    def test_chunked_mitigation_is_bit_identical(self, template, monkeypatch):
+        circuit, obs = self.circuit(), self.observable()
+        model = build_template_model(template, 3, 0.02)
+        whole = q.run_mitigation(circuit, model, obs)
+        scaled = q.scaled_noise_correction(circuit, model, obs, 2.0)
+        monkeypatch.setattr(noise, "BATCH_BYTES", 16 * 4**3)
+        assert noise._chunks(4, 3) == [range(i, i + 1) for i in range(4)]
+        assert q.run_mitigation(circuit, model, obs).to_dict() == whole.to_dict()
+        again = q.scaled_noise_correction(circuit, model, obs, 2.0)
+        assert again.to_dict() == scaled.to_dict()
+
+    def test_batch_above_the_cap_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(noise, "DEFAULT_QUBIT_CAP", 2)
+
+        def no_stack(*args):
+            raise AssertionError("a stack was allocated")
+
+        monkeypatch.setattr(noise, "_stack", no_stack)
+        model = build_template_model("gamma1", 3, 0.01)
+        # raised by the call itself, not on the first row
+        with pytest.raises(q.CapacityError, match="3 qubits exceeds the cap of 2"):
+            noise.run_noisy_batch(q.new_statevector(3), self.circuit(), [model, model])
+
+    def test_one_drifting_row_among_good_ones_raises(self):
+        n = 3
+        models = [
+            build_template_model("gamma1_gamma2", n, 0.05),
+            build_template_model("gamma1", n, 0.05),
+            build_template_model("correlated", n, 0.05),
+        ]
+        rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
+        data = np.stack([pair(rho).data for rho in rhos])
+        propagator = IntervalPropagator(models, n, q.PropagatorConfig())
+        traces = propagator.propagate(PairedDensity(n, data)).trace()
+        assert np.all(np.abs(traces - 1) < 1e-12)
+        data[1] *= 1 + 1e-3
+        with pytest.raises(IntegrationError, match=r"trace drifted by 0.001 .* in row 1;"):
+            propagator.propagate(PairedDensity(n, data))
+        chunk = IntervalPropagator(models, n, q.PropagatorConfig(), first_row=4)
+        with pytest.raises(IntegrationError, match="in row 5;"):
+            chunk.propagate(PairedDensity(n, data))
+
+    def test_distinct_blocks_are_built_once(self):
+        model = build_template_model("gamma1_gamma2", 3, 0.01)
+        rows = [model] + [scale_terms(model, [k, k + 3], 0.0) for k in range(3)]
+        propagator = IntervalPropagator(rows, 3, q.PropagatorConfig())
+        # one block per qubit, each held by the full row and two removals
+        assert [b.qubits for b in propagator.blocks] == [(0,), (1,), (2,)]
+        held = [list(np.arange(4)[r]) for r in propagator.rows]
+        assert held == [[0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+    def test_trace_sites_see_one_batched_run_and_the_ideal_run(self, monkeypatch):
+        calls = {"gate": 0, "build": 0, "propagate": 0}
+        apply_gate = noise.apply_gate
+
+        def counted_gate(state, gate):
+            calls["gate"] += 1
+            return apply_gate(state, gate)
+
+        class Counted(IntervalPropagator):
+            def __init__(self, *args, **kwargs):
+                calls["build"] += 1
+                super().__init__(*args, **kwargs)
+
+            def propagate(self, rho):
+                calls["propagate"] += 1
+                return super().propagate(rho)
+
+        monkeypatch.setattr(noise, "apply_gate", counted_gate)
+        monkeypatch.setattr(noise, "IntervalPropagator", Counted)
+        circuit = self.circuit()
+        g = len(circuit.gates)
+        model = build_template_model("thermal", 3, 0.01)
+        q.run_mitigation(circuit, model, self.observable())
+        assert calls == {"gate": 2 * g, "build": 2, "propagate": 2 * (g - 1)}
 
 
 class TestModelEditing:

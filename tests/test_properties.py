@@ -142,9 +142,9 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     psi /= np.linalg.norm(psi)
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
-    propagator = IntervalPropagator(model, n, q.PropagatorConfig())
+    propagator = IntervalPropagator([model], n, q.PropagatorConfig())
     for block in propagator.blocks:
-        out = unpair(PairedDensity(n, block.apply(pair(rho).data)))
+        out = unpair(PairedDensity(n, block.apply(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
         assert out.min_eigenvalue() >= -1e-12
@@ -326,6 +326,104 @@ def test_noisy_run_matches_dense_oracle(case):
     got = q.run_noisy_circuit(q.new_pure_ground(circuit.n_qubits), circuit, model, cfg)
     want = dense_noisy_run(circuit, model, cfg)
     assert np.max(np.abs(got.data - want)) < 1e-12
+
+
+@st.composite
+def batch_cases(draw):
+    """A circuit and the rows of one batch: the full model, its removal
+    and scaled rows, a zero-rate row and duplicates, in any order."""
+    circuit, model = draw(noisy_cases())
+    n = circuit.n_qubits
+    rows = [model, scale_terms(model, range(len(model.terms)), 0.0)]
+    for group in build_groups(model, n):
+        factor = draw(st.sampled_from([0.0, 2.0]))
+        rows.append(scale_terms(model, group.removed_terms, factor))
+    rows = draw(st.permutations(rows))
+    return circuit, rows + draw(st.lists(st.sampled_from(rows), max_size=2))
+
+
+_SIX_QUBIT_CIRCUIT = q.BoundCircuit(
+    6,
+    (
+        q.BoundGate("H", (0,)),
+        q.BoundGate("CNOT", (0, 3)),
+        q.BoundGate("Ry", (5,), 0.9),
+        q.BoundGate("CNOT", (4, 1)),
+    ),
+)
+
+
+def _chain(n, rate, damping=True):
+    terms = tuple(q.LindbladTerm("correlated", (k, k + 1), rate) for k in range(n - 1))
+    if damping:
+        terms += tuple(
+            q.LindbladTerm("amplitude_damping", (k,), rate / 2) for k in range(n)
+        )
+    return q.NoiseModel(terms)
+
+
+def _removal_rows(model, n):
+    groups = build_groups(model, n)
+    return [model] + [scale_terms(model, g.removed_terms, 0.0) for g in groups]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch_cases())
+# a 4-qubit chain is one dense block; removing qubit 1 or 2 splits it
+@example((_FIVE_QUBIT_CIRCUIT, _removal_rows(_chain(4, 0.01), 5)))
+# a 6-qubit chain is one wide block; removing an end qubit leaves a 5-qubit
+# wide block, removing qubit 2 or 3 splits it into two dense blocks
+@example((_SIX_QUBIT_CIRCUIT, _removal_rows(_chain(6, 0.01, damping=False), 6)))
+def test_batched_rows_match_their_serial_runs(case):
+    circuit, rows = case
+    n = circuit.n_qubits
+    cfg = q.PropagatorConfig(substeps=4)
+    psi = q.new_statevector(n)
+    batch = list(q.run_noisy_batch(psi, circuit, rows, cfg))
+    assert len(batch) == len(rows)
+    for model, got in zip(rows, batch):
+        alone = q.run_noisy_circuit(psi, circuit, model, cfg)
+        if isinstance(alone, q.StateVector):
+            alone = alone.to_density_matrix()
+        assert isinstance(got, q.DensityMatrix)
+        assert np.max(np.abs(got.data - alone.data)) < 1e-12
+
+
+def test_correlated_mitigation_matches_dense_oracle():
+    # every <A_i> of a 4-qubit correlated ring: the full row is one dense
+    # 4-qubit block, each removal row its own 3-qubit block
+    circuit = q.BoundCircuit(
+        4,
+        (
+            q.BoundGate("H", (0,)),
+            q.BoundGate("CNOT", (0, 1)),
+            q.BoundGate("Rx", (2,), 0.3),
+            q.BoundGate("CNOT", (3, 0)),
+            q.BoundGate("Ry", (3,), 0.7),
+            q.BoundGate("H", (2,)),
+        ),
+    )
+    observable = q.PauliSum(
+        [
+            (1.0, q.PauliString({0: "Z", 1: "Z"})),
+            (0.7, q.PauliString({2: "X"})),
+            (0.5, q.PauliString({3: "Y", 0: "X"})),
+        ],
+        4,
+    )
+    model = q.build_template_model("correlated", 4, 0.05)
+    cfg = q.PropagatorConfig(substeps=4)
+    report = q.run_mitigation(circuit, model, observable, cfg)
+
+    def oracle(m):
+        return q.expectation(q.DensityMatrix(4, dense_noisy_run(circuit, m, cfg)), observable)
+
+    assert abs(report.a_noisy - oracle(model)) < 1e-12
+    groups = build_groups(model, 4)
+    assert len(report.a_removed) == len(groups) == 4
+    for group, (label, value, _) in zip(groups, report.a_removed):
+        assert label == group.label
+        assert abs(value - oracle(scale_terms(model, group.removed_terms, 0.0))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
