@@ -16,7 +16,7 @@ superoperator (the Havel vec identity, see `state`) on the qubit-paired
 rho that a run holds between its two conversions.  Each term's
 superoperator is built on its qubits in descending order and reordered
 by `paired_superop` once, at build, so its paired axes ascend and, on
-adjacent qubits, form one contiguous `state.apply_local`.  One RK4
+adjacent qubits, form one contiguous `state.LocalOp`.  One RK4
 substep of the linear master equation is exactly the degree-4 Taylor
 polynomial of h*L, and one `_rk4` serves both kinds of block:
 
@@ -30,10 +30,16 @@ polynomial of h*L, and one `_rk4` serves both kinds of block:
 A run carries a stack of paired rho, one row per noise model, through
 one gate loop: `run_noisy_batch` for the runs of a mitigation, and
 `run_noisy_circuit` as the batch of one.  Each gate is one kernel call
-on all rows.  The propagator's blocks are the union of the rows' own
-blocks; each distinct one is built once and applied once per interval
-to exactly the rows that hold it, so every row takes the arithmetic of
-its run alone.  Rows are split into chunks of at most BATCH_BYTES.
+on all rows, its superoperator built once per distinct gate (see
+`state.apply_gate`).  Each row's blocks become its kernels, the calls
+of one interval: the 1-qubit blocks on qubits 2j+1 and 2j pair into one
+16x16 kernel kron(P_2j+1, P_2j), and every other block is a kernel of
+its own.  The pairing is decided from the row's own model, so from two
+qubits up every row takes the arithmetic of its run alone.  Each
+distinct block is built once, each distinct kernel applied once per
+interval to exactly the rows that hold it.  Rows are split into chunks
+of at most BATCH_BYTES.  A noisy VQE problem keeps one propagator for
+all its evaluations.
 """
 
 from __future__ import annotations
@@ -48,11 +54,11 @@ from .errors import CapacityError, IntegrationError
 from .state import (
     DEFAULT_QUBIT_CAP,
     DensityMatrix,
+    LocalOp,
     PairedDensity,
     StateVector,
     _kron,
     apply_gate,
-    apply_local,
     embed,
     pair,
     paired_axes,
@@ -197,10 +203,11 @@ def _local_liouvillian(ops, qubits) -> np.ndarray:
     return lmat
 
 
-def _rhs(data: np.ndarray, parts, n_axes: int | None = None) -> np.ndarray:
+def _rhs(data: np.ndarray, ops) -> np.ndarray:
+    """The sum of each `state.LocalOp` applied to data."""
     out = np.zeros_like(data)
-    for axes, superop in parts:
-        out += apply_local(data, superop, axes, n_axes)
+    for op in ops:
+        out += op(data)
     return out
 
 
@@ -236,68 +243,108 @@ def _components(model: NoiseModel) -> list[tuple[int, tuple[LindbladTerm, ...]]]
     ]
 
 
-class _Block:
-    """One block's channel over one interval, on its own qubits of a
-    stack of paired n-qubit rho."""
+class _Dense:
+    """A precomputed channel over one interval: `matrix`, on the paired
+    axes of `qubits` (given in descending order), applied as one
+    `state.LocalOp` to every row of a (rows, 4^n) stack."""
 
-    def __init__(self, terms, n_qubits: int, cfg: PropagatorConfig):
-        # Descending, so the block's own register is little-endian too
-        # and its paired axes ascend.
-        qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
+    def __init__(self, matrix: np.ndarray, qubits, n_qubits: int):
+        self.qubits = tuple(qubits)
+        self.matrix = matrix
+        self.apply = LocalOp(matrix, paired_axes(qubits, n_qubits), 2 * n_qubits)
+
+
+class _Wide:
+    """A block wider than DENSE_BLOCK_MAX_QUBITS: `_rk4` on rho each
+    substep, its h*L*rho one local superoperator per term."""
+
+    def __init__(self, qubits, parts, n_qubits: int, cfg: PropagatorConfig):
         self.qubits = qubits
-        self.n_axes = 2 * n_qubits
         self.h = cfg.tau / cfg.substeps
         self.substeps = cfg.substeps
-        ops = [op for t in terms for op in t.collapse_ops()]
-        # 2 * sum rate_k ||c_k||_F^2 bounds the spectral radius of L.
-        radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c, _ in ops)
-        if self.h * radius > RK4_STABILITY_LIMIT:
-            raise IntegrationError(
-                f"step {self.h:.3g} times the decay-rate bound {radius:.3g} on "
-                f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
-                f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
-            )
-        # One paired superoperator per term, on its qubits in descending order.
-        parts = []
-        for t in terms:
-            term_qubits = tuple(sorted(t.qubits, reverse=True))
-            superop = _local_liouvillian(t.collapse_ops(), term_qubits)
-            parts.append((term_qubits, paired_superop(superop)))
-        if len(qubits) <= DENSE_BLOCK_MAX_QUBITS:
-            # The block's generator is the sum of its term parts applied to
-            # the identity: on the row axes of the flat 4^k x 4^k identity,
-            # each part gives its own embedded superoperator.
-            k = len(qubits)
-            local = {q: k - 1 - i for i, q in enumerate(qubits)}
-            eye = np.eye(4**k, dtype=complex)
-            local_parts = [
-                (paired_axes([local[q] for q in tq], k), superop)
-                for tq, superop in parts
-            ]
-            hl = self.h * _rhs(eye.reshape(-1), local_parts).reshape(eye.shape)
-            step = _rk4(lambda m: m @ hl, eye, hl)
-            self.axes = paired_axes(qubits, n_qubits)
-            self.matrix = np.linalg.matrix_power(step, cfg.substeps)
-            self.parts = None
-        else:
-            self.matrix = None
-            self.parts = [(paired_axes(tq, n_qubits), superop) for tq, superop in parts]
+        self.parts = [
+            LocalOp(superop, paired_axes(tq, n_qubits), 2 * n_qubits)
+            for tq, superop in parts
+        ]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        """The channel on every row of a (rows, 4^n) stack."""
-        if self.matrix is not None:
-            return apply_local(data, self.matrix, self.axes, self.n_axes)
-
         def step(x):
-            return self.h * _rhs(x, self.parts, self.n_axes)
+            return self.h * _rhs(x, self.parts)
 
         for _ in range(self.substeps):
             data = _rk4(step, data, step(data))
         return data
 
 
+def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> _Dense | _Wide:
+    """One block's channel over one interval, on its own qubits of a
+    stack of paired n-qubit rho."""
+    # Descending, so the block's own register is little-endian too and
+    # its paired axes ascend.
+    qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
+    h = cfg.tau / cfg.substeps
+    ops = [op for t in terms for op in t.collapse_ops()]
+    # 2 * sum rate_k ||c_k||_F^2 bounds the spectral radius of L.
+    radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c, _ in ops)
+    if h * radius > RK4_STABILITY_LIMIT:
+        raise IntegrationError(
+            f"step {h:.3g} times the decay-rate bound {radius:.3g} on "
+            f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
+            f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
+        )
+    # One paired superoperator per term, on its qubits in descending order.
+    parts = []
+    for t in terms:
+        term_qubits = tuple(sorted(t.qubits, reverse=True))
+        superop = _local_liouvillian(t.collapse_ops(), term_qubits)
+        parts.append((term_qubits, paired_superop(superop)))
+    if len(qubits) > DENSE_BLOCK_MAX_QUBITS:
+        return _Wide(qubits, parts, n_qubits, cfg)
+    # The block's generator is the sum of its term parts applied to the
+    # identity: on the row axes of the flat 4^k x 4^k identity, each part
+    # gives its own embedded superoperator.
+    k = len(qubits)
+    local = {q: k - 1 - i for i, q in enumerate(qubits)}
+    eye = np.eye(4**k, dtype=complex)
+    local_parts = [
+        LocalOp(superop, paired_axes([local[q] for q in tq], k), 4 * k)
+        for tq, superop in parts
+    ]
+    hl = h * _rhs(eye.reshape(-1), local_parts).reshape(eye.shape)
+    step = _rk4(lambda m: m @ hl, eye, hl)
+    return _Dense(np.linalg.matrix_power(step, cfg.substeps), qubits, n_qubits)
+
+
+def _kernels(model: NoiseModel) -> list[tuple[int, tuple]]:
+    """A model's components as the kernels its row applies, in order,
+    each a tuple of one or two components keyed by its last term.
+
+    The 1-qubit components on qubits 2j+1 and 2j pair up (the higher
+    first), so their two 4x4 channels become one 16x16 kernel; every
+    other component is a kernel of its own.  This is decided from the
+    model alone, so a row's arithmetic does not depend on its batch.
+    """
+    components = _components(model)
+    lone = {}  # qubit: (last, terms) of each 1-qubit component
+    for last, terms in components:
+        support = {q for t in terms for q in t.qubits}
+        if len(support) == 1:
+            lone[support.pop()] = (last, terms)
+    kernels = []
+    for last, terms in components:
+        # q is in `lone` only if this component is the 1-qubit one on it
+        q = terms[0].qubits[0]
+        if q in lone and q ^ 1 in lone:
+            if q % 2:  # an even q is taken with its partner, q + 1
+                low_last, low = lone[q - 1]
+                kernels.append((max(last, low_last), (terms, low)))
+        else:
+            kernels.append((last, (terms,)))
+    return sorted(kernels, key=lambda kernel: kernel[0])
+
+
 def _row_index(rows: list[int], n_rows: int):
-    """How a block reaches its rows of the stack: None for all of them, a
+    """How a kernel reaches its rows of the stack: None for all of them, a
     slice view for a run of adjacent rows, else an index array to gather."""
     if len(rows) == n_rows:
         return None
@@ -309,10 +356,11 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the
-    module docstring).  Blocks run in the order of their last term, so
-    rows whose models share term positions, as a mitigation's do, apply
-    their blocks in the order of their runs alone.  Rows are numbered
-    from `first_row` in error messages.
+    module docstring).  `kernels` holds (kernel, rows) pairs, in the
+    order of each kernel's last term, so rows whose models share term
+    positions, as a mitigation's do, apply their kernels in the order of
+    their runs alone.  Rows are numbered from `first_row` in error
+    messages.
     """
 
     def __init__(
@@ -320,27 +368,36 @@ class IntervalPropagator:
     ):
         self.cfg = cfg
         self.first_row = first_row
-        rows_of: dict[tuple[LindbladTerm, ...], list[int]] = {}
-        last_of: dict[tuple[LindbladTerm, ...], int] = {}
+        held: dict[tuple, tuple[int, list[int]]] = {}
         for row, model in enumerate(models):
-            for last, terms in _components(model):
-                last_of.setdefault(terms, last)
-                rows_of.setdefault(terms, []).append(row)
-        union = sorted(rows_of, key=last_of.__getitem__)
-        self.blocks = [_Block(terms, n_qubits, cfg) for terms in union]
-        self.rows = [_row_index(rows_of[terms], len(models)) for terms in union]
+            for last, kernel in _kernels(model):
+                held.setdefault(kernel, (last, []))[1].append(row)
+        # Each distinct component is built once, each distinct pair once.
+        blocks = {}
+        self.kernels = []
+        for kernel in sorted(held, key=lambda kernel: held[kernel][0]):
+            for terms in kernel:
+                if terms not in blocks:
+                    blocks[terms] = _block(terms, n_qubits, cfg)
+            if len(kernel) == 1:
+                op = blocks[kernel[0]]
+            else:
+                high, low = (blocks[terms] for terms in kernel)
+                matrix = _kron(high.matrix, low.matrix)
+                op = _Dense(matrix, high.qubits + low.qubits, n_qubits)
+            self.kernels.append((op, _row_index(held[kernel][1], len(models))))
 
     def propagate(self, rho: PairedDensity) -> PairedDensity:
-        if not self.blocks:
+        if not self.kernels:
             return rho
         data = rho.data
-        for block, rows in zip(self.blocks, self.rows):
+        for kernel, rows in self.kernels:
             if rows is None:
-                data = block.apply(data)
+                data = kernel.apply(data)
                 continue
             if data is rho.data:
                 data = data.copy()  # the caller's stack stays as it was
-            data[rows] = block.apply(data[rows])
+            data[rows] = kernel.apply(data[rows])
         out = PairedDensity(rho.n_qubits, data)
         for row, trace in enumerate(out.trace().tolist()):
             drift = abs(trace - 1.0)
@@ -422,12 +479,26 @@ def run_noisy_circuit(
     """
     if cfg is None:
         cfg = PropagatorConfig()
-    if isinstance(state0, StateVector) and not any(t.rate for t in model.terms):
-        _check_run(state0, circuit, [model])
-        propagator = IntervalPropagator([model], state0.n_qubits, cfg)
+    _check_run(state0, circuit, [model])
+    return _run_one(state0, circuit, IntervalPropagator([model], state0.n_qubits, cfg))
+
+
+def _run_one(state0, circuit, propagator: IntervalPropagator):
+    """`run_noisy_circuit` with the propagator of its one model, which a
+    caller running one model many times (a noisy objective) builds once."""
+    if isinstance(state0, StateVector) and not propagator.kernels:
         return _run(state0.copy(), circuit, propagator)
-    (rho,) = run_noisy_batch(state0, circuit, [model], cfg)
+    _check_cap(state0.n_qubits)
+    (rho,) = _unstack(_run(_stack(state0, 1), circuit, propagator))
     return rho
+
+
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"{n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
+            f"(a noisy run stores 4^n complex numbers per row)"
+        )
 
 
 def run_noisy_batch(
@@ -449,12 +520,7 @@ def run_noisy_batch(
         cfg = PropagatorConfig()
     models = list(models)
     _check_run(state0, circuit, models)
-    n = state0.n_qubits
-    if n > DEFAULT_QUBIT_CAP:
-        raise CapacityError(
-            f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
-            f"(a noisy run stores 4^n complex numbers per row)"
-        )
+    _check_cap(state0.n_qubits)
     return _batch_rows(state0, circuit, models, cfg)
 
 

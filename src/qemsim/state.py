@@ -7,9 +7,11 @@ little-endian: qubit 0 is the least-significant bit of the
 computational-basis index.  Viewed as a (2,)*n tensor, a state vector
 has one axis per qubit (axis n-1-q).
 
-`apply_local` applies a small 2^k x 2^k matrix to k chosen axes of a
+`LocalOp` applies a small 2^k x 2^k matrix to k chosen axes of a
 (2,)*N view, O(2^k * 2^N) per call instead of the O(8^n) of a full
-matrix product.  Gates and noise act on rho as superoperators: with
+matrix product; it prepares the matrix once, so a gate or channel
+applied many times pays only the call, and `apply_local` is the
+one-off form.  Gates and noise act on rho as superoperators: with
 row-major vec, vec(A rho B) = (A kron B^T) vec(rho) (Havel, J. Math.
 Phys. 44, 534, 2003), so a k-qubit channel is a 4^k x 4^k matrix and a
 gate U is kron(U, conj(U)).
@@ -23,7 +25,7 @@ then acts on `paired_axes(qubits, n)`: one contiguous apply for a
 1-qubit gate or channel, and for an op on adjacent qubits.  `pair` and
 `unpair` convert at the two ends of a run, one 4^n transpose each.  A
 batched run holds several such rho as the rows of one (rows, 4^n)
-array, and `apply_local` folds the row axis into its leading count, so
+array, and a `LocalOp` folds the row axis into its leading count, so
 one call acts on every row.
 """
 
@@ -80,38 +82,69 @@ def paired_superop(superop: np.ndarray) -> np.ndarray:
     return t.reshape(superop.shape)
 
 
-def apply_local(
-    data: np.ndarray, m: np.ndarray, axes, n_axes: int | None = None
-) -> np.ndarray:
-    """m applied to `axes` of each row of data, viewed as (rows,) + (2,)*N.
-
-    N is `n_axes`; by default the whole array is one row.  m is 2^k x 2^k
-    with axes[0] as the most-significant bit of its index.  Returns a new
-    C-contiguous array of data's shape.  Contiguous axes, in any order,
-    take a reshape+matmul view with the rows folded into its leading
-    count; others are moved last, applied there and moved back.
-    """
+def _prepare(m: np.ndarray, axes, n_axes: int):
+    """(m, axes, post) as `_apply` takes them (see `LocalOp`); post is
+    the count of entries after contiguous axes, None for other axes."""
     k = len(axes)
-    ndim = data.size.bit_length() - 1 if n_axes is None else n_axes
     order = sorted(range(k), key=axes.__getitem__)
     lo = axes[order[0]]
     if axes[order[-1]] - lo != k - 1:
-        perm = [0] + [a + 1 for a in range(ndim) if a not in axes] + [a + 1 for a in axes]
-        t = data.reshape((-1,) + (2,) * ndim).transpose(perm)
-        out = np.ascontiguousarray(t).reshape(-1, 2**k) @ m.T
-        out = out.reshape(t.shape).transpose(np.argsort(perm))
-        return np.ascontiguousarray(out).reshape(data.shape)
+        return m, axes, None
     if order != list(range(k)):
         m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
         m = m.reshape(2**k, 2**k)
-    pre, post = data.size >> (ndim - lo), 2 ** (ndim - lo - k)
-    if post == 1 or 2**k * post <= _MAX_FOLDED:
-        if post > 1:
-            m = _kron(m, np.eye(post))
-        out = data.reshape(pre, -1) @ m.T
+    post = 2 ** (n_axes - lo - k)
+    if 1 < post and 2**k * post <= _MAX_FOLDED:
+        return _kron(m, np.eye(post)), range(lo, n_axes), 1
+    return m, range(lo, lo + k), post
+
+
+def _apply(data, m, axes, post, n_axes):
+    """m on each row of data, as `_prepare` left it."""
+    if post is None:
+        rest = [a + 1 for a in range(n_axes) if a not in axes]
+        perm = [0] + rest + [a + 1 for a in axes]
+        t = data.reshape((-1,) + (2,) * n_axes).transpose(perm)
+        out = np.ascontiguousarray(t).reshape(-1, len(m)) @ m.T
+        out = out.reshape(t.shape).transpose(np.argsort(perm))
+        return np.ascontiguousarray(out).reshape(data.shape)
+    if post == 1:
+        out = data.reshape(-1, len(m)) @ m.T
     else:
-        out = np.matmul(m, data.reshape(pre, 2**k, post))
+        out = np.matmul(m, data.reshape(-1, len(m), post))
     return out.reshape(data.shape)
+
+
+class LocalOp:
+    """A 2^k x 2^k matrix m on k axes of each row of data viewed as
+    (rows,) + (2,)*N, prepared once so each call applies it at the cost
+    of the call alone.
+
+    m takes axes[0] as the most-significant bit of its index.  Contiguous
+    axes, in any order, are put in ascending order with m reordered to
+    match, and with few entries after them m is folded as kron(m, I)
+    over those too (see _MAX_FOLDED): a call is then one reshape+matmul
+    view, with the rows folded into its leading count.  Other axes are
+    moved last, applied there and moved back.  A call returns a new
+    C-contiguous array of data's shape.
+    """
+
+    def __init__(self, m: np.ndarray, axes, n_axes: int):
+        self.m, self.axes, self.post = _prepare(m, list(axes), n_axes)
+        self.n_axes = n_axes
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        return _apply(data, self.m, self.axes, self.post, self.n_axes)
+
+
+def apply_local(
+    data: np.ndarray, m: np.ndarray, axes, n_axes: int | None = None
+) -> np.ndarray:
+    """m applied to `axes` of each row of data, viewed as (rows,) + (2,)*N,
+    once (see `LocalOp`, for a matrix applied many times).  N is `n_axes`;
+    by default the whole array is one row."""
+    ndim = data.size.bit_length() - 1 if n_axes is None else n_axes
+    return _apply(data, *_prepare(m, axes, ndim), ndim)
 
 
 def embed(u, qubits, n_qubits):
@@ -213,21 +246,36 @@ def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatri
     return new_statevector(n_qubits, cap).to_density_matrix()
 
 
+# Bound on the cached gate superoperators (see `_gate_superop`).  Each is
+# at most 16x16 complex, 4 KiB; the H2 UCCSD circuit has 23 distinct
+# bound gates, 6 of them Rz angles that change with every evaluation.
+GATE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=GATE_CACHE_SIZE)
+def _gate_superop(gate, n_qubits: int) -> LocalOp:
+    """kron(U, conj(U)) of a bound gate in paired order on its paired
+    axes: built once per distinct gate and register size, read-only."""
+    u = gate.matrix()
+    superop = paired_superop(_kron(u, u.conj()))
+    op = LocalOp(superop, paired_axes(gate.qubits, n_qubits), 2 * n_qubits)
+    op.m.flags.writeable = False
+    return op
+
+
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
     PairedDensity (on every row of a stack) or DensityMatrix, for a bound
     (fully resolved) gate.
 
     On rho the gate is the one superoperator kron(U, conj(U)) on the
-    paired axes of its qubits; a DensityMatrix is paired for the call and
-    unpaired after it."""
+    paired axes of its qubits, built once per distinct gate; a
+    DensityMatrix is paired for the call and unpaired after it."""
     if isinstance(state, DensityMatrix):
         return unpair(apply_gate(pair(state), gate))
     n = state.n_qubits
     _check_qubits(gate.qubits, n)
-    u = gate.matrix()
     if isinstance(state, StateVector):
+        u = gate.matrix()
         return StateVector(n, apply_local(state.data, u, [n - 1 - q for q in gate.qubits]))
-    superop = paired_superop(_kron(u, u.conj()))
-    axes = paired_axes(gate.qubits, n)
-    return PairedDensity(n, apply_local(state.data, superop, axes, 2 * n))
+    return PairedDensity(n, _gate_superop(gate, n)(state.data))

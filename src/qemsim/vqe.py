@@ -10,11 +10,13 @@ rate; optimizing under the full model is available behind a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+from . import noise
 from .circuit import Circuit, bind
-from .noise import NoiseModel, PropagatorConfig, run_noisy_circuit
+from .noise import NoiseModel, PropagatorConfig
 from .paulis import PauliSum, expectation
 from .state import new_statevector
 
@@ -33,6 +35,19 @@ class VqeProblem:
                 f"ansatz on {self.ansatz.n_qubits}"
             )
         self.noise.validate_for(self.ansatz.n_qubits)
+
+    @cached_property
+    def _intervals(self) -> noise.IntervalPropagator:
+        """The one propagator of every evaluation of this problem, built at
+        the first."""
+        n = self.ansatz.n_qubits
+        return noise.IntervalPropagator([self.noise], n, self.propagator)
+
+    def __getstate__(self):
+        # A pickled or copied problem builds its own propagator when used.
+        state = dict(self.__dict__)
+        state.pop("_intervals", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -66,11 +81,12 @@ def energy_objective(problem: VqeProblem, theta) -> float:
     on a 2^n state vector and the energy is <psi|H|psi>.  Otherwise it is
     Tr(rho H) of the noisy density matrix.  Evolution is trace (norm)
     preserving, so the variational denominator is identically 1 and never
-    computed.
+    computed.  The run is that of `run_noisy_circuit`, with the problem's
+    one propagator.
     """
     bound = bind(problem.ansatz, theta)
     state0 = new_statevector(problem.ansatz.n_qubits)
-    state = run_noisy_circuit(state0, bound, problem.noise, problem.propagator)
+    state = noise._run_one(state0, bound, problem._intervals)
     return expectation(state, problem.hamiltonian)
 
 

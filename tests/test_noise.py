@@ -14,7 +14,7 @@ from qemsim.noise import (
     build_template_model,
     scale_terms,
 )
-from qemsim.state import PairedDensity, pair, paired_axes, paired_superop, unpair
+from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, paired_superop, unpair
 
 from conftest import dense_liouvillian, dense_rk4, random_density_matrix
 
@@ -39,8 +39,8 @@ def paired_rhs(rho_data, parts, n):
     """`_rhs` on rho_data in paired order, the result unpaired again;
     `parts` are (qubits, superoperator in (rows, columns) order) pairs."""
     paired = pair(q.DensityMatrix(n, rho_data)).data
-    parts = [(paired_axes(qubits, n), paired_superop(m)) for qubits, m in parts]
-    return unpair(PairedDensity(n, _rhs(paired, parts))).data
+    ops = [LocalOp(paired_superop(m), paired_axes(qubits, n), 2 * n) for qubits, m in parts]
+    return unpair(PairedDensity(n, _rhs(paired, ops))).data
 
 
 def dissipator(rho_data, collapse, qubits, n):
@@ -226,8 +226,8 @@ class TestEvolve:
         n = 5
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
-        assert [b.qubits for b in propagator.blocks] == [(4, 3, 2, 1, 0)]
-        assert propagator.blocks[0].matrix is None
+        assert [k.qubits for k, _ in propagator.kernels] == [(4, 3, 2, 1, 0)]
+        assert isinstance(propagator.kernels[0][0], noise._Wide)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
@@ -253,7 +253,7 @@ class TestEvolve:
         )
         cfg = q.PropagatorConfig(tau=1.0, substeps=16)
         propagator = IntervalPropagator([model], n, cfg)
-        assert sorted(b.qubits for b in propagator.blocks) == [(0,), (4, 3, 2), (5, 1)]
+        assert sorted(k.qubits for k, _ in propagator.kernels) == [(0,), (4, 3, 2), (5, 1)]
         rho = random_density_matrix(n, np.random.default_rng(4))
         (got,) = propagate_rows(propagator, [rho])
         # the blocks commute, so one dense RK4 per block in any order is
@@ -440,14 +440,50 @@ class TestBatch:
         with pytest.raises(IntegrationError, match="in row 5;"):
             chunk.propagate(PairedDensity(n, data))
 
-    def test_distinct_blocks_are_built_once(self):
+    def test_distinct_blocks_are_built_once(self, monkeypatch):
+        built = []
+        block = noise._block
+
+        def counted_block(terms, *args):
+            built.append(terms)
+            return block(terms, *args)
+
+        monkeypatch.setattr(noise, "_block", counted_block)
         model = build_template_model("gamma1_gamma2", 3, 0.01)
         rows = [model] + [scale_terms(model, [k, k + 3], 0.0) for k in range(3)]
         propagator = IntervalPropagator(rows, 3, q.PropagatorConfig())
-        # one block per qubit, each held by the full row and two removals
-        assert [b.qubits for b in propagator.blocks] == [(0,), (1,), (2,)]
-        held = [list(np.arange(4)[r]) for r in propagator.rows]
-        assert held == [[0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        # one component per qubit, each held by the full row and two removals
+        assert sorted({t.qubits for t in terms} for terms in built) == [{(0,)}, {(1,)}, {(2,)}]
+        # qubits 1 and 0 pair in the rows that hold both; qubit 2 has no
+        # partner; kernels run in the order of their last term
+        held = [(k.qubits, list(np.arange(4)[r])) for k, r in propagator.kernels]
+        assert held == [((0,), [2]), ((1, 0), [0, 3]), ((1,), [1]), ((2,), [0, 1, 2])]
+        (low, _), (pair_kernel, _), (high, _), _ = propagator.kernels
+        assert np.array_equal(pair_kernel.matrix, np.kron(high.matrix, low.matrix))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_paired_kernel_is_its_two_blocks_in_turn(self, n):
+        terms = []
+        for k in range(n):
+            terms += [
+                q.LindbladTerm("amplitude_damping", (k,), 0.01 * (k + 1)),
+                q.LindbladTerm("thermal", (k,), 0.004, n_th=0.1 * k),
+            ]
+        model = q.NoiseModel(tuple(terms))
+        cfg = q.PropagatorConfig(substeps=8)
+        propagator = IntervalPropagator([model], n, cfg)
+        want_qubits = [(k + 1, k) for k in range(0, n - 1, 2)] + [(n - 1,)] * (n % 2)
+        assert [k.qubits for k, _ in propagator.kernels] == want_qubits
+        assert [k.matrix.shape for k, _ in propagator.kernels[: n // 2]] == [(16, 16)] * (n // 2)
+        rho = random_density_matrix(n, np.random.default_rng(n))
+        (got,) = propagate_rows(propagator, [rho])
+        want = pair(rho).data[None]
+        for k in range(n):
+            block = noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg)
+            want = block.apply(want)
+        want = unpair(PairedDensity(n, want[0])).data
+        assert np.max(np.abs(got.data - want)) < 1e-14
+        assert np.max(np.abs(got.data - rho.data)) > 1e-3
 
     def test_trace_sites_see_one_batched_run_and_the_ideal_run(self, monkeypatch):
         calls = {"gate": 0, "build": 0, "propagate": 0}

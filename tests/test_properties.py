@@ -143,8 +143,8 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     psi /= np.linalg.norm(psi)
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator([model], n, q.PropagatorConfig())
-    for block in propagator.blocks:
-        out = unpair(PairedDensity(n, block.apply(pair(rho).data[None])[0]))
+    for kernel, _ in propagator.kernels:
+        out = unpair(PairedDensity(n, kernel.apply(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
         assert out.min_eigenvalue() >= -1e-12
@@ -387,6 +387,51 @@ def test_batched_rows_match_their_serial_runs(case):
             alone = alone.to_density_matrix()
         assert isinstance(got, q.DensityMatrix)
         assert np.max(np.abs(got.data - alone.data)) < 1e-12
+
+
+@st.composite
+def per_qubit_batch_cases(draw):
+    """A circuit and a mitigation's rows under noise made of 1-qubit terms
+    only, so their components pair into 16x16 kernels: the full model,
+    each group's removal or scaled row, in any order.  At least two
+    qubits: on one, the (1, 4) product of a one-row stack can round
+    differently from the same row in a taller stack."""
+    circuit = draw(circuits(min_qubits=2))
+    n = circuit.n_qubits
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([k for k in KINDS if k != "correlated"]))
+        n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+        qubit = draw(st.integers(0, n - 1))
+        terms.append(q.LindbladTerm(kind, (qubit,), draw(st.floats(1e-4, 0.01)), n_th))
+    model = q.NoiseModel(tuple(terms))
+    rows = [model]
+    for group in build_groups(model, n):
+        factor = draw(st.sampled_from([0.0, 2.0]))
+        rows.append(scale_terms(model, group.removed_terms, factor))
+    return circuit, draw(st.permutations(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_qubit_batch_cases())
+# five qubits, two terms each: pairs (1, 0) and (3, 2) and a lone qubit 4;
+# each removal row breaks one pair or drops the lone qubit
+@example(
+    (
+        _FIVE_QUBIT_CIRCUIT,
+        _removal_rows(q.build_template_model("gamma1_gamma2", 5, 0.01), 5),
+    )
+)
+def test_paired_rows_are_bit_identical_to_their_runs_alone(case):
+    # each row's kernels are paired from its own components, so a batch
+    # changes no row's arithmetic
+    circuit, rows = case
+    n = circuit.n_qubits
+    cfg = q.PropagatorConfig(substeps=4)
+    batch = q.run_noisy_batch(q.new_statevector(n), circuit, rows, cfg)
+    for model, got in zip(rows, batch):
+        alone = q.run_noisy_circuit(q.new_pure_ground(n), circuit, model, cfg)
+        assert np.array_equal(got.data, alone.data)
 
 
 def test_correlated_mitigation_matches_dense_oracle():

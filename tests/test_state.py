@@ -1,8 +1,23 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import qemsim as q
-from qemsim.state import PairedDensity, apply_local, embed, pair, paired_axes, unpair
+from qemsim.state import (
+    GATE_CACHE_SIZE,
+    LocalOp,
+    PairedDensity,
+    _gate_superop,
+    _kron,
+    apply_local,
+    embed,
+    pair,
+    paired_axes,
+    paired_superop,
+    unpair,
+)
 
 from conftest import PAULI, from_debug_json, kron_embed, kron_embed_multi, to_debug_json
 
@@ -171,3 +186,85 @@ class TestKernels:
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qb in range(3):
             assert np.max(np.abs(embed(m, (qb,), 3) - kron_embed(m, qb, 3))) < 1e-14
+
+
+class TestGateSuperopCache:
+    def test_entry_is_the_fresh_superoperator(self):
+        # bit for bit kron(U, conj(U)) in paired order, as LocalOp prepares
+        # it, at every position of a 4-qubit register
+        n = 4
+        gates = [bound("H", (qb,)) for qb in range(n)] + [
+            bound("CNOT", (0, 1)),
+            bound("CNOT", (3, 2)),
+            bound("CNOT", (3, 0)),
+            bound("Rz", (1,), 0.3),
+            bound("Rx", (2,), -1.1),
+        ]
+        for gate in gates:
+            u = gate.matrix()
+            fresh = LocalOp(
+                paired_superop(_kron(u, u.conj())), paired_axes(gate.qubits, n), 2 * n
+            )
+            cached = _gate_superop(gate, n)
+            assert (cached.axes, cached.post) == (fresh.axes, fresh.post)
+            assert np.array_equal(cached.m, fresh.m)
+            assert not cached.m.flags.writeable
+        # qubit 1 of 4: a 4x4 superoperator folded over its 4 trailing entries
+        folded = _gate_superop(bound("H", (1,)), n)
+        assert (list(folded.axes), folded.m.shape) == ([4, 5, 6, 7], (16, 16))
+
+    def test_rz_angles_never_share_an_entry(self):
+        a = _gate_superop(bound("Rz", (0,), 0.3), 2)
+        for angle in (0.3 + 1e-15, -0.3):
+            b = _gate_superop(bound("Rz", (0,), angle), 2)
+            assert b is not a
+            assert not np.array_equal(a.m, b.m)
+        # the same gate again is the same entry
+        assert _gate_superop(bound("Rz", (0,), 0.3), 2) is a
+
+    def test_cache_stays_bounded_over_many_thetas(self, h2_uccsd_circuit):
+        n = h2_uccsd_circuit.n_qubits
+        rng = np.random.default_rng(0)
+        rho = pair(q.new_pure_ground(n))
+        _gate_superop.cache_clear()
+        for _ in range(20):
+            circuit = q.bind(h2_uccsd_circuit, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+            for gate in circuit.gates:
+                rho = q.apply_gate(rho, gate)
+            assert _gate_superop.cache_info().currsize <= GATE_CACHE_SIZE
+        info = _gate_superop.cache_info()
+        # its Rz angles are new at every theta, so entries were evicted
+        assert info.maxsize == GATE_CACHE_SIZE < info.misses
+        assert abs(rho.trace() - 1) < 1e-12
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores, switching often, over more distinct gates
+        # than the cache holds, so entries are evicted while others read them
+        n = 3
+        rng = np.random.default_rng(5)
+        circuits = []
+        for _ in range(8):
+            gates = [bound("H", (qb,)) for qb in range(n)]
+            for qb, kind, angle in zip(
+                rng.integers(0, n, 40), rng.choice(["Rx", "Rz"], 40), rng.uniform(-3, 3, 40)
+            ):
+                gates += [bound(kind, (int(qb),), angle), bound("CNOT", (int(qb), (qb + 1) % n))]
+            circuits.append(gates)
+
+        def run(gates):
+            rho = pair(q.new_pure_ground(n))
+            for gate in gates:
+                rho = q.apply_gate(rho, gate)
+            return rho.data
+
+        serial = [run(gates) for gates in circuits]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, gates) for gates in circuits * 2]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial * 2):
+            assert np.array_equal(got, want)

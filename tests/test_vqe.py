@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import qemsim as q
+from qemsim import noise
 from qemsim.circuit import Param
 from qemsim.noise import build_template_model
 from qemsim.vqe import energy_objective, initial_theta, nelder_mead
@@ -35,6 +37,28 @@ class TestEnergyObjective:
         # X, one decay interval, X: <Z> = 2 exp(-gamma tau) - 1
         want = 2 * math.exp(-gamma) - 1
         assert energy_objective(noisy, []) == pytest.approx(want, abs=1e-9)
+
+    def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit):
+        model = build_template_model("gamma1_gamma2", 4, 1e-3)
+        problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model)
+        for seed in range(3):
+            theta = np.random.default_rng(seed).uniform(-3, 3, h2_uccsd_circuit.n_params)
+            rho = q.run_noisy_circuit(
+                q.new_statevector(4), q.bind(h2_uccsd_circuit, theta), model
+            )
+            want = q.expectation(rho, h2_hamiltonian)
+            assert abs(energy_objective(problem, theta) - want) < 1e-12
+
+    def test_pickled_problem_leaves_its_propagator_behind(self):
+        circuit = q.Circuit(1, (q.Gate("Rx", (0,), Param(0)), q.Gate("X", (0,))), 1)
+        ham = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)
+        problem = q.VqeProblem(ham, circuit, build_template_model("gamma1", 1, 0.2))
+        energy = energy_objective(problem, [0.3])
+        assert "_intervals" in vars(problem)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert "_intervals" not in vars(copy)
+        assert copy == problem
+        assert energy_objective(copy, [0.3]) == energy
 
     def test_qubit_mismatch_rejected(self):
         circuit = q.Circuit(2, (q.Gate("H", (0,)),), 0)
@@ -166,6 +190,30 @@ class TestSolveVqe:
         )
         # a single gate sees no evolution interval, so the model is inert here
         assert res.energy == pytest.approx(-1.0, abs=1e-8)
+
+    def test_noisy_optimization_builds_one_propagator(
+        self, h2_hamiltonian, h2_uccsd_circuit, monkeypatch
+    ):
+        builds = []
+        propagator = noise.IntervalPropagator
+
+        class Counted(propagator):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "IntervalPropagator", Counted)
+        model = build_template_model("gamma1_gamma2", 4, 1e-3)
+        problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model)
+        res = q.solve_vqe(
+            problem, q.OptimizerSettings(max_evals=20), optimize_with_noise=True
+        )
+        assert res.evals >= 20
+        assert len(builds) == 1
+        assert builds[0][0] == [model]
+        # a second problem, even an equal one, has its own
+        energy_objective(q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model), res.theta_opt)
+        assert len(builds) == 2
 
     def test_noisy_optimization_on_real_circuit(self, h2_hamiltonian, h2_uccsd_circuit):
         model = build_template_model("gamma1_gamma2", 4, 1e-4)
