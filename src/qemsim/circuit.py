@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PauliParseError
-from .paulis import PauliString, parse_pauli_string
+from .paulis import PauliString, _content_lines, parse_pauli_string
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
@@ -231,11 +231,7 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
     "x <q>" (literal X reference-prep gate) or
     "<param_index> <prefactor> <P><idx> ...".
     """
-    lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((line_no, line))
+    lines = list(_content_lines(text))
     if len(lines) < 2:
         raise PauliParseError("expected 'qubits N' and 'params M' headers")
 

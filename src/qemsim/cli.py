@@ -5,9 +5,9 @@ single JSON config (--config); physical quantities use the natural units
 of the problem (energies in Hartree, noise rates in inverse gate
 intervals).  Exit codes: 0 success, 1 validation/acceptance failure,
 2 I/O or config error.  Before any run, a key that no mode reads is
-refused (exit 2).  Every config value is read once, by `_get`, which
-refuses a value of the wrong JSON type (exit 2); a key the config leaves
-out is not passed on, so the library's default holds.
+refused (exit 2), and so is a value of the wrong JSON type (see
+`_KNOWN_KEYS`), whether or not the running mode reads it; a key the
+config leaves out is not passed on, so the library's default holds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .circuit import AnsatzSpec, bind, build_ansatz, parse_ansatz_file
 from .errors import IntegrationError, PauliParseError
@@ -47,10 +47,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Section:
-    """One JSON object of a config, and where it sits in the document."""
+    """One JSON object of a config, its place in it, and its keys' types."""
 
     data: dict
     path: str = ""
+    kinds: dict = field(default_factory=lambda: _KNOWN_KEYS)
 
     def where(self, key: str) -> str:
         return f"'{key}' in {self.path}" if self.path else f"'{key}'"
@@ -76,29 +77,31 @@ def _matches(value, kind: str) -> bool:
     return isinstance(value, _JSON_TYPES[kind])
 
 
-def _get(section: Section, key: str, kind: str, default=_REQUIRED):
-    """section[key], refused with a ConfigError unless its JSON type is
-    `kind`: number, integer, boolean, string, object, or "list of" those
-    in the plural.  Nothing is converted; an object comes back as a
-    Section.  `default` (when given) stands in for an absent key."""
+def _get(section: Section, key: str, default=_REQUIRED):
+    """section[key], refused with a ConfigError unless it has the JSON
+    type that `section.kinds` gives the key.  Nothing is converted, but
+    an object comes back as a Section.  `default` (when given) stands in
+    for an absent key."""
+    kind = section.kinds[key]
+    name = {dict: "object", list: "list of objects"}.get(type(kind), kind)
     where = section.where(key)
     value = section.data.get(key, default)
     if value is _REQUIRED:
         raise ConfigError(f"{where} is missing")
-    if key in section.data and not _matches(value, kind):
-        raise ConfigError(f"{where} must be a JSON {kind}, got {json.dumps(value)[:40]}")
+    if key in section.data and not _matches(value, name):
+        raise ConfigError(f"{where} must be a JSON {name}, got {json.dumps(value)[:40]}")
     path = f"{section.path}.{key}" if section.path else key
-    if kind == "object":
-        return Section(value, path)
-    if kind == "list of objects":
-        return [Section(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, dict):
+        return Section(value, path, kind)
+    if isinstance(kind, list):
+        return [Section(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(value)]
     return value
 
 
-def _given(section: Section, **kinds) -> dict:
-    """{key: value} for each key of `kinds` that the section sets, read
-    with _get, so the callee's own defaults stand for the others."""
-    return {k: _get(section, k, kind) for k, kind in kinds.items() if k in section.data}
+def _given(section: Section, *keys) -> dict:
+    """{key: value} for each of `keys` that the section sets, read with
+    _get, so the callee's own defaults stand for the others."""
+    return {k: _get(section, k) for k in keys if k in section.data}
 
 
 def _read_input(path_or_alias: str) -> str:
@@ -128,18 +131,18 @@ def _load_json(path: str, what: str) -> dict:
 
 def _build_problem_parts(config: Section):
     """(hamiltonian, circuit, n_qubits) from the config document."""
-    hamiltonian = parse_pauli_sum(_read_input(_get(config, "hamiltonian", "string")))
-    ansatz = _get(config, "ansatz", "object")
-    kind = _get(ansatz, "kind", "string")
+    hamiltonian = parse_pauli_sum(_read_input(_get(config, "hamiltonian")))
+    ansatz = _get(config, "ansatz")
+    kind = _get(ansatz, "kind")
     if kind == "uccsd":
-        spec, n_qubits = parse_ansatz_file(_read_input(_get(ansatz, "path", "string")))
+        spec, n_qubits = parse_ansatz_file(_read_input(_get(ansatz, "path")))
         if n_qubits != hamiltonian.n_qubits:
             raise ConfigError(
                 f"ansatz file declares {n_qubits} qubits, "
                 f"hamiltonian has {hamiltonian.n_qubits}"
             )
     elif kind == "entangling":
-        spec = AnsatzSpec("Entangling", layers=_get(ansatz, "layers", "integer"))
+        spec = AnsatzSpec("Entangling", layers=_get(ansatz, "layers"))
         n_qubits = hamiltonian.n_qubits
     else:
         raise ConfigError(f"unknown ansatz kind {kind!r}")
@@ -156,7 +159,7 @@ def _bound_problem(config: Section, args):
 
 
 def _propagator(config: Section) -> PropagatorConfig:
-    return PropagatorConfig(**_given(config, tau="number", substeps="integer"))
+    return PropagatorConfig(**_given(config, "tau", "substeps"))
 
 
 # Each optimizer setting takes the JSON type of its default.
@@ -165,37 +168,42 @@ _OPTIMIZER_KINDS = {
     for f in fields(OptimizerSettings)
 }
 
-# Every key some mode reads: an object's keys map to a dict of its own,
-# a list of objects to a one-entry list of that, any other value to None.
-_KNOWN_KEYS = {
-    **dict.fromkeys(["mode", "output", "hamiltonian", "theta", "theta_file"]),
-    **dict.fromkeys(["tau", "substeps", "optimize_with_noise", "scaled_noise_factor"]),
-    "ansatz": dict.fromkeys(["kind", "path", "layers"]),
-    "optimizer": dict.fromkeys(_OPTIMIZER_KINDS),
-    "noise": {
-        **dict.fromkeys(["template", "rate", "rates", "n_th"]),
-        "terms": [dict.fromkeys(["kind", "qubits", "rate", "n_th"])],
-    },
-    "tau_scaling": {"points": None},
-}
+# Every key some mode reads, with its JSON type: number, integer, boolean,
+# string, or "list of" those in the plural.  An object's keys map to a
+# dict of their own, a list of objects to a one-entry list of that.
+_KNOWN_KEYS = dict(
+    mode="string", output="string", hamiltonian="string", theta_file="string",
+    theta="list of numbers", tau="number", substeps="integer",
+    optimize_with_noise="boolean", scaled_noise_factor="number",
+    ansatz=dict(kind="string", path="string", layers="integer"),
+    optimizer=_OPTIMIZER_KINDS,
+    noise=dict(
+        template="string", rate="number", rates="list of numbers", n_th="number",
+        terms=[
+            dict(kind="string", qubits="list of integers", rate="number", n_th="number")
+        ],
+    ),
+    tau_scaling=dict(points="integer"),
+)
 
 
-def _refuse_unknown_keys(section: Section, known: dict) -> None:
+def _refuse_unknown_keys(section: Section) -> None:
     """Raise a ConfigError naming the first key, at any depth, that no
-    mode reads; the objects on the way are read with _get."""
+    mode reads or whose value has the wrong JSON type."""
     for key in section.data:
-        if key not in known:
+        if key not in section.kinds:
             raise ConfigError(f"unknown key {section.where(key)}")
-        if isinstance(known[key], dict):
-            _refuse_unknown_keys(_get(section, key, "object"), known[key])
-        elif isinstance(known[key], list):
-            for entry in _get(section, key, "list of objects"):
-                _refuse_unknown_keys(entry, known[key][0])
+        value = _get(section, key)
+        if isinstance(value, Section):
+            _refuse_unknown_keys(value)
+        elif isinstance(section.kinds[key], list):
+            for entry in value:
+                _refuse_unknown_keys(entry)
 
 
 def _optimizer_settings(config: Section, seed_override=None) -> OptimizerSettings:
-    opt = _get(config, "optimizer", "object", {})
-    settings = _given(opt, **_OPTIMIZER_KINDS)
+    opt = _get(config, "optimizer", {})
+    settings = _given(opt, *_OPTIMIZER_KINDS)
     if seed_override is not None:
         settings["seed"] = seed_override
     try:
@@ -206,30 +214,29 @@ def _optimizer_settings(config: Section, seed_override=None) -> OptimizerSetting
 
 def _noise_model(config: Section, n_qubits: int) -> NoiseModel:
     """Explicit noise.terms, or a noise.template at its single noise.rate."""
-    noise = _get(config, "noise", "object")
+    noise = _get(config, "noise")
     if "terms" not in noise.data:
-        template = _get(noise, "template", "string")
-        rate = _get(noise, "rate", "number")
-        n_th = _given(noise, n_th="number")
-        return build_template_model(template, n_qubits, rate, **n_th)
+        template = _get(noise, "template")
+        rate = _get(noise, "rate")
+        return build_template_model(template, n_qubits, rate, **_given(noise, "n_th"))
     return NoiseModel(
         LindbladTerm(
-            _get(term, "kind", "string"),
-            _get(term, "qubits", "list of integers"),
-            _get(term, "rate", "number"),
-            **_given(term, n_th="number"),
+            _get(term, "kind"),
+            _get(term, "qubits"),
+            _get(term, "rate"),
+            **_given(term, "n_th"),
         )
-        for term in _get(noise, "terms", "list of objects")
+        for term in _get(noise, "terms")
     )
 
 
 def _theta(config: Section, n_params: int) -> list:
     if "theta" in config.data:
-        theta = _get(config, "theta", "list of numbers")
+        theta = _get(config, "theta")
     elif "theta_file" in config.data:
-        path = _get(config, "theta_file", "string")
-        theta_doc = Section(_load_json(path, "theta_file"), path)
-        theta = _get(theta_doc, "theta_opt", "list of numbers")
+        path = _get(config, "theta_file")
+        kinds = {"theta_opt": "list of numbers"}
+        theta = _get(Section(_load_json(path, "theta_file"), path, kinds), "theta_opt")
     else:
         raise ConfigError(
             "provide 'theta' inline or 'theta_file' (run the vqe subcommand first)"
@@ -269,7 +276,7 @@ def _csv_text(header, rows) -> str:
 def cmd_vqe(config, args) -> int:
     hamiltonian, circuit, n_qubits = _build_problem_parts(config)
     _check_size(n_qubits, args.large)
-    optimize_with_noise = _get(config, "optimize_with_noise", "boolean", False)
+    optimize_with_noise = _get(config, "optimize_with_noise", False)
     model = _noise_model(config, n_qubits) if optimize_with_noise else NoiseModel()
     problem = VqeProblem(hamiltonian, circuit, model, _propagator(config))
     result = solve_vqe(
@@ -292,7 +299,7 @@ def cmd_mitigate(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
     model = _noise_model(config, bound.n_qubits)
     cfg = _propagator(config)
-    factor = _get(config, "scaled_noise_factor", "number", None)
+    factor = _get(config, "scaled_noise_factor", None)
     if factor is not None:
         report = scaled_noise_correction(bound, model, hamiltonian, factor, cfg)
     else:
@@ -303,9 +310,9 @@ def cmd_mitigate(config, args) -> int:
 
 def cmd_sweep(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
-    noise = _get(config, "noise", "object")
-    template = _get(noise, "template", "string")
-    rates = _get(noise, "rates", "list of numbers")
+    noise = _get(config, "noise")
+    template = _get(noise, "template")
+    rates = _get(noise, "rates")
     if not rates:
         raise ConfigError("sweep mode needs a non-empty noise.rates grid")
     rows = sweep(
@@ -314,7 +321,7 @@ def cmd_sweep(config, args) -> int:
         template,
         rates,
         _propagator(config),
-        **_given(noise, n_th="number"),
+        **_given(noise, "n_th"),
     )
     # Each row's keys are the CSV columns, in order.
     _write_text(args.output, _csv_text(list(rows[0]), [list(r.values()) for r in rows]))
@@ -325,10 +332,10 @@ def cmd_tau_scaling(config, args) -> int:
     hamiltonian, bound = _bound_problem(config, args)
     model = _noise_model(config, bound.n_qubits)
     cfg = _propagator(config)
-    ladder = _get(config, "tau_scaling", "object", {})
+    ladder = _get(config, "tau_scaling", {})
     extra = {}
     if "points" in ladder.data:
-        extra["n_points"] = _get(ladder, "points", "integer")
+        extra["n_points"] = _get(ladder, "points")
     rows, slope_raw, slope_corr = scaling_ladder(bound, model, hamiltonian, cfg, **extra)
     header = [*rows[0], "uncorrected_slope", "corrected_slope"]
     out_rows = [[*r.values(), slope_raw, slope_corr] for r in rows]
@@ -337,7 +344,7 @@ def cmd_tau_scaling(config, args) -> int:
 
 
 def cmd_validate(config, args) -> int:
-    substeps = _get(config, "substeps", "integer", PropagatorConfig().substeps)
+    substeps = _get(config, "substeps", PropagatorConfig().substeps)
     results = run_validation_suite(substeps)
     lines = [f"{'PASS' if ok else 'FAIL'} {n}: {d}\n" for n, ok, d in results]
     _write_text(args.output, "".join(lines))
@@ -377,13 +384,13 @@ def main(argv=None) -> int:
             config = Section({})
         else:
             raise ConfigError(f"{args.command} requires --config")
-        _refuse_unknown_keys(config, _KNOWN_KEYS)
-        mode = _get(config, "mode", "string", args.command)
+        _refuse_unknown_keys(config)
+        mode = _get(config, "mode", args.command)
         if mode.replace("_", "-") != args.command:
             raise ConfigError(
                 f"config mode {mode!r} does not match subcommand {args.command!r}"
             )
-        output = _get(config, "output", "string", None)
+        output = _get(config, "output", None)
         args.output = args.output or output
         return MODES[args.command](config, args)
     except (ConfigError, PauliParseError, OSError) as exc:

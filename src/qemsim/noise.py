@@ -27,19 +27,19 @@ polynomial of h*L, and one `_rk4` serves both kinds of block:
 - a wider block runs `_rk4` on rho each substep, its h*L*rho a sum of
   one local superoperator per term.
 
-A run carries a stack of paired rho, one row per noise model, through
-one gate loop: `run_noisy_batch` for the runs of a mitigation, and
-`run_noisy_circuit` as the batch of one.  Each gate is one kernel call
-on all rows, its superoperator built once per distinct gate (see
-`state.apply_gate`).  Each row's blocks become its kernels, the calls
-of one interval: the 1-qubit blocks on qubits 2j+1 and 2j pair into one
-16x16 kernel kron(P_2j+1, P_2j), and every other block is a kernel of
-its own.  The pairing is decided from the row's own model, so from two
-qubits up every row takes the arithmetic of its run alone.  Each
-distinct block is built once, each distinct kernel applied once per
-interval to exactly the rows that hold it.  Rows are split into chunks
-of at most BATCH_BYTES.  A noisy VQE problem keeps one propagator for
-all its evaluations.
+Every run is `IntervalPropagator.run`, the one gate loop: a stack of
+paired rho, one row per noise model, takes gate 1, an interval, gate 2,
+...  `run_noisy_batch` runs a mitigation's rows in chunks of at most
+BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
+problem keeps one propagator.  Only a batch of noiseless models from a
+StateVector stays on state vectors; any other batch returns each row as
+a DensityMatrix.  Each gate is one kernel call on all rows, built once
+per distinct gate.  A row's blocks become its kernels, applied by
+highest qubit, descending: the 1-qubit blocks on qubits 2j+1 and 2j
+pair into one 16x16 kernel kron(P_2j+1, P_2j), every other block is one
+of its own.  Decided from the row's own model, this gives every row
+from two qubits up the arithmetic of its run alone.  Each distinct block
+is built once, each distinct kernel applied to just the rows holding it.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, IntegrationError
+from .errors import IntegrationError
 from .state import (
-    DEFAULT_QUBIT_CAP,
     DensityMatrix,
     LocalOp,
     PairedDensity,
     StateVector,
     _kron,
     apply_gate,
+    check_cap,
     embed,
     pair,
     paired_axes,
@@ -223,10 +223,10 @@ def _rk4(apply, v, t1):
     return v + t1 + t2 * 0.5 + t3 * (1 / 6) + t4 * (1 / 24)
 
 
-def _components(model: NoiseModel) -> list[tuple[int, tuple[LindbladTerm, ...]]]:
+def _components(model: NoiseModel) -> list[tuple[set[int], tuple[LindbladTerm, ...]]]:
     """Nonzero-rate terms grouped by the connected components of their
-    qubit supports, each group in model order and keyed by the index of
-    its last term, which is also the order of the groups."""
+    qubit supports: (support, terms) pairs, each group's terms in model
+    order."""
     groups: list[tuple[set, list[int]]] = []
     for i, term in enumerate(model.terms):
         if term.rate == 0.0:
@@ -238,8 +238,8 @@ def _components(model: NoiseModel) -> list[tuple[int, tuple[LindbladTerm, ...]]]
             members += group[1]
         groups.append((support, members))
     return [
-        (max(members), tuple(model.terms[i] for i in sorted(members)))
-        for _, members in groups
+        (support, tuple(model.terms[i] for i in sorted(members)))
+        for support, members in groups
     ]
 
 
@@ -316,8 +316,8 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> _Dense | _Wide:
 
 
 def _kernels(model: NoiseModel) -> list[tuple[int, tuple]]:
-    """A model's components as the kernels its row applies, in order,
-    each a tuple of one or two components keyed by its last term.
+    """A model's components as the kernels its row applies, each a tuple
+    of one or two components keyed by its highest qubit.
 
     The 1-qubit components on qubits 2j+1 and 2j pair up (the higher
     first), so their two 4x4 channels become one 16x16 kernel; every
@@ -325,22 +325,15 @@ def _kernels(model: NoiseModel) -> list[tuple[int, tuple]]:
     model alone, so a row's arithmetic does not depend on its batch.
     """
     components = _components(model)
-    lone = {}  # qubit: (last, terms) of each 1-qubit component
-    for last, terms in components:
-        support = {q for t in terms for q in t.qubits}
-        if len(support) == 1:
-            lone[support.pop()] = (last, terms)
+    lone = {min(support): terms for support, terms in components if len(support) == 1}
     kernels = []
-    for last, terms in components:
-        # q is in `lone` only if this component is the 1-qubit one on it
-        q = terms[0].qubits[0]
-        if q in lone and q ^ 1 in lone:
-            if q % 2:  # an even q is taken with its partner, q + 1
-                low_last, low = lone[q - 1]
-                kernels.append((max(last, low_last), (terms, low)))
-        else:
-            kernels.append((last, (terms,)))
-    return sorted(kernels, key=lambda kernel: kernel[0])
+    for support, terms in components:
+        top = max(support)
+        if len(support) > 1 or top ^ 1 not in lone:
+            kernels.append((top, (terms,)))
+        elif top % 2:  # an even qubit is taken with its partner, top + 1
+            kernels.append((top, (terms, lone[top - 1])))
+    return kernels
 
 
 def _row_index(rows: list[int], n_rows: int):
@@ -356,11 +349,10 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the
-    module docstring).  `kernels` holds (kernel, rows) pairs, in the
-    order of each kernel's last term, so rows whose models share term
-    positions, as a mitigation's do, apply their kernels in the order of
-    their runs alone.  Rows are numbered from `first_row` in error
-    messages.
+    module docstring).  `kernels` holds (kernel, rows) pairs, by highest
+    qubit, descending: a row's kernels act on distinct qubits, so every
+    row applies its own in the order of its run alone.  Rows are
+    numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -368,14 +360,15 @@ class IntervalPropagator:
     ):
         self.cfg = cfg
         self.first_row = first_row
-        held: dict[tuple, tuple[int, list[int]]] = {}
+        self.n_rows = len(models)
+        held: dict[tuple, list[int]] = {}  # (top qubit, kernel): rows
         for row, model in enumerate(models):
-            for last, kernel in _kernels(model):
-                held.setdefault(kernel, (last, []))[1].append(row)
+            for key in _kernels(model):
+                held.setdefault(key, []).append(row)
         # Each distinct component is built once, each distinct pair once.
         blocks = {}
         self.kernels = []
-        for kernel in sorted(held, key=lambda kernel: held[kernel][0]):
+        for top, kernel in sorted(held, key=lambda key: key[0], reverse=True):
             for terms in kernel:
                 if terms not in blocks:
                     blocks[terms] = _block(terms, n_qubits, cfg)
@@ -385,7 +378,7 @@ class IntervalPropagator:
                 high, low = (blocks[terms] for terms in kernel)
                 matrix = _kron(high.matrix, low.matrix)
                 op = _Dense(matrix, high.qubits + low.qubits, n_qubits)
-            self.kernels.append((op, _row_index(held[kernel][1], len(models))))
+            self.kernels.append((op, _row_index(held[top, kernel], self.n_rows)))
 
     def propagate(self, rho: PairedDensity) -> PairedDensity:
         if not self.kernels:
@@ -409,6 +402,22 @@ class IntervalPropagator:
                 )
         return out
 
+    def run(self, state0: StateVector | DensityMatrix, circuit) -> list:
+        """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
+        each from state0: the final state of each row, in order.  With no
+        kernel a StateVector start stays a StateVector, else every row is
+        a DensityMatrix."""
+        pure = isinstance(state0, StateVector) and not self.kernels
+        state = state0 if pure else _stack(state0, self.n_rows)
+        last = len(circuit.gates) - 1
+        for i, gate in enumerate(circuit.gates):
+            state = apply_gate(state, gate)
+            if i != last:
+                state = self.propagate(state)
+        if pure:
+            return [state.copy() for _ in range(self.n_rows)]
+        return [unpair(PairedDensity(state.n_qubits, row)) for row in state.data]
+
 
 def evolve(
     rho: StateVector | DensityMatrix, model: NoiseModel, cfg: PropagatorConfig
@@ -417,8 +426,8 @@ def evolve(
     StateVector is taken as |psi><psi|."""
     model.validate_for(rho.n_qubits)
     propagator = IntervalPropagator([model], rho.n_qubits, cfg)
-    (out,) = _unstack(propagator.propagate(_stack(rho, 1)))
-    return out
+    (out,) = propagator.propagate(_stack(rho, 1)).data
+    return unpair(PairedDensity(rho.n_qubits, out))
 
 
 def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
@@ -430,36 +439,11 @@ def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
     return PairedDensity(state0.n_qubits, np.broadcast_to(data, (rows, data.size)))
 
 
-def _unstack(stack: PairedDensity):
-    """Each row of a paired stack as a DensityMatrix."""
-    for row in stack.data:
-        yield unpair(PairedDensity(stack.n_qubits, row))
-
-
 def _chunks(n_rows: int, n_qubits: int) -> list[range]:
     """The rows of a batch, in order, split so each chunk's stack fits
     BATCH_BYTES."""
     size = max(1, BATCH_BYTES // (16 * 4**n_qubits))
     return [range(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
-
-
-def _run(state, circuit, propagator):
-    """Gate 1, propagate, gate 2, ..., gate G, on one state or stack."""
-    last = len(circuit.gates) - 1
-    for i, gate in enumerate(circuit.gates):
-        state = apply_gate(state, gate)
-        if i != last:
-            state = propagator.propagate(state)
-    return state
-
-
-def _check_run(state0, circuit, models) -> None:
-    if circuit.n_qubits != state0.n_qubits:
-        raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits, state has {state0.n_qubits}"
-        )
-    for model in models:
-        model.validate_for(state0.n_qubits)
 
 
 def run_noisy_circuit(
@@ -477,28 +461,8 @@ def run_noisy_circuit(
     start becomes |psi><psi| before the first gate: the run is the batch
     of one of `run_noisy_batch`.
     """
-    if cfg is None:
-        cfg = PropagatorConfig()
-    _check_run(state0, circuit, [model])
-    return _run_one(state0, circuit, IntervalPropagator([model], state0.n_qubits, cfg))
-
-
-def _run_one(state0, circuit, propagator: IntervalPropagator):
-    """`run_noisy_circuit` with the propagator of its one model, which a
-    caller running one model many times (a noisy objective) builds once."""
-    if isinstance(state0, StateVector) and not propagator.kernels:
-        return _run(state0.copy(), circuit, propagator)
-    _check_cap(state0.n_qubits)
-    (rho,) = _unstack(_run(_stack(state0, 1), circuit, propagator))
-    return rho
-
-
-def _check_cap(n_qubits: int) -> None:
-    if n_qubits > DEFAULT_QUBIT_CAP:
-        raise CapacityError(
-            f"{n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
-            f"(a noisy run stores 4^n complex numbers per row)"
-        )
+    (out,) = run_noisy_batch(state0, circuit, [model], cfg)
+    return out
 
 
 def run_noisy_batch(
@@ -506,30 +470,35 @@ def run_noisy_batch(
     circuit,
     models,
     cfg: PropagatorConfig | None = None,
-) -> Iterator[DensityMatrix]:
+) -> Iterator[StateVector | DensityMatrix]:
     """`run_noisy_circuit` of one circuit under each of `models`, as the
     rows of one paired stack: one kernel call per gate and one propagator
     per chunk of rows (see BATCH_BYTES).  Returns an iterator over the
-    final DensityMatrix of each model, in order, made chunk by chunk.
+    final state of each model, in order, made chunk by chunk; the inputs
+    are checked by the call itself.
 
     Each row's channel is that of its own model, so a row matches its run
-    alone; a model with no nonzero-rate term still runs as a density
-    matrix.
+    alone.  If every model is noiseless and state0 is a StateVector, the
+    rows are StateVectors; otherwise every row is a DensityMatrix.
     """
     if cfg is None:
         cfg = PropagatorConfig()
     models = list(models)
-    _check_run(state0, circuit, models)
-    _check_cap(state0.n_qubits)
-    return _batch_rows(state0, circuit, models, cfg)
-
-
-def _batch_rows(state0, circuit, models, cfg):
-    for chunk in _chunks(len(models), state0.n_qubits):
-        propagator = IntervalPropagator(
-            [models[i] for i in chunk], state0.n_qubits, cfg, first_row=chunk.start
-        )
-        yield from _unstack(_run(_stack(state0, len(chunk)), circuit, propagator))
+    n = state0.n_qubits
+    if circuit.n_qubits != n:
+        raise ValueError(f"circuit has {circuit.n_qubits} qubits, state has {n}")
+    for model in models:
+        model.validate_for(n)
+    check_cap(n)
+    if isinstance(state0, StateVector) and any(t.rate for m in models for t in m.terms):
+        state0 = state0.to_density_matrix()  # one result type for every chunk
+    return (
+        state
+        for chunk in _chunks(len(models), n)
+        for state in IntervalPropagator(
+            [models[i] for i in chunk], n, cfg, first_row=chunk.start
+        ).run(state0, circuit)
+    )
 
 
 def build_template_model(

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, PauliParseError
-from .state import DEFAULT_QUBIT_CAP
+from .errors import PauliParseError
+from .state import check_cap
 
 _PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -131,8 +131,7 @@ def expectation(state, a: PauliSum) -> float:
 
 def dense_matrix(a: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n Hermitian matrix of the sum (oracle-scale only)."""
-    if a.n_qubits > DEFAULT_QUBIT_CAP:
-        raise CapacityError(f"{a.n_qubits} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    check_cap(a.n_qubits)
     dim = 2**a.n_qubits
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)

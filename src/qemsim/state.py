@@ -75,8 +75,6 @@ def paired_superop(superop: np.ndarray) -> np.ndarray:
     """A 4^k x 4^k superoperator in Havel (rows, columns) index order,
     reordered to act on the paired axes of its k qubits."""
     k = (superop.shape[0].bit_length() - 1) // 2
-    if k == 1:
-        return superop  # one qubit's (row, column) pair is already paired order
     order = _pair_order(k)
     t = superop.reshape((2,) * (4 * k)).transpose(order + [2 * k + a for a in order])
     return t.reshape(superop.shape)
@@ -227,23 +225,28 @@ def unpair(rho: PairedDensity) -> DensityMatrix:
     return DensityMatrix(n, t.copy().reshape(2**n, 2**n))
 
 
-def new_statevector(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def check_cap(n_qubits: int) -> None:
+    """Refuse more than DEFAULT_QUBIT_CAP qubits, before anything that big exists."""
+    if n_qubits > DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"{n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
+            f"(a density matrix stores 4^n complex numbers)"
+        )
+
+
+def new_statevector(n_qubits: int) -> StateVector:
     """|0...0> on n qubits."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    if n_qubits > cap:
-        raise CapacityError(
-            f"{n_qubits} qubits exceeds the cap of {cap} "
-            f"(a noisy run stores 4^n complex numbers)"
-        )
+    check_cap(n_qubits)
     data = np.zeros(2**n_qubits, dtype=complex)
     data[0] = 1.0
     return StateVector(n_qubits, data)
 
 
-def new_pure_ground(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> DensityMatrix:
+def new_pure_ground(n_qubits: int) -> DensityMatrix:
     """|0...0><0...0| on n qubits."""
-    return new_statevector(n_qubits, cap).to_density_matrix()
+    return new_statevector(n_qubits).to_density_matrix()
 
 
 # Bound on the cached gate superoperators (see `_gate_superop`).  Each is

@@ -86,7 +86,7 @@ def energy_objective(problem: VqeProblem, theta) -> float:
     """
     bound = bind(problem.ansatz, theta)
     state0 = new_statevector(problem.ansatz.n_qubits)
-    state = noise._run_one(state0, bound, problem._intervals)
+    (state,) = problem._intervals.run(state0, bound)
     return expectation(state, problem.hamiltonian)
 
 

@@ -415,6 +415,20 @@ CONFIG_KEYS = [
     ("tau-scaling", TAU, ("tau_scaling", "points"), {"integer"}),
     ("validate", {}, ("substeps",), {"integer"}),
 ]
+# Keys under a mode that does not read them: a value of the wrong type is
+# refused all the same.
+CROSS_MODE_KEYS = [
+    ("vqe", VQE, ("theta",), {"list"}),
+    ("vqe", VQE, ("theta_file",), {"string"}),
+    ("vqe", VQE, ("scaled_noise_factor",), {"number"}),
+    ("vqe", VQE, ("tau_scaling",), {"object"}),
+    ("mitigate", MITIGATE, ("optimizer",), {"object"}),
+    ("mitigate", MITIGATE, ("optimize_with_noise",), {"bool"}),
+    ("mitigate", MITIGATE, ("noise", "rates"), {"list"}),
+    ("sweep", SWEEP, ("noise", "rate"), {"number"}),
+    ("validate", {}, ("tau",), {"number"}),
+    ("validate", {}, ("noise",), {"object"}),
+]
 # Keys since deleted, with the types they once took: a value of any type is
 # now refused as an unknown key. tau_scaling.tau0 repeated the top-level tau.
 REMOVED_KEYS = [
@@ -438,10 +452,11 @@ WRONG_ENTRIES = {
 
 
 def _key_cases():
-    keys = [(k, "must be a JSON") for k in CONFIG_KEYS]
-    keys += [(k, "unknown key") for k in REMOVED_KEYS]
-    for (mode, config, path, takes), expect in keys:
-        name = ".".join(map(str, path))
+    keys = [(k, "must be a JSON", "") for k in CONFIG_KEYS]
+    keys += [(k, "must be a JSON", f"{k[0]}:") for k in CROSS_MODE_KEYS]
+    keys += [(k, "unknown key", "") for k in REMOVED_KEYS]
+    for (mode, config, path, takes), expect, prefix in keys:
+        name = prefix + ".".join(map(str, path))
         wrong = {kind: v for kind, v in WRONG_VALUES.items() if kind not in takes}
         if path in WRONG_ENTRIES:
             wrong["entries"] = WRONG_ENTRIES[path]
@@ -543,6 +558,11 @@ class TestConfigReader:
             ),
             ("mitigate", [1, 2], "JSON object"),
             ("mitigate", _set(MITIGATE, ("substeps",), 2.7), "'substeps'"),
+            (
+                "vqe",
+                _set(_set(VQE, ("theta",), "abc"), ("scaled_noise_factor",), "x"),
+                "'theta'",
+            ),
             ("sweep", _set(SWEEP, ("noise", "rates"), "15"), "'rates' in noise"),
             (
                 "vqe",
@@ -593,6 +613,7 @@ class TestConfigReader:
             "qubits_number",
             "top_level_list",
             "fractional_substeps",
+            "unread_keys_of_wrong_type",
             "rates_string",
             "bool_as_string",
             "unknown_key",

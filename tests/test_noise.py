@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qemsim as q
-from qemsim import noise
+from qemsim import noise, state
 from qemsim.errors import IntegrationError
 from qemsim.noise import (
     MAX_SUBSTEPS,
@@ -409,8 +409,40 @@ class TestBatch:
         again = q.scaled_noise_correction(circuit, model, obs, 2.0)
         assert again.to_dict() == scaled.to_dict()
 
+    @pytest.mark.parametrize("start", ["statevector", "density", "zero_rate"])
+    def test_run_is_the_batch_of_one(self, start):
+        model = build_template_model("gamma1_gamma2", 3, 0.02)
+        state0 = q.new_statevector(3)
+        if start == "density":
+            state0 = state0.to_density_matrix()
+        if start == "zero_rate":
+            model = scale_terms(model, range(len(model)), 0.0)
+        alone = q.run_noisy_circuit(state0, self.circuit(), model)
+        (row,) = q.run_noisy_batch(state0, self.circuit(), [model])
+        assert type(row) is type(alone)
+        assert type(alone) is (q.StateVector if start == "zero_rate" else q.DensityMatrix)
+        assert np.array_equal(row.data, alone.data)
+
+    def test_chunking_keeps_each_rows_type_and_value(self, monkeypatch):
+        # a zero-rate row in a noisy batch is a DensityMatrix even alone in
+        # its chunk; without a noisy row, every row stays a StateVector
+        model = build_template_model("thermal", 3, 0.02)
+        quiet = scale_terms(model, range(len(model)), 0.0)
+        psi = q.new_statevector(3)
+        for rows in ([quiet, model, quiet, scale_terms(model, [1], 0.0)], [quiet, quiet]):
+            whole = list(q.run_noisy_batch(psi, self.circuit(), rows))
+            monkeypatch.setattr(noise, "BATCH_BYTES", 16 * 4**3)
+            chunked = list(q.run_noisy_batch(psi, self.circuit(), rows))
+            monkeypatch.undo()
+            want = q.DensityMatrix if model in rows else q.StateVector
+            assert [type(r) for r in whole] == [want] * len(rows)
+            assert [type(r) for r in chunked] == [want] * len(rows)
+            for got, row in zip(chunked, whole):
+                assert np.array_equal(got.data, row.data)
+
     def test_batch_above_the_cap_raises_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(noise, "DEFAULT_QUBIT_CAP", 2)
+        psi = q.new_statevector(3)
+        monkeypatch.setattr(state, "DEFAULT_QUBIT_CAP", 2)
 
         def no_stack(*args):
             raise AssertionError("a stack was allocated")
@@ -419,7 +451,7 @@ class TestBatch:
         model = build_template_model("gamma1", 3, 0.01)
         # raised by the call itself, not on the first row
         with pytest.raises(q.CapacityError, match="3 qubits exceeds the cap of 2"):
-            noise.run_noisy_batch(q.new_statevector(3), self.circuit(), [model, model])
+            noise.run_noisy_batch(psi, self.circuit(), [model, model])
 
     def test_one_drifting_row_among_good_ones_raises(self):
         n = 3
@@ -453,12 +485,14 @@ class TestBatch:
         rows = [model] + [scale_terms(model, [k, k + 3], 0.0) for k in range(3)]
         propagator = IntervalPropagator(rows, 3, q.PropagatorConfig())
         # one component per qubit, each held by the full row and two removals
-        assert sorted({t.qubits for t in terms} for terms in built) == [{(0,)}, {(1,)}, {(2,)}]
+        assert sorted([t.qubits for t in terms] for terms in built) == [
+            [(0,), (0,)], [(1,), (1,)], [(2,), (2,)]
+        ]
         # qubits 1 and 0 pair in the rows that hold both; qubit 2 has no
-        # partner; kernels run in the order of their last term
+        # partner; kernels run by highest qubit, descending
         held = [(k.qubits, list(np.arange(4)[r])) for k, r in propagator.kernels]
-        assert held == [((0,), [2]), ((1, 0), [0, 3]), ((1,), [1]), ((2,), [0, 1, 2])]
-        (low, _), (pair_kernel, _), (high, _), _ = propagator.kernels
+        assert held == [((2,), [0, 1, 2]), ((1, 0), [0, 3]), ((1,), [1]), ((0,), [2])]
+        _, (pair_kernel, _), (high, _), (low, _) = propagator.kernels
         assert np.array_equal(pair_kernel.matrix, np.kron(high.matrix, low.matrix))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -472,13 +506,15 @@ class TestBatch:
         model = q.NoiseModel(tuple(terms))
         cfg = q.PropagatorConfig(substeps=8)
         propagator = IntervalPropagator([model], n, cfg)
-        want_qubits = [(k + 1, k) for k in range(0, n - 1, 2)] + [(n - 1,)] * (n % 2)
+        # by highest qubit, descending: odd n leaves the top qubit alone
+        want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
         assert [k.qubits for k, _ in propagator.kernels] == want_qubits
-        assert [k.matrix.shape for k, _ in propagator.kernels[: n // 2]] == [(16, 16)] * (n // 2)
+        paired = propagator.kernels[n % 2 :]
+        assert [k.matrix.shape for k, _ in paired] == [(16, 16)] * (n // 2)
         rho = random_density_matrix(n, np.random.default_rng(n))
         (got,) = propagate_rows(propagator, [rho])
         want = pair(rho).data[None]
-        for k in range(n):
+        for k in reversed(range(n)):
             block = noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg)
             want = block.apply(want)
         want = unpair(PairedDensity(n, want[0])).data

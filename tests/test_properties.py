@@ -496,11 +496,11 @@ def test_evolve_takes_a_statevector_as_its_density_matrix(case):
     assert np.array_equal(got.data, q.evolve(psi.to_density_matrix(), model, cfg).data)
 
 
-@given(st.integers(5, 64))
+@given(st.integers(15, 64))
 def test_statevector_capacity_error(n):
-    # cap=4, so the refusal comes before any allocation
+    # above the cap of 14, so the refusal comes before any allocation
     with pytest.raises(q.CapacityError):
-        q.new_statevector(n, cap=4)
+        q.new_statevector(n)
 
 
 def test_statevector_needs_a_qubit():

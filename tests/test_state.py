@@ -53,10 +53,6 @@ class TestNewPureGround:
         with pytest.raises(ValueError):
             q.new_pure_ground(0)
 
-    def test_configurable_cap(self):
-        with pytest.raises(q.CapacityError):
-            q.new_pure_ground(5, cap=4)
-
 
 class TestApplyGate:
     def test_x_flips_ground(self):
