@@ -370,8 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config", default=None)
         p.add_argument("--output", help="output file (default stdout)", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--large", action="store_true", help="allow >8-qubit runs")
+        if name == "vqe":
+            p.add_argument("--seed", type=int, default=None, help="optimizer seed")
+        if name != "validate":
+            p.add_argument("--large", action="store_true", help="allow >8-qubit runs")
     return parser
 
 

@@ -19,7 +19,7 @@ from .noise import (
     evolve,
 )
 from .paulis import PauliString, PauliSum, dense_matrix
-from .state import DensityMatrix, embed, new_pure_ground
+from .state import DensityMatrix, apply_local, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
 
@@ -209,10 +209,10 @@ def check_rk4_convergence() -> tuple[bool, str]:
 
 def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     """Dense matrix of a bound circuit (oracle scale only)."""
-    dim = 2**circuit.n_qubits
-    u = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        u = embed(gate.matrix(), gate.qubits, circuit.n_qubits) @ u
+    n = circuit.n_qubits
+    u = np.eye(2**n, dtype=complex)
+    for gate in circuit.gates:  # U on the row axes of u is U @ u
+        u = apply_local(u, gate.matrix(), [n - 1 - q for q in gate.qubits])
     return u
 
 

@@ -14,9 +14,9 @@ so their generators commute and each interval applies one block after
 another.  Every block works on its own qubits only, as a 4^k x 4^k
 superoperator (the Havel vec identity, see `state`) on the qubit-paired
 rho that a run holds between its two conversions.  Each term's
-superoperator is built on its qubits in descending order and reordered
-by `paired_superop` once, at build, so its paired axes ascend and, on
-adjacent qubits, form one contiguous `state.LocalOp`.  One RK4
+superoperator is built on its qubits in the term's own order, reordered
+by `paired_superop` once, at build, and applied as a `state.LocalOp` on
+their paired axes, which orders contiguous axes itself.  One RK4
 substep of the linear master equation is exactly the degree-4 Taylor
 polynomial of h*L, and one `_rk4` serves both kinds of block:
 
@@ -37,9 +37,11 @@ a DensityMatrix.  Each gate is one kernel call on all rows, built once
 per distinct gate.  A row's blocks become its kernels, applied by
 highest qubit, descending: the 1-qubit blocks on qubits 2j+1 and 2j
 pair into one 16x16 kernel kron(P_2j+1, P_2j), every other block is one
-of its own.  Decided from the row's own model, this gives every row
-from two qubits up the arithmetic of its run alone.  Each distinct block
-is built once, each distinct kernel applied to just the rows holding it.
+of its own.  A dense kernel is a `state.LocalOp` of its matrix, a wide
+one a `_Wide`, and both are called on the rows they act on.  Decided
+from the row's own model, this gives every row from two qubits up the
+arithmetic of its run alone.  Each distinct block is built once, each
+distinct kernel applied to just the rows holding it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from .state import (
     _kron,
     apply_gate,
     check_cap,
-    embed,
     pair,
     paired_axes,
     paired_superop,
@@ -110,22 +112,22 @@ class LindbladTerm:
         if self.n_th is not None and not 0 <= self.n_th < math.inf:
             raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
 
-    def collapse_ops(self) -> list[tuple[float, np.ndarray, tuple[int, ...]]]:
-        """(rate, small collapse matrix, qubits) pairs for this term."""
+    def collapse_ops(self) -> list[tuple[float, np.ndarray]]:
+        """(rate, collapse matrix) pairs for this term, on its qubits in
+        its own order: qubits[0] is the most-significant index bit."""
         if self.kind == "amplitude_damping":
-            return [(self.rate, _SIGMA, self.qubits)]
+            return [(self.rate, _SIGMA)]
         if self.kind == "dephasing":
-            return [(self.rate, _NUMBER, self.qubits)]
+            return [(self.rate, _NUMBER)]
         if self.kind == "thermal":
             return [
-                (self.rate * (self.n_th + 1.0), _SIGMA, self.qubits),
-                (self.rate * self.n_th, _SIGMA_DAG, self.qubits),
+                (self.rate * (self.n_th + 1.0), _SIGMA),
+                (self.rate * self.n_th, _SIGMA_DAG),
             ]
-        # correlated: sigma_1^dag sigma_2 and sigma_1 sigma_2^dag,
-        # qubits[0] is the most-significant index of the 4x4 matrix
+        # correlated: sigma_1^dag sigma_2 and sigma_1 sigma_2^dag
         return [
-            (self.rate, np.kron(_SIGMA_DAG, _SIGMA), self.qubits),
-            (self.rate, np.kron(_SIGMA, _SIGMA_DAG), self.qubits),
+            (self.rate, np.kron(_SIGMA_DAG, _SIGMA)),
+            (self.rate, np.kron(_SIGMA, _SIGMA_DAG)),
         ]
 
 
@@ -179,23 +181,20 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
-def _local_liouvillian(ops, qubits) -> np.ndarray:
+def _local_liouvillian(ops) -> np.ndarray:
     """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec,
-    on `qubits` as a register of their own, qubits[0] its most-significant
-    bit: (rows, columns) index order, before `paired_superop`.
+    on the qubits of `ops` as a register of their own: (rows, columns)
+    index order, before `paired_superop`.
 
-    `ops` are (rate, small collapse matrix, qubits) triples, as returned
-    by LindbladTerm.collapse_ops; L is 4^k x 4^k for k qubits.
+    `ops` are (rate, collapse matrix) pairs, as returned by
+    LindbladTerm.collapse_ops; L is 4^k x 4^k for 2^k x 2^k matrices.
     """
-    k = len(qubits)
-    local = {q: k - 1 - i for i, q in enumerate(qubits)}
-    dim = 2**k
+    dim = len(ops[0][1])
     eye = np.eye(dim, dtype=complex)
     lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for rate, c_small, op_qubits in ops:
+    for rate, c in ops:
         if rate == 0.0:
             continue
-        c = embed(c_small, tuple(local[q] for q in op_qubits), k)
         cdc = c.conj().T @ c
         lmat += rate * (
             _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
@@ -243,31 +242,27 @@ def _components(model: NoiseModel) -> list[tuple[set[int], tuple[LindbladTerm, .
     ]
 
 
-class _Dense:
-    """A precomputed channel over one interval: `matrix`, on the paired
-    axes of `qubits` (given in descending order), applied as one
-    `state.LocalOp` to every row of a (rows, 4^n) stack."""
+def _support(terms) -> tuple[int, ...]:
+    """A component's qubits in descending order: the qubits of its own
+    register, whose qubit 0 is its lowest, so its paired axes ascend."""
+    return tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
 
-    def __init__(self, matrix: np.ndarray, qubits, n_qubits: int):
-        self.qubits = tuple(qubits)
-        self.matrix = matrix
-        self.apply = LocalOp(matrix, paired_axes(qubits, n_qubits), 2 * n_qubits)
+
+def _top(kernel) -> int:
+    """A kernel's highest qubit: that of its first component."""
+    return _support(kernel[0])[0]
 
 
 class _Wide:
     """A block wider than DENSE_BLOCK_MAX_QUBITS: `_rk4` on rho each
-    substep, its h*L*rho one local superoperator per term."""
+    substep, its h*L*rho the sum of `parts`, one `state.LocalOp` per term."""
 
-    def __init__(self, qubits, parts, n_qubits: int, cfg: PropagatorConfig):
-        self.qubits = qubits
+    def __init__(self, parts, cfg: PropagatorConfig):
         self.h = cfg.tau / cfg.substeps
         self.substeps = cfg.substeps
-        self.parts = [
-            LocalOp(superop, paired_axes(tq, n_qubits), 2 * n_qubits)
-            for tq, superop in parts
-        ]
+        self.parts = parts
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
+    def __call__(self, data: np.ndarray) -> np.ndarray:
         def step(x):
             return self.h * _rhs(x, self.parts)
 
@@ -276,48 +271,47 @@ class _Wide:
         return data
 
 
-def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> _Dense | _Wide:
+def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
     """One block's channel over one interval, on its own qubits of a
-    stack of paired n-qubit rho."""
-    # Descending, so the block's own register is little-endian too and
-    # its paired axes ascend.
-    qubits = tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
+    stack of paired n-qubit rho: a `_Wide`, or the dense 4^k x 4^k matrix
+    on the paired axes of `_support(terms)`."""
+    qubits = _support(terms)
     h = cfg.tau / cfg.substeps
     ops = [op for t in terms for op in t.collapse_ops()]
     # 2 * sum rate_k ||c_k||_F^2 bounds the spectral radius of L.
-    radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c, _ in ops)
+    radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c in ops)
     if h * radius > RK4_STABILITY_LIMIT:
         raise IntegrationError(
             f"step {h:.3g} times the decay-rate bound {radius:.3g} on "
             f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
             f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
         )
-    # One paired superoperator per term, on its qubits in descending order.
-    parts = []
-    for t in terms:
-        term_qubits = tuple(sorted(t.qubits, reverse=True))
-        superop = _local_liouvillian(t.collapse_ops(), term_qubits)
-        parts.append((term_qubits, paired_superop(superop)))
+    # One paired superoperator per term, on its qubits in its own order.
+    superops = [
+        (t.qubits, paired_superop(_local_liouvillian(t.collapse_ops()))) for t in terms
+    ]
     if len(qubits) > DENSE_BLOCK_MAX_QUBITS:
-        return _Wide(qubits, parts, n_qubits, cfg)
-    # The block's generator is the sum of its term parts applied to the
-    # identity: on the row axes of the flat 4^k x 4^k identity, each part
+        return _Wide(
+            [LocalOp(m, paired_axes(tq, n_qubits), 2 * n_qubits) for tq, m in superops],
+            cfg,
+        )
+    # The block's generator is the sum of its term superoperators applied
+    # to the identity: on the row axes of the flat 4^k x 4^k identity, each
     # gives its own embedded superoperator.
     k = len(qubits)
     local = {q: k - 1 - i for i, q in enumerate(qubits)}
     eye = np.eye(4**k, dtype=complex)
-    local_parts = [
-        LocalOp(superop, paired_axes([local[q] for q in tq], k), 4 * k)
-        for tq, superop in parts
+    parts = [
+        LocalOp(m, paired_axes([local[q] for q in tq], k), 4 * k) for tq, m in superops
     ]
-    hl = h * _rhs(eye.reshape(-1), local_parts).reshape(eye.shape)
+    hl = h * _rhs(eye.reshape(-1), parts).reshape(eye.shape)
     step = _rk4(lambda m: m @ hl, eye, hl)
-    return _Dense(np.linalg.matrix_power(step, cfg.substeps), qubits, n_qubits)
+    return np.linalg.matrix_power(step, cfg.substeps)
 
 
-def _kernels(model: NoiseModel) -> list[tuple[int, tuple]]:
+def _kernels(model: NoiseModel) -> list[tuple]:
     """A model's components as the kernels its row applies, each a tuple
-    of one or two components keyed by its highest qubit.
+    of one or two components, by highest qubit, descending.
 
     The 1-qubit components on qubits 2j+1 and 2j pair up (the higher
     first), so their two 4x4 channels become one 16x16 kernel; every
@@ -330,10 +324,10 @@ def _kernels(model: NoiseModel) -> list[tuple[int, tuple]]:
     for support, terms in components:
         top = max(support)
         if len(support) > 1 or top ^ 1 not in lone:
-            kernels.append((top, (terms,)))
+            kernels.append((terms,))
         elif top % 2:  # an even qubit is taken with its partner, top + 1
-            kernels.append((top, (terms, lone[top - 1])))
-    return kernels
+            kernels.append((terms, lone[top - 1]))
+    return sorted(kernels, key=_top, reverse=True)
 
 
 def _row_index(rows: list[int], n_rows: int):
@@ -349,7 +343,8 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the
-    module docstring).  `kernels` holds (kernel, rows) pairs, by highest
+    module docstring).  `kernels` holds (kernel, rows) pairs, each kernel
+    a `state.LocalOp` or a `_Wide` called on its rows, by highest
     qubit, descending: a row's kernels act on distinct qubits, so every
     row applies its own in the order of its run alone.  Rows are
     numbered from `first_row` in error messages.
@@ -361,24 +356,23 @@ class IntervalPropagator:
         self.cfg = cfg
         self.first_row = first_row
         self.n_rows = len(models)
-        held: dict[tuple, list[int]] = {}  # (top qubit, kernel): rows
+        held: dict[tuple, list[int]] = {}  # kernel: rows
         for row, model in enumerate(models):
-            for key in _kernels(model):
-                held.setdefault(key, []).append(row)
+            for kernel in _kernels(model):
+                held.setdefault(kernel, []).append(row)
         # Each distinct component is built once, each distinct pair once.
         blocks = {}
         self.kernels = []
-        for top, kernel in sorted(held, key=lambda key: key[0], reverse=True):
+        for kernel in sorted(held, key=_top, reverse=True):
             for terms in kernel:
                 if terms not in blocks:
                     blocks[terms] = _block(terms, n_qubits, cfg)
-            if len(kernel) == 1:
-                op = blocks[kernel[0]]
-            else:
-                high, low = (blocks[terms] for terms in kernel)
-                matrix = _kron(high.matrix, low.matrix)
-                op = _Dense(matrix, high.qubits + low.qubits, n_qubits)
-            self.kernels.append((op, _row_index(held[top, kernel], self.n_rows)))
+            op = blocks[kernel[0]]
+            if not isinstance(op, _Wide):
+                qubits = [q for terms in kernel for q in _support(terms)]
+                matrix = reduce(_kron, [blocks[terms] for terms in kernel])
+                op = LocalOp(matrix, paired_axes(qubits, n_qubits), 2 * n_qubits)
+            self.kernels.append((op, _row_index(held[kernel], self.n_rows)))
 
     def propagate(self, rho: PairedDensity) -> PairedDensity:
         if not self.kernels:
@@ -386,11 +380,11 @@ class IntervalPropagator:
         data = rho.data
         for kernel, rows in self.kernels:
             if rows is None:
-                data = kernel.apply(data)
+                data = kernel(data)
                 continue
             if data is rho.data:
                 data = data.copy()  # the caller's stack stays as it was
-            data[rows] = kernel.apply(data[rows])
+            data[rows] = kernel(data[rows])
         out = PairedDensity(rho.n_qubits, data)
         for row, trace in enumerate(out.trace().tolist()):
             drift = abs(trace - 1.0)

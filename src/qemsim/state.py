@@ -21,9 +21,12 @@ same 4^n entries in qubit-paired order: viewed as a (2,)*2n tensor,
 qubit q's row bit is axis 2(n-1-q) and its column bit axis 2(n-1-q)+1,
 so each qubit is one contiguous 4-entry axis.  A superoperator reordered
 once by `paired_superop` from (rows, columns) to (row, column) pairs
-then acts on `paired_axes(qubits, n)`: one contiguous apply for a
-1-qubit gate or channel, and for an op on adjacent qubits.  `pair` and
-`unpair` convert at the two ends of a run, one 4^n transpose each.  A
+then acts on `paired_axes(qubits, n)`, the qubits in any order: one
+contiguous apply for a 1-qubit gate or channel, and for an op on
+adjacent qubits.  Every operator on rho is such a `LocalOp`: a gate, a
+dense noise channel, and each term of a wider block's generator.
+`pair` and `unpair` convert at the two ends of a run, one 4^n
+transpose each.  A
 batched run holds several such rho as the rows of one (rows, 4^n)
 array, and a `LocalOp` folds the row axis into its leading count, so
 one call acts on every row.
@@ -135,22 +138,11 @@ class LocalOp:
         return _apply(data, self.m, self.axes, self.post, self.n_axes)
 
 
-def apply_local(
-    data: np.ndarray, m: np.ndarray, axes, n_axes: int | None = None
-) -> np.ndarray:
-    """m applied to `axes` of each row of data, viewed as (rows,) + (2,)*N,
-    once (see `LocalOp`, for a matrix applied many times).  N is `n_axes`;
-    by default the whole array is one row."""
-    ndim = data.size.bit_length() - 1 if n_axes is None else n_axes
-    return _apply(data, *_prepare(m, axes, ndim), ndim)
-
-
-def embed(u, qubits, n_qubits):
-    """Dense 2^n x 2^n embedding of a small operator on the given qubits."""
-    _check_qubits(qubits, n_qubits)
-    eye = np.eye(2**n_qubits, dtype=complex)
-    axes = [n_qubits - 1 - q for q in qubits]
-    return apply_local(eye, np.asarray(u, dtype=complex), axes)
+def apply_local(data: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """m applied to `axes` of data viewed as (2,)*N, N = log2(data.size),
+    once (see `LocalOp`, for a matrix applied many times)."""
+    n_axes = data.size.bit_length() - 1
+    return _apply(data, *_prepare(m, axes, n_axes), n_axes)
 
 
 @dataclass

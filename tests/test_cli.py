@@ -312,6 +312,29 @@ class TestErrorHandling:
             },
         )
         assert main(["vqe", "--config", cfg]) == 2
+        out = tmp_path / "big_out.json"
+        assert main(["vqe", "--config", cfg, "--large", "--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["theta_opt"]) == 45
+
+    @pytest.mark.parametrize(
+        "mode, flags",
+        [
+            ("mitigate", "--seed 3"),
+            ("sweep", "--seed 3"),
+            ("tau-scaling", "--seed 3"),
+            ("validate", "--seed 9"),
+            ("validate", "--large"),
+            ("validate", "--large --seed 9"),
+        ],
+        ids=["mitigate", "sweep", "tau_scaling", "validate_seed", "validate_large", "validate_both"],
+    )
+    def test_flag_the_mode_does_not_read_is_refused(self, capsys, mode, flags):
+        # --seed is read by vqe alone and --large by every mode but validate;
+        # elsewhere either flag used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main([mode, "--config", "c.json", *flags.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
     def test_theta_length_mismatch(self, tmp_path):
         cfg = write_config(

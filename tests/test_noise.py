@@ -46,15 +46,24 @@ def paired_rhs(rho_data, parts, n):
 def dissipator(rho_data, collapse, qubits, n):
     """D[C](rho) = C rho C^dag - (C^dag C rho + rho C^dag C) / 2, through
     the local superoperator and the sum that wide blocks use."""
-    superop = _local_liouvillian([(1.0, collapse, qubits)], qubits)
+    superop = _local_liouvillian([(1.0, collapse)])
     return paired_rhs(rho_data, [(qubits, superop)], n)
+
+
+def plan(model):
+    """The qubits of each kernel that `noise._kernels` gives a model's row,
+    each component's in descending order."""
+    return [
+        tuple(q for terms in kernel for q in noise._support(terms))
+        for kernel in noise._kernels(model)
+    ]
 
 
 def lindblad_rhs(rho_data, model, n):
     """L(rho) the way a wide block computes it: one local superoperator
     per nonzero-rate term, summed by `_rhs`."""
     parts = [
-        (t.qubits, _local_liouvillian(t.collapse_ops(), t.qubits))
+        (t.qubits, _local_liouvillian(t.collapse_ops()))
         for t in model.terms
         if t.rate
     ]
@@ -226,7 +235,7 @@ class TestEvolve:
         n = 5
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
-        assert [k.qubits for k, _ in propagator.kernels] == [(4, 3, 2, 1, 0)]
+        assert plan(model) == [(4, 3, 2, 1, 0)]
         assert isinstance(propagator.kernels[0][0], noise._Wide)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
@@ -253,7 +262,8 @@ class TestEvolve:
         )
         cfg = q.PropagatorConfig(tau=1.0, substeps=16)
         propagator = IntervalPropagator([model], n, cfg)
-        assert sorted(k.qubits for k, _ in propagator.kernels) == [(0,), (4, 3, 2), (5, 1)]
+        assert sorted(plan(model)) == [(0,), (4, 3, 2), (5, 1)]
+        assert len(propagator.kernels) == 3
         rho = random_density_matrix(n, np.random.default_rng(4))
         (got,) = propagate_rows(propagator, [rho])
         # the blocks commute, so one dense RK4 per block in any order is
@@ -311,6 +321,67 @@ class TestEvolve:
             q.PropagatorConfig(substeps=MAX_SUBSTEPS),
         )
         assert out.data[1, 1].real == pytest.approx(math.exp(-1e-3), abs=1e-9)
+
+
+class TestTermQubitOrder:
+    """A correlated term on (a, b) is the same channel as on (b, a): its
+    two collapse operators swap places, and each kernel is a `LocalOp` on
+    the term's qubits in the order given."""
+
+    @staticmethod
+    def both_orders(model, n, substeps=8):
+        """One interval on one rho under model, and under model with every
+        correlated term's qubits reversed: (kernel, out, reversed out)."""
+        flipped = q.NoiseModel(
+            tuple(
+                q.LindbladTerm(t.kind, t.qubits[::-1], t.rate)
+                if t.kind == "correlated"
+                else t
+                for t in model.terms
+            )
+        )
+        cfg = q.PropagatorConfig(substeps=substeps)
+        rho = random_density_matrix(n, np.random.default_rng(n))
+        propagators = [IntervalPropagator([m], n, cfg) for m in (model, flipped)]
+        out, reversed_out = (propagate_rows(p, [rho])[0].data for p in propagators)
+        assert np.max(np.abs(out - rho.data)) > 1e-3
+        return propagators[0].kernels[0][0], out, reversed_out
+
+    @pytest.mark.parametrize("pair_qubits", [(1, 2), (0, 2)], ids=["adjacent", "apart"])
+    def test_dense_block_is_bit_identical(self, pair_qubits):
+        a, b = pair_qubits
+        model = q.NoiseModel(
+            (
+                q.LindbladTerm("correlated", (a, b), 0.2),
+                q.LindbladTerm("amplitude_damping", (a,), 0.1),
+                q.LindbladTerm("thermal", (b,), 0.05, n_th=0.3),
+            )
+        )
+        kernel, out, flipped = self.both_orders(model, 3)
+        assert not isinstance(kernel, noise._Wide)
+        assert np.array_equal(out, flipped)
+
+    def test_wide_block_on_adjacent_qubits_is_bit_identical(self):
+        n = 5
+        model = q.NoiseModel(
+            tuple(
+                q.LindbladTerm("correlated", (k, k + 1), 0.1 + 0.02 * k)
+                for k in range(n - 1)
+            )
+        )
+        kernel, out, flipped = self.both_orders(model, n)
+        assert isinstance(kernel, noise._Wide)
+        assert np.array_equal(out, flipped)
+
+    def test_wrap_around_term_on_a_wide_block_within_round_off(self):
+        # (0, 5) sits on non-adjacent paired axes, which the kernel moves
+        # last in the order given, so its sums run in another order
+        n = 6
+        model = build_template_model("correlated", n, 0.2)
+        assert model.terms[-1].qubits == (5, 0)
+        kernel, out, flipped = self.both_orders(model, n)
+        assert isinstance(kernel, noise._Wide)
+        assert np.max(np.abs(out - flipped)) <= 1e-15
 
 
 class TestRunNoisyCircuit:
@@ -490,10 +561,15 @@ class TestBatch:
         ]
         # qubits 1 and 0 pair in the rows that hold both; qubit 2 has no
         # partner; kernels run by highest qubit, descending
-        held = [(k.qubits, list(np.arange(4)[r])) for k, r in propagator.kernels]
-        assert held == [((2,), [0, 1, 2]), ((1, 0), [0, 3]), ((1,), [1]), ((0,), [2])]
-        _, (pair_kernel, _), (high, _), (low, _) = propagator.kernels
-        assert np.array_equal(pair_kernel.matrix, np.kron(high.matrix, low.matrix))
+        assert [plan(row) for row in rows] == [
+            [(2,), (1, 0)], [(2,), (1,)], [(2,), (0,)], [(1, 0)]
+        ]
+        held = [list(np.arange(4)[r]) for _, r in propagator.kernels]
+        assert held == [[0, 1, 2], [0, 3], [1], [2]]
+        # the pair kernel is the kron of its two blocks, bit for bit
+        pair_kernel, _ = propagator.kernels[1]
+        high, low = (block(terms, 3, q.PropagatorConfig()) for terms in noise._kernels(model)[1])
+        assert np.array_equal(pair_kernel.m, np.kron(high, low))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_paired_kernel_is_its_two_blocks_in_turn(self, n):
@@ -508,15 +584,15 @@ class TestBatch:
         propagator = IntervalPropagator([model], n, cfg)
         # by highest qubit, descending: odd n leaves the top qubit alone
         want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
-        assert [k.qubits for k, _ in propagator.kernels] == want_qubits
+        assert plan(model) == want_qubits
         paired = propagator.kernels[n % 2 :]
-        assert [k.matrix.shape for k, _ in paired] == [(16, 16)] * (n // 2)
+        assert [k.m.shape for k, _ in paired] == [(16, 16)] * (n // 2)
         rho = random_density_matrix(n, np.random.default_rng(n))
         (got,) = propagate_rows(propagator, [rho])
         want = pair(rho).data[None]
         for k in reversed(range(n)):
             block = noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg)
-            want = block.apply(want)
+            want = LocalOp(block, paired_axes((k,), n), 2 * n)(want)
         want = unpair(PairedDensity(n, want[0])).data
         assert np.max(np.abs(got.data - want)) < 1e-14
         assert np.max(np.abs(got.data - rho.data)) > 1e-3

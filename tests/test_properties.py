@@ -144,7 +144,7 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator([model], n, q.PropagatorConfig())
     for kernel, _ in propagator.kernels:
-        out = unpair(PairedDensity(n, kernel.apply(pair(rho).data[None])[0]))
+        out = unpair(PairedDensity(n, kernel(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
         assert out.min_eigenvalue() >= -1e-12

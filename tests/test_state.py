@@ -12,7 +12,6 @@ from qemsim.state import (
     _gate_superop,
     _kron,
     apply_local,
-    embed,
     pair,
     paired_axes,
     paired_superop,
@@ -161,7 +160,8 @@ class TestKernels:
             right = apply_local(rho, m, [2 * n - 1 - qb for qb in qubits])
             assert np.max(np.abs(left - full @ rho)) < 1e-12
             assert np.max(np.abs(right - rho @ full.T)) < 1e-12
-            assert np.max(np.abs(embed(m, qubits, n) - full)) < 1e-12
+            embedded = apply_local(np.eye(2**n, dtype=complex), m, [n - 1 - qb for qb in qubits])
+            assert np.max(np.abs(embedded - full)) < 1e-12
 
     def test_superoperator_on_doubled_register(self):
         # kron(A, B^T) on the paired axes of a qubit is A rho B
@@ -178,10 +178,12 @@ class TestKernels:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_embed_against_kron(self):
+        # m on the row axes of the identity is m's dense embedding
         rng = np.random.default_rng(2)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qb in range(3):
-            assert np.max(np.abs(embed(m, (qb,), 3) - kron_embed(m, qb, 3))) < 1e-14
+            embedded = apply_local(np.eye(8, dtype=complex), m, [2 - qb])
+            assert np.max(np.abs(embedded - kron_embed(m, qb, 3))) < 1e-14
 
 
 class TestGateSuperopCache:
