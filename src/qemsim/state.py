@@ -26,10 +26,9 @@ contiguous apply for a 1-qubit gate or channel, and for an op on
 adjacent qubits.  Every operator on rho is such a `LocalOp`: a gate, a
 dense noise channel, and each term of a wider block's generator.
 `pair` and `unpair` convert at the two ends of a run, one 4^n
-transpose each.  A
-batched run holds several such rho as the rows of one (rows, 4^n)
-array, and a `LocalOp` folds the row axis into its leading count, so
-one call acts on every row.
+transpose each.  A batched run holds several such rho as the rows of
+one (rows, 4^n) array, and a `LocalOp` folds the row axis into its
+leading count, so one call acts on every row.
 """
 
 from __future__ import annotations
