@@ -21,9 +21,12 @@ substep of the linear master equation is exactly the degree-4 Taylor
 polynomial of h*L, and one `_rk4` serves both kinds of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
-  (RK4 step)^substeps, a 4^k x 4^k matrix, by `_rk4` on the identity;
-  its generator h*L is the sum of its term superoperators applied to
-  the 4^k x 4^k identity;
+  (RK4 step)^substeps, a 4^k x 4^k matrix; its generator h*L is the sum
+  of its term superoperators applied to the 4^k x 4^k identity.  Every
+  kind keeps the coherence order m = popcount(row) - popcount(column),
+  so h*L, its step and their power are block-diagonal in m (Buča and
+  Prosen, New J. Phys. 14, 073007, 2012): `_rk4` and the power run on
+  each sector's identity alone, and the sectors fill a zero matrix;
 - a wider block runs `_rk4` on rho each substep, its h*L*rho a sum of
   one local superoperator per term.
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -68,10 +71,15 @@ from .state import (
     unpair,
 )
 
+# Each kind must keep coherence order (see the module docstring): the
+# dense block build relies on it, and a kind that mixes orders would give
+# a wrong block without error.
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
 TRACE_DRIFT_LIMIT = 1e-6
-# A precomputed block is a 16^k complex matrix: 1 MiB at k = 4.
+# A precomputed block is a 16^k complex matrix: 1 MiB at k = 4.  It is
+# built per coherence-order sector m, each C(2k, k + m) square: 70, 56,
+# 56, 28, 28, 8, 8, 1 and 1 at k = 4.
 DENSE_BLOCK_MAX_QUBITS = 4
 # RK4 keeps |R(z)| <= 1 on the negative real axis down to z = -2.785.
 RK4_STABILITY_LIMIT = 2.785
@@ -271,6 +279,24 @@ class _Wide:
         return data
 
 
+@lru_cache(maxsize=None)
+def _sectors(k: int) -> tuple[np.ndarray, ...]:
+    """The flat indices of a paired k-qubit block by coherence order
+    m = popcount(row) - popcount(column): for m = 0..k, an array whose
+    rows are the ascending indices of order m, then of order -m if m > 0.
+    Orders m and -m have the same size, C(2k, k + m), so they step as one
+    stack.  Each qubit is a base-4 digit d = 2 * row bit + column bit,
+    adding 0, -1, +1, 0 to m."""
+    order = np.zeros(1, dtype=int)
+    for _ in range(k):
+        order = (order[:, None] + np.array([0, -1, 1, 0])).reshape(-1)
+    at = {m: np.flatnonzero(order == m) for m in range(-k, k + 1)}
+    sectors = (at[0][None],) + tuple(np.stack([at[m], at[-m]]) for m in range(1, k + 1))
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
+
+
 def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
     """One block's channel over one interval, on its own qubits of a
     stack of paired n-qubit rho: a `_Wide`, or the dense 4^k x 4^k matrix
@@ -305,8 +331,15 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
         LocalOp(m, paired_axes([local[q] for q in tq], k), 4 * k) for tq, m in superops
     ]
     hl = h * _rhs(eye.reshape(-1), parts).reshape(eye.shape)
-    step = _rk4(lambda m: m @ hl, eye, hl)
-    return np.linalg.matrix_power(step, cfg.substeps)
+    # h*L is block-diagonal in coherence order (see KINDS): step and power
+    # its sectors alone, orders m and -m as one stack.
+    out = np.zeros_like(hl)
+    for idx in _sectors(k):
+        sector = idx[:, :, None], idx[:, None, :]
+        hl_m = hl[sector]
+        step = _rk4(lambda m: m @ hl_m, np.eye(idx.shape[1], dtype=complex), hl_m)
+        out[sector] = np.linalg.matrix_power(step, cfg.substeps)
+    return out
 
 
 def _kernels(model: NoiseModel) -> list[tuple]:

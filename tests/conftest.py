@@ -98,6 +98,18 @@ def dense_liouvillian(model, n):
     return lmat
 
 
+def coherence_order(k):
+    """Independent m = popcount(row) - popcount(column) of each flat index
+    of a paired k-qubit superoperator: qubit j's row bit is bit 2j + 1 of
+    the index, its column bit bit 2j."""
+    return np.array(
+        [
+            sum((i >> (2 * j + 1) & 1) - (i >> (2 * j) & 1) for j in range(k))
+            for i in range(4**k)
+        ]
+    )
+
+
 def dense_rk4(lmat, rho_data, tau, substeps):
     """Classic RK4 of vec' = L vec on the full register, as the oracle."""
     h = tau / substeps

@@ -7,6 +7,7 @@ import qemsim as q
 from qemsim import noise, state
 from qemsim.errors import IntegrationError
 from qemsim.noise import (
+    KINDS,
     MAX_SUBSTEPS,
     IntervalPropagator,
     _local_liouvillian,
@@ -16,7 +17,12 @@ from qemsim.noise import (
 )
 from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, paired_superop, unpair
 
-from conftest import dense_liouvillian, dense_rk4, random_density_matrix
+from conftest import (
+    coherence_order,
+    dense_liouvillian,
+    dense_rk4,
+    random_density_matrix,
+)
 
 SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)
 EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -126,6 +132,37 @@ class TestDissipator:
         rho = random_density_matrix(2, rng)
         inc = dissipator(rho.data, SIGMA, (1,), 2)
         assert abs(np.trace(inc)) < 1e-12
+
+
+class TestCoherenceOrder:
+    """The dense block build steps each coherence-order sector alone, which
+    is exact only if every kind's superoperator keeps coherence order."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_keeps_coherence_order(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        qubits = (1, 0) if kind == "correlated" else (0,)
+        order = coherence_order(len(qubits))
+        between = order[:, None] != order[None, :]
+        for _ in range(5):
+            n_th = rng.uniform(0.0, 2.0) if kind == "thermal" else None
+            term = q.LindbladTerm(kind, qubits, rng.uniform(0.01, 2.0), n_th)
+            superop = paired_superop(_local_liouvillian(term.collapse_ops()))
+            assert np.any(superop)
+            assert np.all(superop[between] == 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sectors_partition_the_block_by_order(self, k):
+        sectors = noise._sectors(k)
+        order = coherence_order(k)
+        flat = np.concatenate([idx.reshape(-1) for idx in sectors])
+        assert np.array_equal(np.sort(flat), np.arange(4**k))
+        assert len(sectors) == k + 1
+        for m, idx in enumerate(sectors):
+            assert idx.shape == (1 if m == 0 else 2, math.comb(2 * k, k + m))
+            for row, want in zip(idx, (m, -m)):
+                assert np.all(order[row] == want)
+                assert np.all(np.diff(row) > 0)
 
 
 class TestLindbladRhs:

@@ -11,11 +11,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qemsim as q
+from qemsim import noise
 from qemsim.mitigation import build_groups, corrected_value
-from qemsim.noise import KINDS, IntervalPropagator, scale_terms
-from qemsim.state import PairedDensity, apply_local, pair, paired_axes, unpair
+from qemsim.noise import KINDS, IntervalPropagator, build_template_model, scale_terms
+from qemsim.state import (
+    PairedDensity,
+    apply_local,
+    pair,
+    paired_axes,
+    paired_superop,
+    unpair,
+)
 
-from conftest import dense_liouvillian, dense_rk4, kron_embed_multi
+from conftest import coherence_order, dense_liouvillian, dense_rk4, kron_embed_multi
 
 
 def random_matrix(rng, dim):
@@ -148,6 +156,47 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
         assert out.min_eigenvalue() >= -1e-12
+
+
+@st.composite
+def dense_blocks(draw):
+    """(k, terms, substeps): terms of every kind on qubits 0..k-1, each
+    qubit touched, zero rates included, so `_block` builds one dense block
+    whose register is the whole k-qubit register."""
+    k = draw(st.integers(1, 4))
+    kinds = KINDS if k > 1 else tuple(x for x in KINDS if x != "correlated")
+    rates = st.just(0.0) | st.floats(0.0, 0.05)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        width = 2 if kind == "correlated" else 1
+        qubits = tuple(draw(st.permutations(range(k)))[:width])
+        n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+        terms.append(q.LindbladTerm(kind, qubits, draw(rates), n_th))
+    touched = {j for t in terms for j in t.qubits}
+    terms += [
+        q.LindbladTerm("dephasing", (j,), draw(rates)) for j in range(k) if j not in touched
+    ]
+    return k, tuple(terms), draw(st.sampled_from([1, 8, 64]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_blocks())
+@example((4, tuple(build_template_model("correlated", 4, 10**-2.5).terms), 64))
+def test_sector_build_matches_full_matrix_oracle(case):
+    # The oracle steps and powers the whole 4^k x 4^k generator; the build
+    # does each coherence-order sector alone, exact because the oracle
+    # keeps every entry between sectors at exactly 0.
+    k, terms, substeps = case
+    cfg = q.PropagatorConfig(substeps=substeps)
+    lmat = paired_superop(dense_liouvillian(q.NoiseModel(terms), k).toarray())
+    hl = cfg.tau / substeps * lmat
+    eye = np.eye(4**k, dtype=complex)
+    want = np.linalg.matrix_power(noise._rk4(lambda m: m @ hl, eye, hl), substeps)
+    order = coherence_order(k)
+    assert np.all(want[order[:, None] != order[None, :]] == 0)
+    got = noise._block(terms, k, cfg)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 @pytest.mark.xfail(
