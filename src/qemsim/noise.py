@@ -11,24 +11,24 @@ signal.
 A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
 so their generators commute and each interval applies one block after
-another.  Every block works on its own qubits only, as a 4^k x 4^k
-superoperator (the Havel vec identity, see `state`) on the qubit-paired
-rho that a run holds between its two conversions.  Each term's
-superoperator is built on its qubits in the term's own order, reordered
-by `paired_superop` once, at build, and applied as a `state.LocalOp` on
-their paired axes, which orders contiguous axes itself.  One RK4
-substep of the linear master equation is exactly the degree-4 Taylor
-polynomial of h*L, and one `_rk4` serves both kinds of block:
+another.  Every block works on its own qubits only, on the qubit-paired
+rho that a run holds between its two conversions (see `state`).  Every
+collapse op of every kind is a single-entry matrix c_ab |a><b|, so a
+block's generator h*L is one `_generator`: a real diagonal times rho,
+plus one strided slice move per collapse op, on the term's qubits in
+its own order.  One RK4 substep of the linear master equation is
+exactly the degree-4 Taylor polynomial of h*L, and one `_rk4` serves
+both kinds of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
-  (RK4 step)^substeps, a 4^k x 4^k matrix; its generator h*L is the sum
-  of its term superoperators applied to the 4^k x 4^k identity.  Every
-  kind keeps the coherence order m = popcount(row) - popcount(column),
-  so h*L, its step and their power are block-diagonal in m (Buča and
-  Prosen, New J. Phys. 14, 073007, 2012): `_rk4` and the power run on
-  each sector's identity alone, and the sectors fill a zero matrix;
-- a wider block runs `_rk4` on rho each substep, its h*L*rho a sum of
-  one local superoperator per term.
+  (RK4 step)^substeps, a 4^k x 4^k matrix (the Havel vec identity) on
+  its paired axes; its h*L is the generator applied to the rows of the
+  4^k x 4^k identity, transposed.  Every kind keeps the coherence order
+  m = popcount(row) - popcount(column), so h*L, its step and their
+  power are block-diagonal in m (Buča and Prosen, New J. Phys. 14,
+  073007, 2012): `_rk4` and the power run on each sector's identity
+  alone, and the sectors fill a zero matrix;
+- a wider block runs `_rk4` with the generator on rho each substep.
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
 paired rho, one row per noise model, takes gate 1, an interval, gate 2,
@@ -67,13 +67,12 @@ from .state import (
     check_cap,
     pair,
     paired_axes,
-    paired_superop,
     unpair,
 )
 
-# Each kind must keep coherence order (see the module docstring): the
-# dense block build relies on it, and a kind that mixes orders would give
-# a wrong block without error.
+# Every collapse op of each kind must be a single-entry matrix |a><b|:
+# `_generator` relies on it and refuses any other op, and the dense block
+# build on the coherence order it keeps (see the module docstring).
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
 TRACE_DRIFT_LIMIT = 1e-6
@@ -93,6 +92,8 @@ BATCH_BYTES = 64 * 2**20
 _SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 _SIGMA_DAG = _SIGMA.conj().T
 _NUMBER = _SIGMA_DAG @ _SIGMA
+# sigma_1^dag sigma_2 and sigma_1 sigma_2^dag: |10><01| and |01><10|
+_EXCHANGE = (_kron(_SIGMA_DAG, _SIGMA), _kron(_SIGMA, _SIGMA_DAG))
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,7 @@ class LindbladTerm:
                 (self.rate * (self.n_th + 1.0), _SIGMA),
                 (self.rate * self.n_th, _SIGMA_DAG),
             ]
-        # correlated: sigma_1^dag sigma_2 and sigma_1 sigma_2^dag
-        return [
-            (self.rate, np.kron(_SIGMA_DAG, _SIGMA)),
-            (self.rate, np.kron(_SIGMA, _SIGMA_DAG)),
-        ]
+        return [(self.rate, c) for c in _EXCHANGE]
 
 
 @dataclass(frozen=True)
@@ -189,33 +186,46 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
-def _local_liouvillian(ops) -> np.ndarray:
-    """Dense superoperator L with vec(drho/dt) = L vec(rho), row-major vec,
-    on the qubits of `ops` as a register of their own: (rows, columns)
-    index order, before `paired_superop`.
+def _generator(terms, register, h: float):
+    """h*L of `terms` on a stack of paired rho whose (rows,) + (4,)*k view
+    holds register[i] on axis i + 1: h*L x = d * x plus one slice move per
+    collapse op c_ab |a><b| (see KINDS), weighted w = h * rate * |c_ab|^2.
+    c rho c^dag moves the entries whose term digits (2 * row bit + column
+    bit) are 3b onto those whose digits are 3a; -{c^dag c, rho} / 2 adds
+    -w / 2 to d where the term's row bits are b, and again where its
+    column bits are."""
+    d = np.zeros((1,) + (4,) * len(register))
+    moves = []
 
-    `ops` are (rate, collapse matrix) pairs, as returned by
-    LindbladTerm.collapse_ops; L is 4^k x 4^k for 2^k x 2^k matrices.
-    """
-    dim = len(ops[0][1])
-    eye = np.eye(dim, dtype=complex)
-    lmat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for rate, c in ops:
-        if rate == 0.0:
-            continue
-        cdc = c.conj().T @ c
-        lmat += rate * (
-            _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
-        )
-    return lmat
+    def at(axes, bits, digits):
+        """digits[bit] on each of `axes`, axes[0] taking the top bit of `bits`."""
+        index = [slice(None)] * d.ndim
+        for j, ax in enumerate(reversed(axes)):
+            index[ax] = digits[bits >> j & 1]
+        return tuple(index)
 
+    for term in terms:
+        axes = [register.index(q) + 1 for q in term.qubits]
+        for rate, c in term.collapse_ops():
+            entries = np.argwhere(c)
+            if len(entries) != 1:
+                raise ValueError(f"a {term.kind} collapse op is not a single-entry matrix")
+            a, b = entries[0]
+            w = h * rate * abs(c[a, b]) ** 2
+            if w == 0.0:
+                continue
+            d[at(axes, b, (slice(0, 2), slice(2, 4)))] -= 0.5 * w  # row bits b
+            d[at(axes, b, (slice(0, 4, 2), slice(1, 4, 2)))] -= 0.5 * w  # column bits b
+            moves.append((w, at(axes, a, (0, 3)), at(axes, b, (0, 3))))
 
-def _rhs(data: np.ndarray, ops) -> np.ndarray:
-    """The sum of each `state.LocalOp` applied to data."""
-    out = np.zeros_like(data)
-    for op in ops:
-        out += op(data)
-    return out
+    def apply(x: np.ndarray) -> np.ndarray:
+        view = x.reshape((-1,) + d.shape[1:])
+        out = d * view
+        for w, to, src in moves:
+            out[to] += w * view[src]
+        return out.reshape(x.shape)
+
+    return apply
 
 
 def _rk4(apply, v, t1):
@@ -225,9 +235,13 @@ def _rk4(apply, v, t1):
     t2 = apply(t1)
     t3 = apply(t2)
     t4 = apply(t3)
-    # The same numbers as t2 / 2 + t3 / 6 + t4 / 24 (numpy divides complex by
-    # real through the reciprocal), for a fifth of the cost of the division.
-    return v + t1 + t2 * 0.5 + t3 * (1 / 6) + t4 * (1 / 24)
+    # The same numbers as v + t1 + t2 / 2 + t3 / 6 + t4 / 24 (numpy divides
+    # complex by real through the reciprocal), for a fifth of the cost of
+    # the division, summed in place in the same order.
+    out = v + t1
+    for t, c in ((t2, 0.5), (t3, 1 / 6), (t4, 1 / 24)):
+        out += np.multiply(t, c, out=t)
+    return out
 
 
 def _components(model: NoiseModel) -> list[tuple[set[int], tuple[LindbladTerm, ...]]]:
@@ -263,19 +277,15 @@ def _top(kernel) -> int:
 
 class _Wide:
     """A block wider than DENSE_BLOCK_MAX_QUBITS: `_rk4` on rho each
-    substep, its h*L*rho the sum of `parts`, one `state.LocalOp` per term."""
+    substep, with the block's `_generator` on the whole register."""
 
-    def __init__(self, parts, cfg: PropagatorConfig):
-        self.h = cfg.tau / cfg.substeps
-        self.substeps = cfg.substeps
-        self.parts = parts
+    def __init__(self, step, substeps: int):
+        self.step = step
+        self.substeps = substeps
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        def step(x):
-            return self.h * _rhs(x, self.parts)
-
         for _ in range(self.substeps):
-            data = _rk4(step, data, step(data))
+            data = _rk4(self.step, data, self.step(data))
         return data
 
 
@@ -312,28 +322,15 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
             f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
             f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
         )
-    # One paired superoperator per term, on its qubits in its own order.
-    superops = [
-        (t.qubits, paired_superop(_local_liouvillian(t.collapse_ops()))) for t in terms
-    ]
     if len(qubits) > DENSE_BLOCK_MAX_QUBITS:
-        return _Wide(
-            [LocalOp(m, paired_axes(tq, n_qubits), 2 * n_qubits) for tq, m in superops],
-            cfg,
-        )
-    # The block's generator is the sum of its term superoperators applied
-    # to the identity: on the row axes of the flat 4^k x 4^k identity, each
-    # gives its own embedded superoperator.
+        return _Wide(_generator(terms, range(n_qubits - 1, -1, -1), h), cfg.substeps)
+    # Row i of the identity is unit vector i, which the generator takes to
+    # column i of h*L: the rows it gives are h*L transposed.
     k = len(qubits)
-    local = {q: k - 1 - i for i, q in enumerate(qubits)}
-    eye = np.eye(4**k, dtype=complex)
-    parts = [
-        LocalOp(m, paired_axes([local[q] for q in tq], k), 4 * k) for tq, m in superops
-    ]
-    hl = h * _rhs(eye.reshape(-1), parts).reshape(eye.shape)
+    hl = _generator(terms, qubits, h)(np.eye(4**k, dtype=complex)).T
     # h*L is block-diagonal in coherence order (see KINDS): step and power
     # its sectors alone, orders m and -m as one stack.
-    out = np.zeros_like(hl)
+    out = np.zeros((4**k, 4**k), dtype=complex)
     for idx in _sectors(k):
         sector = idx[:, :, None], idx[:, None, :]
         hl_m = hl[sector]

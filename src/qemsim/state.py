@@ -23,8 +23,8 @@ so each qubit is one contiguous 4-entry axis.  A superoperator reordered
 once by `paired_superop` from (rows, columns) to (row, column) pairs
 then acts on `paired_axes(qubits, n)`, the qubits in any order: one
 contiguous apply for a 1-qubit gate or channel, and for an op on
-adjacent qubits.  Every operator on rho is such a `LocalOp`: a gate, a
-dense noise channel, and each term of a wider block's generator.
+adjacent qubits.  Every gate and dense noise channel on rho is such a
+`LocalOp`; a wider noise block steps with `noise._generator` instead.
 `pair` and `unpair` convert at the two ends of a run, one 4^n
 transpose each.  A batched run holds several such rho as the rows of
 one (rows, 4^n) array, and a `LocalOp` folds the row axis into its

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qemsim as q
 from qemsim import noise, state
@@ -10,12 +16,11 @@ from qemsim.noise import (
     KINDS,
     MAX_SUBSTEPS,
     IntervalPropagator,
-    _local_liouvillian,
-    _rhs,
+    _generator,
     build_template_model,
     scale_terms,
 )
-from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, paired_superop, unpair
+from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, unpair
 
 from conftest import (
     coherence_order,
@@ -24,7 +29,6 @@ from conftest import (
     random_density_matrix,
 )
 
-SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)
 EXCITED = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
@@ -41,19 +45,24 @@ def propagate_rows(propagator, rhos):
     return [unpair(PairedDensity(n, row)) for row in propagator.propagate(stack).data]
 
 
-def paired_rhs(rho_data, parts, n):
-    """`_rhs` on rho_data in paired order, the result unpaired again;
-    `parts` are (qubits, superoperator in (rows, columns) order) pairs."""
-    paired = pair(q.DensityMatrix(n, rho_data)).data
-    ops = [LocalOp(paired_superop(m), paired_axes(qubits, n), 2 * n) for qubits, m in parts]
-    return unpair(PairedDensity(n, _rhs(paired, ops))).data
+def register(n):
+    """The qubits of a paired n-qubit rho's (4,)*n view, axis by axis."""
+    return range(n - 1, -1, -1)
 
 
-def dissipator(rho_data, collapse, qubits, n):
-    """D[C](rho) = C rho C^dag - (C^dag C rho + rho C^dag C) / 2, through
-    the local superoperator and the sum that wide blocks use."""
-    superop = _local_liouvillian([(1.0, collapse)])
-    return paired_rhs(rho_data, [(qubits, superop)], n)
+def paired_rhs(rho_data, terms, n):
+    """`noise._generator` of `terms` at h = 1 on the whole register, on
+    rho_data in paired order, the result unpaired again."""
+    paired = pair(q.DensityMatrix(n, rho_data)).data[None]
+    (out,) = _generator(terms, register(n), 1.0)(paired)
+    return unpair(PairedDensity(n, out)).data
+
+
+def dissipator(rho_data, qubit, n):
+    """D[sigma](rho) = sigma rho sigma^dag - (sigma^dag sigma rho + rho
+    sigma^dag sigma) / 2 on `qubit`, through the generator that wide
+    blocks use: that of a unit-rate amplitude damping term."""
+    return paired_rhs(rho_data, [q.LindbladTerm("amplitude_damping", (qubit,), 1.0)], n)
 
 
 def plan(model):
@@ -66,14 +75,9 @@ def plan(model):
 
 
 def lindblad_rhs(rho_data, model, n):
-    """L(rho) the way a wide block computes it: one local superoperator
-    per nonzero-rate term, summed by `_rhs`."""
-    parts = [
-        (t.qubits, _local_liouvillian(t.collapse_ops()))
-        for t in model.terms
-        if t.rate
-    ]
-    return paired_rhs(rho_data, parts, n)
+    """L(rho) the way a wide block computes it: the generator of the
+    model's terms on the whole register."""
+    return paired_rhs(rho_data, model.terms, n)
 
 
 class TestLindbladTerm:
@@ -119,18 +123,18 @@ class TestLindbladTerm:
 
 class TestDissipator:
     def test_sigma_on_excited(self):
-        inc = dissipator(EXCITED, SIGMA, (0,), 1)
+        inc = dissipator(EXCITED, 0, 1)
         assert np.allclose(inc, [[1, 0], [0, -1]])
 
     def test_sigma_on_ground(self):
         ground = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert np.allclose(dissipator(ground, SIGMA, (0,), 1), 0)
+        assert np.allclose(dissipator(ground, 0, 1), 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_traceless(self, seed):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(2, rng)
-        inc = dissipator(rho.data, SIGMA, (1,), 2)
+        inc = dissipator(rho.data, 1, 2)
         assert abs(np.trace(inc)) < 1e-12
 
 
@@ -147,7 +151,9 @@ class TestCoherenceOrder:
         for _ in range(5):
             n_th = rng.uniform(0.0, 2.0) if kind == "thermal" else None
             term = q.LindbladTerm(kind, qubits, rng.uniform(0.01, 2.0), n_th)
-            superop = paired_superop(_local_liouvillian(term.collapse_ops()))
+            # h*L on the term's own register, as `_block` forms it
+            eye = np.eye(4 ** len(qubits), dtype=complex)
+            superop = _generator((term,), qubits, 1.0)(eye).T
             assert np.any(superop)
             assert np.all(superop[between] == 0)
 
@@ -204,6 +210,117 @@ class TestLindbladRhs:
         via_oracle = (lmat @ rho.data.reshape(-1)).reshape(4, 4)
         factorized = lindblad_rhs(rho.data, model, 2)
         assert np.max(np.abs(via_oracle - factorized)) < 1e-12
+
+
+def one_term(kind, qubits, rate=0.2):
+    return q.LindbladTerm(kind, qubits, rate, 0.4 if kind == "thermal" else None)
+
+
+def oracle_rhs(stack, terms, n, h):
+    """h*L of `terms` on each row of a paired stack by the full-register
+    oracle `conftest.dense_liouvillian`, each row paired again."""
+    lmat = dense_liouvillian(q.NoiseModel(tuple(terms)), n)
+    rows = [unpair(PairedDensity(n, row)).data.reshape(-1) for row in stack]
+    return np.stack(
+        [pair(q.DensityMatrix(n, h * (lmat @ row).reshape(2**n, 2**n))).data for row in rows]
+    )
+
+
+def random_stack(n, rows, seed):
+    """A (rows, 4^n) stack of random complex rows: the generator is linear,
+    so the rows need not be states."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, 4**n)) + 1j * rng.normal(size=(rows, 4**n))
+
+
+@st.composite
+def generator_cases(draw):
+    """(n, terms, h, seed): terms of every kind on an n-qubit register,
+    n <= 6, zero rates included."""
+    n = draw(st.integers(1, 6))
+    kinds = KINDS if n > 1 else tuple(k for k in KINDS if k != "correlated")
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[: 2 if kind == "correlated" else 1])
+        rate = draw(st.just(0.0) | st.floats(0.0, 2.0))
+        n_th = draw(st.floats(0.0, 2.0)) if kind == "thermal" else None
+        terms.append(q.LindbladTerm(kind, qubits, rate, n_th))
+    return n, tuple(terms), draw(st.floats(0.01, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestGenerator:
+    """`noise._generator`, h*L as one diagonal plus one slice move per
+    collapse op, against the full-register oracle on multi-row stacks."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_on_a_stack(self, kind):
+        n, h = 3, 0.3
+        term = one_term(kind, (2, 0) if kind == "correlated" else (1,))
+        stack = random_stack(n, 4, KINDS.index(kind))
+        got = _generator([term], register(n), h)(stack)
+        assert np.max(np.abs(got - oracle_rhs(stack, [term], n, h))) < 1e-14
+
+    @pytest.mark.parametrize("qubits", [(0, 1), (1, 2), (0, 2), (3, 0)])
+    def test_term_qubits_in_both_orders(self, qubits):
+        # (3, 0) is the ring's wrap-around term on four qubits
+        n, h = 4, 0.25
+        stack = random_stack(n, 3, sum(qubits))
+        got = [
+            _generator([one_term("correlated", tq)], register(n), h)(stack)
+            for tq in (qubits, qubits[::-1])
+        ]
+        want = oracle_rhs(stack, [one_term("correlated", qubits)], n, h)
+        assert np.max(np.abs(got[0] - want)) < 1e-14
+        assert np.array_equal(got[0], got[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(generator_cases())
+    @example((6, tuple(build_template_model("correlated", 6, 0.3).terms), 0.5, 0))
+    def test_matches_dense_oracle(self, case):
+        n, terms, h, seed = case
+        stack = random_stack(n, 2, seed)
+        got = _generator(terms, register(n), h)(stack)
+        assert np.max(np.abs(got - oracle_rhs(stack, terms, n, h))) < 1e-13
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_has_single_entry_collapse_ops(self, kind):
+        # the generator and the sector build rely on it (see KINDS)
+        term = one_term(kind, (1, 0) if kind == "correlated" else (0,))
+        for _, c in term.collapse_ops():
+            assert np.count_nonzero(c) == 1
+        _generator([term], register(2), 0.1)
+
+    @pytest.mark.parametrize("collapse", [np.eye(2), np.zeros((2, 2))], ids=["two", "none"])
+    def test_refuses_a_collapse_op_without_one_entry(self, collapse, monkeypatch):
+        monkeypatch.setattr(
+            q.LindbladTerm, "collapse_ops", lambda term: [(term.rate, collapse)]
+        )
+        term = q.LindbladTerm("dephasing", (0,), 0.1)
+        with pytest.raises(ValueError, match="not a single-entry matrix"):
+            _generator([term], register(1), 0.1)
+        with pytest.raises(ValueError, match="not a single-entry matrix"):
+            q.evolve(q.new_pure_ground(1), q.NoiseModel((term,)), q.PropagatorConfig())
+
+
+def test_wide_block_run_loads_no_scipy():
+    # numpy is the package's only dependency; scipy is for tests alone
+    code = (
+        "import sys, qemsim as q\n"
+        "model = q.build_template_model('correlated', 5, 0.1)\n"
+        "q.evolve(q.new_pure_ground(5), model, q.PropagatorConfig(substeps=2))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestEvolve:
@@ -268,7 +385,7 @@ class TestEvolve:
 
     def test_correlated_ring_wide_block_matches_dense_oracle(self):
         # a 5-qubit ring is one block wider than the precomputed ones, so
-        # it runs RK4 with one local superoperator per term
+        # it runs RK4 with the block's generator on rho
         n = 5
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
@@ -362,8 +479,8 @@ class TestEvolve:
 
 class TestTermQubitOrder:
     """A correlated term on (a, b) is the same channel as on (b, a): its
-    two collapse operators swap places, and each kernel is a `LocalOp` on
-    the term's qubits in the order given."""
+    two collapse operators swap places, and the generator of every block
+    takes each term's qubits in the order given."""
 
     @staticmethod
     def both_orders(model, n, substeps=8):
@@ -410,15 +527,15 @@ class TestTermQubitOrder:
         assert isinstance(kernel, noise._Wide)
         assert np.array_equal(out, flipped)
 
-    def test_wrap_around_term_on_a_wide_block_within_round_off(self):
-        # (0, 5) sits on non-adjacent paired axes, which the kernel moves
-        # last in the order given, so its sums run in another order
+    def test_wrap_around_term_on_a_wide_block_is_bit_identical(self):
+        # (5, 0) sits on non-adjacent paired axes; reversing a term only
+        # swaps its two slice moves, which reach disjoint entries
         n = 6
         model = build_template_model("correlated", n, 0.2)
         assert model.terms[-1].qubits == (5, 0)
         kernel, out, flipped = self.both_orders(model, n)
         assert isinstance(kernel, noise._Wide)
-        assert np.max(np.abs(out - flipped)) <= 1e-15
+        assert np.array_equal(out, flipped)
 
 
 class TestRunNoisyCircuit:
