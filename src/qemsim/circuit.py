@@ -244,6 +244,7 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
 
     n_qubits = header(0, "qubits")
     n_params = header(1, "params")
+    too_wide = f"qubit index exceeds declared count {n_qubits}"
     prep = []
     generators = []
     for line_no, line in lines[2:]:
@@ -255,6 +256,8 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
                 )
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise PauliParseError(f"bad prep line {line!r}", line_no)
+            if int(tokens[1]) >= n_qubits:
+                raise PauliParseError(too_wide, line_no)
             prep.append(int(tokens[1]))
             continue
         if len(tokens) < 3:
@@ -272,9 +275,7 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
             raise PauliParseError(f"bad prefactor {tokens[1]!r}", line_no) from None
         ps = parse_pauli_string(tokens[2:], line_no)
         if ps.max_qubit() >= n_qubits:
-            raise PauliParseError(
-                f"qubit index exceeds declared count {n_qubits}", line_no
-            )
+            raise PauliParseError(too_wide, line_no)
         generators.append((ps, index, prefactor))
     spec = AnsatzSpec(
         "UccsdLike",

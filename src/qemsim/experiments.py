@@ -19,7 +19,7 @@ from .noise import (
     evolve,
 )
 from .paulis import PauliString, PauliSum, dense_matrix
-from .state import DensityMatrix, apply_local, new_pure_ground
+from .state import DensityMatrix, LocalOp, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
 
@@ -212,7 +212,7 @@ def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     n = circuit.n_qubits
     u = np.eye(2**n, dtype=complex)
     for gate in circuit.gates:  # U on the row axes of u is U @ u
-        u = apply_local(u, gate.matrix(), [n - 1 - q for q in gate.qubits])
+        u = LocalOp(gate.matrix(), [n - 1 - q for q in gate.qubits], 2 * n)(u)
     return u
 
 

@@ -12,22 +12,22 @@ A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
 so their generators commute and each interval applies one block after
 another.  Every block works on its own qubits only, on the qubit-paired
-rho that a run holds between its two conversions (see `state`).  Every
-collapse op of every kind is a single-entry matrix c_ab |a><b|, so a
-block's generator h*L is one `_generator`: a real diagonal times rho,
-plus one strided slice move per collapse op, on the term's qubits in
-its own order.  One RK4 substep of the linear master equation is
-exactly the degree-4 Taylor polynomial of h*L, and one `_rk4` serves
-both kinds of block:
+rho that a run holds between its two conversions (see `state`).  A
+collapse op is a basis-state pair (a, b), the matrix |a><b| on its
+term's qubits in their own order, so a block's generator h*L is one
+`_generator`: a real diagonal times rho, plus one strided slice move per
+collapse op.  One RK4 substep of the linear master equation is exactly
+the degree-4 Taylor polynomial of h*L, and one `_rk4` serves both kinds
+of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
   (RK4 step)^substeps, a 4^k x 4^k matrix (the Havel vec identity) on
   its paired axes; its h*L is the generator applied to the rows of the
-  4^k x 4^k identity, transposed.  Every kind keeps the coherence order
-  m = popcount(row) - popcount(column), so h*L, its step and their
-  power are block-diagonal in m (Buča and Prosen, New J. Phys. 14,
-  073007, 2012): `_rk4` and the power run on each sector's identity
-  alone, and the sectors fill a zero matrix;
+  4^k x 4^k identity, transposed.  Every collapse op keeps the coherence
+  order m = popcount(row) - popcount(column) (see KINDS), so h*L, its
+  step and their power are block-diagonal in m (Buča and Prosen, New J.
+  Phys. 14, 073007, 2012): `_rk4` and the power run on each sector's
+  identity alone, and the sectors fill a zero matrix;
 - a wider block runs `_rk4` with the generator on rho each substep.
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
@@ -70,9 +70,9 @@ from .state import (
     unpair,
 )
 
-# Every collapse op of each kind must be a single-entry matrix |a><b|:
-# `_generator` relies on it and refuses any other op, and the dense block
-# build on the coherence order it keeps (see the module docstring).
+# A collapse op c = |a><b| keeps coherence order, on which the dense block
+# build relies (see the module docstring): c rho c^dag moves only the
+# term entries (b, b) onto (a, a), and c^dag c = |b><b| is diagonal.
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
 TRACE_DRIFT_LIMIT = 1e-6
@@ -88,12 +88,6 @@ MAX_SUBSTEPS = 10**6
 # A batched run holds at most this many bytes of rho stack (16 B an
 # entry, 4^n entries a row); a single row larger than that runs alone.
 BATCH_BYTES = 64 * 2**20
-
-_SIGMA = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-_SIGMA_DAG = _SIGMA.conj().T
-_NUMBER = _SIGMA_DAG @ _SIGMA
-# sigma_1^dag sigma_2 and sigma_1 sigma_2^dag: |10><01| and |01><10|
-_EXCHANGE = (_kron(_SIGMA_DAG, _SIGMA), _kron(_SIGMA, _SIGMA_DAG))
 
 
 @dataclass(frozen=True)
@@ -121,19 +115,20 @@ class LindbladTerm:
         if self.n_th is not None and not 0 <= self.n_th < math.inf:
             raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
 
-    def collapse_ops(self) -> list[tuple[float, np.ndarray]]:
-        """(rate, collapse matrix) pairs for this term, on its qubits in
-        its own order: qubits[0] is the most-significant index bit."""
+    def collapse_ops(self) -> list[tuple[float, int, int]]:
+        """(rate, a, b) triples, each the collapse op |a><b| on the term's
+        qubits in its own order, qubits[0] the most-significant bit: sigma =
+        |0><1|, and the correlated pair sigma_1^dag sigma_2, sigma_1 sigma_2^dag."""
         if self.kind == "amplitude_damping":
-            return [(self.rate, _SIGMA)]
-        if self.kind == "dephasing":
-            return [(self.rate, _NUMBER)]
+            return [(self.rate, 0, 1)]
+        if self.kind == "dephasing":  # sigma^dag sigma
+            return [(self.rate, 1, 1)]
         if self.kind == "thermal":
             return [
-                (self.rate * (self.n_th + 1.0), _SIGMA),
-                (self.rate * self.n_th, _SIGMA_DAG),
+                (self.rate * (self.n_th + 1.0), 0, 1),
+                (self.rate * self.n_th, 1, 0),
             ]
-        return [(self.rate, c) for c in _EXCHANGE]
+        return [(self.rate, 0b10, 0b01), (self.rate, 0b01, 0b10)]
 
 
 @dataclass(frozen=True)
@@ -189,11 +184,10 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
 def _generator(terms, register, h: float):
     """h*L of `terms` on a stack of paired rho whose (rows,) + (4,)*k view
     holds register[i] on axis i + 1: h*L x = d * x plus one slice move per
-    collapse op c_ab |a><b| (see KINDS), weighted w = h * rate * |c_ab|^2.
-    c rho c^dag moves the entries whose term digits (2 * row bit + column
-    bit) are 3b onto those whose digits are 3a; -{c^dag c, rho} / 2 adds
-    -w / 2 to d where the term's row bits are b, and again where its
-    column bits are."""
+    collapse op c = |a><b|, weighted w = h * rate.  c rho c^dag moves the
+    entries whose term digits (2 * row bit + column bit) are 3b onto those
+    whose digits are 3a; -{c^dag c, rho} / 2 adds -w / 2 to d where the
+    term's row bits are b, and again where its column bits are."""
     d = np.zeros((1,) + (4,) * len(register))
     moves = []
 
@@ -206,12 +200,8 @@ def _generator(terms, register, h: float):
 
     for term in terms:
         axes = [register.index(q) + 1 for q in term.qubits]
-        for rate, c in term.collapse_ops():
-            entries = np.argwhere(c)
-            if len(entries) != 1:
-                raise ValueError(f"a {term.kind} collapse op is not a single-entry matrix")
-            a, b = entries[0]
-            w = h * rate * abs(c[a, b]) ** 2
+        for rate, a, b in term.collapse_ops():
+            w = h * rate
             if w == 0.0:
                 continue
             d[at(axes, b, (slice(0, 2), slice(2, 4)))] -= 0.5 * w  # row bits b
@@ -313,9 +303,8 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
     on the paired axes of `_support(terms)`."""
     qubits = _support(terms)
     h = cfg.tau / cfg.substeps
-    ops = [op for t in terms for op in t.collapse_ops()]
-    # 2 * sum rate_k ||c_k||_F^2 bounds the spectral radius of L.
-    radius = 2.0 * sum(rate * np.vdot(c, c).real for rate, c in ops)
+    # 2 * sum rate_k ||c_k||_F^2 bounds L's spectral radius; each |a><b| has norm 1.
+    radius = 2.0 * sum(rate for t in terms for rate, _, _ in t.collapse_ops())
     if h * radius > RK4_STABILITY_LIMIT:
         raise IntegrationError(
             f"step {h:.3g} times the decay-rate bound {radius:.3g} on "

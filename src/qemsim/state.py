@@ -9,23 +9,23 @@ has one axis per qubit (axis n-1-q).
 
 `LocalOp` applies a small 2^k x 2^k matrix to k chosen axes of a
 (2,)*N view, O(2^k * 2^N) per call instead of the O(8^n) of a full
-matrix product; it prepares the matrix once, so a gate or channel
-applied many times pays only the call, and `apply_local` is the
-one-off form.  Gates and noise act on rho as superoperators: with
-row-major vec, vec(A rho B) = (A kron B^T) vec(rho) (Havel, J. Math.
-Phys. 44, 534, 2003), so a k-qubit channel is a 4^k x 4^k matrix and a
-gate U is kron(U, conj(U)).
+matrix product; it orders the matrix to its axes once, so a gate or
+channel applied many times pays only the call, and it is the one code
+that places a matrix on axes.  Gates and noise act on rho as
+superoperators: with row-major vec, vec(A rho B) = (A kron B^T) vec(rho)
+(Havel, J. Math. Phys. 44, 534, 2003), so a k-qubit channel is a
+4^k x 4^k matrix and a gate U is kron(U, conj(U)).
 
 While a noisy run is in progress rho is held as a `PairedDensity`, the
 same 4^n entries in qubit-paired order: viewed as a (2,)*2n tensor,
 qubit q's row bit is axis 2(n-1-q) and its column bit axis 2(n-1-q)+1,
-so each qubit is one contiguous 4-entry axis.  A superoperator reordered
-once by `paired_superop` from (rows, columns) to (row, column) pairs
-then acts on `paired_axes(qubits, n)`, the qubits in any order: one
-contiguous apply for a 1-qubit gate or channel, and for an op on
-adjacent qubits.  Every gate and dense noise channel on rho is such a
-`LocalOp`; a wider noise block steps with `noise._generator` instead.
-`pair` and `unpair` convert at the two ends of a run, one 4^n
+so each qubit is one contiguous 4-entry axis.  A gate's kron(U, conj(U))
+indexes the row bits of its qubits, then their column bits, so it is a
+`LocalOp` on those axes in that order; `LocalOp` moves it onto the
+ascending paired axes, one contiguous apply for a 1-qubit gate and for a
+gate on adjacent qubits.  Every gate and dense noise channel on rho is
+such a `LocalOp`; a wider noise block steps with `noise._generator`
+instead.  `pair` and `unpair` convert at the two ends of a run, one 4^n
 transpose each.  A batched run holds several such rho as the rows of
 one (rows, 4^n) array, and a `LocalOp` folds the row axis into its
 leading count, so one call acts on every row.
@@ -68,53 +68,6 @@ def paired_axes(qubits, n_qubits) -> list[int]:
     return [a for q in qubits for a in (2 * (n_qubits - 1 - q), 2 * (n_qubits - q) - 1)]
 
 
-def _pair_order(k: int) -> list[int]:
-    # (rows, columns) axes of a (2,)*2k view, taken as (row, column) pairs
-    return [a for j in range(k) for a in (j, k + j)]
-
-
-def paired_superop(superop: np.ndarray) -> np.ndarray:
-    """A 4^k x 4^k superoperator in Havel (rows, columns) index order,
-    reordered to act on the paired axes of its k qubits."""
-    k = (superop.shape[0].bit_length() - 1) // 2
-    order = _pair_order(k)
-    t = superop.reshape((2,) * (4 * k)).transpose(order + [2 * k + a for a in order])
-    return t.reshape(superop.shape)
-
-
-def _prepare(m: np.ndarray, axes, n_axes: int):
-    """(m, axes, post) as `_apply` takes them (see `LocalOp`); post is
-    the count of entries after contiguous axes, None for other axes."""
-    k = len(axes)
-    order = sorted(range(k), key=axes.__getitem__)
-    lo = axes[order[0]]
-    if axes[order[-1]] - lo != k - 1:
-        return m, axes, None
-    if order != list(range(k)):
-        m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
-        m = m.reshape(2**k, 2**k)
-    post = 2 ** (n_axes - lo - k)
-    if 1 < post and 2**k * post <= _MAX_FOLDED:
-        return _kron(m, np.eye(post)), range(lo, n_axes), 1
-    return m, range(lo, lo + k), post
-
-
-def _apply(data, m, axes, post, n_axes):
-    """m on each row of data, as `_prepare` left it."""
-    if post is None:
-        rest = [a + 1 for a in range(n_axes) if a not in axes]
-        perm = [0] + rest + [a + 1 for a in axes]
-        t = data.reshape((-1,) + (2,) * n_axes).transpose(perm)
-        out = np.ascontiguousarray(t).reshape(-1, len(m)) @ m.T
-        out = out.reshape(t.shape).transpose(np.argsort(perm))
-        return np.ascontiguousarray(out).reshape(data.shape)
-    if post == 1:
-        out = data.reshape(-1, len(m)) @ m.T
-    else:
-        out = np.matmul(m, data.reshape(-1, len(m), post))
-    return out.reshape(data.shape)
-
-
 class LocalOp:
     """A 2^k x 2^k matrix m on k axes of each row of data viewed as
     (rows,) + (2,)*N, prepared once so each call applies it at the cost
@@ -124,24 +77,42 @@ class LocalOp:
     axes, in any order, are put in ascending order with m reordered to
     match, and with few entries after them m is folded as kron(m, I)
     over those too (see _MAX_FOLDED): a call is then one reshape+matmul
-    view, with the rows folded into its leading count.  Other axes are
-    moved last, applied there and moved back.  A call returns a new
-    C-contiguous array of data's shape.
+    view, with the rows folded into its leading count and `post` entries
+    after the axes.  Other axes (`post` None) are moved last, applied
+    there and moved back.  A call returns a new C-contiguous array of
+    data's shape.
     """
 
     def __init__(self, m: np.ndarray, axes, n_axes: int):
-        self.m, self.axes, self.post = _prepare(m, list(axes), n_axes)
-        self.n_axes = n_axes
+        axes = list(axes)
+        k = len(axes)
+        order = sorted(range(k), key=axes.__getitem__)
+        lo = axes[order[0]]
+        self.m, self.axes, self.post, self.n_axes = m, axes, None, n_axes
+        if axes[order[-1]] - lo != k - 1:
+            return
+        if order != list(range(k)):
+            m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
+            m = m.reshape(2**k, 2**k)
+        self.m, self.axes, self.post = m, range(lo, lo + k), 2 ** (n_axes - lo - k)
+        if 1 < self.post and 2**k * self.post <= _MAX_FOLDED:
+            self.m = _kron(m, np.eye(self.post))
+            self.axes, self.post = range(lo, n_axes), 1
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
-        return _apply(data, self.m, self.axes, self.post, self.n_axes)
-
-
-def apply_local(data: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
-    """m applied to `axes` of data viewed as (2,)*N, N = log2(data.size),
-    once (see `LocalOp`, for a matrix applied many times)."""
-    n_axes = data.size.bit_length() - 1
-    return _apply(data, *_prepare(m, axes, n_axes), n_axes)
+        m, post = self.m, self.post
+        if post is None:
+            rest = [a + 1 for a in range(self.n_axes) if a not in self.axes]
+            perm = [0] + rest + [a + 1 for a in self.axes]
+            t = data.reshape((-1,) + (2,) * self.n_axes).transpose(perm)
+            out = np.ascontiguousarray(t).reshape(-1, len(m)) @ m.T
+            out = out.reshape(t.shape).transpose(np.argsort(perm))
+            return np.ascontiguousarray(out).reshape(data.shape)
+        if post == 1:
+            out = data.reshape(-1, len(m)) @ m.T
+        else:
+            out = np.matmul(m, data.reshape(-1, len(m), post))
+        return out.reshape(data.shape)
 
 
 @dataclass
@@ -204,7 +175,8 @@ def _paired_diagonal(n_qubits: int) -> np.ndarray:
 def pair(rho: DensityMatrix) -> PairedDensity:
     """rho in paired order, as a new array."""
     n = rho.n_qubits
-    t = rho.data.reshape((2,) * (2 * n)).transpose(_pair_order(n))
+    row_col_pairs = [a for j in range(n) for a in (j, n + j)]
+    t = rho.data.reshape((2,) * (2 * n)).transpose(row_col_pairs)
     return PairedDensity(n, t.copy().reshape(-1))
 
 
@@ -248,11 +220,12 @@ GATE_CACHE_SIZE = 64
 
 @lru_cache(maxsize=GATE_CACHE_SIZE)
 def _gate_superop(gate, n_qubits: int) -> LocalOp:
-    """kron(U, conj(U)) of a bound gate in paired order on its paired
-    axes: built once per distinct gate and register size, read-only."""
+    """kron(U, conj(U)) of a bound gate on its qubits' row axes then their
+    column axes, which LocalOp reorders to the paired axes: built once per
+    distinct gate and register size, read-only."""
     u = gate.matrix()
-    superop = paired_superop(_kron(u, u.conj()))
-    op = LocalOp(superop, paired_axes(gate.qubits, n_qubits), 2 * n_qubits)
+    axes = paired_axes(gate.qubits, n_qubits)
+    op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * n_qubits)
     op.m.flags.writeable = False
     return op
 
@@ -270,6 +243,6 @@ def apply_gate(state, gate):
     n = state.n_qubits
     _check_qubits(gate.qubits, n)
     if isinstance(state, StateVector):
-        u = gate.matrix()
-        return StateVector(n, apply_local(state.data, u, [n - 1 - q for q in gate.qubits]))
+        op = LocalOp(gate.matrix(), [n - 1 - q for q in gate.qubits], n)
+        return StateVector(n, op(state.data))
     return PairedDensity(n, _gate_superop(gate, n)(state.data))

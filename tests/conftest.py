@@ -98,6 +98,16 @@ def dense_liouvillian(model, n):
     return lmat
 
 
+def paired_superop(superop):
+    """Independent reorder of a 4^k x 4^k superoperator from Havel order
+    (k row bits, then k column bits, qubits[0] first) to the qubit-paired
+    order of its k qubits (each qubit's row bit, then its column bit)."""
+    k = (superop.shape[0].bit_length() - 1) // 2
+    pairs = [b for j in range(k) for b in (j, k + j)]
+    t = superop.reshape((2,) * (4 * k)).transpose(pairs + [2 * k + b for b in pairs])
+    return t.reshape(superop.shape)
+
+
 def coherence_order(k):
     """Independent m = popcount(row) - popcount(column) of each flat index
     of a paired k-qubit superoperator: qubit j's row bit is bit 2j + 1 of

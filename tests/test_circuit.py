@@ -183,6 +183,12 @@ class TestAnsatzFile:
         with pytest.raises(q.PauliParseError):
             q.parse_ansatz_file(text)
 
+    def test_prep_qubit_past_declared_count(self):
+        text = "qubits 4\nparams 1\nx 9\n0 1.0 Z0\n"
+        with pytest.raises(q.PauliParseError, match="qubit index exceeds declared count 4") as exc:
+            q.parse_ansatz_file(text)
+        assert exc.value.line_no == 3
+
     def test_missing_headers(self):
         with pytest.raises(q.PauliParseError):
             q.parse_ansatz_file("qubits 2\n0 1.0 Z0\n")

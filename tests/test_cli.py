@@ -656,3 +656,13 @@ class TestConfigReader:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+
+    def test_prep_qubit_past_declared_count_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "ansatz.txt").write_text("qubits 4\nparams 1\nx 9\n0 1.0 Z0\n")
+        config = base_config(ansatz={"kind": "uccsd", "path": "ansatz.txt"})
+        assert _run(tmp_path, monkeypatch, "vqe", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 3: qubit index exceeds declared count 4" in err

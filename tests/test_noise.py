@@ -283,25 +283,6 @@ class TestGenerator:
         got = _generator(terms, register(n), h)(stack)
         assert np.max(np.abs(got - oracle_rhs(stack, terms, n, h))) < 1e-13
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_every_kind_has_single_entry_collapse_ops(self, kind):
-        # the generator and the sector build rely on it (see KINDS)
-        term = one_term(kind, (1, 0) if kind == "correlated" else (0,))
-        for _, c in term.collapse_ops():
-            assert np.count_nonzero(c) == 1
-        _generator([term], register(2), 0.1)
-
-    @pytest.mark.parametrize("collapse", [np.eye(2), np.zeros((2, 2))], ids=["two", "none"])
-    def test_refuses_a_collapse_op_without_one_entry(self, collapse, monkeypatch):
-        monkeypatch.setattr(
-            q.LindbladTerm, "collapse_ops", lambda term: [(term.rate, collapse)]
-        )
-        term = q.LindbladTerm("dephasing", (0,), 0.1)
-        with pytest.raises(ValueError, match="not a single-entry matrix"):
-            _generator([term], register(1), 0.1)
-        with pytest.raises(ValueError, match="not a single-entry matrix"):
-            q.evolve(q.new_pure_ground(1), q.NoiseModel((term,)), q.PropagatorConfig())
-
 
 def test_wide_block_run_loads_no_scipy():
     # numpy is the package's only dependency; scipy is for tests alone

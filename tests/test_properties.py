@@ -14,16 +14,15 @@ import qemsim as q
 from qemsim import noise
 from qemsim.mitigation import build_groups, corrected_value
 from qemsim.noise import KINDS, IntervalPropagator, build_template_model, scale_terms
-from qemsim.state import (
-    PairedDensity,
-    apply_local,
-    pair,
-    paired_axes,
-    paired_superop,
-    unpair,
-)
+from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, unpair
 
-from conftest import coherence_order, dense_liouvillian, dense_rk4, kron_embed_multi
+from conftest import (
+    coherence_order,
+    dense_liouvillian,
+    dense_rk4,
+    kron_embed_multi,
+    paired_superop,
+)
 
 
 def random_matrix(rng, dim):
@@ -58,14 +57,14 @@ def test_kernel_matches_kron_oracle(case):
     # in rho's (2,)*2n view qubit j's row bit is axis n-1-j, its column
     # bit axis 2n-1-j
     if register == "rows":
-        got = apply_local(rho, m, [n - 1 - j for j in qubits])
+        got = LocalOp(m, [n - 1 - j for j in qubits], 2 * n)(rho)
         want = kron_embed_multi(m, qubits, n) @ rho
     elif register == "cols":
-        got = apply_local(rho, m, [2 * n - 1 - j for j in qubits])
+        got = LocalOp(m, [2 * n - 1 - j for j in qubits], 2 * n)(rho)
         want = rho @ kron_embed_multi(m, qubits, n).T
     else:
         # doubled-register qubit j is tensor axis 2n-1-j of rho's view
-        got = apply_local(rho, m, [2 * n - 1 - j for j in qubits])
+        got = LocalOp(m, [2 * n - 1 - j for j in qubits], 2 * n)(rho)
         want = (kron_embed_multi(m, qubits, 2 * n) @ rho.reshape(-1)).reshape(rho.shape)
     assert got.shape == rho.shape
     assert np.max(np.abs(got - want)) < 1e-12
@@ -180,23 +179,79 @@ def dense_blocks(draw):
     return k, tuple(terms), draw(st.sampled_from([1, 8, 64]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(dense_blocks())
-@example((4, tuple(build_template_model("correlated", 4, 10**-2.5).terms), 64))
-def test_sector_build_matches_full_matrix_oracle(case):
-    # The oracle steps and powers the whole 4^k x 4^k generator; the build
-    # does each coherence-order sector alone, exact because the oracle
-    # keeps every entry between sectors at exactly 0.
-    k, terms, substeps = case
+def check_sector_build(terms, k, substeps, lmat):
+    """`_block` of terms on k qubits against the full-matrix oracle: the
+    RK4 step of their Havel-order Liouvillian lmat, to the power substeps.
+    The build does each coherence-order sector alone, exact because the
+    oracle keeps every entry between sectors at exactly 0."""
     cfg = q.PropagatorConfig(substeps=substeps)
-    lmat = paired_superop(dense_liouvillian(q.NoiseModel(terms), k).toarray())
-    hl = cfg.tau / substeps * lmat
+    hl = cfg.tau / substeps * paired_superop(lmat)
     eye = np.eye(4**k, dtype=complex)
     want = np.linalg.matrix_power(noise._rk4(lambda m: m @ hl, eye, hl), substeps)
     order = coherence_order(k)
     assert np.all(want[order[:, None] != order[None, :]] == 0)
     got = noise._block(terms, k, cfg)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_blocks())
+@example((4, tuple(build_template_model("correlated", 4, 10**-2.5).terms), 64))
+def test_sector_build_matches_full_matrix_oracle(case):
+    k, terms, substeps = case
+    check_sector_build(terms, k, substeps, dense_liouvillian(q.NoiseModel(terms), k).toarray())
+
+
+class StubTerm:
+    """A noise term as `_block` reads it: its qubits and its collapse ops,
+    here any (rate, a, b) triples, not only those of the four kinds."""
+
+    def __init__(self, qubits, ops):
+        self.qubits, self.ops = qubits, ops
+
+    def collapse_ops(self):
+        return self.ops
+
+
+@st.composite
+def single_entry_blocks(draw):
+    """(k, terms, substeps): stub terms of width 1-2 on qubits 0..k-1, each
+    with 1-2 arbitrary collapse ops |a><b|, and dephasing on every qubit no
+    term touches, so `_block` builds one dense block on the k qubits."""
+    k = draw(st.integers(1, 3))
+    rates = st.just(0.0) | st.floats(0.0, 0.05)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, min(2, k)))
+        qubits = tuple(draw(st.permutations(range(k)))[:width])
+        basis = st.integers(0, 2**width - 1)
+        ops = draw(st.lists(st.tuples(rates, basis, basis), min_size=1, max_size=2))
+        terms.append(StubTerm(qubits, ops))
+    touched = {j for t in terms for j in t.qubits}
+    terms += [StubTerm((j,), [(draw(rates), 1, 1)]) for j in range(k) if j not in touched]
+    return k, tuple(terms), draw(st.sampled_from([1, 8, 64]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_entry_blocks())
+@example((2, (StubTerm((0, 1), [(0.05, 3, 0), (0.02, 1, 2)]),), 8))
+@example((3, (StubTerm((2, 0), [(0.04, 2, 1)]), StubTerm((1,), [(0.03, 0, 0)])), 64))
+def test_any_single_entry_op_keeps_the_sector_build_exact(case):
+    # The sector build needs only the (rate, a, b) format, for any collapse
+    # ops |a><b| and not just those of the four kinds.
+    k, terms, substeps = case
+    eye = np.eye(2**k, dtype=complex)
+    lmat = np.zeros((4**k, 4**k), dtype=complex)
+    for term in terms:
+        for rate, a, b in term.collapse_ops():
+            unit = np.zeros((2 ** len(term.qubits),) * 2, dtype=complex)
+            unit[a, b] = 1.0
+            c = kron_embed_multi(unit, term.qubits, k)
+            cdc = c.conj().T @ c
+            lmat += rate * (
+                np.kron(c, c.conj()) - 0.5 * np.kron(cdc, eye) - 0.5 * np.kron(eye, cdc.T)
+            )
+    check_sector_build(terms, k, substeps, lmat)
 
 
 @pytest.mark.xfail(

@@ -10,11 +10,8 @@ from qemsim.state import (
     LocalOp,
     PairedDensity,
     _gate_superop,
-    _kron,
-    apply_local,
     pair,
     paired_axes,
-    paired_superop,
     unpair,
 )
 
@@ -118,7 +115,7 @@ class TestApplyGate:
         rho = q.DensityMatrix(n, rho_data)
         p0 = np.array([[1, 0], [0, 0]], dtype=complex)
         p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        for c, t in [(0, 1), (1, 0), (0, 2), (2, 1)]:
+        for c, t in [(0, 1), (1, 0), (0, 2), (2, 0), (2, 1)]:
             full = kron_embed(p0, c, n) + kron_embed(p1, c, n) @ kron_embed(
                 PAULI["X"], t, n
             )
@@ -156,11 +153,11 @@ class TestKernels:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for qubits in [(0, 1), (2, 0), (1, 2), (2, 1)]:
             full = kron_embed_multi(m, qubits, n)
-            left = apply_local(rho, m, [n - 1 - qb for qb in qubits])
-            right = apply_local(rho, m, [2 * n - 1 - qb for qb in qubits])
+            left = LocalOp(m, [n - 1 - qb for qb in qubits], 2 * n)(rho)
+            right = LocalOp(m, [2 * n - 1 - qb for qb in qubits], 2 * n)(rho)
             assert np.max(np.abs(left - full @ rho)) < 1e-12
             assert np.max(np.abs(right - rho @ full.T)) < 1e-12
-            embedded = apply_local(np.eye(2**n, dtype=complex), m, [n - 1 - qb for qb in qubits])
+            embedded = LocalOp(m, [n - 1 - qb for qb in qubits], 2 * n)(np.eye(2**n, dtype=complex))
             assert np.max(np.abs(embedded - full)) < 1e-12
 
     def test_superoperator_on_doubled_register(self):
@@ -172,7 +169,7 @@ class TestKernels:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         paired = pair(q.DensityMatrix(n, rho)).data
         for qb in range(n):
-            out = apply_local(paired, np.kron(a, b.T), paired_axes((qb,), n))
+            out = LocalOp(np.kron(a, b.T), paired_axes((qb,), n), 2 * n)(paired)
             got = unpair(PairedDensity(n, out)).data
             want = kron_embed(a, qb, n) @ rho @ kron_embed(b, qb, n)
             assert np.max(np.abs(got - want)) < 1e-12
@@ -182,14 +179,14 @@ class TestKernels:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         for qb in range(3):
-            embedded = apply_local(np.eye(8, dtype=complex), m, [2 - qb])
+            embedded = LocalOp(m, [2 - qb], 2 * 3)(np.eye(8, dtype=complex))
             assert np.max(np.abs(embedded - kron_embed(m, qb, 3))) < 1e-14
 
 
 class TestGateSuperopCache:
     def test_entry_is_the_fresh_superoperator(self):
-        # bit for bit kron(U, conj(U)) in paired order, as LocalOp prepares
-        # it, at every position of a 4-qubit register
+        # bit for bit the uncached build, at every position of a 4-qubit
+        # register
         n = 4
         gates = [bound("H", (qb,)) for qb in range(n)] + [
             bound("CNOT", (0, 1)),
@@ -199,10 +196,7 @@ class TestGateSuperopCache:
             bound("Rx", (2,), -1.1),
         ]
         for gate in gates:
-            u = gate.matrix()
-            fresh = LocalOp(
-                paired_superop(_kron(u, u.conj())), paired_axes(gate.qubits, n), 2 * n
-            )
+            fresh = _gate_superop.__wrapped__(gate, n)
             cached = _gate_superop(gate, n)
             assert (cached.axes, cached.post) == (fresh.axes, fresh.post)
             assert np.array_equal(cached.m, fresh.m)
