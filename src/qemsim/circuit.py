@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PauliParseError
-from .paulis import PauliString, _content_lines, parse_pauli_string
+from .paulis import PauliString, _content_lines, _header, parse_pauli_string
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
@@ -231,23 +231,13 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
     "x <q>" (literal X reference-prep gate) or
     "<param_index> <prefactor> <P><idx> ...".
     """
-    lines = list(_content_lines(text))
-    if len(lines) < 2:
-        raise PauliParseError("expected 'qubits N' and 'params M' headers")
-
-    def header(pos, key):
-        line_no, line = lines[pos]
-        parts = line.split()
-        if len(parts) != 2 or parts[0].lower() != key or not parts[1].isdigit():
-            raise PauliParseError(f"expected '{key} N', got {line!r}", line_no)
-        return int(parts[1])
-
-    n_qubits = header(0, "qubits")
-    n_params = header(1, "params")
+    lines = _content_lines(text)
+    n_qubits = _header(lines, "qubits", 1)
+    n_params = _header(lines, "params", 0)
     too_wide = f"qubit index exceeds declared count {n_qubits}"
     prep = []
     generators = []
-    for line_no, line in lines[2:]:
+    for line_no, line in lines:
         tokens = line.split()
         if tokens[0].lower() == "x":
             if generators:

@@ -42,7 +42,7 @@ class RemovalGroup:
     def __post_init__(self):
         if not self.removed_terms:
             raise ValueError("removal group must remove at least one term")
-        if self.weight <= 0:
+        if not self.weight > 0:  # also refuses NaN
             raise ValueError(f"weight must be positive, got {self.weight}")
 
 

@@ -173,6 +173,9 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     if factor < 0:
         raise ValueError(f"scale factor must be >= 0, got {factor}")
     chosen = set(indices)
+    outside = chosen - set(range(len(model)))
+    if outside:
+        raise ValueError(f"term indices {sorted(outside)} out of range for {len(model)} terms")
     return NoiseModel(
         tuple(
             replace(t, rate=t.rate * factor) if i in chosen else t
@@ -522,6 +525,8 @@ def build_template_model(
     Correlated terms use ring pairing (q, (q+1) mod n); explicit term
     lists override this when finer control is needed.
     """
+    if n_qubits < 1:
+        raise ValueError(f"a noise template needs at least 1 qubit, got {n_qubits}")
     terms: list[LindbladTerm] = []
     if template in ("gamma1", "gamma1_gamma2"):
         terms += [

@@ -177,6 +177,20 @@ def _content_lines(text: str):
             yield line_no, line
 
 
+def _header(lines, key: str, least: int) -> int:
+    """N of a "<key> N" header, the next of the content `lines`; N must be
+    at least `least`."""
+    line_no, line = next(lines, (None, None))
+    if line is None:
+        raise PauliParseError(f"expected '{key} N' header, got end of file")
+    parts = line.split()
+    if len(parts) != 2 or parts[0].lower() != key or not parts[1].isdigit():
+        raise PauliParseError(f"expected '{key} N' header, got {line!r}", line_no)
+    if int(parts[1]) < least:
+        raise PauliParseError(f"'{key}' must be at least {least}, got {parts[1]}", line_no)
+    return int(parts[1])
+
+
 def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the observable file format.
 
@@ -185,14 +199,7 @@ def parse_pauli_sum(text: str) -> PauliSum:
     string; "#" starts a comment.
     """
     lines = _content_lines(text)
-    try:
-        line_no, header = next(lines)
-    except StopIteration:
-        raise PauliParseError("empty file") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0].lower() != "qubits" or not parts[1].isdigit():
-        raise PauliParseError(f"expected 'qubits N' header, got {header!r}", line_no)
-    n_qubits = int(parts[1])
+    n_qubits = _header(lines, "qubits", 1)
     terms = []
     for line_no, line in lines:
         tokens = line.split()

@@ -23,12 +23,14 @@ so each qubit is one contiguous 4-entry axis.  A gate's kron(U, conj(U))
 indexes the row bits of its qubits, then their column bits, so it is a
 `LocalOp` on those axes in that order; `LocalOp` moves it onto the
 ascending paired axes, one contiguous apply for a 1-qubit gate and for a
-gate on adjacent qubits.  Every gate and dense noise channel on rho is
-such a `LocalOp`; a wider noise block steps with `noise._generator`
-instead.  `pair` and `unpair` convert at the two ends of a run, one 4^n
-transpose each.  A batched run holds several such rho as the rows of
-one (rows, 4^n) array, and a `LocalOp` folds the row axis into its
-leading count, so one call acts on every row.
+gate on adjacent qubits.  A gate is one cached `LocalOp` per state
+layout: U on a state vector, kron(U, conj(U)) on a paired rho or on the
+row axes then column axes of a DensityMatrix's (2,)*2n view.  Every dense
+noise channel on rho is a `LocalOp` too; a wider noise block steps with
+`noise._generator` instead.  `pair` and `unpair` convert at the two ends
+of a run, one 4^n transpose each.  A batched run holds several such rho
+as the rows of one (rows, 4^n) array, and a `LocalOp` folds the row axis
+into its leading count, so one call acts on every row.
 """
 
 from __future__ import annotations
@@ -46,14 +48,6 @@ DEFAULT_QUBIT_CAP = 14
 # it to one call, and pays while the folded matrix has at most this many
 # rows.
 _MAX_FOLDED = 16
-
-
-def _check_qubits(qubits, n_qubits):
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices: {qubits}")
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,37 +206,45 @@ def new_pure_ground(n_qubits: int) -> DensityMatrix:
     return new_statevector(n_qubits).to_density_matrix()
 
 
-# Bound on the cached gate superoperators (see `_gate_superop`).  Each is
-# at most 16x16 complex, 4 KiB; the H2 UCCSD circuit has 23 distinct
-# bound gates, 6 of them Rz angles that change with every evaluation.
+# Bound on the cached gate ops (see `_gate_op`).  Each is at most 16x16
+# complex, 4 KiB; the H2 UCCSD circuit has 23 distinct bound gates, 6 of
+# them Rz angles that change with every evaluation, so its ops on two
+# layouts fit.
 GATE_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=GATE_CACHE_SIZE)
-def _gate_superop(gate, n_qubits: int) -> LocalOp:
-    """kron(U, conj(U)) of a bound gate on its qubits' row axes then their
-    column axes, which LocalOp reorders to the paired axes: built once per
-    distinct gate and register size, read-only."""
+def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
+    """A bound gate as one read-only LocalOp on a state of class `layout`:
+    U on axes n-1-q of a StateVector, else kron(U, conj(U)) on its qubits'
+    row axes then column axes, paired (LocalOp reorders them) or of a
+    DensityMatrix's (2,)*2n view.  Built and checked once per distinct
+    (gate, n_qubits, layout); an error is not cached, so it recurs."""
+    qubits = gate.qubits
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubit indices: {qubits}")
+    for q in qubits:
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
     u = gate.matrix()
-    axes = paired_axes(gate.qubits, n_qubits)
-    op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * n_qubits)
-    op.m.flags.writeable = False
+    rows = [n_qubits - 1 - q for q in qubits]
+    if layout is StateVector:
+        op = LocalOp(u, rows, n_qubits)
+    else:
+        cols = [n_qubits + a for a in rows]
+        if layout is PairedDensity:
+            axes = paired_axes(qubits, n_qubits)
+            rows, cols = axes[0::2], axes[1::2]
+        op = LocalOp(_kron(u, u.conj()), rows + cols, 2 * n_qubits)
+    op.m = op.m.view()  # read-only, leaving the gate's own matrix as it is
+    op.m.setflags(write=False)
     return op
 
 
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
     PairedDensity (on every row of a stack) or DensityMatrix, for a bound
-    (fully resolved) gate.
-
-    On rho the gate is the one superoperator kron(U, conj(U)) on the
-    paired axes of its qubits, built once per distinct gate; a
-    DensityMatrix is paired for the call and unpaired after it."""
-    if isinstance(state, DensityMatrix):
-        return unpair(apply_gate(pair(state), gate))
-    n = state.n_qubits
-    _check_qubits(gate.qubits, n)
-    if isinstance(state, StateVector):
-        op = LocalOp(gate.matrix(), [n - 1 - q for q in gate.qubits], n)
-        return StateVector(n, op(state.data))
-    return PairedDensity(n, _gate_superop(gate, n)(state.data))
+    (fully resolved) gate: the one cached op of that gate on the state's
+    layout (see `_gate_op`)."""
+    op = _gate_op(gate, state.n_qubits, type(state))
+    return type(state)(state.n_qubits, op(state.data))

@@ -59,8 +59,13 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.f_tol <= 0 or self.x_tol <= 0:
+        # each check is negated, so NaN fails it too
+        if not self.f_tol > 0 or not self.x_tol > 0:
             raise ValueError("tolerances must be positive")
+        if not 0 < self.initial_step < np.inf:
+            raise ValueError(
+                f"initial_step must be finite and positive, got {self.initial_step}"
+            )
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
 

@@ -192,3 +192,20 @@ class TestAnsatzFile:
     def test_missing_headers(self):
         with pytest.raises(q.PauliParseError):
             q.parse_ansatz_file("qubits 2\n0 1.0 Z0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("qubits 0\nparams 1\n0 1.0 Z0\n", "line 1: 'qubits' must be at least 1, got 0"),
+            ("qubits 2\n", "expected 'params N' header, got end of file"),
+            ("qubits 2\nparams x\n", "line 2: expected 'params N' header, got 'params x'"),
+        ],
+        ids=["zero_qubits", "no_params", "bad_params"],
+    )
+    def test_bad_header_carries_its_line(self, text, message):
+        with pytest.raises(q.PauliParseError, match=message):
+            q.parse_ansatz_file(text)
+
+    def test_zero_params_is_a_prep_only_ansatz(self):
+        spec, n = q.parse_ansatz_file("qubits 2\nparams 0\nx 1\n")
+        assert (n, spec.n_params, spec.prep, spec.generators) == (2, 0, (1,), ())

@@ -657,6 +657,39 @@ class TestConfigReader:
         assert err.startswith("error:")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "optimizer, message",
+        [
+            ({"initial_step": 0, "max_evals": 50}, "initial_step must be finite and positive"),
+            ({"initial_step": float("nan")}, "initial_step must be finite and positive"),
+            ({"f_tol": float("nan")}, "tolerances must be positive"),
+            ({"x_tol": 0}, "tolerances must be positive"),
+        ],
+        ids=["zero_step", "nan_step", "nan_f_tol", "zero_x_tol"],
+    )
+    def test_optimizer_setting_that_cannot_work_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, optimizer, message
+    ):
+        # a zero step used to stop after 4 evaluations and report convergence
+        assert _run(tmp_path, monkeypatch, "vqe", base_config(optimizer=optimizer)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad optimizer setting:")
+        assert message in err
+
+    @pytest.mark.parametrize("mode", ["vqe", "mitigate"])
+    def test_zero_qubit_hamiltonian_is_a_config_error(self, tmp_path, monkeypatch, capsys, mode):
+        # it used to end in "failure: unknown noise template 'gamma1'", exit 1
+        (tmp_path / "h0.txt").write_text("qubits 0\n0.5 I\n")
+        config = {
+            "hamiltonian": "h0.txt",
+            "ansatz": {"kind": "entangling", "layers": 1},
+            "noise": {"template": "gamma1", "rate": 1e-3},
+        }
+        assert _run(tmp_path, monkeypatch, mode, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 1: 'qubits' must be at least 1, got 0" in err
+
     def test_prep_qubit_past_declared_count_is_a_config_error(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -243,3 +243,7 @@ class TestGroupValidation:
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError):
             q.RemovalGroup("g", (0,), 0.0)
+
+    def test_nan_weight(self):
+        with pytest.raises(ValueError, match="weight must be positive, got nan"):
+            q.RemovalGroup("g", (0,), float("nan"))

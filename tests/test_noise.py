@@ -765,6 +765,13 @@ class TestModelEditing:
         assert scaled.terms[1].rate == pytest.approx(0.3)
         assert scaled.terms[0].rate == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("indices", [[3], [7], [-1], [0, 3]])
+    def test_index_outside_the_model_is_refused(self, indices):
+        # such a "removal" used to return the full-noise model unchanged
+        model = build_template_model("gamma1", 3, 0.1)
+        with pytest.raises(ValueError, match="out of range for 3 terms"):
+            scale_terms(model, indices, 0.0)
+
 
 class TestConfigHelpers:
     def test_template_models(self):
@@ -774,6 +781,11 @@ class TestConfigHelpers:
         assert [t.qubits for t in corr.terms] == [(0, 1), (1, 2), (2, 3), (3, 0)]
         with pytest.raises(ValueError):
             build_template_model("nope", 4, 0.1)
+
+    @pytest.mark.parametrize("n_qubits", [0, -1])
+    def test_template_without_qubits_names_the_count(self, n_qubits):
+        with pytest.raises(ValueError, match=f"at least 1 qubit, got {n_qubits}"):
+            build_template_model("gamma1", n_qubits, 0.1)
 
 
 class TestParallelSafety:

@@ -46,6 +46,19 @@ class TestParsing:
         with pytest.raises(PauliParseError):
             q.parse_pauli_sum("")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# none\nqubits 0\n0.5 I\n", "line 2: 'qubits' must be at least 1, got 0"),
+            ("qubits two\n0.5 I\n", "line 1: expected 'qubits N' header, got 'qubits two'"),
+            ("# only a comment\n", "expected 'qubits N' header, got end of file"),
+        ],
+        ids=["zero_qubits", "bad_count", "empty"],
+    )
+    def test_bad_header_carries_its_line(self, text, message):
+        with pytest.raises(PauliParseError, match=message):
+            q.parse_pauli_sum(text)
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(0)
         terms = [(float(rng.normal()), {0: "X", 2: "Z"}), (float(rng.normal()), {})]

@@ -9,13 +9,21 @@ from qemsim.state import (
     GATE_CACHE_SIZE,
     LocalOp,
     PairedDensity,
-    _gate_superop,
+    StateVector,
+    _gate_op,
     pair,
     paired_axes,
     unpair,
 )
 
-from conftest import PAULI, from_debug_json, kron_embed, kron_embed_multi, to_debug_json
+from conftest import (
+    PAULI,
+    from_debug_json,
+    kron_embed,
+    kron_embed_multi,
+    random_density_matrix,
+    to_debug_json,
+)
 
 
 def bound(kind, qubits, angle=None):
@@ -196,35 +204,83 @@ class TestGateSuperopCache:
             bound("Rx", (2,), -1.1),
         ]
         for gate in gates:
-            fresh = _gate_superop.__wrapped__(gate, n)
-            cached = _gate_superop(gate, n)
+            fresh = _gate_op.__wrapped__(gate, n, PairedDensity)
+            cached = _gate_op(gate, n, PairedDensity)
             assert (cached.axes, cached.post) == (fresh.axes, fresh.post)
             assert np.array_equal(cached.m, fresh.m)
             assert not cached.m.flags.writeable
         # qubit 1 of 4: a 4x4 superoperator folded over its 4 trailing entries
-        folded = _gate_superop(bound("H", (1,)), n)
+        folded = _gate_op(bound("H", (1,)), n, PairedDensity)
         assert (list(folded.axes), folded.m.shape) == ([4, 5, 6, 7], (16, 16))
 
     def test_rz_angles_never_share_an_entry(self):
-        a = _gate_superop(bound("Rz", (0,), 0.3), 2)
+        a = _gate_op(bound("Rz", (0,), 0.3), 2, PairedDensity)
         for angle in (0.3 + 1e-15, -0.3):
-            b = _gate_superop(bound("Rz", (0,), angle), 2)
+            b = _gate_op(bound("Rz", (0,), angle), 2, PairedDensity)
             assert b is not a
             assert not np.array_equal(a.m, b.m)
         # the same gate again is the same entry
-        assert _gate_superop(bound("Rz", (0,), 0.3), 2) is a
+        assert _gate_op(bound("Rz", (0,), 0.3), 2, PairedDensity) is a
+
+    @pytest.mark.parametrize("layout", ["StateVector", "PairedDensity", "DensityMatrix"])
+    def test_bad_qubits_raise_on_every_call(self, layout):
+        # the check runs inside the cached build, and a raised error is
+        # not cached, so the second call raises as the first did
+        rho = q.new_pure_ground(2)
+        state = {
+            "StateVector": q.new_statevector(2),
+            "PairedDensity": pair(rho),
+            "DensityMatrix": rho,
+        }[layout]
+        for gate, message in [
+            (bound("X", [2]), "qubit index 2 out of range for 2 qubits"),
+            (bound("X", [-1]), "qubit index -1 out of range for 2 qubits"),
+            (bound("CNOT", [1, 1]), r"duplicate qubit indices: \(1, 1\)"),
+        ]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    q.apply_gate(state, gate)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_density_matrix_gate_is_bit_identical_to_paired(self, n):
+        rho = random_density_matrix(n, np.random.default_rng(n))
+        gates = [
+            bound(kind, [qb], angle)
+            for qb in range(n)
+            for kind, angle in [("H", None), ("X", None), ("Rx", 0.7), ("Ry", -0.4), ("Rz", 1.3)]
+        ]
+        for c in range(n - 1):  # adjacent, both directions
+            gates += [bound("CNOT", [c, c + 1]), bound("CNOT", [c + 1, c])]
+        if n > 2:  # wrap-around
+            gates += [bound("CNOT", [0, n - 1]), bound("CNOT", [n - 1, 0])]
+        for gate in gates:
+            got = q.apply_gate(rho, gate)
+            want = unpair(q.apply_gate(pair(rho), gate))
+            assert isinstance(got, q.DensityMatrix)
+            assert np.array_equal(got.data, want.data), gate
+
+    def test_noiseless_runs_build_each_statevector_op_once(self, h2_bound_circuit):
+        circuit = h2_bound_circuit
+        distinct = len(set(circuit.gates))
+        _gate_op.cache_clear()
+        for _ in range(2):
+            out = q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
+            assert isinstance(out, StateVector)
+        info = _gate_op.cache_info()
+        assert distinct < len(circuit.gates)
+        assert (info.misses, info.hits) == (distinct, 2 * len(circuit.gates) - distinct)
 
     def test_cache_stays_bounded_over_many_thetas(self, h2_uccsd_circuit):
         n = h2_uccsd_circuit.n_qubits
         rng = np.random.default_rng(0)
         rho = pair(q.new_pure_ground(n))
-        _gate_superop.cache_clear()
+        _gate_op.cache_clear()
         for _ in range(20):
             circuit = q.bind(h2_uccsd_circuit, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
             for gate in circuit.gates:
                 rho = q.apply_gate(rho, gate)
-            assert _gate_superop.cache_info().currsize <= GATE_CACHE_SIZE
-        info = _gate_superop.cache_info()
+            assert _gate_op.cache_info().currsize <= GATE_CACHE_SIZE
+        info = _gate_op.cache_info()
         # its Rz angles are new at every theta, so entries were evicted
         assert info.maxsize == GATE_CACHE_SIZE < info.misses
         assert abs(rho.trace() - 1) < 1e-12

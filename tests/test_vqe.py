@@ -141,6 +141,19 @@ class TestNelderMead:
         assert r1.energy == r2.energy and r1.evals == r2.evals
 
 
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
+    def test_step_that_cannot_move_the_simplex_is_refused(self, step):
+        with pytest.raises(ValueError, match="initial_step must be finite and positive"):
+            q.OptimizerSettings(initial_step=step)
+
+    @pytest.mark.parametrize("key", ["f_tol", "x_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan")])
+    def test_tolerance_that_is_not_positive_is_refused(self, key, value):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            q.OptimizerSettings(**{key: value})
+
+
 class TestInitialTheta:
     def test_shape_and_bounds(self):
         th = initial_theta(20, 7)
