@@ -68,21 +68,23 @@ class BoundGate:
     angle: float | None = None
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "H":
-            return _H
-        if self.kind == "X":
-            return _X
-        if self.kind == "CNOT":
-            return _CNOT
+        """U of the gate; refuses an unknown kind, an angle on a fixed
+        gate and a missing or non-finite angle on a rotation."""
+        if self.kind in FIXED_KINDS:
+            if self.angle is not None:
+                raise ValueError(f"{self.kind} takes no angle, got {self.angle}")
+            return {"H": _H, "X": _X, "CNOT": _CNOT}[self.kind]
+        if self.kind not in ROTATION_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.angle is None or not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} needs a finite angle, got {self.angle}")
         half = 0.5 * self.angle
         c, s = math.cos(half), math.sin(half)
         if self.kind == "Rx":
             return np.array([[c, -1j * s], [-1j * s, c]])
         if self.kind == "Ry":
             return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "Rz":
-            return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-        raise ValueError(f"unknown gate kind {self.kind!r}")
+        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,8 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
             prefactor = float(tokens[1])
         except ValueError:
             raise PauliParseError(f"bad prefactor {tokens[1]!r}", line_no) from None
+        if not math.isfinite(prefactor):
+            raise PauliParseError(f"prefactor must be finite, got {tokens[1]!r}", line_no)
         ps = parse_pauli_string(tokens[2:], line_no)
         if ps.max_qubit() >= n_qubits:
             raise PauliParseError(too_wide, line_no)

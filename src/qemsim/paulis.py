@@ -1,15 +1,18 @@
 """Pauli-string observables: parsing, expectation values, exact diagonalization.
 
 A PauliSum with real coefficients represents a Hermitian observable such
-as a molecular Hamiltonian.  Expectation values Tr(rho A) are evaluated
-term by term with index/bit arithmetic, never materializing A as a dense
-matrix; each string contributes sum_j phi_j rho[j, j ^ flip_mask] where
-phi_j collects the Y/Z phases of P acting on basis state |j>.
+as a molecular Hamiltonian.  A string P maps basis state |j> to
+phi_j |j ^ flip>, flip its X/Y qubits and phi_j its Y/Z phases, so the
+strings of a sum are grouped by X/Y mask, once per PauliSum, into one
+diagonal d per mask: A|j> = sum over masks of d[j] |j ^ flip>.
+Expectation values Tr(rho A) = sum over masks of sum_j d[j] rho[j, j ^ flip]
+use index/bit arithmetic, never materializing A as a dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,41 +93,40 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    """Parity of the popcount of each entry, as 0/1."""
-    return np.bitwise_count(values.astype(np.uint64)) & 1
-
-
-def _string_phases(ps: PauliString, indices: np.ndarray) -> np.ndarray:
-    """Phase phi_j with P|j> = phi_j |j ^ flip>, vectorized over j."""
-    flip, ymask, zmask, = ps.masks()
-    n_y = bin(ymask).count("1")
-    signs = 1.0 - 2.0 * _parity(indices & (ymask | zmask))
-    return (1j**n_y) * signs
+    @cached_property
+    def _by_flip(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(flip, d) per distinct X/Y flip mask, with A|j> the sum of
+        d[j] |j ^ flip>; built at the first use of the sum."""
+        idx = np.arange(2**self.n_qubits)
+        table = {}
+        for coeff, ps in self.terms:
+            flip, ymask, zmask = ps.masks()
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & (ymask | zmask)) & 1)
+            phases = coeff * 1j ** ymask.bit_count() * signs
+            table[flip] = table.get(flip, 0) + phases
+        return tuple(table.items())
 
 
 def expectation(state, a: PauliSum) -> float:
-    """Tr(rho A) of a DensityMatrix, <psi|A|psi> of a StateVector, term by
-    term; asserts the imaginary part is negligible."""
+    """Tr(rho A) of a DensityMatrix, <psi|A|psi> of a StateVector, one
+    sum per X/Y mask of A; refuses a total that is not finite or not real."""
     if state.n_qubits != a.n_qubits:
         raise ValueError(
             f"qubit-count mismatch: state has {state.n_qubits}, observable {a.n_qubits}"
         )
-    dim = 2**a.n_qubits
-    idx = np.arange(dim)
     data = state.data
+    idx = np.arange(len(data))
     total = 0.0 + 0.0j
-    for coeff, ps in a.terms:
-        flip, _, _ = ps.masks()
-        phases = _string_phases(ps, idx)
+    for flip, d in a._by_flip:
         # rho[j, j ^ flip], which is psi[j] conj(psi[j ^ flip]) when rho is pure
         if data.ndim == 1:
             entries = data * data[idx ^ flip].conj()
         else:
             entries = data[idx, idx ^ flip]
-        total += coeff * np.sum(phases * entries)
-    if abs(total.imag) > 1e-9:
+        total += np.sum(d * entries)
+    if not np.isfinite(total):
+        raise ValueError(f"expectation is not finite: {total}")
+    if not abs(total.imag) <= 1e-9:
         raise ValueError(f"expectation has imaginary part {total.imag:g}")
     return float(total.real)
 
@@ -135,10 +137,8 @@ def dense_matrix(a: PauliSum) -> np.ndarray:
     dim = 2**a.n_qubits
     idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for coeff, ps in a.terms:
-        flip, _, _ = ps.masks()
-        phases = _string_phases(ps, idx)
-        out[idx ^ flip, idx] += coeff * phases
+    for flip, d in a._by_flip:
+        out[idx ^ flip, idx] = d
     return out
 
 

@@ -227,6 +227,8 @@ def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
         if not 0 <= q < n_qubits:
             raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
     u = gate.matrix()
+    if u.shape != (2 ** len(qubits),) * 2:
+        raise ValueError(f"{gate.kind} matrix is {u.shape}, not for {len(qubits)} qubit(s)")
     rows = [n_qubits - 1 - q for q in qubits]
     if layout is StateVector:
         op = LocalOp(u, rows, n_qubits)

@@ -56,6 +56,22 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             q.Gate("T", (0,))
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (q.BoundGate("Foo", (0,)), "unknown gate kind 'Foo'"),
+            (q.BoundGate("H", (0,), 0.5), "H takes no angle, got 0.5"),
+            (q.BoundGate("CNOT", (0, 1), 0.5), "CNOT takes no angle, got 0.5"),
+            (q.BoundGate("Rx", (0,)), "Rx needs a finite angle, got None"),
+            (q.BoundGate("Rz", (0,), math.nan), "Rz needs a finite angle, got nan"),
+            (q.BoundGate("Ry", (0,), -math.inf), "Ry needs a finite angle, got -inf"),
+        ],
+        ids=["unknown", "angle_on_h", "angle_on_cnot", "missing_angle", "nan_angle", "inf_angle"],
+    )
+    def test_bound_gate_matrix_refuses_what_gate_refuses(self, gate, message):
+        with pytest.raises(ValueError, match=message):
+            gate.matrix()
+
     def test_circuit_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             q.Circuit(1, (q.Gate("X", (1,)),), 0)
@@ -203,6 +219,13 @@ class TestAnsatzFile:
         ids=["zero_qubits", "no_params", "bad_params"],
     )
     def test_bad_header_carries_its_line(self, text, message):
+        with pytest.raises(q.PauliParseError, match=message):
+            q.parse_ansatz_file(text)
+
+    @pytest.mark.parametrize("prefactor", ["nan", "inf", "-inf"])
+    def test_non_finite_prefactor_carries_its_line(self, prefactor):
+        text = f"qubits 2\nparams 1\n0 0.5 X0\n0 {prefactor} X0 Y1\n"
+        message = f"line 4: prefactor must be finite, got '{prefactor}'"
         with pytest.raises(q.PauliParseError, match=message):
             q.parse_ansatz_file(text)
 

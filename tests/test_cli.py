@@ -36,7 +36,8 @@ def theta_file(tmp_path_factory):
 
 class TestVqe:
     def test_output_document(self, theta_file, h2_ground_energy):
-        data = json.loads(open(theta_file).read())
+        with open(theta_file) as f:
+            data = json.load(f)
         assert set(data) == {"theta_opt", "energy", "evals", "converged", "history"}
         assert len(data["theta_opt"]) == 3
         assert data["converged"] is True
@@ -297,6 +298,15 @@ class TestErrorHandling:
             {"hamiltonian": str(ham), "ansatz": {"kind": "entangling", "layers": 1}},
         )
         assert main(["vqe", "--config", cfg]) == 2
+
+    def test_non_finite_prefactor_in_ansatz_file(self, tmp_path, capsys):
+        ansatz = tmp_path / "a.txt"
+        ansatz.write_text("qubits 4\nparams 1\n0 nan X0 Y1\n")
+        cfg = write_config(
+            tmp_path, "nf.json", base_config(ansatz={"kind": "uccsd", "path": str(ansatz)})
+        )
+        assert main(["vqe", "--config", cfg]) == 2
+        assert "line 3: prefactor must be finite, got 'nan'" in capsys.readouterr().err
 
     def test_large_guard(self, tmp_path):
         ham = tmp_path / "big.txt"

@@ -118,6 +118,21 @@ class TestRunMitigation:
         with pytest.raises(ValueError):
             q.scaled_noise_correction(make_circuit(), q.NoiseModel(), obs, 2.0)
 
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            (q.BoundGate("Rx", (0,), float("nan")), "Rx needs a finite angle, got nan"),
+            (q.BoundGate("CNOT", (0,)), r"CNOT matrix is \(4, 4\), not for 1 qubit"),
+        ],
+        ids=["nan_angle", "cnot_on_one_qubit"],
+    )
+    def test_one_bad_gate_is_refused(self, gate, message):
+        # with one gate no interval runs, so the trace-drift guard never sees it
+        circuit = q.BoundCircuit(1, (gate,))
+        observable = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)
+        with pytest.raises(ValueError, match=message):
+            q.run_mitigation(circuit, build_template_model("gamma1", 1, 1e-3), observable)
+
     def test_json_round_trip_keys(self):
         import json
 

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qemsim as q
 from qemsim.paulis import PauliParseError, dense_matrix
@@ -9,6 +13,29 @@ from conftest import pauli_sum_dense, random_density_matrix
 
 def psum(terms, n):
     return q.PauliSum([(c, q.PauliString(ops)) for c, ops in terms], n)
+
+
+# Sums whose strings fold together in the per-mask table: a string
+# repeated, several strings on one X/Y mask, odd Y counts, the identity.
+FOLDING_SUMS = [
+    ([(0.5, {0: "X"}), (-1.5, {0: "X"}), (0.25, {})], 1),
+    ([(1.0, {0: "X", 1: "Z"}), (0.3, {0: "Y"}), (-0.7, {0: "X", 2: "Y"}),
+      (0.2, {0: "Y", 2: "X"})], 3),
+    ([(0.9, {0: "Y", 1: "Y", 2: "Y"}), (0.4, {1: "Y"}), (-0.6, {1: "Y", 2: "Z"})], 3),
+    ([(2.5, {})], 2),
+]
+
+
+@st.composite
+def pauli_sums(draw):
+    """A PauliSum on 1-4 qubits whose strings come from a pool of at most
+    4, so that strings repeat and share masks."""
+    n = draw(st.integers(1, 4))
+    string = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), max_size=n)
+    pool = draw(st.lists(string, min_size=1, max_size=4))
+    term = st.tuples(st.floats(-2, 2), st.sampled_from(pool))
+    terms = draw(st.lists(term, min_size=1, max_size=8))
+    return psum(terms, n)
 
 
 class TestParsing:
@@ -115,6 +142,54 @@ class TestExpectation:
             want = np.trace(rho.data @ pauli_sum_dense(a)).real
             assert abs(q.expectation(rho, a) - want) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_sums(), st.integers(0, 2**32 - 1))
+    @example(psum(*FOLDING_SUMS[1]), 0)
+    @example(psum(*FOLDING_SUMS[2]), 1)
+    def test_both_layouts_match_the_dense_matrix(self, a, seed):
+        rng = np.random.default_rng(seed)
+        dense = dense_matrix(a)
+        rho = random_density_matrix(a.n_qubits, rng)
+        assert abs(q.expectation(rho, a) - np.trace(dense @ rho.data).real) < 1e-12
+        psi = rng.normal(size=2**a.n_qubits) + 1j * rng.normal(size=2**a.n_qubits)
+        psi /= np.linalg.norm(psi)
+        want = np.vdot(psi, dense @ psi).real
+        assert abs(q.expectation(q.StateVector(a.n_qubits, psi), a) - want) < 1e-12
+
+    def test_nan_state_is_refused(self):
+        # NaN fails every comparison, so the imaginary-part check alone let it through
+        a = psum([(1.0, {0: "Z"}), (0.5, {0: "X"})], 1)
+        psi = q.new_statevector(1)
+        psi.data[1] = np.nan
+        rho = q.new_pure_ground(1)
+        rho.data[1, 1] = np.nan
+        for state in (psi, rho):
+            with pytest.raises(ValueError, match="expectation is not finite"):
+                q.expectation(state, a)
+
+    def test_table_is_built_once_per_sum(self, monkeypatch, h2_hamiltonian):
+        a = q.PauliSum(h2_hamiltonian.terms, h2_hamiltonian.n_qubits)
+        calls = []
+        masks = q.PauliString.masks
+        monkeypatch.setattr(q.PauliString, "masks", lambda ps: calls.append(ps) or masks(ps))
+        assert "_by_flip" not in a.__dict__  # nothing is built before the first use
+        rho = random_density_matrix(4, np.random.default_rng(7))
+        first = q.expectation(rho, a)
+        assert q.expectation(rho, a) == first
+        dense_matrix(a)
+        assert len(calls) == len(a)
+
+    def test_pickled_sum_evaluates_alike(self, h2_hamiltonian):
+        rho = random_density_matrix(4, np.random.default_rng(8))
+        want = q.expectation(rho, h2_hamiltonian)
+        again = pickle.loads(pickle.dumps(h2_hamiltonian))
+        assert again == h2_hamiltonian
+        assert q.expectation(rho, again) == want
+
+    def test_h2_folds_into_two_masks(self, h2_hamiltonian):
+        assert len(h2_hamiltonian) == 15
+        assert len(h2_hamiltonian._by_flip) == 2
+
 
 class TestGroundEnergy:
     def test_single_z(self):
@@ -125,8 +200,9 @@ class TestGroundEnergy:
         assert q.exact_ground_energy(h) == pytest.approx(-0.5)
 
     def test_dense_matrix_matches_oracle(self, h2_hamiltonian):
-        dense = dense_matrix(h2_hamiltonian)
-        assert np.max(np.abs(dense - pauli_sum_dense(h2_hamiltonian))) < 1e-12
+        for a in [h2_hamiltonian] + [psum(*case) for case in FOLDING_SUMS]:
+            dense = dense_matrix(a)
+            assert np.max(np.abs(dense - pauli_sum_dense(a))) < 1e-12
 
     def test_h2_ground_energy(self, h2_hamiltonian, h2_ground_energy):
         assert q.exact_ground_energy(h2_hamiltonian) == pytest.approx(

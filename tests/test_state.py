@@ -241,6 +241,25 @@ class TestGateSuperopCache:
                 with pytest.raises(ValueError, match=message):
                     q.apply_gate(state, gate)
 
+    @pytest.mark.parametrize("layout", ["StateVector", "PairedDensity", "DensityMatrix"])
+    def test_malformed_gate_raises_on_every_call(self, layout):
+        rho = q.new_pure_ground(3)
+        state = {
+            "StateVector": q.new_statevector(3),
+            "PairedDensity": pair(rho),
+            "DensityMatrix": rho,
+        }[layout]
+        for gate, message in [
+            (bound("CNOT", [1]), r"CNOT matrix is \(4, 4\), not for 1 qubit"),
+            (bound("X", [0, 2]), r"X matrix is \(2, 2\), not for 2 qubit"),
+            (bound("H", [0], 0.5), "H takes no angle, got 0.5"),
+            (bound("Rx", [0]), "Rx needs a finite angle, got None"),
+            (bound("Foo", [0]), "unknown gate kind 'Foo'"),
+        ]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    q.apply_gate(state, gate)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_density_matrix_gate_is_bit_identical_to_paired(self, n):
         rho = random_density_matrix(n, np.random.default_rng(n))
