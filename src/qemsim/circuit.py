@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -35,6 +37,25 @@ class Param:
     prefactor: float = 1.0
 
 
+def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
+    """The one check of a `Gate` or `BoundGate`: a known kind, an angle
+    exactly on rotations, finite and real unless `symbolic`, and as many
+    distinct non-negative int qubits as the kind acts on, as a tuple."""
+    if kind in ROTATION_KINDS:
+        if not (isinstance(angle, symbolic) or isinstance(angle, Real) and math.isfinite(angle)):
+            raise ValueError(f"{kind} needs a finite angle, got {angle}")
+    elif kind not in FIXED_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    elif angle is not None:
+        raise ValueError(f"{kind} takes no angle, got {angle}")
+    n_target = 2 if kind == "CNOT" else 1
+    qubits = tuple(qubits)
+    ints = all(isinstance(q, (int, np.integer)) and q >= 0 for q in qubits)
+    if not ints or len(qubits) != n_target or len(set(qubits)) != n_target:
+        raise ValueError(f"{kind} needs {n_target} distinct non-negative qubit(s), got {qubits}")
+    return tuple(map(int, qubits))
+
+
 @dataclass(frozen=True)
 class Gate:
     kind: str
@@ -42,21 +63,8 @@ class Gate:
     param: Param | float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.kind in ROTATION_KINDS:
-            if self.param is None:
-                raise ValueError(f"{self.kind} requires an angle")
-            n_target = 1
-        elif self.kind in FIXED_KINDS:
-            if self.param is not None:
-                raise ValueError(f"{self.kind} takes no angle")
-            n_target = 2 if self.kind == "CNOT" else 1
-        else:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != n_target or len(set(self.qubits)) != n_target:
-            raise ValueError(
-                f"{self.kind} needs {n_target} distinct qubit(s), got {self.qubits}"
-            )
+        qubits = _check_gate(self.kind, self.qubits, self.param, Param)
+        object.__setattr__(self, "qubits", qubits)
 
 
 @dataclass(frozen=True)
@@ -67,17 +75,18 @@ class BoundGate:
     qubits: tuple[int, ...]
     angle: float | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "qubits", _check_gate(self.kind, self.qubits, self.angle))
+
+    @cached_property
+    def ops(self) -> dict:
+        """Its `state.LocalOp` per (n_qubits, state layout), kept from the first apply."""
+        return {}
+
     def matrix(self) -> np.ndarray:
-        """U of the gate; refuses an unknown kind, an angle on a fixed
-        gate and a missing or non-finite angle on a rotation."""
+        """U of the gate."""
         if self.kind in FIXED_KINDS:
-            if self.angle is not None:
-                raise ValueError(f"{self.kind} takes no angle, got {self.angle}")
             return {"H": _H, "X": _X, "CNOT": _CNOT}[self.kind]
-        if self.kind not in ROTATION_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.angle is None or not math.isfinite(self.angle):
-            raise ValueError(f"{self.kind} needs a finite angle, got {self.angle}")
         half = 0.5 * self.angle
         c, s = math.cos(half), math.sin(half)
         if self.kind == "Rx":
@@ -89,17 +98,24 @@ class BoundGate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates, some with `Param` angles.  Each gate without one is bound
+    here, equal ones to one `BoundGate`, which every `bind` shares."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
     n_params: int
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        shared = {}
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
                 raise ValueError(f"gate {g} exceeds {self.n_qubits} qubits")
             if isinstance(g.param, Param) and not 0 <= g.param.index < self.n_params:
                 raise ValueError(f"parameter index {g.param.index} out of range")
+            if not isinstance(g.param, Param) and g not in shared:
+                shared[g] = BoundGate(g.kind, g.qubits, g.param)
+        object.__setattr__(self, "_fixed", tuple(map(shared.get, self.gates)))
 
 
 @dataclass(frozen=True)
@@ -112,7 +128,7 @@ class BoundCircuit:
 
 
 def bind(circuit: Circuit, theta) -> BoundCircuit:
-    """Resolve every symbolic angle as prefactor * theta[index]."""
+    """Resolve each `Param` angle as prefactor * theta[index]; other gates are shared."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
         raise ValueError(
@@ -120,17 +136,11 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
         )
     if not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite, got {theta.tolist()}")
-    bound = []
-    for g in circuit.gates:
-        if g.param is None:
-            bound.append(BoundGate(g.kind, g.qubits))
-        elif isinstance(g.param, Param):
-            bound.append(
-                BoundGate(g.kind, g.qubits, g.param.prefactor * theta[g.param.index])
-            )
-        else:
-            bound.append(BoundGate(g.kind, g.qubits, float(g.param)))
-    return BoundCircuit(circuit.n_qubits, tuple(bound))
+    bound = tuple(
+        fixed or BoundGate(g.kind, g.qubits, g.param.prefactor * theta[g.param.index])
+        for g, fixed in zip(circuit.gates, circuit._fixed)
+    )
+    return BoundCircuit(circuit.n_qubits, bound)
 
 
 def compile_pauli_exponential(ps: PauliString, param, n_qubits: int) -> list[Gate]:

@@ -19,7 +19,7 @@ from .noise import (
     evolve,
 )
 from .paulis import PauliString, PauliSum, dense_matrix
-from .state import DensityMatrix, LocalOp, new_pure_ground
+from .state import DensityMatrix, StateVector, _gate_op, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
 
@@ -211,9 +211,9 @@ def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     """Dense matrix of a bound circuit (oracle scale only)."""
     n = circuit.n_qubits
     u = np.eye(2**n, dtype=complex)
-    for gate in circuit.gates:  # U on the row axes of u is U @ u
-        u = LocalOp(gate.matrix(), [n - 1 - q for q in gate.qubits], 2 * n)(u)
-    return u
+    for gate in circuit.gates:  # row j of u is U|j>, so u is U transposed
+        u = _gate_op(gate, n, StateVector)(u)
+    return u.T
 
 
 def check_compiled_exponentials() -> tuple[bool, str]:

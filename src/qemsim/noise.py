@@ -36,15 +36,15 @@ paired rho, one row per noise model, takes gate 1, an interval, gate 2,
 BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
 problem keeps one propagator.  Only a batch of noiseless models from a
 StateVector stays on state vectors; any other batch returns each row as
-a DensityMatrix.  Each gate is one kernel call on all rows, built once
-per distinct gate.  A row's blocks become its kernels, applied by
-highest qubit, descending: the 1-qubit blocks on qubits 2j+1 and 2j
-pair into one 16x16 kernel kron(P_2j+1, P_2j), every other block is one
-of its own.  A dense kernel is a `state.LocalOp` of its matrix, a wide
-one a `_Wide`, and both are called on the rows they act on.  Decided
-from the row's own model, this gives every row from two qubits up the
-arithmetic of its run alone.  Each distinct block is built once, each
-distinct kernel applied to just the rows holding it.
+a DensityMatrix.  Each gate is one kernel call on all rows, built at
+its first apply and kept on the gate.  A row's blocks become its
+kernels, applied by highest qubit, descending: the 1-qubit blocks on
+qubits 2j+1 and 2j pair into one 16x16 kernel kron(P_2j+1, P_2j), every
+other block is one of its own.  A dense kernel is a `state.LocalOp` of
+its matrix, a wide one a `_Wide`, and both are called on the rows they
+act on.  Decided from the row's own model, this gives every row from two
+qubits up the arithmetic of its run alone.  Each distinct block is built
+once, each distinct kernel applied to just the rows holding it.
 """
 
 from __future__ import annotations

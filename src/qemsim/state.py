@@ -23,14 +23,14 @@ so each qubit is one contiguous 4-entry axis.  A gate's kron(U, conj(U))
 indexes the row bits of its qubits, then their column bits, so it is a
 `LocalOp` on those axes in that order; `LocalOp` moves it onto the
 ascending paired axes, one contiguous apply for a 1-qubit gate and for a
-gate on adjacent qubits.  A gate is one cached `LocalOp` per state
-layout: U on a state vector, kron(U, conj(U)) on a paired rho or on the
-row axes then column axes of a DensityMatrix's (2,)*2n view.  Every dense
-noise channel on rho is a `LocalOp` too; a wider noise block steps with
-`noise._generator` instead.  `pair` and `unpair` convert at the two ends
-of a run, one 4^n transpose each.  A batched run holds several such rho
-as the rows of one (rows, 4^n) array, and a `LocalOp` folds the row axis
-into its leading count, so one call acts on every row.
+gate on adjacent qubits.  A gate is one `LocalOp` per state layout,
+kept on the gate: U on a state vector, kron(U, conj(U)) on a paired rho
+or on the row axes then column axes of a DensityMatrix's (2,)*2n view.
+Every dense noise channel on rho is a `LocalOp` too; a wider noise block
+steps with `noise._generator` instead.  `pair` and `unpair` convert at
+the two ends of a run, one 4^n transpose each.  A batched run holds
+several rho as the rows of one (rows, 4^n) array; a `LocalOp` folds the
+row axis into its leading count, so one call acts on every row.
 """
 
 from __future__ import annotations
@@ -206,29 +206,16 @@ def new_pure_ground(n_qubits: int) -> DensityMatrix:
     return new_statevector(n_qubits).to_density_matrix()
 
 
-# Bound on the cached gate ops (see `_gate_op`).  Each is at most 16x16
-# complex, 4 KiB; the H2 UCCSD circuit has 23 distinct bound gates, 6 of
-# them Rz angles that change with every evaluation, so its ops on two
-# layouts fit.
-GATE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=GATE_CACHE_SIZE)
 def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
     """A bound gate as one read-only LocalOp on a state of class `layout`:
     U on axes n-1-q of a StateVector, else kron(U, conj(U)) on its qubits'
     row axes then column axes, paired (LocalOp reorders them) or of a
-    DensityMatrix's (2,)*2n view.  Built and checked once per distinct
-    (gate, n_qubits, layout); an error is not cached, so it recurs."""
+    DensityMatrix's (2,)*2n view.  The gate checked itself when it was
+    built, so this checks only that its qubits fit in the register."""
     qubits = gate.qubits
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices: {qubits}")
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
+    if max(qubits) >= n_qubits:
+        raise ValueError(f"qubit index {max(qubits)} out of range for {n_qubits} qubits")
     u = gate.matrix()
-    if u.shape != (2 ** len(qubits),) * 2:
-        raise ValueError(f"{gate.kind} matrix is {u.shape}, not for {len(qubits)} qubit(s)")
     rows = [n_qubits - 1 - q for q in qubits]
     if layout is StateVector:
         op = LocalOp(u, rows, n_qubits)
@@ -245,8 +232,10 @@ def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
 
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
-    PairedDensity (on every row of a stack) or DensityMatrix, for a bound
-    (fully resolved) gate: the one cached op of that gate on the state's
-    layout (see `_gate_op`)."""
-    op = _gate_op(gate, state.n_qubits, type(state))
-    return type(state)(state.n_qubits, op(state.data))
+    PairedDensity (on every row of a stack) or DensityMatrix: the bound
+    gate's op on the state's layout, built at its first apply and kept in
+    `gate.ops` (two threads may both build it; the two ops are equal)."""
+    key = (state.n_qubits, type(state))
+    if key not in gate.ops:
+        gate.ops[key] = _gate_op(gate, *key)
+    return type(state)(state.n_qubits, gate.ops[key](state.data))

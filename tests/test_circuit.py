@@ -34,6 +34,11 @@ class TestBind:
         with pytest.raises(ValueError):
             q.bind(c, [0.1, angle])
 
+    def test_non_finite_prefactor_is_refused_in_bind(self):
+        c = q.Circuit(1, (q.Gate("H", (0,)), q.Gate("Rz", (0,), Param(0, math.nan))), 1)
+        with pytest.raises(ValueError, match="Rz needs a finite angle, got nan"):
+            q.bind(c, [0.1])
+
     def test_literal_angles_pass_through(self):
         c = q.Circuit(1, (q.Gate("Rx", (0,), 0.75),), 0)
         assert q.bind(c, []).gates[0].angle == pytest.approx(0.75)
@@ -57,20 +62,50 @@ class TestGateValidation:
             q.Gate("T", (0,))
 
     @pytest.mark.parametrize(
-        "gate, message",
+        "kind, qubits, angle, message",
         [
-            (q.BoundGate("Foo", (0,)), "unknown gate kind 'Foo'"),
-            (q.BoundGate("H", (0,), 0.5), "H takes no angle, got 0.5"),
-            (q.BoundGate("CNOT", (0, 1), 0.5), "CNOT takes no angle, got 0.5"),
-            (q.BoundGate("Rx", (0,)), "Rx needs a finite angle, got None"),
-            (q.BoundGate("Rz", (0,), math.nan), "Rz needs a finite angle, got nan"),
-            (q.BoundGate("Ry", (0,), -math.inf), "Ry needs a finite angle, got -inf"),
+            ("Foo", (0,), None, "unknown gate kind 'Foo'"),
+            ("H", (0,), 0.5, "H takes no angle, got 0.5"),
+            ("CNOT", (0, 1), 0.5, "CNOT takes no angle, got 0.5"),
+            ("Rx", (0,), None, "Rx needs a finite angle, got None"),
+            ("Rz", (0,), math.nan, "Rz needs a finite angle, got nan"),
+            ("Ry", (0,), -math.inf, "Ry needs a finite angle, got -inf"),
         ],
         ids=["unknown", "angle_on_h", "angle_on_cnot", "missing_angle", "nan_angle", "inf_angle"],
     )
-    def test_bound_gate_matrix_refuses_what_gate_refuses(self, gate, message):
-        with pytest.raises(ValueError, match=message):
-            gate.matrix()
+    def test_bound_gate_matrix_refuses_what_gate_refuses(self, kind, qubits, angle, message):
+        # one check serves both, when the gate is built
+        for cls in (q.Gate, q.BoundGate):
+            with pytest.raises(ValueError, match=message):
+                cls(kind, qubits, angle)
+
+    def test_bound_gate_refuses_a_symbolic_angle(self):
+        with pytest.raises(ValueError, match=r"Rz needs a finite angle, got Param\(index=0"):
+            q.BoundGate("Rz", (0,), Param(0))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_literal_angle_is_refused_when_built(self, angle):
+        with pytest.raises(ValueError, match="Rx needs a finite angle"):
+            q.Gate("Rx", (0,), float(angle))
+
+    @pytest.mark.parametrize(
+        "qubits", [(-1,), (0.0,), ("0",), ()], ids=["negative", "float", "str", "none"]
+    )
+    def test_qubits_must_be_non_negative_ints(self, qubits):
+        for cls in (q.Gate, q.BoundGate):
+            with pytest.raises(ValueError, match=r"X needs 1 distinct non-negative qubit\(s\)"):
+                cls("X", qubits)
+
+    def test_qubits_become_a_tuple_of_ints(self):
+        for cls in (q.Gate, q.BoundGate):
+            gate = cls("CNOT", [np.int64(2), 0])
+            assert gate.qubits == (2, 0)
+            assert all(type(qb) is int for qb in gate.qubits)
+
+    def test_gate_past_the_register_is_refused_by_the_oracle(self):
+        circuit = q.BoundCircuit(3, (q.BoundGate("X", (3,)),))
+        with pytest.raises(ValueError, match="qubit index 3 out of range for 3 qubits"):
+            dense_unitary(circuit)
 
     def test_circuit_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import qemsim as q
+from qemsim import state as state_module
+from qemsim.circuit import Param
 from qemsim.state import (
-    GATE_CACHE_SIZE,
     LocalOp,
     PairedDensity,
     StateVector,
@@ -193,8 +195,8 @@ class TestKernels:
 
 class TestGateSuperopCache:
     def test_entry_is_the_fresh_superoperator(self):
-        # bit for bit the uncached build, at every position of a 4-qubit
-        # register
+        # the op kept on the gate is bit for bit a fresh build, at every
+        # position of a 4-qubit register
         n = 4
         gates = [bound("H", (qb,)) for qb in range(n)] + [
             bound("CNOT", (0, 1)),
@@ -203,62 +205,90 @@ class TestGateSuperopCache:
             bound("Rz", (1,), 0.3),
             bound("Rx", (2,), -1.1),
         ]
+        rho = pair(q.new_pure_ground(n))
         for gate in gates:
-            fresh = _gate_op.__wrapped__(gate, n, PairedDensity)
-            cached = _gate_op(gate, n, PairedDensity)
-            assert (cached.axes, cached.post) == (fresh.axes, fresh.post)
-            assert np.array_equal(cached.m, fresh.m)
-            assert not cached.m.flags.writeable
+            q.apply_gate(rho, gate)
+            fresh = _gate_op(gate, n, PairedDensity)
+            kept = gate.ops[n, PairedDensity]
+            assert (kept.axes, kept.post) == (fresh.axes, fresh.post)
+            assert np.array_equal(kept.m, fresh.m)
+            assert not kept.m.flags.writeable
         # qubit 1 of 4: a 4x4 superoperator folded over its 4 trailing entries
         folded = _gate_op(bound("H", (1,)), n, PairedDensity)
         assert (list(folded.axes), folded.m.shape) == ([4, 5, 6, 7], (16, 16))
 
     def test_rz_angles_never_share_an_entry(self):
-        a = _gate_op(bound("Rz", (0,), 0.3), 2, PairedDensity)
+        rho = pair(q.new_pure_ground(2))
+        gate = bound("Rz", (0,), 0.3)
+        q.apply_gate(rho, gate)
+        a = gate.ops[2, PairedDensity]
         for angle in (0.3 + 1e-15, -0.3):
-            b = _gate_op(bound("Rz", (0,), angle), 2, PairedDensity)
+            other = bound("Rz", (0,), angle)
+            q.apply_gate(rho, other)
+            b = other.ops[2, PairedDensity]
             assert b is not a
             assert not np.array_equal(a.m, b.m)
         # the same gate again is the same entry
-        assert _gate_op(bound("Rz", (0,), 0.3), 2, PairedDensity) is a
+        q.apply_gate(rho, gate)
+        assert gate.ops[2, PairedDensity] is a
 
     @pytest.mark.parametrize("layout", ["StateVector", "PairedDensity", "DensityMatrix"])
     def test_bad_qubits_raise_on_every_call(self, layout):
-        # the check runs inside the cached build, and a raised error is
-        # not cached, so the second call raises as the first did
+        # a qubit past the register is seen when the op is built, and a
+        # failed build keeps nothing, so the second call raises as the
+        # first did; a negative or repeated qubit is refused when the gate
+        # is built
         rho = q.new_pure_ground(2)
         state = {
             "StateVector": q.new_statevector(2),
             "PairedDensity": pair(rho),
             "DensityMatrix": rho,
         }[layout]
-        for gate, message in [
-            (bound("X", [2]), "qubit index 2 out of range for 2 qubits"),
-            (bound("X", [-1]), "qubit index -1 out of range for 2 qubits"),
-            (bound("CNOT", [1, 1]), r"duplicate qubit indices: \(1, 1\)"),
+        gate = bound("X", [2])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="qubit index 2 out of range for 2 qubits"):
+                q.apply_gate(state, gate)
+        assert gate.ops == {}
+        for kind, qubits, message in [
+            ("X", [-1], r"X needs 1 distinct non-negative qubit\(s\), got \(-1,\)"),
+            ("CNOT", [1, 1], r"CNOT needs 2 distinct non-negative qubit\(s\), got \(1, 1\)"),
         ]:
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
-                    q.apply_gate(state, gate)
+                    q.apply_gate(state, bound(kind, qubits))
 
     @pytest.mark.parametrize("layout", ["StateVector", "PairedDensity", "DensityMatrix"])
     def test_malformed_gate_raises_on_every_call(self, layout):
+        # refused when the gate is built, so no malformed gate reaches a state
         rho = q.new_pure_ground(3)
         state = {
             "StateVector": q.new_statevector(3),
             "PairedDensity": pair(rho),
             "DensityMatrix": rho,
         }[layout]
-        for gate, message in [
-            (bound("CNOT", [1]), r"CNOT matrix is \(4, 4\), not for 1 qubit"),
-            (bound("X", [0, 2]), r"X matrix is \(2, 2\), not for 2 qubit"),
-            (bound("H", [0], 0.5), "H takes no angle, got 0.5"),
-            (bound("Rx", [0]), "Rx needs a finite angle, got None"),
-            (bound("Foo", [0]), "unknown gate kind 'Foo'"),
+        for kind, qubits, angle, message in [
+            ("CNOT", [1], None, r"CNOT needs 2 distinct non-negative qubit\(s\), got \(1,\)"),
+            ("X", [0, 2], None, r"X needs 1 distinct non-negative qubit\(s\), got \(0, 2\)"),
+            ("H", [0], 0.5, "H takes no angle, got 0.5"),
+            ("Rx", [0], None, "Rx needs a finite angle, got None"),
+            ("Foo", [0], None, "unknown gate kind 'Foo'"),
         ]:
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
-                    q.apply_gate(state, gate)
+                    q.apply_gate(state, bound(kind, qubits, angle))
+
+    def test_list_qubits_become_a_tuple(self):
+        gate = q.BoundGate("X", [0])
+        assert gate.qubits == (0,) and gate == q.BoundGate("X", (0,))
+        psi = q.new_statevector(1)
+        assert np.array_equal(
+            q.apply_gate(psi, gate).data, q.apply_gate(psi, q.BoundGate("X", (0,))).data
+        )
+        rho = pair(random_density_matrix(2, np.random.default_rng(1)))
+        for kind, qubits in [("X", [1]), ("CNOT", [1, 0])]:
+            got = q.apply_gate(rho, q.BoundGate(kind, qubits))
+            want = q.apply_gate(rho, q.BoundGate(kind, tuple(qubits)))
+            assert np.array_equal(got.data, want.data)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_density_matrix_gate_is_bit_identical_to_paired(self, n):
@@ -278,45 +308,82 @@ class TestGateSuperopCache:
             assert isinstance(got, q.DensityMatrix)
             assert np.array_equal(got.data, want.data), gate
 
-    def test_noiseless_runs_build_each_statevector_op_once(self, h2_bound_circuit):
-        circuit = h2_bound_circuit
-        distinct = len(set(circuit.gates))
-        _gate_op.cache_clear()
+    def test_noiseless_runs_build_each_statevector_op_once(
+        self, h2_uccsd_circuit, h2_vqe_result, monkeypatch
+    ):
+        # the H2 circuit bound anew, so none of its gates has an op yet
+        ansatz = h2_uccsd_circuit
+        fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
+        circuit = q.bind(fresh, h2_vqe_result.theta_opt)
+        objects = len({id(g) for g in circuit.gates})
+        builds = []
+        gate_op = state_module._gate_op
+
+        def counted(gate, n_qubits, layout):
+            builds.append(gate)
+            return gate_op(gate, n_qubits, layout)
+
+        monkeypatch.setattr(state_module, "_gate_op", counted)
         for _ in range(2):
             out = q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
             assert isinstance(out, StateVector)
-        info = _gate_op.cache_info()
-        assert distinct < len(circuit.gates)
-        assert (info.misses, info.hits) == (distinct, 2 * len(circuit.gates) - distinct)
+        # every gate object builds its op at its first apply and never again
+        assert len(set(circuit.gates)) < len(circuit.gates)
+        assert len(builds) == len({id(g) for g in builds}) == objects
+        builds.clear()
+        q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
+        assert builds == []
+
+    def test_fixed_gates_are_bound_once_per_circuit(self, h2_uccsd_circuit):
+        rng = np.random.default_rng(3)
+        a, b = (
+            q.bind(h2_uccsd_circuit, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+            for _ in range(2)
+        )
+        fixed = [not isinstance(g.param, Param) for g in h2_uccsd_circuit.gates]
+        for is_fixed, ga, gb in zip(fixed, a.gates, b.gates):
+            assert (ga is gb) == is_fixed
+        # equal fixed gates are one object
+        assert len({id(g) for g, f in zip(a.gates, fixed) if f}) == len(
+            {g for g, f in zip(a.gates, fixed) if f}
+        )
+        assert sum(not f for f in fixed) == 12 < len(fixed) == 158
 
     def test_cache_stays_bounded_over_many_thetas(self, h2_uccsd_circuit):
+        # a parametrized gate's op lives as long as its bound circuit, and
+        # no reference cycle holds it, so nothing collects ops over many
+        # thetas
         n = h2_uccsd_circuit.n_qubits
         rng = np.random.default_rng(0)
         rho = pair(q.new_pure_ground(n))
-        _gate_op.cache_clear()
         for _ in range(20):
             circuit = q.bind(h2_uccsd_circuit, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
             for gate in circuit.gates:
                 rho = q.apply_gate(rho, gate)
-            assert _gate_op.cache_info().currsize <= GATE_CACHE_SIZE
-        info = _gate_op.cache_info()
-        # its Rz angles are new at every theta, so entries were evicted
-        assert info.maxsize == GATE_CACHE_SIZE < info.misses
+            rotation = next(g for g in circuit.gates if g.kind == "Rz")
+            op = weakref.ref(rotation.ops[n, PairedDensity])
+            assert op() is not None
+            del circuit, gate, rotation
+            assert op() is None
         assert abs(rho.trace() - 1) < 1e-12
 
     def test_threads_share_the_cache(self):
-        # more threads than cores, switching often, over more distinct gates
-        # than the cache holds, so entries are evicted while others read them
+        # more threads than cores, switching often, two threads on each
+        # circuit, so both build and write the same gates' ops at once
         n = 3
-        rng = np.random.default_rng(5)
-        circuits = []
-        for _ in range(8):
-            gates = [bound("H", (qb,)) for qb in range(n)]
-            for qb, kind, angle in zip(
-                rng.integers(0, n, 40), rng.choice(["Rx", "Rz"], 40), rng.uniform(-3, 3, 40)
-            ):
-                gates += [bound(kind, (int(qb),), angle), bound("CNOT", (int(qb), (qb + 1) % n))]
-            circuits.append(gates)
+
+        def make_circuits():
+            rng = np.random.default_rng(5)
+            circuits = []
+            for _ in range(8):
+                gates = [bound("H", (qb,)) for qb in range(n)]
+                for qb, kind, angle in zip(
+                    rng.integers(0, n, 40), rng.choice(["Rx", "Rz"], 40), rng.uniform(-3, 3, 40)
+                ):
+                    qb = int(qb)
+                    gates += [bound(kind, (qb,), angle), bound("CNOT", (qb, (qb + 1) % n))]
+                circuits.append(gates)
+            return circuits
 
         def run(gates):
             rho = pair(q.new_pure_ground(n))
@@ -324,7 +391,8 @@ class TestGateSuperopCache:
                 rho = q.apply_gate(rho, gate)
             return rho.data
 
-        serial = [run(gates) for gates in circuits]
+        serial = [run(gates) for gates in make_circuits()]
+        circuits = make_circuits()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
