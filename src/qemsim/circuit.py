@@ -10,8 +10,7 @@ rotations plus a Hadamard-CNOT ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -63,8 +62,7 @@ class Gate:
     param: Param | float | None = None
 
     def __post_init__(self):
-        qubits = _check_gate(self.kind, self.qubits, self.param, Param)
-        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "qubits", _check_gate(self.kind, self.qubits, self.param, Param))
 
 
 @dataclass(frozen=True)
@@ -78,10 +76,8 @@ class BoundGate:
     def __post_init__(self):
         object.__setattr__(self, "qubits", _check_gate(self.kind, self.qubits, self.angle))
 
-    @cached_property
-    def ops(self) -> dict:
-        """Its `state.LocalOp` per (n_qubits, state layout), kept from the first apply."""
-        return {}
+    def __getstate__(self):  # a copy carries its fields alone, so builds its own ops
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def matrix(self) -> np.ndarray:
         """U of the gate."""
@@ -98,8 +94,8 @@ class BoundGate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates, some with `Param` angles.  Each gate without one is bound
-    here, equal ones to one `BoundGate`, which every `bind` shares."""
+    """Gates, some with `Param` angles.  Equal gates bind to one `BoundGate`:
+    one per `bind` with a `Param`, else one here that every `bind` shares."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -107,15 +103,18 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        shared = {}
+        slots, params = {}, {}  # a BoundGate, or a Param gate's index in _params
         for g in self.gates:
             if max(g.qubits) >= self.n_qubits:
                 raise ValueError(f"gate {g} exceeds {self.n_qubits} qubits")
             if isinstance(g.param, Param) and not 0 <= g.param.index < self.n_params:
                 raise ValueError(f"parameter index {g.param.index} out of range")
-            if not isinstance(g.param, Param) and g not in shared:
-                shared[g] = BoundGate(g.kind, g.qubits, g.param)
-        object.__setattr__(self, "_fixed", tuple(map(shared.get, self.gates)))
+            if isinstance(g.param, Param):
+                slots[g] = params.setdefault(g, len(params))
+            elif g not in slots:
+                slots[g] = BoundGate(g.kind, g.qubits, g.param)
+        object.__setattr__(self, "_params", tuple(params))
+        object.__setattr__(self, "_slots", tuple(map(slots.get, self.gates)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class BoundCircuit:
 
 
 def bind(circuit: Circuit, theta) -> BoundCircuit:
-    """Resolve each `Param` angle as prefactor * theta[index]; other gates are shared."""
+    """Resolve every symbolic angle as prefactor * theta[index]."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.n_params,):
         raise ValueError(
@@ -136,10 +135,11 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
         )
     if not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite, got {theta.tolist()}")
-    bound = tuple(
-        fixed or BoundGate(g.kind, g.qubits, g.param.prefactor * theta[g.param.index])
-        for g, fixed in zip(circuit.gates, circuit._fixed)
-    )
+    rotations = [
+        BoundGate(g.kind, g.qubits, g.param.prefactor * theta[g.param.index])
+        for g in circuit._params
+    ]
+    bound = tuple(rotations[s] if isinstance(s, int) else s for s in circuit._slots)
     return BoundCircuit(circuit.n_qubits, bound)
 
 

@@ -233,9 +233,9 @@ def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
     PairedDensity (on every row of a stack) or DensityMatrix: the bound
-    gate's op on the state's layout, built at its first apply and kept in
-    `gate.ops` (two threads may both build it; the two ops are equal)."""
+    gate's op on the state's layout, built at its first apply and kept on
+    the gate (two threads may both build it; the two ops are equal)."""
+    ops = vars(gate).setdefault("_ops", {})
     key = (state.n_qubits, type(state))
-    if key not in gate.ops:
-        gate.ops[key] = _gate_op(gate, *key)
-    return type(state)(state.n_qubits, gate.ops[key](state.data))
+    op = ops.get(key) or ops.setdefault(key, _gate_op(gate, *key))
+    return type(state)(state.n_qubits, op(state.data))

@@ -89,7 +89,7 @@ class UnitaryGate:
     """A gate of a given matrix, as apply_gate reads a bound gate."""
 
     def __init__(self, u, qubits):
-        self.u, self.qubits, self.ops = u, qubits, {}
+        self.u, self.qubits = u, qubits
 
     def matrix(self):
         return self.u

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -209,7 +210,7 @@ class TestGateSuperopCache:
         for gate in gates:
             q.apply_gate(rho, gate)
             fresh = _gate_op(gate, n, PairedDensity)
-            kept = gate.ops[n, PairedDensity]
+            kept = gate._ops[n, PairedDensity]
             assert (kept.axes, kept.post) == (fresh.axes, fresh.post)
             assert np.array_equal(kept.m, fresh.m)
             assert not kept.m.flags.writeable
@@ -221,16 +222,16 @@ class TestGateSuperopCache:
         rho = pair(q.new_pure_ground(2))
         gate = bound("Rz", (0,), 0.3)
         q.apply_gate(rho, gate)
-        a = gate.ops[2, PairedDensity]
+        a = gate._ops[2, PairedDensity]
         for angle in (0.3 + 1e-15, -0.3):
             other = bound("Rz", (0,), angle)
             q.apply_gate(rho, other)
-            b = other.ops[2, PairedDensity]
+            b = other._ops[2, PairedDensity]
             assert b is not a
             assert not np.array_equal(a.m, b.m)
         # the same gate again is the same entry
         q.apply_gate(rho, gate)
-        assert gate.ops[2, PairedDensity] is a
+        assert gate._ops[2, PairedDensity] is a
 
     @pytest.mark.parametrize("layout", ["StateVector", "PairedDensity", "DensityMatrix"])
     def test_bad_qubits_raise_on_every_call(self, layout):
@@ -248,7 +249,7 @@ class TestGateSuperopCache:
         for _ in range(2):
             with pytest.raises(ValueError, match="qubit index 2 out of range for 2 qubits"):
                 q.apply_gate(state, gate)
-        assert gate.ops == {}
+        assert gate._ops == {}
         for kind, qubits, message in [
             ("X", [-1], r"X needs 1 distinct non-negative qubit\(s\), got \(-1,\)"),
             ("CNOT", [1, 1], r"CNOT needs 2 distinct non-negative qubit\(s\), got \(1, 1\)"),
@@ -315,7 +316,7 @@ class TestGateSuperopCache:
         ansatz = h2_uccsd_circuit
         fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
         circuit = q.bind(fresh, h2_vqe_result.theta_opt)
-        objects = len({id(g) for g in circuit.gates})
+        distinct = len(set(circuit.gates))
         builds = []
         gate_op = state_module._gate_op
 
@@ -327,12 +328,18 @@ class TestGateSuperopCache:
         for _ in range(2):
             out = q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
             assert isinstance(out, StateVector)
-        # every gate object builds its op at its first apply and never again
-        assert len(set(circuit.gates)) < len(circuit.gates)
-        assert len(builds) == len({id(g) for g in builds}) == objects
+        # equal gates are one object, which builds its op at its first
+        # apply and never again
+        assert distinct < len(circuit.gates)
+        assert len(builds) == len({id(g) for g in builds}) == distinct
         builds.clear()
         q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
         assert builds == []
+        # a copy carries no op and builds its own
+        copy = pickle.loads(pickle.dumps(circuit))
+        got = q.run_noisy_circuit(q.new_statevector(copy.n_qubits), copy, q.NoiseModel())
+        assert len(builds) == distinct
+        assert np.array_equal(got.data, out.data)
 
     def test_fixed_gates_are_bound_once_per_circuit(self, h2_uccsd_circuit):
         rng = np.random.default_rng(3)
@@ -343,10 +350,9 @@ class TestGateSuperopCache:
         fixed = [not isinstance(g.param, Param) for g in h2_uccsd_circuit.gates]
         for is_fixed, ga, gb in zip(fixed, a.gates, b.gates):
             assert (ga is gb) == is_fixed
-        # equal fixed gates are one object
-        assert len({id(g) for g, f in zip(a.gates, fixed) if f}) == len(
-            {g for g, f in zip(a.gates, fixed) if f}
-        )
+        # equal gates are one object, fixed or not
+        assert len({id(g) for g in a.gates}) == len(set(a.gates)) < len(a.gates)
+        assert len({id(g) for g, f in zip(a.gates, fixed) if not f}) == 6
         assert sum(not f for f in fixed) == 12 < len(fixed) == 158
 
     def test_cache_stays_bounded_over_many_thetas(self, h2_uccsd_circuit):
@@ -361,7 +367,7 @@ class TestGateSuperopCache:
             for gate in circuit.gates:
                 rho = q.apply_gate(rho, gate)
             rotation = next(g for g in circuit.gates if g.kind == "Rz")
-            op = weakref.ref(rotation.ops[n, PairedDensity])
+            op = weakref.ref(rotation._ops[n, PairedDensity])
             assert op() is not None
             del circuit, gate, rotation
             assert op() is None
