@@ -26,8 +26,8 @@ of block:
   4^k x 4^k identity, transposed.  Every collapse op keeps the coherence
   order m = popcount(row) - popcount(column) (see KINDS), so h*L, its
   step and their power are block-diagonal in m (Buča and Prosen, New J.
-  Phys. 14, 073007, 2012): `_rk4` and the power run on each sector's
-  identity alone, and the sectors fill a zero matrix;
+  Phys. 14, 073007, 2012): from two qubits up `_rk4` and the power run
+  on each sector's identity alone, and the sectors fill a zero matrix;
 - a wider block runs `_rk4` with the generator on rho each substep.
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
@@ -37,14 +37,18 @@ BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
 problem keeps one propagator.  Only a batch of noiseless models from a
 StateVector stays on state vectors; any other batch returns each row as
 a DensityMatrix.  Each gate is one kernel call on all rows, built at
-its first apply and kept on the gate.  A row's blocks become its
-kernels, applied by highest qubit, descending: the 1-qubit blocks on
-qubits 2j+1 and 2j pair into one 16x16 kernel kron(P_2j+1, P_2j), every
-other block is one of its own.  A dense kernel is a `state.LocalOp` of
-its matrix, a wide one a `_Wide`, and both are called on the rows they
-act on.  Decided from the row's own model, this gives every row from two
-qubits up the arithmetic of its run alone.  Each distinct block is built
-once, each distinct kernel applied to just the rows holding it.
+its first apply and kept on the gate.  An interval applies every row's
+1-qubit blocks in one product pass, by the shuffle algorithm for
+Kronecker products (de Boor, ACM Trans. Math. Softw. 5, 173, 1979;
+Fernandes, Plateau and Stewart, J. ACM 45, 381, 1998): per qubit pair
+(2j+1, 2j), top first, a stack of each row's kron(P_2j+1, P_2j) is one
+batched matmul that applies it to the leading qubits of every row and
+rotates them to the end.  Each row is its own product of one shape, so
+from two qubits up a row gets the arithmetic of its run alone (on one,
+a gate's product of a one-row stack can round differently).  Each wider
+block is then a kernel of its own, by highest qubit, descending, on
+just the rows holding it: a `state.LocalOp` of its matrix if dense,
+else a `_Wide`.  Each distinct block is built once.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -263,11 +267,6 @@ def _support(terms) -> tuple[int, ...]:
     return tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
 
 
-def _top(kernel) -> int:
-    """A kernel's highest qubit: that of its first component."""
-    return _support(kernel[0])[0]
-
-
 class _Wide:
     """A block wider than DENSE_BLOCK_MAX_QUBITS: `_rk4` on rho each
     substep, with the block's `_generator` on the whole register."""
@@ -320,6 +319,9 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
     # column i of h*L: the rows it gives are h*L transposed.
     k = len(qubits)
     hl = _generator(terms, qubits, h)(np.eye(4**k, dtype=complex)).T
+    if k == 1:  # one 4x4 round costs less than a round per sector
+        step = _rk4(lambda m: m @ hl, np.eye(4, dtype=complex), hl)
+        return np.linalg.matrix_power(step, cfg.substeps)
     # h*L is block-diagonal in coherence order (see KINDS): step and power
     # its sectors alone, orders m and -m as one stack.
     out = np.zeros((4**k, 4**k), dtype=complex)
@@ -329,27 +331,6 @@ def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
         step = _rk4(lambda m: m @ hl_m, np.eye(idx.shape[1], dtype=complex), hl_m)
         out[sector] = np.linalg.matrix_power(step, cfg.substeps)
     return out
-
-
-def _kernels(model: NoiseModel) -> list[tuple]:
-    """A model's components as the kernels its row applies, each a tuple
-    of one or two components, by highest qubit, descending.
-
-    The 1-qubit components on qubits 2j+1 and 2j pair up (the higher
-    first), so their two 4x4 channels become one 16x16 kernel; every
-    other component is a kernel of its own.  This is decided from the
-    model alone, so a row's arithmetic does not depend on its batch.
-    """
-    components = _components(model)
-    lone = {min(support): terms for support, terms in components if len(support) == 1}
-    kernels = []
-    for support, terms in components:
-        top = max(support)
-        if len(support) > 1 or top ^ 1 not in lone:
-            kernels.append((terms,))
-        elif top % 2:  # an even qubit is taken with its partner, top + 1
-            kernels.append((terms, lone[top - 1]))
-    return sorted(kernels, key=_top, reverse=True)
 
 
 def _row_index(rows: list[int], n_rows: int):
@@ -365,11 +346,16 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the
-    module docstring).  `kernels` holds (kernel, rows) pairs, each kernel
-    a `state.LocalOp` or a `_Wide` called on its rows, by highest
-    qubit, descending: a row's kernels act on distinct qubits, so every
-    row applies its own in the order of its run alone.  Rows are
-    numbered from `first_row` in error messages.
+    module docstring).  `stacks` holds the product pass as (qubits,
+    stack) pairs, top first: a (rows, 16, 16) stack per qubit pair, after
+    a (rows, 4, 4) one for the lone top qubit at odd n, each row's entry
+    the kron of its 1-qubit channels there, the identity where it has
+    none; it is empty if no row has one.  A stack is held as a transposed
+    view, the right factor of a shuffle step: a transposed copy would
+    send BLAS to a kernel whose sums round differently.  `kernels` holds
+    the wider components as (kernel, rows) pairs, each a `state.LocalOp`
+    or a `_Wide` called on its rows, by highest qubit, descending.  Rows
+    are numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -378,28 +364,45 @@ class IntervalPropagator:
         self.cfg = cfg
         self.first_row = first_row
         self.n_rows = len(models)
-        held: dict[tuple, list[int]] = {}  # kernel: rows
+        # each distinct component is built once
+        block = lru_cache(maxsize=None)(lambda terms: _block(terms, n_qubits, cfg))
+        lone = {}  # (qubit, row): 1-qubit component
+        held: dict[tuple, list[int]] = {}  # wider component: rows
         for row, model in enumerate(models):
-            for kernel in _kernels(model):
-                held.setdefault(kernel, []).append(row)
-        # Each distinct component is built once, each distinct pair once.
-        blocks = {}
+            for support, terms in _components(model):
+                if len(support) == 1:
+                    lone[min(support), row] = terms
+                else:
+                    held.setdefault(terms, []).append(row)
+        self.stacks = []
+        if lone:
+            channels = np.tile(np.eye(4, dtype=complex), (n_qubits, self.n_rows, 1, 1))
+            for at, terms in lone.items():
+                channels[at] = block(terms)
+            odd = n_qubits % 2
+            self.stacks = [((n_qubits - 1,), channels[-1].transpose(0, 2, 1))] * odd + [
+                ((q, q - 1), _kron(channels[q], channels[q - 1]).transpose(0, 2, 1))
+                for q in range(n_qubits - 1 - odd, 0, -2)
+            ]
         self.kernels = []
-        for kernel in sorted(held, key=_top, reverse=True):
-            for terms in kernel:
-                if terms not in blocks:
-                    blocks[terms] = _block(terms, n_qubits, cfg)
-            op = blocks[kernel[0]]
+        for terms in sorted(held, key=_support, reverse=True):
+            op = block(terms)
             if not isinstance(op, _Wide):
-                qubits = [q for terms in kernel for q in _support(terms)]
-                matrix = reduce(_kron, [blocks[terms] for terms in kernel])
-                op = LocalOp(matrix, paired_axes(qubits, n_qubits), 2 * n_qubits)
-            self.kernels.append((op, _row_index(held[kernel], self.n_rows)))
+                op = LocalOp(op, paired_axes(_support(terms), n_qubits), 2 * n_qubits)
+            self.kernels.append((op, _row_index(held[terms], self.n_rows)))
 
     def propagate(self, rho: PairedDensity) -> PairedDensity:
-        if not self.kernels:
+        if not (self.stacks or self.kernels):
             return rho
         data = rho.data
+        if self.stacks:
+            for _, m_t in self.stacks:
+                # The shuffle step: the leading qubits of each row, viewed
+                # as (d, K), take their channel as x^T M^T and so rotate to
+                # the end; after the last stack every qubit is back in place.
+                x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
+                data = np.matmul(x, m_t)
+            data = data.reshape(rho.data.shape)
         for kernel, rows in self.kernels:
             if rows is None:
                 data = kernel(data)
@@ -408,22 +411,23 @@ class IntervalPropagator:
                 data = data.copy()  # the caller's stack stays as it was
             data[rows] = kernel(data[rows])
         out = PairedDensity(rho.n_qubits, data)
-        for row, trace in enumerate(out.trace().tolist()):
-            drift = abs(trace - 1.0)
-            if not drift <= TRACE_DRIFT_LIMIT:  # also catches NaN
-                raise IntegrationError(
-                    f"trace drifted by {drift:.3g} over one interval in row "
-                    f"{self.first_row + row}; increase substeps "
-                    f"(currently {self.cfg.substeps})"
-                )
+        drift = [abs(trace - 1.0) for trace in out.trace().tolist()]
+        if not sum(drift) <= TRACE_DRIFT_LIMIT:  # bounds each row's; NaN if any is
+            for row, d in enumerate(drift):
+                if not d <= TRACE_DRIFT_LIMIT:
+                    raise IntegrationError(
+                        f"trace drifted by {d:.3g} over one interval in row "
+                        f"{self.first_row + row}; increase substeps "
+                        f"(currently {self.cfg.substeps})"
+                    )
         return out
 
     def run(self, state0: StateVector | DensityMatrix, circuit) -> list:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
-        kernel a StateVector start stays a StateVector, else every row is
+        channel a StateVector start stays a StateVector, else every row is
         a DensityMatrix."""
-        pure = isinstance(state0, StateVector) and not self.kernels
+        pure = isinstance(state0, StateVector) and not (self.stacks or self.kernels)
         state = state0 if pure else _stack(state0, self.n_rows)
         last = len(circuit.gates) - 1
         for i, gate in enumerate(circuit.gates):

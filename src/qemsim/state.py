@@ -51,9 +51,11 @@ _MAX_FOLDED = 16
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices: the same products, without the
-    generic overhead that dominates np.kron on matrices this small."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+    """np.kron of two square matrices, or of two stacks of them matrix by
+    matrix: the same products, without the generic overhead that
+    dominates np.kron on matrices this small."""
+    d = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(a.shape[:-2] + (d, d))
 
 
 def paired_axes(qubits, n_qubits) -> list[int]:

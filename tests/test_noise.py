@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +67,10 @@ def dissipator(rho_data, qubit, n):
 
 
 def plan(model):
-    """The qubits of each kernel that `noise._kernels` gives a model's row,
-    each component's in descending order."""
-    return [
-        tuple(q for terms in kernel for q in noise._support(terms))
-        for kernel in noise._kernels(model)
-    ]
+    """The qubits of each component of a model, each in descending order,
+    by highest qubit, descending."""
+    supports = (noise._support(terms) for _, terms in noise._components(model))
+    return sorted(supports, reverse=True)
 
 
 def lindblad_rhs(rho_data, model, n):
@@ -371,6 +370,7 @@ class TestEvolve:
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert plan(model) == [(4, 3, 2, 1, 0)]
+        assert propagator.stacks == []
         assert isinstance(propagator.kernels[0][0], noise._Wide)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
@@ -397,8 +397,10 @@ class TestEvolve:
         )
         cfg = q.PropagatorConfig(tau=1.0, substeps=16)
         propagator = IntervalPropagator([model], n, cfg)
-        assert sorted(plan(model)) == [(0,), (4, 3, 2), (5, 1)]
-        assert len(propagator.kernels) == 3
+        assert plan(model) == [(5, 1), (4, 3, 2), (0,)]
+        # qubit 0 is the product pass; the wider blocks are kernels
+        assert [qubits for qubits, _ in propagator.stacks] == [(5, 4), (3, 2), (1, 0)]
+        assert len(propagator.kernels) == 2
         rho = random_density_matrix(n, np.random.default_rng(4))
         (got,) = propagate_rows(propagator, [rho])
         # the blocks commute, so one dense RK4 per block in any order is
@@ -694,17 +696,24 @@ class TestBatch:
         assert sorted([t.qubits for t in terms] for terms in built) == [
             [(0,), (0,)], [(1,), (1,)], [(2,), (2,)]
         ]
-        # qubits 1 and 0 pair in the rows that hold both; qubit 2 has no
-        # partner; kernels run by highest qubit, descending
+        # each row's entry is the kron of its own blocks, the identity on a
+        # qubit it has none on, bit for bit: qubit 2 leads alone (odd n),
+        # then the pair (1, 0)
         assert [plan(row) for row in rows] == [
-            [(2,), (1, 0)], [(2,), (1,)], [(2,), (0,)], [(1, 0)]
+            [(2,), (1,), (0,)], [(2,), (1,)], [(2,), (0,)], [(1,), (0,)]
         ]
-        held = [list(np.arange(4)[r]) for _, r in propagator.kernels]
-        assert held == [[0, 1, 2], [0, 3], [1], [2]]
-        # the pair kernel is the kron of its two blocks, bit for bit
-        pair_kernel, _ = propagator.kernels[1]
-        high, low = (block(terms, 3, q.PropagatorConfig()) for terms in noise._kernels(model)[1])
-        assert np.array_equal(pair_kernel.m, np.kron(high, low))
+        cfg = q.PropagatorConfig()
+        eye = np.eye(4)
+        channel = {min(qs): block(terms, 3, cfg) for qs, terms in noise._components(model)}
+        p2, p1, p0 = channel[2], channel[1], channel[0]
+        assert [qubits for qubits, _ in propagator.stacks] == [(2,), (1, 0)]
+        top, pair_stack = (m.transpose(0, 2, 1) for _, m in propagator.stacks)  # held transposed
+        assert [np.array_equal(m, p2) for m in top] == [True, True, True, False]
+        assert np.array_equal(top[3], eye)
+        want = [np.kron(p1, p0), np.kron(p1, eye), np.kron(eye, p0), np.kron(p1, p0)]
+        for got, entry in zip(pair_stack, want):
+            assert np.array_equal(got, entry)
+        assert propagator.kernels == []
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_paired_kernel_is_its_two_blocks_in_turn(self, n):
@@ -717,20 +726,50 @@ class TestBatch:
         model = q.NoiseModel(tuple(terms))
         cfg = q.PropagatorConfig(substeps=8)
         propagator = IntervalPropagator([model], n, cfg)
-        # by highest qubit, descending: odd n leaves the top qubit alone
+        blocks = [noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg) for k in range(n)]
+        # top first: odd n leads with the top qubit alone, then the pairs
         want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
-        assert plan(model) == want_qubits
-        paired = propagator.kernels[n % 2 :]
-        assert [k.m.shape for k, _ in paired] == [(16, 16)] * (n // 2)
+        assert [qubits for qubits, _ in propagator.stacks] == want_qubits
+        assert propagator.kernels == []
+        for qubits, stack in propagator.stacks:
+            assert np.array_equal(stack[0].T, reduce(np.kron, [blocks[k] for k in qubits]))
         rho = random_density_matrix(n, np.random.default_rng(n))
         (got,) = propagate_rows(propagator, [rho])
         want = pair(rho).data[None]
         for k in reversed(range(n)):
-            block = noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg)
-            want = LocalOp(block, paired_axes((k,), n), 2 * n)(want)
+            want = LocalOp(blocks[k], paired_axes((k,), n), 2 * n)(want)
         want = unpair(PairedDensity(n, want[0])).data
         assert np.max(np.abs(got.data - want)) < 1e-14
         assert np.max(np.abs(got.data - rho.data)) > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_qubit_count_rows_match_alone_and_kron_oracle(self, n):
+        # the lone top qubit takes a 4x4 step before the pairs; each row
+        # of a mitigation's batch, a row mixing 1-qubit and wider blocks
+        # included, is its run alone bit for bit
+        model = build_template_model("thermal", n, 0.02, n_th=0.3)
+        mixed = q.NoiseModel(
+            model.terms[1:] + (q.LindbladTerm("correlated", (0, n - 1), 0.01),)
+        )
+        rows = [model, mixed] + [scale_terms(model, [k], 0.0) for k in range(n)]
+        cfg = q.PropagatorConfig(substeps=8)
+        rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(len(rows))]
+        batch = propagate_rows(IntervalPropagator(rows, n, cfg), rhos)
+        eye = np.eye(4)
+        for model, rho, got in zip(rows, rhos, batch):
+            (alone,) = propagate_rows(IntervalPropagator([model], n, cfg), [rho])
+            assert np.array_equal(got.data, alone.data)
+            if model is mixed:
+                continue
+            # the kron oracle: the whole interval as one 4^n x 4^n matrix
+            lone = {t.qubits[0]: t for t in model.terms}
+            factors = [
+                noise._block((lone[k],), n, cfg) if k in lone else eye
+                for k in reversed(range(n))
+            ]
+            want = reduce(np.kron, factors) @ pair(rho).data
+            want = unpair(PairedDensity(n, want)).data
+            assert np.max(np.abs(got.data - want)) < 1e-14
 
     def test_trace_sites_see_one_batched_run_and_the_ideal_run(self, monkeypatch):
         calls = {"gate": 0, "build": 0, "propagate": 0}

@@ -150,7 +150,11 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     psi /= np.linalg.norm(psi)
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator([model], n, q.PropagatorConfig())
-    for kernel, _ in propagator.kernels:
+    # each wider block, and each stack entry of the product pass on its qubits
+    channels = [kernel for kernel, _ in propagator.kernels] + [
+        LocalOp(stack[0].T, paired_axes(qubits, n), 2 * n) for qubits, stack in propagator.stacks
+    ]
+    for kernel in channels:
         out = unpair(PairedDensity(n, kernel(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
         assert out.hermiticity_defect() < 1e-12
@@ -496,9 +500,9 @@ def test_batched_rows_match_their_serial_runs(case):
 @st.composite
 def per_qubit_batch_cases(draw):
     """A circuit and a mitigation's rows under noise made of 1-qubit terms
-    only, so their components pair into 16x16 kernels: the full model,
-    each group's removal or scaled row, in any order.  At least two
-    qubits: on one, the (1, 4) product of a one-row stack can round
+    only, so the product pass holds all of it: the full model, each
+    group's removal or scaled row, in any order.  At least two qubits: on
+    one, a 1-qubit gate's (rows, 4) product of a one-row stack can round
     differently from the same row in a taller stack."""
     circuit = draw(circuits(min_qubits=2))
     n = circuit.n_qubits
@@ -518,8 +522,8 @@ def per_qubit_batch_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(per_qubit_batch_cases())
-# five qubits, two terms each: pairs (1, 0) and (3, 2) and a lone qubit 4;
-# each removal row breaks one pair or drops the lone qubit
+# five qubits, two terms each: the lone top qubit 4, then pairs (3, 2) and
+# (1, 0); each removal row has the identity on one qubit
 @example(
     (
         _FIVE_QUBIT_CIRCUIT,
@@ -527,8 +531,8 @@ def per_qubit_batch_cases(draw):
     )
 )
 def test_paired_rows_are_bit_identical_to_their_runs_alone(case):
-    # each row's kernels are paired from its own components, so a batch
-    # changes no row's arithmetic
+    # each row of the product pass is its own matmul of one shape, so a
+    # batch changes no row's arithmetic
     circuit, rows = case
     n = circuit.n_qubits
     cfg = q.PropagatorConfig(substeps=4)
