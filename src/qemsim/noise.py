@@ -17,8 +17,8 @@ collapse op is a basis-state pair (a, b), the matrix |a><b| on its
 term's qubits in their own order, so a block's generator h*L is one
 `_generator`: a real diagonal times rho, plus one strided slice move per
 collapse op.  One RK4 substep of the linear master equation is exactly
-the degree-4 Taylor polynomial of h*L, and one `_rk4` serves both kinds
-of block:
+the degree-4 Taylor polynomial of h*L, and one in-place `_rk4` serves
+both kinds of block:
 
 - a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
   (RK4 step)^substeps, a 4^k x 4^k matrix (the Havel vec identity) on
@@ -28,7 +28,8 @@ of block:
   step and their power are block-diagonal in m (Buča and Prosen, New J.
   Phys. 14, 073007, 2012): from two qubits up `_rk4` and the power run
   on each sector's identity alone, and the sectors fill a zero matrix;
-- a wider block runs `_rk4` with the generator on rho each substep.
+- a wider block runs `_rk4` with the generator on rho each substep, in
+  a layer of such blocks, at most one per row (see below).
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
 paired rho, one row per noise model, takes gate 1, an interval, gate 2,
@@ -43,12 +44,18 @@ Kronecker products (de Boor, ACM Trans. Math. Softw. 5, 173, 1979;
 Fernandes, Plateau and Stewart, J. ACM 45, 381, 1998): per qubit pair
 (2j+1, 2j), top first, a stack of each row's kron(P_2j+1, P_2j) is one
 batched matmul that applies it to the leading qubits of every row and
-rotates them to the end.  Each row is its own product of one shape, so
-from two qubits up a row gets the arithmetic of its run alone (on one,
-a gate's product of a one-row stack can round differently).  Each wider
-block is then a kernel of its own, by highest qubit, descending, on
-just the rows holding it: a `state.LocalOp` of its matrix if dense,
-else a `_Wide`.  Each distinct block is built once.
+rotates them to the end.  Each dense block of two or more qubits is
+then a `state.LocalOp` of its matrix, by highest qubit, descending, on
+just the rows holding it; each distinct one is built once.  The wide
+blocks go last, in layers: layer j is one `_Wide` on the rows that have
+a j-th wide block (each row's by highest qubit, descending), with one
+`_generator` of all their blocks, so a row never gets the summed
+generator of two of its blocks (whose RK4 step differs at O(h^5)).  It
+steps in place in two work stacks, made once per run or per direct
+`propagate` or `evolve` call, never shared between calls.  The product
+pass and the layers give each row the arithmetic of its run alone,
+whatever rows share its batch, from two qubits up (on one, a gate's
+product of a one-row stack can round differently).
 """
 
 from __future__ import annotations
@@ -188,57 +195,80 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
-def _generator(terms, register, h: float):
-    """h*L of `terms` on a stack of paired rho whose (rows,) + (4,)*k view
-    holds register[i] on axis i + 1: h*L x = d * x plus one slice move per
-    collapse op c = |a><b|, weighted w = h * rate.  c rho c^dag moves the
-    entries whose term digits (2 * row bit + column bit) are 3b onto those
-    whose digits are 3a; -{c^dag c, rho} / 2 adds -w / 2 to d where the
-    term's row bits are b, and again where its column bits are."""
-    d = np.zeros((1,) + (4,) * len(register))
-    moves = []
+def _generator(rows, register, h: float):
+    """h*L of one term tuple per row on a stack of paired rho whose (rows,)
+    + (4,)*k view holds register[i] on axis i + 1 (one tuple serves a
+    stack of any height): apply(x, out) writes h*L x = d * x, plus one
+    slice move per collapse op c = |a><b| weighted w = h * rate, into out.
+    c rho c^dag moves the entries whose term digits (2 * row bit + column
+    bit) are 3b onto those whose digits are 3a; -{c^dag c, rho} / 2 adds
+    -w / 2 to d where the term's row bits are b, and again where its
+    column bits are.  Each row has its own d, in its own term order.  A
+    move acts on all rows at once, weighted by a column that is 0 on rows
+    without it, and the moves go in one order whatever the rows, so no
+    row's arithmetic depends on the rows beside it."""
+    k = len(register)
+    d = np.zeros((len(rows),) + (4,) * k)
+    found = {}  # move key: [weight per row, to, src]
 
     def at(axes, bits, digits):
-        """digits[bit] on each of `axes`, axes[0] taking the top bit of `bits`."""
-        index = [slice(None)] * d.ndim
+        """digits[bit] on each of `axes` of the (4,)*k view, axes[0] taking
+        the top bit of `bits`."""
+        index = [slice(None)] * k
         for j, ax in enumerate(reversed(axes)):
             index[ax] = digits[bits >> j & 1]
         return tuple(index)
 
-    for term in terms:
-        axes = [register.index(q) + 1 for q in term.qubits]
-        for rate, a, b in term.collapse_ops():
-            w = h * rate
-            if w == 0.0:
-                continue
-            d[at(axes, b, (slice(0, 2), slice(2, 4)))] -= 0.5 * w  # row bits b
-            d[at(axes, b, (slice(0, 4, 2), slice(1, 4, 2)))] -= 0.5 * w  # column bits b
-            moves.append((w, at(axes, a, (0, 3)), at(axes, b, (0, 3))))
+    for row, terms in enumerate(rows):
+        seen: dict[tuple, int] = {}
+        for term in terms:
+            axes = [register.index(q) for q in term.qubits]
+            for rate, a, b in term.collapse_ops():
+                w = h * rate
+                if w == 0.0:
+                    continue
+                d[(row,) + at(axes, b, (slice(0, 2), slice(2, 4)))] -= 0.5 * w  # row bits b
+                d[(row,) + at(axes, b, (slice(0, 4, 2), slice(1, 4, 2)))] -= 0.5 * w  # columns
+                to, src = at(axes, a, (0, 3)), at(axes, b, (0, 3))
+                # Moves go by their term's highest qubit, then its lowest,
+                # descending (a ring's terms as `build_template_model` lists
+                # them), then by the entries they move, and a repeat by count.
+                key = (max(term.qubits), -min(term.qubits))
+                key += tuple(-1 if i == slice(None) else i for i in to + src)
+                seen[key] = seen.get(key, -1) + 1
+                found.setdefault(key + (seen[key],), [np.zeros(len(rows)), to, src])[0][row] = w
+    every = (slice(None),)  # the row axis
+    moves = [
+        (w.reshape((-1,) + (1,) * to.count(slice(None))), every + to, every + src)
+        for w, to, src in (found[key] for key in sorted(found))
+    ]
 
-    def apply(x: np.ndarray) -> np.ndarray:
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         view = x.reshape((-1,) + d.shape[1:])
-        out = d * view
+        out = np.empty_like(x) if out is None else out
+        acc = np.multiply(d, view, out=out.reshape(view.shape))
         for w, to, src in moves:
-            out[to] += w * view[src]
-        return out.reshape(x.shape)
+            acc[to] += w * view[src]
+        return out
 
     return apply
 
 
-def _rk4(apply, v, t1):
-    """One classic RK4 step of the linear ODE v' = L v: exactly the Taylor
-    polynomial v + t1 + t2/2 + t3/6 + t4/24, with t1 = h*L v and
-    t_{k+1} = apply(t_k) = h*L t_k."""
-    t2 = apply(t1)
-    t3 = apply(t2)
-    t4 = apply(t3)
+def _rk4(apply, v, t1, t2):
+    """One classic RK4 step of the linear ODE v' = L v, in place: v becomes
+    exactly the Taylor polynomial v + t1 + t2/2 + t3/6 + t4/24, where t1
+    holds h*L v on entry and apply(t_k, out) writes t_{k+1} = h*L t_k into
+    out.  t1 and t2 are the work, and are overwritten."""
     # The same numbers as v + t1 + t2 / 2 + t3 / 6 + t4 / 24 (numpy divides
     # complex by real through the reciprocal), for a fifth of the cost of
     # the division, summed in place in the same order.
-    out = v + t1
-    for t, c in ((t2, 0.5), (t3, 1 / 6), (t4, 1 / 24)):
-        out += np.multiply(t, c, out=t)
-    return out
+    v += t1
+    apply(t1, t2)
+    apply(t2, t1)  # t3, while t2 is summed
+    v += np.multiply(t2, 0.5, out=t2)
+    apply(t1, t2)
+    v += np.multiply(t1, 1 / 6, out=t1)
+    v += np.multiply(t2, 1 / 24, out=t2)
 
 
 def _components(model: NoiseModel) -> list[tuple[set[int], tuple[LindbladTerm, ...]]]:
@@ -268,17 +298,20 @@ def _support(terms) -> tuple[int, ...]:
 
 
 class _Wide:
-    """A block wider than DENSE_BLOCK_MAX_QUBITS: `_rk4` on rho each
-    substep, with the block's `_generator` on the whole register."""
+    """One layer of blocks wider than DENSE_BLOCK_MAX_QUBITS, at most one
+    per row: `_rk4` each substep, with the `_generator` of every row's
+    block on the whole register, on the layer's rows in place."""
 
     def __init__(self, step, substeps: int):
         self.step = step
         self.substeps = substeps
 
-    def __call__(self, data: np.ndarray) -> np.ndarray:
+    def __call__(self, v: np.ndarray, work: np.ndarray) -> None:
+        """Step v, the layer's rows of a stack, in place, in the first
+        len(v) rows of the two work stacks `work`."""
+        t1, t2 = work[:, : len(v)]
         for _ in range(self.substeps):
-            data = _rk4(self.step, data, self.step(data))
-        return data
+            _rk4(self.step, v, self.step(v, t1), t2)
 
 
 @lru_cache(maxsize=None)
@@ -299,38 +332,46 @@ def _sectors(k: int) -> tuple[np.ndarray, ...]:
     return sectors
 
 
-def _block(terms, n_qubits: int, cfg: PropagatorConfig) -> np.ndarray | _Wide:
-    """One block's channel over one interval, on its own qubits of a
-    stack of paired n-qubit rho: a `_Wide`, or the dense 4^k x 4^k matrix
-    on the paired axes of `_support(terms)`."""
-    qubits = _support(terms)
+def _check_step(terms, cfg: PropagatorConfig) -> None:
+    """Refuse a block whose RK4 step is outside RK4's stability interval."""
     h = cfg.tau / cfg.substeps
     # 2 * sum rate_k ||c_k||_F^2 bounds L's spectral radius; each |a><b| has norm 1.
     radius = 2.0 * sum(rate for t in terms for rate, _, _ in t.collapse_ops())
     if h * radius > RK4_STABILITY_LIMIT:
         raise IntegrationError(
             f"step {h:.3g} times the decay-rate bound {radius:.3g} on "
-            f"qubits {sorted(qubits)} exceeds the RK4 stability limit "
+            f"qubits {sorted(_support(terms))} exceeds the RK4 stability limit "
             f"{RK4_STABILITY_LIMIT}; increase substeps (currently {cfg.substeps})"
         )
-    if len(qubits) > DENSE_BLOCK_MAX_QUBITS:
-        return _Wide(_generator(terms, range(n_qubits - 1, -1, -1), h), cfg.substeps)
+
+
+def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
+    """One block of at most DENSE_BLOCK_MAX_QUBITS qubits over one
+    interval: the dense 4^k x 4^k matrix on the paired axes of
+    `_support(terms)`."""
+    _check_step(terms, cfg)
+    qubits = _support(terms)
     # Row i of the identity is unit vector i, which the generator takes to
     # column i of h*L: the rows it gives are h*L transposed.
     k = len(qubits)
-    hl = _generator(terms, qubits, h)(np.eye(4**k, dtype=complex)).T
+    hl = _generator((terms,), qubits, cfg.tau / cfg.substeps)(np.eye(4**k, dtype=complex)).T
     if k == 1:  # one 4x4 round costs less than a round per sector
-        step = _rk4(lambda m: m @ hl, np.eye(4, dtype=complex), hl)
-        return np.linalg.matrix_power(step, cfg.substeps)
+        return _power_step(hl, cfg.substeps)
     # h*L is block-diagonal in coherence order (see KINDS): step and power
     # its sectors alone, orders m and -m as one stack.
     out = np.zeros((4**k, 4**k), dtype=complex)
     for idx in _sectors(k):
         sector = idx[:, :, None], idx[:, None, :]
-        hl_m = hl[sector]
-        step = _rk4(lambda m: m @ hl_m, np.eye(idx.shape[1], dtype=complex), hl_m)
-        out[sector] = np.linalg.matrix_power(step, cfg.substeps)
+        out[sector] = _power_step(hl[sector], cfg.substeps)
     return out
+
+
+def _power_step(hl: np.ndarray, substeps: int) -> np.ndarray:
+    """(RK4 step)^substeps of the matrix h*L, or of each of a stack of them."""
+    step = np.broadcast_to(np.eye(hl.shape[-1], dtype=complex), hl.shape).copy()
+    # t1 keeps hl's own layout, which picks the BLAS kernel of hl @ hl
+    _rk4(lambda m, out: np.matmul(m, hl, out=out), step, hl.copy(order="K"), np.empty_like(step))
+    return np.linalg.matrix_power(step, substeps)
 
 
 def _row_index(rows: list[int], n_rows: int):
@@ -353,9 +394,11 @@ class IntervalPropagator:
     none; it is empty if no row has one.  A stack is held as a transposed
     view, the right factor of a shuffle step: a transposed copy would
     send BLAS to a kernel whose sums round differently.  `kernels` holds
-    the wider components as (kernel, rows) pairs, each a `state.LocalOp`
-    or a `_Wide` called on its rows, by highest qubit, descending.  Rows
-    are numbered from `first_row` in error messages.
+    the dense wider components as (`state.LocalOp`, rows) pairs, by
+    highest qubit, descending, and `layers` the wide ones as (`_Wide`,
+    rows) pairs: layer j steps the j-th wide component of every row that
+    has one, each row's taken by highest qubit, descending.  Rows are
+    numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -364,16 +407,21 @@ class IntervalPropagator:
         self.cfg = cfg
         self.first_row = first_row
         self.n_rows = len(models)
-        # each distinct component is built once
-        block = lru_cache(maxsize=None)(lambda terms: _block(terms, n_qubits, cfg))
+        h = cfg.tau / cfg.substeps
+        # each distinct dense component is built once
+        block = lru_cache(maxsize=None)(lambda terms: _block(terms, cfg))
         lone = {}  # (qubit, row): 1-qubit component
-        held: dict[tuple, list[int]] = {}  # wider component: rows
+        held: dict[tuple, list[int]] = {}  # dense wider component: rows
+        wide: list[list] = [[] for _ in models]  # each row's wide components
         for row, model in enumerate(models):
             for support, terms in _components(model):
                 if len(support) == 1:
                     lone[min(support), row] = terms
-                else:
+                elif len(support) <= DENSE_BLOCK_MAX_QUBITS:
                     held.setdefault(terms, []).append(row)
+                else:
+                    _check_step(terms, cfg)
+                    wide[row].append(terms)
         self.stacks = []
         if lone:
             channels = np.tile(np.eye(4, dtype=complex), (n_qubits, self.n_rows, 1, 1))
@@ -386,13 +434,22 @@ class IntervalPropagator:
             ]
         self.kernels = []
         for terms in sorted(held, key=_support, reverse=True):
-            op = block(terms)
-            if not isinstance(op, _Wide):
-                op = LocalOp(op, paired_axes(_support(terms), n_qubits), 2 * n_qubits)
+            op = LocalOp(block(terms), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
             self.kernels.append((op, _row_index(held[terms], self.n_rows)))
+        self.layers = []
+        wide = [sorted(blocks, key=_support, reverse=True) for blocks in wide]
+        for j in range(max(map(len, wide), default=0)):
+            rows = [row for row, blocks in enumerate(wide) if len(blocks) > j]
+            step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
+            self.layers.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
-    def propagate(self, rho: PairedDensity) -> PairedDensity:
-        if not (self.stacks or self.kernels):
+    def propagate(self, rho: PairedDensity, work: np.ndarray | None = None) -> PairedDensity:
+        """One interval on every row of rho.  Given `work`, a run's two
+        (rows, 4^n) work stacks, the wide layers step rho's own stack in
+        place; without it, this call makes its own and leaves rho as it
+        was.  Work stacks belong to a call, so threads can share a
+        propagator."""
+        if not (self.stacks or self.kernels or self.layers):
             return rho
         data = rho.data
         if self.stacks:
@@ -410,6 +467,15 @@ class IntervalPropagator:
             if data is rho.data:
                 data = data.copy()  # the caller's stack stays as it was
             data[rows] = kernel(data[rows])
+        if self.layers and work is None:
+            work = np.empty((2,) + data.shape, dtype=complex)
+            if data is rho.data:
+                data = data.copy()
+        for layer, rows in self.layers:
+            v = data if rows is None else data[rows]  # a view, or a gather
+            layer(v, work)
+            if isinstance(rows, np.ndarray):
+                data[rows] = v
         out = PairedDensity(rho.n_qubits, data)
         drift = [abs(trace - 1.0) for trace in out.trace().tolist()]
         if not sum(drift) <= TRACE_DRIFT_LIMIT:  # bounds each row's; NaN if any is
@@ -426,14 +492,17 @@ class IntervalPropagator:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, else every row is
-        a DensityMatrix."""
-        pure = isinstance(state0, StateVector) and not (self.stacks or self.kernels)
+        a DensityMatrix.  Each gate makes a new stack, which the interval
+        after it steps in place in this run's work stacks."""
+        channels = self.stacks or self.kernels or self.layers
+        pure = isinstance(state0, StateVector) and not channels
         state = state0 if pure else _stack(state0, self.n_rows)
+        work = np.empty((2,) + state.data.shape, dtype=complex) if self.layers else None
         last = len(circuit.gates) - 1
         for i, gate in enumerate(circuit.gates):
             state = apply_gate(state, gate)
             if i != last:
-                state = self.propagate(state)
+                state = self.propagate(state, work)
         if pure:
             return [state.copy() for _ in range(self.n_rows)]
         return [unpair(PairedDensity(state.n_qubits, row)) for row in state.data]

@@ -74,9 +74,9 @@ class LocalOp:
     match, and with few entries after them m is folded as kron(m, I)
     over those too (see _MAX_FOLDED): a call is then one reshape+matmul
     view, with the rows folded into its leading count and `post` entries
-    after the axes.  Other axes (`post` None) are moved last, applied
-    there and moved back.  A call returns a new C-contiguous array of
-    data's shape.
+    after the axes.  Other axes (`post` None) are moved last by `perm`,
+    applied there and moved back by `inverse`, both fixed at build.  A
+    call returns a new C-contiguous array of data's shape.
     """
 
     def __init__(self, m: np.ndarray, axes, n_axes: int):
@@ -86,6 +86,9 @@ class LocalOp:
         lo = axes[order[0]]
         self.m, self.axes, self.post, self.n_axes = m, axes, None, n_axes
         if axes[order[-1]] - lo != k - 1:
+            rest = [a + 1 for a in range(n_axes) if a not in axes]
+            self.perm = [0] + rest + [a + 1 for a in axes]
+            self.inverse = np.argsort(self.perm)
             return
         if order != list(range(k)):
             m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
@@ -98,11 +101,9 @@ class LocalOp:
     def __call__(self, data: np.ndarray) -> np.ndarray:
         m, post = self.m, self.post
         if post is None:
-            rest = [a + 1 for a in range(self.n_axes) if a not in self.axes]
-            perm = [0] + rest + [a + 1 for a in self.axes]
-            t = data.reshape((-1,) + (2,) * self.n_axes).transpose(perm)
+            t = data.reshape((-1,) + (2,) * self.n_axes).transpose(self.perm)
             out = np.ascontiguousarray(t).reshape(-1, len(m)) @ m.T
-            out = out.reshape(t.shape).transpose(np.argsort(perm))
+            out = out.reshape(t.shape).transpose(self.inverse)
             return np.ascontiguousarray(out).reshape(data.shape)
         if post == 1:
             out = data.reshape(-1, len(m)) @ m.T

@@ -55,7 +55,7 @@ def paired_rhs(rho_data, terms, n):
     """`noise._generator` of `terms` at h = 1 on the whole register, on
     rho_data in paired order, the result unpaired again."""
     paired = pair(q.DensityMatrix(n, rho_data)).data[None]
-    (out,) = _generator(terms, register(n), 1.0)(paired)
+    (out,) = _generator((terms,), register(n), 1.0)(paired)
     return unpair(PairedDensity(n, out)).data
 
 
@@ -152,7 +152,7 @@ class TestCoherenceOrder:
             term = q.LindbladTerm(kind, qubits, rng.uniform(0.01, 2.0), n_th)
             # h*L on the term's own register, as `_block` forms it
             eye = np.eye(4 ** len(qubits), dtype=complex)
-            superop = _generator((term,), qubits, 1.0)(eye).T
+            superop = _generator(((term,),), qubits, 1.0)(eye).T
             assert np.any(superop)
             assert np.all(superop[between] == 0)
 
@@ -257,7 +257,7 @@ class TestGenerator:
         n, h = 3, 0.3
         term = one_term(kind, (2, 0) if kind == "correlated" else (1,))
         stack = random_stack(n, 4, KINDS.index(kind))
-        got = _generator([term], register(n), h)(stack)
+        got = _generator(([term],), register(n), h)(stack)
         assert np.max(np.abs(got - oracle_rhs(stack, [term], n, h))) < 1e-14
 
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 2), (0, 2), (3, 0)])
@@ -266,7 +266,7 @@ class TestGenerator:
         n, h = 4, 0.25
         stack = random_stack(n, 3, sum(qubits))
         got = [
-            _generator([one_term("correlated", tq)], register(n), h)(stack)
+            _generator(([one_term("correlated", tq)],), register(n), h)(stack)
             for tq in (qubits, qubits[::-1])
         ]
         want = oracle_rhs(stack, [one_term("correlated", qubits)], n, h)
@@ -279,7 +279,7 @@ class TestGenerator:
     def test_matches_dense_oracle(self, case):
         n, terms, h, seed = case
         stack = random_stack(n, 2, seed)
-        got = _generator(terms, register(n), h)(stack)
+        got = _generator((terms,), register(n), h)(stack)
         assert np.max(np.abs(got - oracle_rhs(stack, terms, n, h))) < 1e-13
 
 
@@ -370,8 +370,8 @@ class TestEvolve:
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert plan(model) == [(4, 3, 2, 1, 0)]
-        assert propagator.stacks == []
-        assert isinstance(propagator.kernels[0][0], noise._Wide)
+        assert propagator.stacks == [] and propagator.kernels == []
+        assert isinstance(propagator.layers[0][0], noise._Wide)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
@@ -482,7 +482,8 @@ class TestTermQubitOrder:
         propagators = [IntervalPropagator([m], n, cfg) for m in (model, flipped)]
         out, reversed_out = (propagate_rows(p, [rho])[0].data for p in propagators)
         assert np.max(np.abs(out - rho.data)) > 1e-3
-        return propagators[0].kernels[0][0], out, reversed_out
+        (kernel, _), *_ = propagators[0].kernels + propagators[0].layers
+        return kernel, out, reversed_out
 
     @pytest.mark.parametrize("pair_qubits", [(1, 2), (0, 2)], ids=["adjacent", "apart"])
     def test_dense_block_is_bit_identical(self, pair_qubits):
@@ -704,7 +705,7 @@ class TestBatch:
         ]
         cfg = q.PropagatorConfig()
         eye = np.eye(4)
-        channel = {min(qs): block(terms, 3, cfg) for qs, terms in noise._components(model)}
+        channel = {min(qs): block(terms, cfg) for qs, terms in noise._components(model)}
         p2, p1, p0 = channel[2], channel[1], channel[0]
         assert [qubits for qubits, _ in propagator.stacks] == [(2,), (1, 0)]
         top, pair_stack = (m.transpose(0, 2, 1) for _, m in propagator.stacks)  # held transposed
@@ -726,7 +727,7 @@ class TestBatch:
         model = q.NoiseModel(tuple(terms))
         cfg = q.PropagatorConfig(substeps=8)
         propagator = IntervalPropagator([model], n, cfg)
-        blocks = [noise._block(tuple(terms[2 * k : 2 * k + 2]), n, cfg) for k in range(n)]
+        blocks = [noise._block(tuple(terms[2 * k : 2 * k + 2]), cfg) for k in range(n)]
         # top first: odd n leads with the top qubit alone, then the pairs
         want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
         assert [qubits for qubits, _ in propagator.stacks] == want_qubits
@@ -764,12 +765,52 @@ class TestBatch:
             # the kron oracle: the whole interval as one 4^n x 4^n matrix
             lone = {t.qubits[0]: t for t in model.terms}
             factors = [
-                noise._block((lone[k],), n, cfg) if k in lone else eye
+                noise._block((lone[k],), cfg) if k in lone else eye
                 for k in reversed(range(n))
             ]
             want = reduce(np.kron, factors) @ pair(rho).data
             want = unpair(PairedDensity(n, want)).data
             assert np.max(np.abs(got.data - want)) < 1e-14
+
+    def test_two_wide_layers_in_one_row(self, monkeypatch):
+        # with dense blocks capped at two qubits each 3-qubit chain is wide:
+        # layer 0 steps the full row's top chain and the one-block row's
+        # chain, gathered from rows 0 and 2, and layer 1 the full row's low
+        # chain; the middle row has a 1-qubit and a dense block only
+        monkeypatch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
+        n = 6
+        top = (
+            q.LindbladTerm("correlated", (5, 4), 0.2),
+            q.LindbladTerm("amplitude_damping", (4,), 0.05),
+            q.LindbladTerm("correlated", (3, 4), 0.1),
+        )
+        low = (
+            q.LindbladTerm("correlated", (1, 0), 0.25),
+            q.LindbladTerm("dephasing", (0,), 0.1),
+            q.LindbladTerm("correlated", (2, 1), 0.15),
+        )
+        no_wide = q.NoiseModel(
+            (q.LindbladTerm("thermal", (3,), 0.1, n_th=0.2), q.LindbladTerm("correlated", (5, 4), 0.1))
+        )
+        rows = [q.NoiseModel(top + low), no_wide, q.NoiseModel(low)]
+        cfg = q.PropagatorConfig(substeps=4)
+        propagator = IntervalPropagator(rows, n, cfg)
+        (_, first), (_, second) = propagator.layers
+        assert first.tolist() == [0, 2] and second == slice(0, 1)
+        assert [plan(row) for row in rows] == [[(5, 4, 3), (2, 1, 0)], [(5, 4), (3,)], [(2, 1, 0)]]
+        alone = [IntervalPropagator([model], n, cfg) for model in rows]
+        assert [len(p.layers) for p in alone] == [2, 0, 1]
+        rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
+        batch = propagate_rows(propagator, rhos)
+        for model, single, rho, got in zip(rows, alone, rhos, batch):
+            assert np.array_equal(got.data, propagate_rows(single, [rho])[0].data)
+            # the blocks commute: one dense RK4 per block, in any order
+            want = rho.data
+            for _, terms in noise._components(model):
+                block = dense_liouvillian(q.NoiseModel(terms), n)
+                want = dense_rk4(block, want, cfg.tau, cfg.substeps)
+            assert np.max(np.abs(got.data - want)) < 1e-12
+            assert np.max(np.abs(got.data - rho.data)) > 1e-3
 
     def test_trace_sites_see_one_batched_run_and_the_ideal_run(self, monkeypatch):
         calls = {"gate": 0, "build": 0, "propagate": 0}
@@ -784,9 +825,9 @@ class TestBatch:
                 calls["build"] += 1
                 super().__init__(*args, **kwargs)
 
-            def propagate(self, rho):
+            def propagate(self, rho, *args):
                 calls["propagate"] += 1
-                return super().propagate(rho)
+                return super().propagate(rho, *args)
 
         monkeypatch.setattr(noise, "apply_gate", counted_gate)
         monkeypatch.setattr(noise, "IntervalPropagator", Counted)
@@ -844,3 +885,39 @@ class TestParallelSafety:
             results = list(pool.map(lambda _: run(), range(4)))
         for r in results:
             assert np.array_equal(r.data, serial.data)
+
+    def test_threads_share_a_propagator_with_a_wide_block(self):
+        # each call makes its own work stacks, so threads may share the
+        # propagator, as the evaluations of one noisy VQE problem do
+        from concurrent.futures import ThreadPoolExecutor
+
+        n = 5
+        model = build_template_model("correlated", n, 0.05)
+        rows = [model, scale_terms(model, [0], 0.0), scale_terms(model, [2], 2.0)]
+        propagator = IntervalPropagator(rows, n, q.PropagatorConfig(substeps=2))
+        assert [held for _, held in propagator.layers] == [None]
+        circuit = q.BoundCircuit(
+            n, tuple(q.BoundGate("H", (k,)) for k in range(n)) + (q.BoundGate("CNOT", (0, 3)),)
+        )
+
+        def run(_):
+            return propagator.run(q.new_statevector(n), circuit)
+
+        serial = run(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        for rows_out in results:
+            for got, want in zip(rows_out, serial):
+                assert np.array_equal(got.data, want.data)
+        rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
+        stack = PairedDensity(n, np.stack([pair(rho).data for rho in rhos]))
+        before = stack.data.copy()
+        out = propagator.propagate(stack)
+        assert np.array_equal(stack.data, before)
+        assert np.max(np.abs(out.data - before)) > 1e-3

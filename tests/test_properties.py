@@ -4,6 +4,7 @@ the state-vector path against the density matrix, and the invariants of
 the correction estimator."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -138,6 +139,13 @@ def noise_models(draw):
     return n, q.NoiseModel(tuple(terms))
 
 
+def step_layer(layer, data):
+    """A wide layer's channel on a new copy of data."""
+    out = data.copy()
+    layer(out, np.empty((2,) + data.shape, dtype=complex))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(noise_models(), st.integers(0, 2**32 - 1))
 def test_block_channels_trace_preserving_and_positive(case, seed):
@@ -150,10 +158,11 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     psi /= np.linalg.norm(psi)
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator([model], n, q.PropagatorConfig())
-    # each wider block, and each stack entry of the product pass on its qubits
+    # each wider block, dense or a wide layer, and each stack entry of the
+    # product pass on its qubits
     channels = [kernel for kernel, _ in propagator.kernels] + [
         LocalOp(stack[0].T, paired_axes(qubits, n), 2 * n) for qubits, stack in propagator.stacks
-    ]
+    ] + [partial(step_layer, layer) for layer, _ in propagator.layers]
     for kernel in channels:
         out = unpair(PairedDensity(n, kernel(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
@@ -190,11 +199,10 @@ def check_sector_build(terms, k, substeps, lmat):
     oracle keeps every entry between sectors at exactly 0."""
     cfg = q.PropagatorConfig(substeps=substeps)
     hl = cfg.tau / substeps * paired_superop(lmat)
-    eye = np.eye(4**k, dtype=complex)
-    want = np.linalg.matrix_power(noise._rk4(lambda m: m @ hl, eye, hl), substeps)
+    want = noise._power_step(hl, substeps)
     order = coherence_order(k)
     assert np.all(want[order[:, None] != order[None, :]] == 0)
-    got = noise._block(terms, k, cfg)
+    got = noise._block(terms, cfg)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -533,13 +541,54 @@ def per_qubit_batch_cases(draw):
 def test_paired_rows_are_bit_identical_to_their_runs_alone(case):
     # each row of the product pass is its own matmul of one shape, so a
     # batch changes no row's arithmetic
-    circuit, rows = case
+    assert_rows_match_alone(*case, substeps=4)
+
+
+def assert_rows_match_alone(circuit, rows, substeps):
+    """Each row of a batched run equals its run alone, bit for bit."""
     n = circuit.n_qubits
-    cfg = q.PropagatorConfig(substeps=4)
+    cfg = q.PropagatorConfig(substeps=substeps)
     batch = q.run_noisy_batch(q.new_statevector(n), circuit, rows, cfg)
     for model, got in zip(rows, batch):
         alone = q.run_noisy_circuit(q.new_pure_ground(n), circuit, model, cfg)
         assert np.array_equal(got.data, alone.data)
+
+
+@st.composite
+def wide_batch_cases(draw):
+    """A 5-qubit circuit and a mitigation's rows under correlated and
+    1-qubit terms, in any order.  Correlated terms along a random path
+    join all five qubits, so the full row holds one wide block; a group's
+    removal or scaled row holds a wide block, dense blocks, or both.
+    Rates up to 0.1 make each RK4 term large enough that a slice move
+    taken in another order changes the rounding of the step."""
+    circuit = draw(circuits(min_qubits=5))
+    n = circuit.n_qubits
+    rates = st.floats(1e-3, 0.1)
+    path = draw(st.permutations(range(n)))
+    terms = [q.LindbladTerm("correlated", path[j : j + 2], draw(rates)) for j in range(n - 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        pair_qubits = tuple(draw(st.permutations(range(n)))[:2])
+        terms.append(q.LindbladTerm("correlated", pair_qubits, draw(rates)))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([k for k in KINDS if k != "correlated"]))
+        n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+        terms.append(q.LindbladTerm(kind, (draw(st.integers(0, n - 1)),), draw(rates), n_th))
+    model = q.NoiseModel(tuple(draw(st.permutations(terms))))
+    rows = [model] + [
+        scale_terms(model, group.removed_terms, draw(st.sampled_from([0.0, 2.0])))
+        for group in build_groups(model, n)
+    ]
+    return circuit, draw(st.permutations(rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_batch_cases())
+def test_wide_block_rows_are_bit_identical_to_their_runs_alone(case):
+    # a wide layer applies each slice move to all its rows at once, in one
+    # order of moves, weighted 0 on a row without it, so a batch changes no
+    # row's arithmetic
+    assert_rows_match_alone(*case, substeps=4)
 
 
 def test_correlated_mitigation_matches_dense_oracle():
