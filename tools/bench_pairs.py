@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare two trees on the benchmark by alternating pairs of runs.
 
-    python3 tools/bench_pairs.py --against HEAD~1 --pairs 5 --seconds 10 --out BENCH_19.json
-    python3 tools/bench_pairs.py --against HEAD~1 --change HEAD --workload ring6_mitigation
+    python3 tools/bench_pairs.py --against HEAD~1 --pairs 5 --seconds 10 --out bench.json
+    python3 tools/bench_pairs.py --against HEAD~1 --change HEAD --workload ring6_mitigation --out ring6.json
 
 Each side is extracted into a fresh directory of its own: the parent
 with `git archive`, the change likewise, or, by default, as the working
@@ -46,7 +46,10 @@ def parse_args(argv):
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, for quartiles")
+    return args
 
 
 def extract(rev: str, into: Path) -> str:
