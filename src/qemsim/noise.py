@@ -37,25 +37,26 @@ paired rho, one row per noise model, takes gate 1, an interval, gate 2,
 BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
 problem keeps one propagator.  Only a batch of noiseless models from a
 StateVector stays on state vectors; any other batch returns each row as
-a DensityMatrix.  Each gate is one kernel call on all rows, built at
-its first apply and kept on the gate.  An interval applies every row's
-1-qubit blocks in one product pass, by the shuffle algorithm for
+a DensityMatrix.  Each gate is one kernel call on all rows, built at its
+first apply and kept on the gate; it makes a new stack, which the
+interval after it steps and may overwrite.  An interval applies every
+row's 1-qubit blocks in one product pass, by the shuffle algorithm for
 Kronecker products (de Boor, ACM Trans. Math. Softw. 5, 173, 1979;
 Fernandes, Plateau and Stewart, J. ACM 45, 381, 1998): per qubit pair
 (2j+1, 2j), top first, a stack of each row's kron(P_2j+1, P_2j) is one
 batched matmul that applies it to the leading qubits of every row and
-rotates them to the end.  Each dense block of two or more qubits is
-then a `state.LocalOp` of its matrix, by highest qubit, descending, on
-just the rows holding it; each distinct one is built once.  The wide
-blocks go last, in layers: layer j is one `_Wide` on the rows that have
-a j-th wide block (each row's by highest qubit, descending), with one
-`_generator` of all their blocks, so a row never gets the summed
-generator of two of its blocks (whose RK4 step differs at O(h^5)).  It
-steps in place in two work stacks, made once per run or per direct
-`propagate` or `evolve` call, never shared between calls.  The product
-pass and the layers give each row the arithmetic of its run alone,
-whatever rows share its batch, from two qubits up (on one, a gate's
-product of a one-row stack can round differently).
+rotates them to the end.  Each wider block is then a kernel on just the
+rows holding it, called like a `state.LocalOp`.  A dense one is a
+`LocalOp` of its matrix, by highest qubit, descending; each distinct one
+is built once.  The wide blocks go last, in layers: layer j is one
+`_Wide` on the rows that have a j-th wide block (each row's by highest
+qubit, descending), with one `_generator` of all their blocks, so a row
+never gets the summed generator of two of its blocks (whose RK4 step
+differs at O(h^5)); it steps its rows in place, in two work stacks of
+its own call.  The product pass and the layers give each row the
+arithmetic of its run alone, whatever rows share its batch, from two
+qubits up (on one, a gate's product of a one-row stack can round
+differently).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -109,16 +111,13 @@ class LindbladTerm:
     n_th: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        want = 2 if self.kind == "correlated" else 1
-        if len(self.qubits) != want or len(set(self.qubits)) != want:
-            raise ValueError(
-                f"{self.kind} needs {want} distinct qubit(s), got {self.qubits}"
-            )
-        if min(self.qubits) < 0:
-            raise ValueError(f"qubit indices must be >= 0, got {self.qubits}")
+        qubits, want = tuple(self.qubits), 2 if self.kind == "correlated" else 1
+        ints = all(isinstance(q, (int, np.integer)) and q >= 0 for q in qubits)
+        if not ints or len(qubits) != want or len(set(qubits)) != want:
+            raise ValueError(f"{self.kind} needs {want} distinct int qubit(s) >= 0, got {qubits}")
+        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
         if not 0 <= self.rate < math.inf:
             raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
         if (self.n_th is not None) != (self.kind == "thermal"):
@@ -171,6 +170,8 @@ class PropagatorConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        if not isinstance(self.substeps, Integral):
+            raise ValueError(f"substeps must be an integer, got {self.substeps!r}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
         if self.substeps > MAX_SUBSTEPS:
@@ -300,18 +301,21 @@ def _support(terms) -> tuple[int, ...]:
 class _Wide:
     """One layer of blocks wider than DENSE_BLOCK_MAX_QUBITS, at most one
     per row: `_rk4` each substep, with the `_generator` of every row's
-    block on the whole register, on the layer's rows in place."""
+    block on the whole register.  A call steps the layer's rows of a
+    stack in place, in two work stacks of its own, and returns them."""
 
     def __init__(self, step, substeps: int):
         self.step = step
         self.substeps = substeps
 
-    def __call__(self, v: np.ndarray, work: np.ndarray) -> None:
-        """Step v, the layer's rows of a stack, in place, in the first
-        len(v) rows of the two work stacks `work`."""
-        t1, t2 = work[:, : len(v)]
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        # Work stacks that start where v ends, as the heap places them, put
+        # each store to t1 16 B ahead of a load of v mod 4096, and on x86 the
+        # load waits for it (4K aliasing); 2 KiB of slack keeps them apart.
+        t1, t2 = np.empty(2 * v.size + 128, dtype=complex)[128:].reshape((2,) + v.shape)
         for _ in range(self.substeps):
             _rk4(self.step, v, self.step(v, t1), t2)
+        return v
 
 
 @lru_cache(maxsize=None)
@@ -386,19 +390,18 @@ def _row_index(rows: list[int], n_rows: int):
 
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
-    (rows, 4^n) stack of paired rho, with one model per row (see the
-    module docstring).  `stacks` holds the product pass as (qubits,
-    stack) pairs, top first: a (rows, 16, 16) stack per qubit pair, after
-    a (rows, 4, 4) one for the lone top qubit at odd n, each row's entry
-    the kron of its 1-qubit channels there, the identity where it has
-    none; it is empty if no row has one.  A stack is held as a transposed
-    view, the right factor of a shuffle step: a transposed copy would
-    send BLAS to a kernel whose sums round differently.  `kernels` holds
-    the dense wider components as (`state.LocalOp`, rows) pairs, by
-    highest qubit, descending, and `layers` the wide ones as (`_Wide`,
-    rows) pairs: layer j steps the j-th wide component of every row that
-    has one, each row's taken by highest qubit, descending.  Rows are
-    numbered from `first_row` in error messages.
+    (rows, 4^n) stack of paired rho, with one model per row (see the module
+    docstring).  `stacks` holds the product pass as (qubits, stack) pairs,
+    top first: a (rows, 16, 16) stack per qubit pair, after a (rows, 4, 4)
+    one for the lone top qubit at odd n, each row's entry the kron of its
+    1-qubit channels there, the identity where it has none; it is empty if
+    no row has one.  A stack is held as a transposed view, the right factor
+    of a shuffle step: a transposed copy would send BLAS to a kernel whose
+    sums round differently.  `kernels` holds the wider components as
+    (kernel, rows) pairs, each kernel taking the stack of its rows (see
+    `_row_index`) and returning it stepped: the dense ones'
+    `state.LocalOp`s, then one `_Wide` per layer, in the module docstring's
+    order.  Rows are numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -436,20 +439,16 @@ class IntervalPropagator:
         for terms in sorted(held, key=_support, reverse=True):
             op = LocalOp(block(terms), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
             self.kernels.append((op, _row_index(held[terms], self.n_rows)))
-        self.layers = []
         wide = [sorted(blocks, key=_support, reverse=True) for blocks in wide]
         for j in range(max(map(len, wide), default=0)):
             rows = [row for row, blocks in enumerate(wide) if len(blocks) > j]
             step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
-            self.layers.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
+            self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
-    def propagate(self, rho: PairedDensity, work: np.ndarray | None = None) -> PairedDensity:
-        """One interval on every row of rho.  Given `work`, a run's two
-        (rows, 4^n) work stacks, the wide layers step rho's own stack in
-        place; without it, this call makes its own and leaves rho as it
-        was.  Work stacks belong to a call, so threads can share a
-        propagator."""
-        if not (self.stacks or self.kernels or self.layers):
+    def propagate(self, rho: PairedDensity) -> PairedDensity:
+        """One interval on every row of rho, whose stack it may overwrite.
+        Work stacks belong to a call, so threads can share a propagator."""
+        if not (self.stacks or self.kernels):
             return rho
         data = rho.data
         if self.stacks:
@@ -463,19 +462,8 @@ class IntervalPropagator:
         for kernel, rows in self.kernels:
             if rows is None:
                 data = kernel(data)
-                continue
-            if data is rho.data:
-                data = data.copy()  # the caller's stack stays as it was
-            data[rows] = kernel(data[rows])
-        if self.layers and work is None:
-            work = np.empty((2,) + data.shape, dtype=complex)
-            if data is rho.data:
-                data = data.copy()
-        for layer, rows in self.layers:
-            v = data if rows is None else data[rows]  # a view, or a gather
-            layer(v, work)
-            if isinstance(rows, np.ndarray):
-                data[rows] = v
+            else:  # a slice view stepped in place is not copied back
+                data[rows] = kernel(data[rows])
         out = PairedDensity(rho.n_qubits, data)
         drift = [abs(trace - 1.0) for trace in out.trace().tolist()]
         if not sum(drift) <= TRACE_DRIFT_LIMIT:  # bounds each row's; NaN if any is
@@ -492,17 +480,15 @@ class IntervalPropagator:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, else every row is
-        a DensityMatrix.  Each gate makes a new stack, which the interval
-        after it steps in place in this run's work stacks."""
-        channels = self.stacks or self.kernels or self.layers
-        pure = isinstance(state0, StateVector) and not channels
+        a DensityMatrix.  Each gate makes a new stack, the run's own, which
+        the interval after it may overwrite."""
+        pure = isinstance(state0, StateVector) and not (self.stacks or self.kernels)
         state = state0 if pure else _stack(state0, self.n_rows)
-        work = np.empty((2,) + state.data.shape, dtype=complex) if self.layers else None
         last = len(circuit.gates) - 1
         for i, gate in enumerate(circuit.gates):
             state = apply_gate(state, gate)
             if i != last:
-                state = self.propagate(state, work)
+                state = self.propagate(state)
         if pure:
             return [state.copy() for _ in range(self.n_rows)]
         return [unpair(PairedDensity(state.n_qubits, row)) for row in state.data]
@@ -515,7 +501,8 @@ def evolve(
     StateVector is taken as |psi><psi|."""
     model.validate_for(rho.n_qubits)
     propagator = IntervalPropagator([model], rho.n_qubits, cfg)
-    (out,) = propagator.propagate(_stack(rho, 1)).data
+    start = _stack(rho, 1)  # a read-only view: the interval steps a copy
+    (out,) = propagator.propagate(replace(start, data=start.data.copy())).data
     return unpair(PairedDensity(rho.n_qubits, out))
 
 

@@ -46,6 +46,11 @@ def propagate_rows(propagator, rhos):
     return [unpair(PairedDensity(n, row)) for row in propagator.propagate(stack).data]
 
 
+def wide_layers(propagator):
+    """The (`_Wide`, rows) pairs of a propagator's kernels, layer by layer."""
+    return [(k, rows) for k, rows in propagator.kernels if isinstance(k, noise._Wide)]
+
+
 def register(n):
     """The qubits of a paired n-qubit rho's (4,)*n view, axis by axis."""
     return range(n - 1, -1, -1)
@@ -93,6 +98,18 @@ class TestLindbladTerm:
     def test_negative_qubit(self):
         with pytest.raises(ValueError):
             q.LindbladTerm("amplitude_damping", (-1,), 0.1)
+
+    @pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None], ids=["1.5", "1.0", "str", "None"])
+    def test_non_int_qubit(self, qubit):
+        # 1.5 used to fail at the propagator build with an IndexError, and
+        # "1" with a TypeError from `min`
+        with pytest.raises(ValueError, match=r"needs 1 distinct int qubit\(s\) >= 0"):
+            q.LindbladTerm("amplitude_damping", (qubit,), 0.1)
+
+    def test_numpy_int_qubits_are_stored_as_ints(self):
+        term = q.LindbladTerm("correlated", np.array([2, 0]), 0.1)
+        assert term.qubits == (2, 0) and [type(k) for k in term.qubits] == [int, int]
+        assert term == q.LindbladTerm("correlated", (2, 0), 0.1)
 
     def test_negative_rate(self):
         with pytest.raises(ValueError):
@@ -370,8 +387,9 @@ class TestEvolve:
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert plan(model) == [(4, 3, 2, 1, 0)]
-        assert propagator.stacks == [] and propagator.kernels == []
-        assert isinstance(propagator.layers[0][0], noise._Wide)
+        wide = wide_layers(propagator)
+        assert propagator.stacks == [] and len(propagator.kernels) == len(wide)
+        assert isinstance(wide[0][0], noise._Wide)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
@@ -447,6 +465,15 @@ class TestEvolve:
                 q.PropagatorConfig(tau=tau)
         with pytest.raises(ValueError):
             q.PropagatorConfig(substeps=0)
+        # a float used to reach numpy's matrix power ("exponent must be an
+        # integer"), or to run unchecked on a model without noise
+        for substeps in (2.5, 64.0, "64"):
+            with pytest.raises(ValueError, match="substeps must be an integer"):
+                q.PropagatorConfig(substeps=substeps)
+        rho = q.DensityMatrix(1, PLUS.copy())
+        want = q.evolve(rho, ad_model(0.1), q.PropagatorConfig(substeps=8)).data
+        got = q.evolve(rho, ad_model(0.1), q.PropagatorConfig(substeps=np.int64(8))).data
+        assert np.array_equal(got, want)
         # at 10^20 each step rounds to the identity; a trace-drift error
         # used to ask for still more substeps
         with pytest.raises(ValueError, match="round-off") as exc:
@@ -482,7 +509,7 @@ class TestTermQubitOrder:
         propagators = [IntervalPropagator([m], n, cfg) for m in (model, flipped)]
         out, reversed_out = (propagate_rows(p, [rho])[0].data for p in propagators)
         assert np.max(np.abs(out - rho.data)) > 1e-3
-        (kernel, _), *_ = propagators[0].kernels + propagators[0].layers
+        (kernel, _), *_ = propagators[0].kernels
         return kernel, out, reversed_out
 
     @pytest.mark.parametrize("pair_qubits", [(1, 2), (0, 2)], ids=["adjacent", "apart"])
@@ -795,11 +822,11 @@ class TestBatch:
         rows = [q.NoiseModel(top + low), no_wide, q.NoiseModel(low)]
         cfg = q.PropagatorConfig(substeps=4)
         propagator = IntervalPropagator(rows, n, cfg)
-        (_, first), (_, second) = propagator.layers
+        (_, first), (_, second) = wide_layers(propagator)
         assert first.tolist() == [0, 2] and second == slice(0, 1)
         assert [plan(row) for row in rows] == [[(5, 4, 3), (2, 1, 0)], [(5, 4), (3,)], [(2, 1, 0)]]
         alone = [IntervalPropagator([model], n, cfg) for model in rows]
-        assert [len(p.layers) for p in alone] == [2, 0, 1]
+        assert [len(wide_layers(p)) for p in alone] == [2, 0, 1]
         rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
         batch = propagate_rows(propagator, rhos)
         for model, single, rho, got in zip(rows, alone, rhos, batch):
@@ -811,6 +838,44 @@ class TestBatch:
                 want = dense_rk4(block, want, cfg.tau, cfg.substeps)
             assert np.max(np.abs(got.data - want)) < 1e-12
             assert np.max(np.abs(got.data - rho.data)) > 1e-3
+
+    def test_entry_points_leave_the_callers_state_unchanged(self, monkeypatch):
+        # an interval may overwrite the stack it steps, so every entry point
+        # hands it one of its own; with dense blocks capped at two qubits
+        # the model holds a 1-qubit, a dense and a wide block
+        monkeypatch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
+        n = 6
+        model = q.NoiseModel(
+            (
+                q.LindbladTerm("amplitude_damping", (0,), 0.1),
+                q.LindbladTerm("correlated", (2, 1), 0.2),
+                q.LindbladTerm("correlated", (3, 4), 0.15),
+                q.LindbladTerm("correlated", (5, 4), 0.1),
+            )
+        )
+        assert plan(model) == [(5, 4, 3), (2, 1), (0,)]
+        propagator = IntervalPropagator([model], n, q.PropagatorConfig())
+        assert len(propagator.stacks) == 3 and len(wide_layers(propagator)) == 1
+        assert len(propagator.kernels) == 2
+        cfg = q.PropagatorConfig(substeps=4)
+        circuit = q.BoundCircuit(
+            n, tuple(q.BoundGate("H", (k,)) for k in range(n)) + (q.BoundGate("CNOT", (0, 5)),)
+        )
+        models = [model, scale_terms(model, [1], 0.0), scale_terms(model, [3], 2.0)]
+        rng = np.random.default_rng(6)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        starts = [q.StateVector(n, psi / np.linalg.norm(psi)), random_density_matrix(n, rng)]
+        for start in starts:
+            before = start.data.copy()
+            rho = start.to_density_matrix() if isinstance(start, q.StateVector) else start
+            for m in (model, q.NoiseModel(model.terms[2:])):  # the wide block alone too
+                evolved = q.evolve(start, m, cfg)
+                assert np.max(np.abs(evolved.data - rho.data)) > 1e-4
+                assert np.array_equal(start.data, before)
+            q.run_noisy_circuit(start, circuit, model, cfg)
+            assert np.array_equal(start.data, before)
+            assert len(list(noise.run_noisy_batch(start, circuit, models, cfg))) == 3
+            assert np.array_equal(start.data, before)
 
     def test_trace_sites_see_one_batched_run_and_the_ideal_run(self, monkeypatch):
         calls = {"gate": 0, "build": 0, "propagate": 0}
@@ -825,9 +890,9 @@ class TestBatch:
                 calls["build"] += 1
                 super().__init__(*args, **kwargs)
 
-            def propagate(self, rho, *args):
+            def propagate(self, rho):
                 calls["propagate"] += 1
-                return super().propagate(rho, *args)
+                return super().propagate(rho)
 
         monkeypatch.setattr(noise, "apply_gate", counted_gate)
         monkeypatch.setattr(noise, "IntervalPropagator", Counted)
@@ -895,7 +960,7 @@ class TestParallelSafety:
         model = build_template_model("correlated", n, 0.05)
         rows = [model, scale_terms(model, [0], 0.0), scale_terms(model, [2], 2.0)]
         propagator = IntervalPropagator(rows, n, q.PropagatorConfig(substeps=2))
-        assert [held for _, held in propagator.layers] == [None]
+        assert [held for _, held in wide_layers(propagator)] == [None]
         circuit = q.BoundCircuit(
             n, tuple(q.BoundGate("H", (k,)) for k in range(n)) + (q.BoundGate("CNOT", (0, 3)),)
         )
@@ -919,5 +984,4 @@ class TestParallelSafety:
         stack = PairedDensity(n, np.stack([pair(rho).data for rho in rhos]))
         before = stack.data.copy()
         out = propagator.propagate(stack)
-        assert np.array_equal(stack.data, before)
         assert np.max(np.abs(out.data - before)) > 1e-3

@@ -4,7 +4,6 @@ the state-vector path against the density matrix, and the invariants of
 the correction estimator."""
 
 import json
-from functools import partial
 
 import numpy as np
 import pytest
@@ -139,13 +138,6 @@ def noise_models(draw):
     return n, q.NoiseModel(tuple(terms))
 
 
-def step_layer(layer, data):
-    """A wide layer's channel on a new copy of data."""
-    out = data.copy()
-    layer(out, np.empty((2,) + data.shape, dtype=complex))
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(noise_models(), st.integers(0, 2**32 - 1))
 def test_block_channels_trace_preserving_and_positive(case, seed):
@@ -162,7 +154,7 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     # product pass on its qubits
     channels = [kernel for kernel, _ in propagator.kernels] + [
         LocalOp(stack[0].T, paired_axes(qubits, n), 2 * n) for qubits, stack in propagator.stacks
-    ] + [partial(step_layer, layer) for layer, _ in propagator.layers]
+    ]
     for kernel in channels:
         out = unpair(PairedDensity(n, kernel(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12

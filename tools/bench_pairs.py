@@ -16,7 +16,10 @@ It writes one JSON record: for each workload and each end-to-end metric
 of BENCHMARK.json, the runs of both sides, their medians and quartiles,
 the change's median against the parent's in percent, and in how many
 pairs the change was better; each run's `correct` flag and failed-op
-count; and the machine the runs were made on.
+count; and the machine the runs were made on, with the Python version
+and PYTHONDONTWRITEBYTECODE: where that is set, every job compiles
+qemsim from source, so the size of its source moves `setup_s` and
+`peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -144,6 +147,8 @@ def main(argv=None) -> int:
         "run_py": sorted(machines),
         "cpu": cpu_model(),
         "platform": platform.platform(),
+        "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "cpus_usable": len(os.sched_getaffinity(0)),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
