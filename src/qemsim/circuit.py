@@ -21,11 +21,12 @@ from .paulis import PauliString, _content_lines, _header, parse_pauli_string
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_FIXED = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+_FIXED_ENTRIES = {kind: tuple(map(complex, _FIXED[kind].flat)) for kind in ("H", "X")}
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,62 @@ class BoundGate:
     def __getstate__(self):  # a copy carries its fields alone, so builds its own ops
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    @classmethod
+    def _of(cls, gate: Gate, angle: float) -> BoundGate:
+        """`gate` at a finite `angle`, with no second check of what the
+        Gate's own already passed."""
+        if not math.isfinite(angle):
+            raise ValueError(f"{gate.kind} needs a finite angle, got {angle}")
+        bound = object.__new__(cls)
+        vars(bound).update(kind=gate.kind, qubits=gate.qubits, angle=angle)
+        return bound
+
     def matrix(self) -> np.ndarray:
         """U of the gate."""
         if self.kind in FIXED_KINDS:
-            return {"H": _H, "X": _X, "CNOT": _CNOT}[self.kind]
+            return _FIXED[self.kind]
+        return np.array(self.entries(), dtype=complex).reshape(2, 2)
+
+    def entries(self) -> tuple:
+        """U of a 1-qubit gate, row by row, as Python numbers."""
+        if self.kind in FIXED_KINDS:
+            return _FIXED_ENTRIES[self.kind]
         half = 0.5 * self.angle
         c, s = math.cos(half), math.sin(half)
         if self.kind == "Rx":
-            return np.array([[c, -1j * s], [-1j * s, c]])
+            return (c, -1j * s, -1j * s, c)
         if self.kind == "Ry":
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
+            return (c, -s, s, c)
+        return (c - 1j * s, 0, 0, c + 1j * s)
+
+
+def fusion_groups(gates) -> tuple[tuple[int, ...], ...]:
+    """Positions of the gates that a state-vector run applies as one op,
+    in the order the ops run: each 2-qubit gate, after the runs of 1-qubit
+    gates that feed its qubits (its first qubit's run first), then each
+    run that feeds no 2-qubit gate.  A run touches its qubit alone, and no
+    other gate touches that qubit between the run and its group's place,
+    so moving it there changes nothing.  Groups of equal gates are given
+    by the positions of the first, so they share one op."""
+    runs: dict[int, list[int]] = {}  # qubit: its 1-qubit gates since its last 2-qubit gate
+    groups = []
+    for i, g in enumerate(gates):
+        if len(g.qubits) == 1:
+            runs.setdefault(g.qubits[0], []).append(i)
+        else:
+            groups.append(tuple(j for q in g.qubits for j in runs.pop(q, ())) + (i,))
+    groups += map(tuple, runs.values())
+    first = {}  # the gates of a group: its first positions
+    return tuple(first.setdefault(tuple(gates[i] for i in g), g) for g in groups)
 
 
 @dataclass(frozen=True)
 class Circuit:
     """Gates, some with `Param` angles.  Equal gates bind to one `BoundGate`:
-    one per `bind` with a `Param`, else one here that every `bind` shares."""
+    one per `bind` with a `Param`, else one here that every `bind` shares.
+    Its `fusion_groups` are fixed here, each marked shared if it holds no
+    `Param` gate: a state-vector run of any binding then uses the one op of
+    that group kept here (see `BoundCircuit`), which a copy leaves behind."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
@@ -115,15 +155,40 @@ class Circuit:
                 slots[g] = BoundGate(g.kind, g.qubits, g.param)
         object.__setattr__(self, "_params", tuple(params))
         object.__setattr__(self, "_slots", tuple(map(slots.get, self.gates)))
+        groups = fusion_groups(self.gates)
+        shared = (all(isinstance(self._slots[i], BoundGate) for i in g) for g in groups)
+        object.__setattr__(self, "_groups", tuple(zip(groups, shared)))
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_ops"}
 
 
 @dataclass(frozen=True)
 class BoundCircuit:
+    """Gates with literal angles.  A state-vector run applies each of its
+    `fusion_groups` as one op, built at its first use and kept here, or,
+    for a shared group of the `Circuit` it was bound from, on that Circuit.
+    A copy carries its fields alone, so builds its own ops."""
+
     n_qubits: int
     gates: tuple[BoundGate, ...]
 
     def __len__(self) -> int:
         return len(self.gates)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def fusion(self) -> tuple[tuple, dict | None]:
+        """Its `fusion_groups` as (positions, shared) pairs, and the dict on
+        the Circuit it was bound from that keeps the shared groups' ops; a
+        circuit made otherwise shares no group, and gets None."""
+        source = vars(self).get("_source")
+        if source is not None:
+            return source._groups, vars(source).setdefault("_ops", {})
+        if "_groups" not in vars(self):
+            vars(self).setdefault("_groups", tuple((g, False) for g in fusion_groups(self.gates)))
+        return self._groups, None
 
 
 def bind(circuit: Circuit, theta) -> BoundCircuit:
@@ -135,12 +200,14 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
         )
     if not np.isfinite(theta).all():
         raise ValueError(f"theta must be finite, got {theta.tolist()}")
+    theta = theta.tolist()
     rotations = [
-        BoundGate(g.kind, g.qubits, g.param.prefactor * theta[g.param.index])
-        for g in circuit._params
+        BoundGate._of(g, g.param.prefactor * theta[g.param.index]) for g in circuit._params
     ]
     bound = tuple(rotations[s] if isinstance(s, int) else s for s in circuit._slots)
-    return BoundCircuit(circuit.n_qubits, bound)
+    out = BoundCircuit(circuit.n_qubits, bound)
+    object.__setattr__(out, "_source", circuit)
+    return out
 
 
 def compile_pauli_exponential(ps: PauliString, param, n_qubits: int) -> list[Gate]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 
@@ -31,6 +30,8 @@ BUNDLED_FILES = {
 
 def bundled_text(name: str) -> str:
     """Contents of a bundled data file, by alias or file name."""
+    from importlib import resources  # here, to keep it out of `import qemsim`
+
     fname = BUNDLED_FILES.get(name, name)
     return (resources.files("qemsim") / "data" / fname).read_text()
 

@@ -36,9 +36,10 @@ paired rho, one row per noise model, takes gate 1, an interval, gate 2,
 ...  `run_noisy_batch` runs a mitigation's rows in chunks of at most
 BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
 problem keeps one propagator.  Only a batch of noiseless models from a
-StateVector stays on state vectors; any other batch returns each row as
-a DensityMatrix.  Each gate is one kernel call on all rows, built at its
-first apply and kept on the gate; it makes a new stack, which the
+StateVector stays on state vectors, where each fusion group of gates is
+one kernel call (see `state`); any other batch returns each row as a
+DensityMatrix, and there each gate is one kernel call on all rows, built
+at its first apply and kept on the gate; it makes a new stack, which the
 interval after it steps and may overwrite.  An interval applies every
 row's 1-qubit blocks in one product pass, by the shuffle algorithm for
 Kronecker products (de Boor, ACM Trans. Math. Softw. 5, 173, 1979;
@@ -78,6 +79,7 @@ from .state import (
     _kron,
     apply_gate,
     check_cap,
+    fused_ops,
     pair,
     paired_axes,
     unpair,
@@ -479,18 +481,21 @@ class IntervalPropagator:
     def run(self, state0: StateVector | DensityMatrix, circuit) -> list:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
-        channel a StateVector start stays a StateVector, else every row is
-        a DensityMatrix.  Each gate makes a new stack, the run's own, which
-        the interval after it may overwrite."""
-        pure = isinstance(state0, StateVector) and not (self.stacks or self.kernels)
-        state = state0 if pure else _stack(state0, self.n_rows)
+        channel a StateVector start stays a StateVector, and the run is
+        the circuit's `state.fused_ops` on it, one per fusion group; else
+        every row is a DensityMatrix, and each gate makes a new stack, the
+        run's own, which the interval after it may overwrite."""
+        if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
+            data = state0.data
+            for op in fused_ops(circuit):
+                data = op(data)
+            return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
+        state = _stack(state0, self.n_rows)
         last = len(circuit.gates) - 1
         for i, gate in enumerate(circuit.gates):
             state = apply_gate(state, gate)
             if i != last:
                 state = self.propagate(state)
-        if pure:
-            return [state.copy() for _ in range(self.n_rows)]
         return [unpair(PairedDensity(state.n_qubits, row)) for row in state.data]
 
 
@@ -548,10 +553,11 @@ def run_noisy_batch(
     cfg: PropagatorConfig | None = None,
 ) -> Iterator[StateVector | DensityMatrix]:
     """`run_noisy_circuit` of one circuit under each of `models`, as the
-    rows of one paired stack: one kernel call per gate and one propagator
-    per chunk of rows (see BATCH_BYTES).  Returns an iterator over the
-    final state of each model, in order, made chunk by chunk; the inputs
-    are checked by the call itself.
+    rows of one paired stack: one kernel call per gate (per fusion group
+    on a state vector) and one propagator per chunk of rows (see
+    BATCH_BYTES).  Returns an iterator over the final state of each model,
+    in order, made chunk by chunk; the inputs are checked by the call
+    itself.
 
     Each row's channel is that of its own model, so a row matches its run
     alone.  If every model is noiseless and state0 is a StateVector, the

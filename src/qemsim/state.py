@@ -26,6 +26,12 @@ ascending paired axes, one contiguous apply for a 1-qubit gate and for a
 gate on adjacent qubits.  A gate is one `LocalOp` per state layout,
 kept on the gate: U on a state vector, kron(U, conj(U)) on a paired rho
 or on the row axes then column axes of a DensityMatrix's (2,)*2n view.
+A state-vector run of a circuit fuses its gates instead, as state-vector
+simulators do (Häner and Steiger, SC17, arXiv:1704.01127; Isakov et al.,
+arXiv:2111.02396): each qubit's run of 1-qubit gates is one 2x2 P, taken
+into the 2-qubit gate U it feeds as U @ kron(P_a, P_b), and each such
+group (`circuit.fusion_groups`) is one `LocalOp`, kept on the bound
+circuit, or for a group of fixed gates on the `Circuit` it was bound from.
 Every dense noise channel on rho is a `LocalOp` too; a wider noise block
 steps with `noise._generator` instead.  `pair` and `unpair` convert at
 the two ends of a run, one 4^n transpose each.  A batched run holds
@@ -231,6 +237,46 @@ def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
     op.m = op.m.view()  # read-only, leaving the gate's own matrix as it is
     op.m.setflags(write=False)
     return op
+
+
+def _fused_op(gates, n_qubits: int) -> LocalOp:
+    """One fusion group (see `circuit.fusion_groups`) as one read-only
+    LocalOp on a StateVector: each qubit's 1-qubit gates multiplied into
+    one 2x2 P, in order, and a closing 2-qubit gate U on (a, b) as
+    U @ kron(P_a, P_b), a the most-significant bit, as `_gate_op` places U."""
+    qubits = gates[-1].qubits
+    top = max(q for g in gates for q in g.qubits)
+    if top >= n_qubits:
+        raise ValueError(f"qubit index {top} out of range for {n_qubits} qubits")
+    # P is held as Python numbers: a 2x2 product in them costs under half
+    # of numpy's, and a binding builds its groups' products afresh
+    runs = {q: (1, 0, 0, 1) for q in qubits}
+    for g in gates[: len(gates) - (len(qubits) > 1)]:
+        a, b = g.entries(), runs[g.qubits[0]]  # P becomes a @ P
+        runs[g.qubits[0]] = (
+            a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
+        )
+    m = np.array([runs[q] for q in qubits], dtype=complex).reshape(-1, 2, 2)
+    m = m[0] if len(qubits) == 1 else gates[-1].matrix() @ _kron(*m)
+    op = LocalOp(m, [n_qubits - 1 - q for q in qubits], n_qubits)
+    op.m.setflags(write=False)
+    return op
+
+
+def fused_ops(circuit):
+    """The ops of a state-vector run of a bound circuit, in order: one per
+    fusion group, built at its first use and kept, a shared group's on the
+    Circuit it was bound from, any other's on the bound circuit (see
+    `BoundCircuit.fusion`; two threads may both build one, and keep one)."""
+    groups, shared = circuit.fusion()
+    own = vars(circuit).setdefault("_ops", {})
+    n, gates = circuit.n_qubits, circuit.gates
+    for positions, is_shared in groups:
+        kept = shared if is_shared else own
+        yield kept.get(positions) or kept.setdefault(
+            positions, _fused_op([gates[i] for i in positions], n)
+        )
 
 
 def apply_gate(state, gate):

@@ -900,7 +900,9 @@ class TestBatch:
         g = len(circuit.gates)
         model = build_template_model("thermal", 3, 0.01)
         q.run_mitigation(circuit, model, self.observable())
-        assert calls == {"gate": 2 * g, "build": 2, "propagate": 2 * (g - 1)}
+        # the ideal run builds its propagator but applies fused ops on the
+        # state vector, so only the batched run passes the gate and interval sites
+        assert calls == {"gate": g, "build": 2, "propagate": g - 1}
 
 
 class TestModelEditing:

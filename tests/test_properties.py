@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qemsim as q
 from qemsim import noise
+from qemsim.circuit import Param
 from qemsim.mitigation import build_groups, corrected_value
 from qemsim.noise import KINDS, IntervalPropagator, build_template_model, scale_terms
 from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, unpair
@@ -345,6 +346,63 @@ def test_pure_start_matches_density_matrix_without_noise(case):
     assert isinstance(psi, q.StateVector)
     assert isinstance(rho, q.DensityMatrix)
     assert abs(q.expectation(psi, observable) - q.expectation(rho, observable)) < 1e-12
+
+
+@st.composite
+def fusion_cases(draw):
+    """(Circuit, theta) on 1-6 qubits: every gate kind, each rotation's
+    angle a Param or a literal, and equal gates repeated."""
+    n = draw(st.integers(1, 6))
+    n_params = draw(st.integers(0, 3))
+    kinds = GATE_KINDS if n > 1 else tuple(k for k in GATE_KINDS if k != "CNOT")
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        if gates and draw(st.integers(0, 3)) == 0:
+            gates.append(gates[-1])
+            continue
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[: 2 if kind == "CNOT" else 1])
+        angle = draw(st.floats(-np.pi, np.pi)) if kind[0] == "R" else None
+        if angle is not None and n_params and draw(st.booleans()):
+            angle = Param(draw(st.integers(0, n_params - 1)), draw(st.sampled_from([1.0, -0.5])))
+        gates.append(q.Gate(kind, qubits, angle))
+    theta = draw(st.lists(st.floats(-np.pi, np.pi), min_size=n_params, max_size=n_params))
+    return q.Circuit(n, tuple(gates), n_params), theta
+
+
+def every_cnot_case():
+    """Param and literal rotations feeding CNOTs both ways on an adjacent
+    (0, 1), a non-adjacent (1, 4) and the wrap-around (5, 0) pair of six
+    qubits, with equal gates and equal groups repeated."""
+    gates = []
+    for k, (a, b) in enumerate([(0, 1), (1, 0), (1, 4), (4, 1), (5, 0), (0, 5), (0, 5)]):
+        gates += [
+            q.Gate("Ry", (a,), Param(k % 3)),
+            q.Gate("Rx", (b,), 0.3 * k),
+            q.Gate("H", (b,)),
+            q.Gate("CNOT", (a, b)),
+        ]
+    gates += [q.Gate("Rz", (qb,), Param(0, -0.5)) for qb in range(6)] + [q.Gate("X", (3,))] * 2
+    return q.Circuit(6, tuple(gates), 3), [0.4, -1.2, 2.0]
+
+
+@settings(max_examples=150, deadline=None)
+@example(every_cnot_case())
+@given(fusion_cases())
+def test_fused_run_matches_gate_by_gate(case):
+    circuit, theta = case
+    n = circuit.n_qubits
+    bound = q.bind(circuit, theta)
+    psi = q.new_statevector(n)
+    for gate in bound.gates:
+        psi = q.apply_gate(psi, gate)
+    fused = q.run_noisy_circuit(q.new_statevector(n), bound, q.NoiseModel())
+    assert np.max(np.abs(fused.data - psi.data)) <= 1e-13
+    # a bound circuit made directly groups its gates alike and builds its
+    # own ops, the same ones
+    direct = q.BoundCircuit(n, bound.gates)
+    again = q.run_noisy_circuit(q.new_statevector(n), direct, q.NoiseModel())
+    assert np.array_equal(again.data, fused.data)
 
 
 @st.composite

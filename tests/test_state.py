@@ -312,34 +312,62 @@ class TestGateSuperopCache:
     def test_noiseless_runs_build_each_statevector_op_once(
         self, h2_uccsd_circuit, h2_vqe_result, monkeypatch
     ):
-        # the H2 circuit bound anew, so none of its gates has an op yet
+        # a fresh copy of the H2 circuit, so none of its groups has an op yet
         ansatz = h2_uccsd_circuit
         fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
-        circuit = q.bind(fresh, h2_vqe_result.theta_opt)
-        distinct = len(set(circuit.gates))
+        per_binding = {p for p, shared in fresh._groups if not shared}
         builds = []
-        gate_op = state_module._gate_op
+        fused_op = state_module._fused_op
 
-        def counted(gate, n_qubits, layout):
-            builds.append(gate)
-            return gate_op(gate, n_qubits, layout)
+        def counted(gates, n_qubits):
+            builds.append(tuple(gates))
+            return fused_op(gates, n_qubits)
 
-        monkeypatch.setattr(state_module, "_gate_op", counted)
-        for _ in range(2):
+        def run(circuit):
             out = q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
             assert isinstance(out, StateVector)
-        # equal gates are one object, which builds its op at its first
-        # apply and never again
-        assert distinct < len(circuit.gates)
-        assert len(builds) == len({id(g) for g in builds}) == distinct
+            return out
+
+        monkeypatch.setattr(state_module, "_fused_op", counted)
+        circuit = q.bind(fresh, h2_vqe_result.theta_opt)
+        out = run(circuit)
+        # 158 gates in 68 groups, of 33 distinct gate tuples: equal groups
+        # share one op, and each is built once
+        assert len(fresh._groups) == 68
+        assert len(builds) == len(set(builds)) == len({p for p, _ in fresh._groups}) == 33
         builds.clear()
-        q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
+        assert np.array_equal(run(circuit).data, out.data)
         assert builds == []
-        # a copy carries no op and builds its own
-        copy = pickle.loads(pickle.dumps(circuit))
-        got = q.run_noisy_circuit(q.new_statevector(copy.n_qubits), copy, q.NoiseModel())
-        assert len(builds) == distinct
-        assert np.array_equal(got.data, out.data)
+        # a second binding builds its 6 groups that hold a Param gate, alone
+        other = q.bind(fresh, h2_vqe_result.theta_opt + 0.1)
+        run(other)
+        assert len(builds) == len(set(builds)) == 6
+        assert set(builds) == {tuple(other.gates[i] for i in p) for p in per_binding}
+        # a copy, of the bound circuit or of the Circuit, carries no op and
+        # builds its own
+        for copy in (
+            pickle.loads(pickle.dumps(circuit)),
+            q.bind(pickle.loads(pickle.dumps(fresh)), h2_vqe_result.theta_opt),
+        ):
+            builds.clear()
+            assert np.array_equal(run(copy).data, out.data)
+            assert len(builds) == 33
+
+    def test_a_noiseless_run_is_one_kernel_call_per_group(self, h2_uccsd_circuit, monkeypatch):
+        calls = []
+        call = LocalOp.__call__
+        monkeypatch.setattr(LocalOp, "__call__", lambda op, data: calls.append(op) or call(op, data))
+        chain10 = q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), 10)
+        criterion8 = q.build_ansatz(q.AnsatzSpec("Entangling", layers=4), 4)
+        for circuit, gates, groups in [
+            (chain10, 70, 20),
+            (criterion8, 88, 20),
+            (h2_uccsd_circuit, 158, 68),
+        ]:
+            calls.clear()
+            bound = q.bind(circuit, np.linspace(-1, 1, circuit.n_params))
+            q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), bound, q.NoiseModel())
+            assert (len(bound.gates), len(calls)) == (gates, groups)
 
     def test_fixed_gates_are_bound_once_per_circuit(self, h2_uccsd_circuit):
         rng = np.random.default_rng(3)
@@ -372,6 +400,24 @@ class TestGateSuperopCache:
             del circuit, gate, rotation
             assert op() is None
         assert abs(rho.trace() - 1) < 1e-12
+
+    def test_fused_ops_live_as_long_as_their_binding(self, h2_uccsd_circuit):
+        # a group that holds a Param gate keeps its op on its bound circuit,
+        # and no reference cycle holds it; a fixed group keeps one op on the
+        # Circuit, whatever the binding
+        ansatz = h2_uccsd_circuit
+        fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
+        n = fresh.n_qubits
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            circuit = q.bind(fresh, rng.uniform(-3, 3, fresh.n_params))
+            q.run_noisy_circuit(q.new_statevector(n), circuit, q.NoiseModel())
+            ops = [weakref.ref(op) for op in vars(circuit)["_ops"].values()]
+            assert len(ops) == 6 and all(op() is not None for op in ops)
+            del circuit
+            assert all(op() is None for op in ops)
+        assert set(vars(fresh)["_ops"]) == {p for p, shared in fresh._groups if shared}
+        assert len(vars(fresh)["_ops"]) == 27
 
     def test_threads_share_the_cache(self):
         # more threads than cores, switching often, two threads on each
@@ -409,3 +455,31 @@ class TestGateSuperopCache:
             sys.setswitchinterval(interval)
         for got, want in zip(results, serial * 2):
             assert np.array_equal(got, want)
+
+    def test_threads_share_the_fused_ops(self, h2_uccsd_circuit):
+        # more threads than cores, switching often, two threads on each
+        # binding of one Circuit, so they build the same groups' ops at once,
+        # on the Circuit and on each bound circuit
+        ansatz = h2_uccsd_circuit
+        fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
+        rng = np.random.default_rng(6)
+        thetas = [rng.uniform(-3, 3, fresh.n_params) for _ in range(8)]
+
+        def run(circuit):
+            start = q.new_statevector(circuit.n_qubits)
+            return q.run_noisy_circuit(start, circuit, q.NoiseModel()).data
+
+        serial = [run(q.BoundCircuit(fresh.n_qubits, q.bind(ansatz, t).gates)) for t in thetas]
+        circuits = [q.bind(fresh, t) for t in thetas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, c) for c in circuits * 2]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial * 2):
+            assert np.array_equal(got, want)
+        assert len(vars(fresh)["_ops"]) == 27
+        assert all(len(vars(c)["_ops"]) == 6 for c in circuits)
