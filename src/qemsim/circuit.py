@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import PauliParseError
 from .paulis import PauliString, _content_lines, _header, parse_pauli_string
+from .state import _kron
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
@@ -109,14 +110,16 @@ class BoundGate:
         return (c - 1j * s, 0, 0, c + 1j * s)
 
 
-def fusion_groups(gates) -> tuple[tuple[int, ...], ...]:
-    """Positions of the gates that a state-vector run applies as one op,
-    in the order the ops run: each 2-qubit gate, after the runs of 1-qubit
+def fusion_groups(gates, slots) -> tuple[tuple, tuple, tuple]:
+    """The gates that a state-vector run applies as one `FusedGate`, in
+    the order it runs them: each 2-qubit gate, after the runs of 1-qubit
     gates that feed its qubits (its first qubit's run first), then each
     run that feeds no 2-qubit gate.  A run touches its qubit alone, and no
     other gate touches that qubit between the run and its group's place,
-    so moving it there changes nothing.  Groups of equal gates are given
-    by the positions of the first, so they share one op."""
+    so moving it there changes nothing.  Gate i binds to slots[i], a
+    BoundGate or a `Param` gate's index.  Returns the FusedGate of each
+    distinct group that binds to BoundGates alone, the positions of each
+    other distinct group, and the run as indices into the two in turn."""
     runs: dict[int, list[int]] = {}  # qubit: its 1-qubit gates since its last 2-qubit gate
     groups = []
     for i, g in enumerate(gates):
@@ -125,23 +128,60 @@ def fusion_groups(gates) -> tuple[tuple[int, ...], ...]:
         else:
             groups.append(tuple(j for q in g.qubits for j in runs.pop(q, ())) + (i,))
     groups += map(tuple, runs.values())
-    first = {}  # the gates of a group: its first positions
-    return tuple(first.setdefault(tuple(gates[i] for i in g), g) for g in groups)
+    bound = [tuple(slots[i] for i in g) for g in groups]
+    fixed = {b: FusedGate(b) for b in bound if all(isinstance(s, BoundGate) for s in b)}
+    own = {b: g for b, g in zip(bound, groups) if b not in fixed}
+    index = {b: k for k, b in enumerate([*fixed, *own])}
+    return tuple(fixed.values()), tuple(own.values()), tuple(index[b] for b in bound)
+
+
+@dataclass(frozen=True)
+class FusedGate:
+    """A fusion group (see `fusion_groups`) as one gate: each qubit's
+    1-qubit gates, in order, then the 2-qubit gate they feed, if any.
+    Every one of its gates acts on the closing gate's `qubits`.  Like a
+    `BoundGate` it keeps the ops built from it, and a copy does not."""
+
+    gates: tuple[BoundGate, ...]
+
+    __getstate__ = BoundGate.__getstate__
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return self.gates[-1].qubits
+
+    def matrix(self) -> np.ndarray:
+        """U of the group: each qubit's 1-qubit gates multiplied into one
+        2x2 P, in order, and a closing 2-qubit gate U on (a, b) as
+        U @ kron(P_a, P_b), a the most-significant bit."""
+        # P in Python numbers: a 2x2 product in them costs under half of numpy's
+        runs = {q: (1, 0, 0, 1) for q in self.qubits}
+        for g in self.gates[: len(self.gates) - (len(runs) > 1)]:
+            a, b = g.entries(), runs[g.qubits[0]]  # P becomes a @ P
+            runs[g.qubits[0]] = (
+                a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
+            )
+        m = np.array(list(runs.values()), dtype=complex).reshape(-1, 2, 2)
+        return m[0] if len(runs) == 1 else self.gates[-1].matrix() @ _kron(*m)
 
 
 @dataclass(frozen=True)
 class Circuit:
     """Gates, some with `Param` angles.  Equal gates bind to one `BoundGate`:
     one per `bind` with a `Param`, else one here that every `bind` shares.
-    Its `fusion_groups` are fixed here, each marked shared if it holds no
-    `Param` gate: a state-vector run of any binding then uses the one op of
-    that group kept here (see `BoundCircuit`), which a copy leaves behind."""
+    Its `fusion_groups` are fixed here, and each distinct group of fixed
+    gates is one `FusedGate` here, which every binding shares."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
     n_params: int
 
     def __post_init__(self):
+        for name, least in (("n_qubits", 1), ("n_params", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         slots, params = {}, {}  # a BoundGate, or a Param gate's index in _params
         for g in self.gates:
@@ -155,20 +195,12 @@ class Circuit:
                 slots[g] = BoundGate(g.kind, g.qubits, g.param)
         object.__setattr__(self, "_params", tuple(params))
         object.__setattr__(self, "_slots", tuple(map(slots.get, self.gates)))
-        groups = fusion_groups(self.gates)
-        shared = (all(isinstance(self._slots[i], BoundGate) for i in g) for g in groups)
-        object.__setattr__(self, "_groups", tuple(zip(groups, shared)))
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_ops"}
+        object.__setattr__(self, "_fusion", fusion_groups(self.gates, self._slots))
 
 
 @dataclass(frozen=True)
 class BoundCircuit:
-    """Gates with literal angles.  A state-vector run applies each of its
-    `fusion_groups` as one op, built at its first use and kept here, or,
-    for a shared group of the `Circuit` it was bound from, on that Circuit.
-    A copy carries its fields alone, so builds its own ops."""
+    """Gates with literal angles."""
 
     n_qubits: int
     gates: tuple[BoundGate, ...]
@@ -176,19 +208,17 @@ class BoundCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def fusion(self) -> tuple[tuple, dict | None]:
-        """Its `fusion_groups` as (positions, shared) pairs, and the dict on
-        the Circuit it was bound from that keeps the shared groups' ops; a
-        circuit made otherwise shares no group, and gets None."""
-        source = vars(self).get("_source")
-        if source is not None:
-            return source._groups, vars(source).setdefault("_ops", {})
-        if "_groups" not in vars(self):
-            vars(self).setdefault("_groups", tuple((g, False) for g in fusion_groups(self.gates)))
-        return self._groups, None
+    def fused(self) -> tuple[FusedGate, ...]:
+        """Its `fusion_groups` as gates, in the order a state-vector run
+        applies them, made at the first call and kept: a group of fixed
+        gates of the `Circuit` it was bound from is that Circuit's
+        `FusedGate`, and any other is its own, one per distinct group."""
+        if "_fused" not in vars(self):
+            gates = self.gates
+            fixed, own, run = vars(self).get("_fusion") or fusion_groups(gates, gates)
+            fused = fixed + tuple(FusedGate(tuple([gates[i] for i in g])) for g in own)
+            vars(self).setdefault("_fused", tuple(map(fused.__getitem__, run)))
+        return self._fused
 
 
 def bind(circuit: Circuit, theta) -> BoundCircuit:
@@ -206,7 +236,7 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
     ]
     bound = tuple(rotations[s] if isinstance(s, int) else s for s in circuit._slots)
     out = BoundCircuit(circuit.n_qubits, bound)
-    object.__setattr__(out, "_source", circuit)
+    object.__setattr__(out, "_fusion", circuit._fusion)
     return out
 
 
@@ -287,6 +317,8 @@ def build_ansatz(spec: AnsatzSpec, n_qubits: int) -> Circuit:
         return Circuit(n_qubits, tuple(gates), n_params)
 
     n, d = n_qubits, spec.layers
+    if n < 2:  # its CNOT ring needs two qubits
+        raise ValueError(f"Entangling ansatz needs at least 2 qubits, got {n}")
     gates = []
     for q in range(n):
         gates.append(Gate("Rx", (q,), Param(2 * q)))

@@ -18,7 +18,7 @@ from .noise import (
     evolve,
 )
 from .paulis import PauliString, PauliSum, dense_matrix
-from .state import DensityMatrix, StateVector, _gate_op, new_pure_ground
+from .state import DensityMatrix, StateVector, gate_op, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
 
@@ -213,7 +213,7 @@ def dense_unitary(circuit: BoundCircuit) -> np.ndarray:
     n = circuit.n_qubits
     u = np.eye(2**n, dtype=complex)
     for gate in circuit.gates:  # row j of u is U|j>, so u is U transposed
-        u = _gate_op(gate, n, StateVector)(u)
+        u = gate_op(gate, n, StateVector)(u)
     return u.T
 
 

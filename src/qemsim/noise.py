@@ -37,27 +37,27 @@ paired rho, one row per noise model, takes gate 1, an interval, gate 2,
 BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
 problem keeps one propagator.  Only a batch of noiseless models from a
 StateVector stays on state vectors, where each fusion group of gates is
-one kernel call (see `state`); any other batch returns each row as a
-DensityMatrix, and there each gate is one kernel call on all rows, built
-at its first apply and kept on the gate; it makes a new stack, which the
-interval after it steps and may overwrite.  An interval applies every
-row's 1-qubit blocks in one product pass, by the shuffle algorithm for
-Kronecker products (de Boor, ACM Trans. Math. Softw. 5, 173, 1979;
-Fernandes, Plateau and Stewart, J. ACM 45, 381, 1998): per qubit pair
-(2j+1, 2j), top first, a stack of each row's kron(P_2j+1, P_2j) is one
-batched matmul that applies it to the leading qubits of every row and
-rotates them to the end.  Each wider block is then a kernel on just the
-rows holding it, called like a `state.LocalOp`.  A dense one is a
-`LocalOp` of its matrix, by highest qubit, descending; each distinct one
-is built once.  The wide blocks go last, in layers: layer j is one
-`_Wide` on the rows that have a j-th wide block (each row's by highest
-qubit, descending), with one `_generator` of all their blocks, so a row
-never gets the summed generator of two of its blocks (whose RK4 step
-differs at O(h^5)); it steps its rows in place, in two work stacks of
-its own call.  The product pass and the layers give each row the
-arithmetic of its run alone, whatever rows share its batch, from two
-qubits up (on one, a gate's product of a one-row stack can round
-differently).
+one `circuit.FusedGate` (see `state`); any other batch returns each row
+as a DensityMatrix, and there each gate is one kernel call on all rows;
+it makes a new stack, which the interval after it steps and may
+overwrite.  Either way a gate's op is built at its first use and kept on
+the gate.  An interval applies every row's 1-qubit blocks in one product
+pass, by the shuffle algorithm for Kronecker products (de Boor, ACM
+Trans. Math. Softw. 5, 173, 1979; Fernandes, Plateau and Stewart, J. ACM
+45, 381, 1998): per qubit pair (2j+1, 2j), top first, a stack of each
+row's kron(P_2j+1, P_2j) is one batched matmul that applies it to the
+leading qubits of every row and rotates them to the end.  Each wider
+block is then a kernel on just the rows holding it, called like a
+`state.LocalOp`.  A dense one is a `LocalOp` of its matrix, by highest
+qubit, descending; each distinct one is built once.  The wide blocks go
+last, in layers: layer j is one `_Wide` on the rows that have a j-th
+wide block (each row's by highest qubit, descending), with one
+`_generator` of all their blocks, so a row never gets the summed
+generator of two of its blocks (whose RK4 step differs at O(h^5)); it
+steps its rows in place, in two work stacks of its own call.  The
+product pass and the layers give each row the arithmetic of its run
+alone, whatever rows share its batch, from two qubits up (on one, a
+gate's product of a one-row stack can round differently).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .state import (
     _kron,
     apply_gate,
     check_cap,
-    fused_ops,
+    gate_op,
     pair,
     paired_axes,
     unpair,
@@ -482,13 +482,13 @@ class IntervalPropagator:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, and the run is
-        the circuit's `state.fused_ops` on it, one per fusion group; else
+        one op per gate of the circuit's `fused()` on it; else
         every row is a DensityMatrix, and each gate makes a new stack, the
         run's own, which the interval after it may overwrite."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
-            data = state0.data
-            for op in fused_ops(circuit):
-                data = op(data)
+            data, n = state0.data, state0.n_qubits
+            for gate in circuit.fused():
+                data = gate_op(gate, n, StateVector)(data)
             return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
         state = _stack(state0, self.n_rows)
         last = len(circuit.gates) - 1

@@ -23,15 +23,16 @@ so each qubit is one contiguous 4-entry axis.  A gate's kron(U, conj(U))
 indexes the row bits of its qubits, then their column bits, so it is a
 `LocalOp` on those axes in that order; `LocalOp` moves it onto the
 ascending paired axes, one contiguous apply for a 1-qubit gate and for a
-gate on adjacent qubits.  A gate is one `LocalOp` per state layout,
-kept on the gate: U on a state vector, kron(U, conj(U)) on a paired rho
-or on the row axes then column axes of a DensityMatrix's (2,)*2n view.
-A state-vector run of a circuit fuses its gates instead, as state-vector
-simulators do (Häner and Steiger, SC17, arXiv:1704.01127; Isakov et al.,
-arXiv:2111.02396): each qubit's run of 1-qubit gates is one 2x2 P, taken
-into the 2-qubit gate U it feeds as U @ kron(P_a, P_b), and each such
-group (`circuit.fusion_groups`) is one `LocalOp`, kept on the bound
-circuit, or for a group of fixed gates on the `Circuit` it was bound from.
+gate on adjacent qubits.  A gate is one `LocalOp` per state layout: U on
+a state vector, kron(U, conj(U)) on a paired rho; a DensityMatrix takes
+a gate in a paired copy.  A state-vector run of a circuit fuses its
+gates, as state-vector simulators do (Häner and Steiger, SC17,
+arXiv:1704.01127; Isakov et al., arXiv:2111.02396): each qubit's run of
+1-qubit gates is one 2x2 P, taken into the 2-qubit gate U it feeds as
+U @ kron(P_a, P_b), and each such group is one gate, a
+`circuit.FusedGate`.  Every op is built at its first use and kept on
+the gate it was built from (`gate_op`), so the FusedGate of a group of
+fixed gates, which a `Circuit` holds for all its bindings, is built once.
 Every dense noise channel on rho is a `LocalOp` too; a wider noise block
 steps with `noise._generator` instead.  `pair` and `unpair` convert at
 the two ends of a run, one 4^n transpose each.  A batched run holds
@@ -54,6 +55,7 @@ DEFAULT_QUBIT_CAP = 14
 # it to one call, and pays while the folded matrix has at most this many
 # rows.
 _MAX_FOLDED = 16
+_EYES = {post: np.eye(post) for post in (2, 4, 8)}  # a fold's I, made once, not per op
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,7 +103,7 @@ class LocalOp:
             m = m.reshape(2**k, 2**k)
         self.m, self.axes, self.post = m, range(lo, lo + k), 2 ** (n_axes - lo - k)
         if 1 < self.post and 2**k * self.post <= _MAX_FOLDED:
-            self.m = _kron(m, np.eye(self.post))
+            self.m = _kron(m, _EYES[self.post])
             self.axes, self.post = range(lo, n_axes), 1
 
     def __call__(self, data: np.ndarray) -> np.ndarray:
@@ -216,75 +218,38 @@ def new_pure_ground(n_qubits: int) -> DensityMatrix:
 
 
 def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
-    """A bound gate as one read-only LocalOp on a state of class `layout`:
-    U on axes n-1-q of a StateVector, else kron(U, conj(U)) on its qubits'
-    row axes then column axes, paired (LocalOp reorders them) or of a
-    DensityMatrix's (2,)*2n view.  The gate checked itself when it was
-    built, so this checks only that its qubits fit in the register."""
+    """A gate, bound or fused, as one read-only LocalOp on a state of
+    class `layout`: U on axes n-1-q of a StateVector, or kron(U, conj(U))
+    on its qubits' row axes then column axes of a PairedDensity (LocalOp
+    reorders them).  The gate checked itself when it was built, so this
+    checks only that its qubits fit in the register."""
     qubits = gate.qubits
     if max(qubits) >= n_qubits:
         raise ValueError(f"qubit index {max(qubits)} out of range for {n_qubits} qubits")
     u = gate.matrix()
-    rows = [n_qubits - 1 - q for q in qubits]
     if layout is StateVector:
-        op = LocalOp(u, rows, n_qubits)
+        op = LocalOp(u, [n_qubits - 1 - q for q in qubits], n_qubits)
     else:
-        cols = [n_qubits + a for a in rows]
-        if layout is PairedDensity:
-            axes = paired_axes(qubits, n_qubits)
-            rows, cols = axes[0::2], axes[1::2]
-        op = LocalOp(_kron(u, u.conj()), rows + cols, 2 * n_qubits)
+        axes = paired_axes(qubits, n_qubits)
+        op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * n_qubits)
     op.m = op.m.view()  # read-only, leaving the gate's own matrix as it is
     op.m.setflags(write=False)
     return op
 
 
-def _fused_op(gates, n_qubits: int) -> LocalOp:
-    """One fusion group (see `circuit.fusion_groups`) as one read-only
-    LocalOp on a StateVector: each qubit's 1-qubit gates multiplied into
-    one 2x2 P, in order, and a closing 2-qubit gate U on (a, b) as
-    U @ kron(P_a, P_b), a the most-significant bit, as `_gate_op` places U."""
-    qubits = gates[-1].qubits
-    top = max(q for g in gates for q in g.qubits)
-    if top >= n_qubits:
-        raise ValueError(f"qubit index {top} out of range for {n_qubits} qubits")
-    # P is held as Python numbers: a 2x2 product in them costs under half
-    # of numpy's, and a binding builds its groups' products afresh
-    runs = {q: (1, 0, 0, 1) for q in qubits}
-    for g in gates[: len(gates) - (len(qubits) > 1)]:
-        a, b = g.entries(), runs[g.qubits[0]]  # P becomes a @ P
-        runs[g.qubits[0]] = (
-            a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3],
-        )
-    m = np.array([runs[q] for q in qubits], dtype=complex).reshape(-1, 2, 2)
-    m = m[0] if len(qubits) == 1 else gates[-1].matrix() @ _kron(*m)
-    op = LocalOp(m, [n_qubits - 1 - q for q in qubits], n_qubits)
-    op.m.setflags(write=False)
-    return op
-
-
-def fused_ops(circuit):
-    """The ops of a state-vector run of a bound circuit, in order: one per
-    fusion group, built at its first use and kept, a shared group's on the
-    Circuit it was bound from, any other's on the bound circuit (see
-    `BoundCircuit.fusion`; two threads may both build one, and keep one)."""
-    groups, shared = circuit.fusion()
-    own = vars(circuit).setdefault("_ops", {})
-    n, gates = circuit.n_qubits, circuit.gates
-    for positions, is_shared in groups:
-        kept = shared if is_shared else own
-        yield kept.get(positions) or kept.setdefault(
-            positions, _fused_op([gates[i] for i in positions], n)
-        )
+def gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
+    """`_gate_op` of a gate, built at its first use and kept on the gate
+    (two threads may both build it; the two ops are equal)."""
+    key = n_qubits, layout
+    ops = getattr(gate, "_ops", None) or vars(gate).setdefault("_ops", {})
+    return ops.get(key) or ops.setdefault(key, _gate_op(gate, *key))
 
 
 def apply_gate(state, gate):
     """psi -> U psi on a StateVector, rho -> U rho U^dagger on a
-    PairedDensity (on every row of a stack) or DensityMatrix: the bound
-    gate's op on the state's layout, built at its first apply and kept on
-    the gate (two threads may both build it; the two ops are equal)."""
-    ops = vars(gate).setdefault("_ops", {})
-    key = (state.n_qubits, type(state))
-    op = ops.get(key) or ops.setdefault(key, _gate_op(gate, *key))
+    PairedDensity (on every row of a stack), or on a DensityMatrix by way
+    of a paired copy: the gate's op on the state's layout (see `gate_op`)."""
+    if isinstance(state, DensityMatrix):
+        return unpair(apply_gate(pair(state), gate))
+    op = gate_op(gate, state.n_qubits, type(state))
     return type(state)(state.n_qubits, op(state.data))

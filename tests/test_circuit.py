@@ -23,6 +23,23 @@ class TestBind:
         assert len(bc) == 1
         assert bc.gates[0].kind == "H"
 
+    @pytest.mark.parametrize(
+        "n_qubits,gates,n_params,message",
+        [
+            (0, (), 0, "n_qubits must be an int >= 1, got 0"),
+            (-2, (), 0, "n_qubits must be an int >= 1, got -2"),
+            (2.5, (q.Gate("H", (0,)),), 0, "n_qubits must be an int >= 1, got 2.5"),
+            (True, (), 0, "n_qubits must be an int >= 1, got True"),
+            (2, (), -1, "n_params must be an int >= 0, got -1"),
+            (2, (), 1.0, "n_params must be an int >= 0, got 1.0"),
+        ],
+    )
+    def test_register_and_parameter_count_are_checked(self, n_qubits, gates, n_params, message):
+        # Circuit(2, (), -1) used to be built, and its bind then failed with
+        # "circuit expects -1"
+        with pytest.raises(ValueError, match=message):
+            q.Circuit(n_qubits, gates, n_params)
+
     def test_length_mismatch(self):
         c = q.Circuit(1, (q.Gate("Rz", (0,), Param(0)),), 1)
         with pytest.raises(ValueError):
@@ -192,6 +209,13 @@ class TestBuildAnsatz:
     def test_entangling_needs_layers(self):
         with pytest.raises(ValueError):
             q.AnsatzSpec("Entangling", layers=0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_entangling_needs_two_qubits(self, n):
+        # one qubit used to fail inside its CNOT ring, and none gave an empty circuit
+        message = f"Entangling ansatz needs at least 2 qubits, got {n}"
+        with pytest.raises(ValueError, match=message):
+            q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
 
     def test_uccsd_like_single_generator(self):
         spec = q.AnsatzSpec(

@@ -700,6 +700,16 @@ class TestConfigReader:
         assert err.startswith("error:")
         assert "line 1: 'qubits' must be at least 1, got 0" in err
 
+    def test_entangling_ansatz_on_one_qubit_is_refused_by_name(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # it used to end in "failure: CNOT needs 2 distinct non-negative qubit(s), got (0, 0)"
+        (tmp_path / "h1.txt").write_text("qubits 1\n0.5 Z0\n")
+        config = {"hamiltonian": "h1.txt", "ansatz": {"kind": "entangling", "layers": 1}}
+        assert _run(tmp_path, monkeypatch, "vqe", config) == 1
+        err = capsys.readouterr().err
+        assert err == "failure: Entangling ansatz needs at least 2 qubits, got 1\n"
+
     def test_prep_qubit_past_declared_count_is_a_config_error(
         self, tmp_path, monkeypatch, capsys
     ):

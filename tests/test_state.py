@@ -8,7 +8,7 @@ import pytest
 
 import qemsim as q
 from qemsim import state as state_module
-from qemsim.circuit import Param
+from qemsim.circuit import FusedGate, Param
 from qemsim.state import (
     LocalOp,
     PairedDensity,
@@ -309,46 +309,71 @@ class TestGateSuperopCache:
             assert isinstance(got, q.DensityMatrix)
             assert np.array_equal(got.data, want.data), gate
 
+    def test_fused_gate_on_rho_matches_its_gates(self, h2_bound_circuit):
+        # every H2 group, a CNOT on the wrap-around pair fed by both its
+        # qubits, and a run that feeds no 2-qubit gate
+        n = h2_bound_circuit.n_qubits
+        wrap = (bound("Ry", (0,), 0.4), bound("Rx", (3,), 1.1), bound("H", (3,)))
+        extra = [
+            FusedGate(wrap + (bound("CNOT", (3, 0)),)),
+            FusedGate(wrap[1:] + (bound("Rz", (3,), -0.7),)),
+        ]
+        rho = random_density_matrix(n, np.random.default_rng(7))
+        for fused in h2_bound_circuit.fused() + tuple(extra):
+            for state in (rho, pair(rho)):
+                want = state
+                for gate in fused.gates:
+                    want = q.apply_gate(want, gate)
+                got = q.apply_gate(state, fused)
+                assert type(got) is type(state)
+                assert np.max(np.abs(got.data - want.data)) <= 1e-13, fused
+
     def test_noiseless_runs_build_each_statevector_op_once(
         self, h2_uccsd_circuit, h2_vqe_result, monkeypatch
     ):
-        # a fresh copy of the H2 circuit, so none of its groups has an op yet
+        # a fresh copy of the H2 circuit, so none of its FusedGates has an op yet
         ansatz = h2_uccsd_circuit
         fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
-        per_binding = {p for p, shared in fresh._groups if not shared}
         builds = []
-        fused_op = state_module._fused_op
+        gate_op = state_module._gate_op
 
-        def counted(gates, n_qubits):
-            builds.append(tuple(gates))
-            return fused_op(gates, n_qubits)
+        def counted(gate, n_qubits, layout):
+            assert layout is StateVector
+            builds.append(gate)
+            return gate_op(gate, n_qubits, layout)
 
         def run(circuit):
             out = q.run_noisy_circuit(q.new_statevector(circuit.n_qubits), circuit, q.NoiseModel())
             assert isinstance(out, StateVector)
             return out
 
-        monkeypatch.setattr(state_module, "_fused_op", counted)
+        monkeypatch.setattr(state_module, "_gate_op", counted)
         circuit = q.bind(fresh, h2_vqe_result.theta_opt)
         out = run(circuit)
-        # 158 gates in 68 groups, of 33 distinct gate tuples: equal groups
-        # share one op, and each is built once
-        assert len(fresh._groups) == 68
-        assert len(builds) == len(set(builds)) == len({p for p, _ in fresh._groups}) == 33
+        # 158 gates in 68 groups, 33 distinct: equal groups are one
+        # FusedGate, and each builds its op once
+        fused = circuit.fused()
+        assert len(fused) == 68 and all(isinstance(g, FusedGate) for g in fused)
+        assert len(set(fused)) == len({id(g) for g in fused}) == 33
+        assert len(builds) == len({id(g) for g in builds}) == 33
         builds.clear()
         assert np.array_equal(run(circuit).data, out.data)
         assert builds == []
-        # a second binding builds its 6 groups that hold a Param gate, alone
+        # a second binding shares the Circuit's 27 fixed FusedGates, and
+        # builds its 6 groups that hold a Param gate, alone
         other = q.bind(fresh, h2_vqe_result.theta_opt + 0.1)
         run(other)
-        assert len(builds) == len(set(builds)) == 6
-        assert set(builds) == {tuple(other.gates[i] for i in p) for p in per_binding}
+        shared = {id(g) for g in fused} & {id(g) for g in other.fused()}
+        assert len(shared) == 27
+        assert len(builds) == len({id(g) for g in builds}) == 6
+        assert {id(g) for g in builds} == {id(g) for g in other.fused()} - shared
         # a copy, of the bound circuit or of the Circuit, carries no op and
         # builds its own
         for copy in (
             pickle.loads(pickle.dumps(circuit)),
             q.bind(pickle.loads(pickle.dumps(fresh)), h2_vqe_result.theta_opt),
         ):
+            assert not any("_ops" in vars(g) for g in copy.fused() + copy.gates)
             builds.clear()
             assert np.array_equal(run(copy).data, out.data)
             assert len(builds) == 33
@@ -402,22 +427,24 @@ class TestGateSuperopCache:
         assert abs(rho.trace() - 1) < 1e-12
 
     def test_fused_ops_live_as_long_as_their_binding(self, h2_uccsd_circuit):
-        # a group that holds a Param gate keeps its op on its bound circuit,
-        # and no reference cycle holds it; a fixed group keeps one op on the
-        # Circuit, whatever the binding
+        # a FusedGate that holds a Param gate is its binding's, and it and
+        # its op die with the binding, as no reference cycle holds them; a
+        # fixed one is the Circuit's, with one op whatever the binding
         ansatz = h2_uccsd_circuit
         fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
+        fixed = {id(g): g for g in fresh._fusion[0]}
+        assert len(fixed) == 27
         n = fresh.n_qubits
         rng = np.random.default_rng(0)
         for _ in range(20):
             circuit = q.bind(fresh, rng.uniform(-3, 3, fresh.n_params))
             q.run_noisy_circuit(q.new_statevector(n), circuit, q.NoiseModel())
-            ops = [weakref.ref(op) for op in vars(circuit)["_ops"].values()]
+            own = {id(g): g for g in circuit.fused() if id(g) not in fixed}
+            ops = [weakref.ref(g._ops[n, StateVector]) for g in own.values()]
             assert len(ops) == 6 and all(op() is not None for op in ops)
-            del circuit
+            del circuit, own
             assert all(op() is None for op in ops)
-        assert set(vars(fresh)["_ops"]) == {p for p, shared in fresh._groups if shared}
-        assert len(vars(fresh)["_ops"]) == 27
+        assert all(list(g._ops) == [(n, StateVector)] for g in fixed.values())
 
     def test_threads_share_the_cache(self):
         # more threads than cores, switching often, two threads on each
@@ -458,8 +485,8 @@ class TestGateSuperopCache:
 
     def test_threads_share_the_fused_ops(self, h2_uccsd_circuit):
         # more threads than cores, switching often, two threads on each
-        # binding of one Circuit, so they build the same groups' ops at once,
-        # on the Circuit and on each bound circuit
+        # binding of one Circuit, so they build the same FusedGates' ops at
+        # once, the Circuit's and each binding's own
         ansatz = h2_uccsd_circuit
         fresh = q.Circuit(ansatz.n_qubits, ansatz.gates, ansatz.n_params)
         rng = np.random.default_rng(6)
@@ -481,5 +508,11 @@ class TestGateSuperopCache:
             sys.setswitchinterval(interval)
         for got, want in zip(results, serial * 2):
             assert np.array_equal(got, want)
-        assert len(vars(fresh)["_ops"]) == 27
-        assert all(len(vars(c)["_ops"]) == 6 for c in circuits)
+        # each FusedGate kept one op: the Circuit's 27 fixed ones, and 6 of
+        # each binding's own
+        n = fresh.n_qubits
+        fixed = {id(g) for g in fresh._fusion[0]}
+        for c in circuits:
+            kept = {id(g): g for g in c.fused()}
+            assert fixed < set(kept) and len(kept) == 27 + 6
+            assert all(list(g._ops) == [(n, StateVector)] for g in kept.values())
