@@ -38,6 +38,12 @@ class Param:
     prefactor: float = 1.0
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """The one check of a register size or parameter count: an int >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
     """The one check of a `Gate` or `BoundGate`: a known kind, an angle
     exactly on rotations, finite and real unless `symbolic`, and as many
@@ -178,10 +184,8 @@ class Circuit:
     n_params: int
 
     def __post_init__(self):
-        for name, least in (("n_qubits", 1), ("n_params", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        _check_count("n_qubits", self.n_qubits, 1)
+        _check_count("n_params", self.n_params, 0)
         object.__setattr__(self, "gates", tuple(self.gates))
         slots, params = {}, {}  # a BoundGate, or a Param gate's index in _params
         for g in self.gates:
@@ -204,6 +208,9 @@ class BoundCircuit:
 
     n_qubits: int
     gates: tuple[BoundGate, ...]
+
+    def __post_init__(self):
+        _check_count("n_qubits", self.n_qubits, 1)
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -6,7 +6,12 @@ occupation n_th), and a two-qubit correlated excitation-exchange pair.
 The inter-gate propagator exp(tau * L) is approximated by classic RK4
 with a configurable number of substeps; the integrator itself must
 preserve the trace (no renormalization), which doubles as a correctness
-signal.
+signal.  It is checked where it can break: each dense block's matrix
+when it is built (`_block`), and each row's final trace once, at the end
+of its run (`IntervalPropagator.finish`), which catches accumulated
+round-off and a NaN alike; a wide block's generator keeps it by
+construction (`_generator`), and a step outside RK4's stability interval
+is refused before anything runs (`_check_step`).
 
 A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
@@ -77,6 +82,7 @@ from .state import (
     PairedDensity,
     StateVector,
     _kron,
+    _paired_diagonal,
     apply_gate,
     check_cap,
     gate_op,
@@ -206,7 +212,9 @@ def _generator(rows, register, h: float):
     c rho c^dag moves the entries whose term digits (2 * row bit + column
     bit) are 3b onto those whose digits are 3a; -{c^dag c, rho} / 2 adds
     -w / 2 to d where the term's row bits are b, and again where its
-    column bits are.  Each row has its own d, in its own term order.  A
+    column bits are.  So each move's weight leaves its source's diagonal
+    twice, at w/2, as it lands on (a, a): h*L keeps the trace by
+    construction.  Each row has its own d, in its own term order.  A
     move acts on all rows at once, weighted by a column that is 0 on rows
     without it, and the moves go in one order whatever the rows, so no
     row's arithmetic depends on the rows beside it."""
@@ -353,8 +361,9 @@ def _check_step(terms, cfg: PropagatorConfig) -> None:
 
 def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
     """One block of at most DENSE_BLOCK_MAX_QUBITS qubits over one
-    interval: the dense 4^k x 4^k matrix on the paired axes of
-    `_support(terms)`."""
+    interval: the dense 4^k x 4^k matrix M on the paired axes of
+    `_support(terms)`, refused unless it keeps the trace, t M = t for the
+    paired identity row t, within TRACE_DRIFT_LIMIT."""
     _check_step(terms, cfg)
     qubits = _support(terms)
     # Row i of the identity is unit vector i, which the generator takes to
@@ -362,13 +371,23 @@ def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
     k = len(qubits)
     hl = _generator((terms,), qubits, cfg.tau / cfg.substeps)(np.eye(4**k, dtype=complex)).T
     if k == 1:  # one 4x4 round costs less than a round per sector
-        return _power_step(hl, cfg.substeps)
-    # h*L is block-diagonal in coherence order (see KINDS): step and power
-    # its sectors alone, orders m and -m as one stack.
-    out = np.zeros((4**k, 4**k), dtype=complex)
-    for idx in _sectors(k):
-        sector = idx[:, :, None], idx[:, None, :]
-        out[sector] = _power_step(hl[sector], cfg.substeps)
+        out = _power_step(hl, cfg.substeps)
+    else:
+        # h*L is block-diagonal in coherence order (see KINDS): step and
+        # power its sectors alone, orders m and -m as one stack.
+        out = np.zeros((4**k, 4**k), dtype=complex)
+        for idx in _sectors(k):
+            sector = idx[:, :, None], idx[:, None, :]
+            out[sector] = _power_step(hl[sector], cfg.substeps)
+    diagonal = _paired_diagonal(k)
+    t_m = out[diagonal].sum(axis=0)
+    t_m[diagonal] -= 1.0
+    defect = np.abs(t_m).max()
+    if not defect <= TRACE_DRIFT_LIMIT:  # NaN too
+        raise IntegrationError(
+            f"the channel on qubits {sorted(qubits)} changes the trace by "
+            f"{defect:.3g}; increase substeps (currently {cfg.substeps})"
+        )
     return out
 
 
@@ -466,25 +485,29 @@ class IntervalPropagator:
                 data = kernel(data)
             else:  # a slice view stepped in place is not copied back
                 data[rows] = kernel(data[rows])
-        out = PairedDensity(rho.n_qubits, data)
-        drift = [abs(trace - 1.0) for trace in out.trace().tolist()]
+        return PairedDensity(rho.n_qubits, data)
+
+    def finish(self, rho: PairedDensity) -> list[DensityMatrix]:
+        """Each row of rho, once its trace is within TRACE_DRIFT_LIMIT of 1:
+        every interval and gate keeps it exactly, so drift is round-off or NaN."""
+        drift = [abs(trace - 1.0) for trace in rho.trace().tolist()]
         if not sum(drift) <= TRACE_DRIFT_LIMIT:  # bounds each row's; NaN if any is
             for row, d in enumerate(drift):
                 if not d <= TRACE_DRIFT_LIMIT:
                     raise IntegrationError(
-                        f"trace drifted by {d:.3g} over one interval in row "
+                        f"trace drifted by {d:.3g} over the run in row "
                         f"{self.first_row + row}; increase substeps "
                         f"(currently {self.cfg.substeps})"
                     )
-        return out
+        return [unpair(PairedDensity(rho.n_qubits, row)) for row in rho.data]
 
     def run(self, state0: StateVector | DensityMatrix, circuit) -> list:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
-        channel a StateVector start stays a StateVector, and the run is
-        one op per gate of the circuit's `fused()` on it; else
-        every row is a DensityMatrix, and each gate makes a new stack, the
-        run's own, which the interval after it may overwrite."""
+        channel a StateVector start stays a StateVector, and the run is one
+        op per gate of the circuit's `fused()` on it; else each gate makes
+        a new stack, the run's own, which the interval after it may
+        overwrite, and each row ends as a DensityMatrix, by `finish`."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
@@ -496,7 +519,7 @@ class IntervalPropagator:
             state = apply_gate(state, gate)
             if i != last:
                 state = self.propagate(state)
-        return [unpair(PairedDensity(state.n_qubits, row)) for row in state.data]
+        return self.finish(state)
 
 
 def evolve(
@@ -507,8 +530,7 @@ def evolve(
     model.validate_for(rho.n_qubits)
     propagator = IntervalPropagator([model], rho.n_qubits, cfg)
     start = _stack(rho, 1)  # a read-only view: the interval steps a copy
-    (out,) = propagator.propagate(replace(start, data=start.data.copy())).data
-    return unpair(PairedDensity(rho.n_qubits, out))
+    return propagator.finish(propagator.propagate(replace(start, data=start.data.copy())))[0]
 
 
 def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:

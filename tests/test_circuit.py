@@ -40,6 +40,14 @@ class TestBind:
         with pytest.raises(ValueError, match=message):
             q.Circuit(n_qubits, gates, n_params)
 
+    @pytest.mark.parametrize("n_qubits", [0, -1, 2.5, True])
+    def test_bound_circuit_register_is_checked_as_circuits_is(self, n_qubits):
+        # BoundCircuit(0, ()) used to be built, with a 1x1 dense_unitary, and
+        # -1 or 2.5 failed later with a TypeError
+        with pytest.raises(ValueError, match=f"n_qubits must be an int >= 1, got {n_qubits!r}"):
+            q.BoundCircuit(n_qubits, ())
+        assert q.BoundCircuit(np.int64(1), ()).n_qubits == 1
+
     def test_length_mismatch(self):
         c = q.Circuit(1, (q.Gate("Rz", (0,), Param(0)),), 1)
         with pytest.raises(ValueError):

@@ -127,8 +127,8 @@ class TestRunMitigation:
         ids=["nan_angle", "cnot_on_one_qubit"],
     )
     def test_one_bad_gate_is_refused(self, kind, qubits, angle, message):
-        # with one gate no interval runs, so the trace-drift guard would
-        # never see it; the gate is refused when it is built
+        # with one gate no interval runs; the run's final trace check would
+        # now see a NaN row, but the gate is refused earlier, when it is built
         observable = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)
         with pytest.raises(ValueError, match=message):
             circuit = q.BoundCircuit(1, (q.BoundGate(kind, qubits, angle),))

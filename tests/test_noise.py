@@ -299,6 +299,19 @@ class TestGenerator:
         got = _generator((terms,), register(n), h)(stack)
         assert np.max(np.abs(got - oracle_rhs(stack, terms, n, h))) < 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(generator_cases())
+    @example((6, tuple(build_template_model("correlated", 6, 0.3).terms), 0.5, 0))
+    def test_keeps_the_trace_by_construction(self, case):
+        # each move's weight w leaves its source's diagonal twice, at w/2, as
+        # it lands on its target's: the paired identity row t has t h*L = 0,
+        # on each row of a stack, with its own terms
+        n, terms, h, seed = case
+        stack = random_stack(n, 3, seed)
+        got = _generator((terms, terms[::-1], terms[:1]), register(n), h)(stack)
+        traces = PairedDensity(n, got).trace()
+        assert np.max(np.abs(traces)) < 1e-13 * (1 + h * sum(t.rate for t in terms)) * 2**n
+
 
 def test_wide_block_run_loads_no_scipy():
     # numpy is the package's only dependency; scipy is for tests alone
@@ -429,6 +442,27 @@ class TestEvolve:
             want = dense_rk4(dense_liouvillian(block, n), want, cfg.tau, cfg.substeps)
         assert np.max(np.abs(got.data - want)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "term, qubits",
+        [
+            (q.LindbladTerm("amplitude_damping", (1,), 0.1), r"\[1\]"),
+            (q.LindbladTerm("correlated", (2, 0), 0.1), r"\[0, 2\]"),
+        ],
+        ids=["product_pass", "dense_block"],
+    )
+    @pytest.mark.parametrize("spoil", [1 + 1e-3, math.nan], ids=["scaled", "nan"])
+    def test_a_block_that_changes_the_trace_is_refused_at_build(
+        self, term, qubits, spoil, monkeypatch
+    ):
+        model, cfg = q.NoiseModel((term,)), q.PropagatorConfig()
+        power_step = noise._power_step
+        monkeypatch.setattr(noise, "_power_step", lambda *args: power_step(*args) * spoil)
+        message = rf"the channel on qubits {qubits} changes the trace by (0.001|nan);"
+        with pytest.raises(IntegrationError, match=message):
+            IntervalPropagator([model], 3, cfg)
+        monkeypatch.undo()
+        IntervalPropagator([model], 3, cfg)  # the true block passes
+
     def test_integrator_failure_raises(self):
         rho = q.DensityMatrix(1, EXCITED.copy())
         with pytest.raises(IntegrationError, match="substeps"):
@@ -440,15 +474,27 @@ class TestEvolve:
         paired = PairedDensity(n, pair(rho).data[None])
         (trace,) = paired.trace()
         assert trace == pytest.approx(np.trace(rho.data), abs=1e-15)
-        propagator = IntervalPropagator(
-            [build_template_model("gamma1_gamma2", n, 0.05)], n, q.PropagatorConfig()
-        )
-        (trace,) = propagator.propagate(paired).trace()
-        assert abs(trace - 1.0) < 1e-12
-        # the channels keep the trace, so an input 1e-3 off leaves 1e-3 off
-        off = PairedDensity(n, paired.data * (1 + 1e-3))
-        with pytest.raises(IntegrationError, match="trace drifted by 0.001"):
-            propagator.propagate(off)
+        model = build_template_model("gamma1_gamma2", n, 0.05)
+        circuit = q.BoundCircuit(n, (q.BoundGate("H", (0,)), q.BoundGate("CNOT", (0, 2))))
+        out = q.run_noisy_circuit(rho, circuit, model)
+        assert abs(out.trace() - 1.0) < 1e-12
+        # the gates and the interval keep the trace, so a start 1e-3 off
+        # ends 1e-3 off, and the run's one check, at its end, refuses it
+        off = q.DensityMatrix(n, rho.data * (1 + 1e-3))
+        with pytest.raises(IntegrationError, match="trace drifted by 0.001 over the run in row 0;"):
+            q.run_noisy_circuit(off, circuit, model)
+        propagator = IntervalPropagator([model, model], n, q.PropagatorConfig(), first_row=4)
+        with pytest.raises(IntegrationError, match="in row 4;"):
+            propagator.run(off, circuit)
+
+    def test_evolve_refuses_an_off_trace_input(self):
+        # one interval, then the same one check of the final trace
+        message = "trace drifted by (0.001|nan) over the run in row 0;"
+        for data in (PLUS * (1 + 1e-3), np.array([[1, 0], [0, math.nan]], dtype=complex)):
+            with pytest.raises(IntegrationError, match=message):
+                q.evolve(q.DensityMatrix(1, data), ad_model(0.1), q.PropagatorConfig())
+        out = q.evolve(q.DensityMatrix(1, PLUS * (1 + 1e-7)), ad_model(0.1), q.PropagatorConfig())
+        assert out.trace() == pytest.approx(1 + 1e-7, abs=1e-15)
 
     def test_unstable_step_raises(self):
         # h * 2 * gamma = 20 is far outside RK4's stability interval; the
@@ -696,17 +742,60 @@ class TestBatch:
             build_template_model("gamma1", n, 0.05),
             build_template_model("correlated", n, 0.05),
         ]
-        rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
-        data = np.stack([pair(rho).data for rho in rhos])
-        propagator = IntervalPropagator(models, n, q.PropagatorConfig())
-        traces = propagator.propagate(PairedDensity(n, data)).trace()
-        assert np.all(np.abs(traces - 1) < 1e-12)
-        data[1] *= 1 + 1e-3
-        with pytest.raises(IntegrationError, match=r"trace drifted by 0.001 .* in row 1;"):
-            propagator.propagate(PairedDensity(n, data))
-        chunk = IntervalPropagator(models, n, q.PropagatorConfig(), first_row=4)
-        with pytest.raises(IntegrationError, match="in row 5;"):
-            chunk.propagate(PairedDensity(n, data))
+        rho = random_density_matrix(n, np.random.default_rng(0))
+        for first_row in (0, 4):
+            propagator = IntervalPropagator(models, n, q.PropagatorConfig(), first_row=first_row)
+            rows = propagator.run(rho, self.circuit())
+            assert all(abs(row.trace() - 1) < 1e-12 for row in rows)
+            # row 1's channel on the pair (1, 0), spoilt after its build
+            # check: 1e-3 of trace gained per interval, over 4 intervals
+            (_, pair_stack) = propagator.stacks[-1]
+            pair_stack[1] *= 1 + 1e-3
+            message = rf"trace drifted by 0.00401 over the run in row {first_row + 1};"
+            with pytest.raises(IntegrationError, match=message):
+                propagator.run(rho, self.circuit())
+
+    def test_a_nan_row_of_a_one_gate_run_raises(self):
+        # no interval runs, so no check after an interval ever saw this row;
+        # the H moves the start's NaN coherence onto the diagonal
+        circuit = q.BoundCircuit(1, (q.BoundGate("H", (0,)),))
+        rho = q.DensityMatrix(1, np.array([[1, math.nan], [math.nan, 0]], dtype=complex))
+        with pytest.raises(IntegrationError, match="trace drifted by nan over the run in row 0;"):
+            q.run_noisy_circuit(rho, circuit, ad_model(0.1))
+        propagator = IntervalPropagator([ad_model(0.1)] * 2, 1, q.PropagatorConfig(), first_row=2)
+        with pytest.raises(IntegrationError, match="trace drifted by nan over the run in row 2;"):
+            propagator.run(rho, circuit)
+        out = q.run_noisy_circuit(q.DensityMatrix(1, PLUS.copy()), circuit, ad_model(0.1))
+        assert out.trace() == pytest.approx(1.0, abs=1e-15)
+
+    def test_the_trace_is_read_once_per_noisy_run(self, monkeypatch):
+        shapes = []
+        trace = PairedDensity.trace
+
+        def counted(rho):
+            shapes.append(rho.data.shape)
+            return trace(rho)
+
+        monkeypatch.setattr(PairedDensity, "trace", counted)
+        model = build_template_model("gamma1_gamma2", 3, 0.02)
+        psi, circuit = q.new_statevector(3), self.circuit()  # 5 gates, 4 intervals
+        q.run_noisy_circuit(psi, circuit, model)
+        assert shapes == [(1, 64)]
+        shapes.clear()
+        # the noisy runs are the rows of one batch; the ideal run is a state vector
+        q.run_mitigation(circuit, model, self.observable())
+        assert len(shapes) == 1
+        shapes.clear()
+        monkeypatch.setattr(noise, "BATCH_BYTES", 2 * 16 * 4**3)
+        list(q.run_noisy_batch(psi, circuit, [model] * 3))  # once per chunk
+        assert shapes == [(2, 64), (1, 64)]
+        shapes.clear()
+        quiet = scale_terms(model, range(len(model)), 0.0)
+        q.run_noisy_circuit(psi, circuit, quiet)
+        IntervalPropagator([quiet] * 2, 3, q.PropagatorConfig()).run(psi, circuit)
+        assert shapes == []
+        q.evolve(q.DensityMatrix(1, PLUS.copy()), ad_model(0.1), q.PropagatorConfig())
+        assert shapes == [(1, 4)]
 
     def test_distinct_blocks_are_built_once(self, monkeypatch):
         built = []
