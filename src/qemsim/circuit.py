@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PauliParseError
 from .paulis import PauliString, _content_lines, _header, parse_pauli_string
-from .state import _kron
+from .state import _kron, check_qubits
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
@@ -47,7 +47,7 @@ def _check_count(name: str, value, least: int) -> None:
 def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
     """The one check of a `Gate` or `BoundGate`: a known kind, an angle
     exactly on rotations, finite and real unless `symbolic`, and as many
-    distinct non-negative int qubits as the kind acts on, as a tuple."""
+    qubits as the kind acts on (`state.check_qubits`), as a tuple."""
     if kind in ROTATION_KINDS:
         if not (isinstance(angle, symbolic) or isinstance(angle, Real) and math.isfinite(angle)):
             raise ValueError(f"{kind} needs a finite angle, got {angle}")
@@ -55,12 +55,7 @@ def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
         raise ValueError(f"unknown gate kind {kind!r}")
     elif angle is not None:
         raise ValueError(f"{kind} takes no angle, got {angle}")
-    n_target = 2 if kind == "CNOT" else 1
-    qubits = tuple(qubits)
-    ints = all(isinstance(q, (int, np.integer)) and q >= 0 for q in qubits)
-    if not ints or len(qubits) != n_target or len(set(qubits)) != n_target:
-        raise ValueError(f"{kind} needs {n_target} distinct non-negative qubit(s), got {qubits}")
-    return tuple(map(int, qubits))
+    return check_qubits(kind, qubits, 2 if kind == "CNOT" else 1)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ first-order noise contributions cancel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .noise import (
@@ -42,8 +43,8 @@ class RemovalGroup:
     def __post_init__(self):
         if not self.removed_terms:
             raise ValueError("removal group must remove at least one term")
-        if not self.weight > 0:  # also refuses NaN
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:  # also refuses NaN
+            raise ValueError(f"weight must be finite and positive, got {self.weight}")
 
 
 @dataclass

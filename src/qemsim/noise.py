@@ -10,8 +10,8 @@ signal.  It is checked where it can break: each dense block's matrix
 when it is built (`_block`), and each row's final trace once, at the end
 of its run (`IntervalPropagator.finish`), which catches accumulated
 round-off and a NaN alike; a wide block's generator keeps it by
-construction (`_generator`), and a step outside RK4's stability interval
-is refused before anything runs (`_check_step`).
+construction (`_generator`); a step outside RK4's stability interval is
+refused per block, before any block is built (`_check_step`).
 
 A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
@@ -31,8 +31,8 @@ both kinds of block:
   4^k x 4^k identity, transposed.  Every collapse op keeps the coherence
   order m = popcount(row) - popcount(column) (see KINDS), so h*L, its
   step and their power are block-diagonal in m (Buča and Prosen, New J.
-  Phys. 14, 073007, 2012): from two qubits up `_rk4` and the power run
-  on each sector's identity alone, and the sectors fill a zero matrix;
+  Phys. 14, 073007, 2012): at every k, `_rk4` and the power run on each
+  sector's identity alone, and the sectors fill a zero matrix;
 - a wider block runs `_rk4` with the generator on rho each substep, in
   a layer of such blocks, at most one per row (see below).
 
@@ -85,6 +85,7 @@ from .state import (
     _paired_diagonal,
     apply_gate,
     check_cap,
+    check_qubits,
     gate_op,
     pair,
     paired_axes,
@@ -121,11 +122,8 @@ class LindbladTerm:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        qubits, want = tuple(self.qubits), 2 if self.kind == "correlated" else 1
-        ints = all(isinstance(q, (int, np.integer)) and q >= 0 for q in qubits)
-        if not ints or len(qubits) != want or len(set(qubits)) != want:
-            raise ValueError(f"{self.kind} needs {want} distinct int qubit(s) >= 0, got {qubits}")
-        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
+        want = 2 if self.kind == "correlated" else 1
+        object.__setattr__(self, "qubits", check_qubits(self.kind, self.qubits, want))
         if not 0 <= self.rate < math.inf:
             raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
         if (self.n_th is not None) != (self.kind == "thermal"):
@@ -362,23 +360,20 @@ def _check_step(terms, cfg: PropagatorConfig) -> None:
 def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
     """One block of at most DENSE_BLOCK_MAX_QUBITS qubits over one
     interval: the dense 4^k x 4^k matrix M on the paired axes of
-    `_support(terms)`, refused unless it keeps the trace, t M = t for the
-    paired identity row t, within TRACE_DRIFT_LIMIT."""
-    _check_step(terms, cfg)
+    `_support(terms)`, stepped and powered one coherence-order sector at a
+    time, refused unless it keeps the trace, t M = t for the paired
+    identity row t, within TRACE_DRIFT_LIMIT."""
     qubits = _support(terms)
     # Row i of the identity is unit vector i, which the generator takes to
     # column i of h*L: the rows it gives are h*L transposed.
     k = len(qubits)
     hl = _generator((terms,), qubits, cfg.tau / cfg.substeps)(np.eye(4**k, dtype=complex)).T
-    if k == 1:  # one 4x4 round costs less than a round per sector
-        out = _power_step(hl, cfg.substeps)
-    else:
-        # h*L is block-diagonal in coherence order (see KINDS): step and
-        # power its sectors alone, orders m and -m as one stack.
-        out = np.zeros((4**k, 4**k), dtype=complex)
-        for idx in _sectors(k):
-            sector = idx[:, :, None], idx[:, None, :]
-            out[sector] = _power_step(hl[sector], cfg.substeps)
+    # h*L is block-diagonal in coherence order (see KINDS): step and power
+    # its sectors alone, orders m and -m as one stack.
+    out = np.zeros((4**k, 4**k), dtype=complex)
+    for idx in _sectors(k):
+        sector = idx[:, :, None], idx[:, None, :]
+        out[sector] = _power_step(hl[sector], cfg.substeps)
     diagonal = _paired_diagonal(k)
     t_m = out[diagonal].sum(axis=0)
     t_m[diagonal] -= 1.0
@@ -439,12 +434,12 @@ class IntervalPropagator:
         wide: list[list] = [[] for _ in models]  # each row's wide components
         for row, model in enumerate(models):
             for support, terms in _components(model):
+                _check_step(terms, cfg)
                 if len(support) == 1:
                     lone[min(support), row] = terms
                 elif len(support) <= DENSE_BLOCK_MAX_QUBITS:
                     held.setdefault(terms, []).append(row)
                 else:
-                    _check_step(terms, cfg)
                     wide[row].append(terms)
         self.stacks = []
         if lone:
@@ -469,17 +464,14 @@ class IntervalPropagator:
     def propagate(self, rho: PairedDensity) -> PairedDensity:
         """One interval on every row of rho, whose stack it may overwrite.
         Work stacks belong to a call, so threads can share a propagator."""
-        if not (self.stacks or self.kernels):
-            return rho
         data = rho.data
-        if self.stacks:
-            for _, m_t in self.stacks:
-                # The shuffle step: the leading qubits of each row, viewed
-                # as (d, K), take their channel as x^T M^T and so rotate to
-                # the end; after the last stack every qubit is back in place.
-                x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
-                data = np.matmul(x, m_t)
-            data = data.reshape(rho.data.shape)
+        for _, m_t in self.stacks:
+            # The shuffle step: the leading qubits of each row, viewed as
+            # (d, K), take their channel as x^T M^T and so rotate to the
+            # end; after the last stack every qubit is back in place.
+            x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
+            data = np.matmul(x, m_t)
+        data = data.reshape(rho.data.shape)
         for kernel, rows in self.kernels:
             if rows is None:
                 data = kernel(data)
@@ -490,15 +482,12 @@ class IntervalPropagator:
     def finish(self, rho: PairedDensity) -> list[DensityMatrix]:
         """Each row of rho, once its trace is within TRACE_DRIFT_LIMIT of 1:
         every interval and gate keeps it exactly, so drift is round-off or NaN."""
-        drift = [abs(trace - 1.0) for trace in rho.trace().tolist()]
-        if not sum(drift) <= TRACE_DRIFT_LIMIT:  # bounds each row's; NaN if any is
-            for row, d in enumerate(drift):
-                if not d <= TRACE_DRIFT_LIMIT:
-                    raise IntegrationError(
-                        f"trace drifted by {d:.3g} over the run in row "
-                        f"{self.first_row + row}; increase substeps "
-                        f"(currently {self.cfg.substeps})"
-                    )
+        for row, trace in enumerate(rho.trace().tolist()):
+            if not abs(trace - 1.0) <= TRACE_DRIFT_LIMIT:  # NaN too
+                raise IntegrationError(
+                    f"trace drifted by {abs(trace - 1.0):.3g} over the run in row "
+                    f"{self.first_row + row}; increase substeps (currently {self.cfg.substeps})"
+                )
         return [unpair(PairedDensity(rho.n_qubits, row)) for row in rho.data]
 
     def run(self, state0: StateVector | DensityMatrix, circuit) -> list:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PauliParseError
-from .state import check_cap
+from .state import check_cap, check_qubits
 
 _PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -29,19 +29,12 @@ class PauliString:
     ops: tuple[tuple[int, str], ...]  # sorted (qubit, letter) pairs
 
     def __init__(self, ops):
-        if isinstance(ops, dict):
-            items = sorted(ops.items())
-        else:
-            items = sorted(tuple(p) for p in ops)
-        qubits = [q for q, _ in items]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit in Pauli string: {items}")
-        for q, letter in items:
-            if q < 0:
-                raise ValueError(f"negative qubit index {q}")
+        pairs = list(ops.items() if isinstance(ops, dict) else map(tuple, ops))
+        qubits = check_qubits("Pauli string", [q for q, _ in pairs])
+        for _, letter in pairs:
             if letter not in _PAULI_LETTERS:
                 raise ValueError(f"unknown Pauli letter {letter!r}")
-        object.__setattr__(self, "ops", tuple(items))
+        object.__setattr__(self, "ops", tuple(sorted(zip(qubits, (letter for _, letter in pairs)))))
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -200,6 +201,17 @@ def check_cap(n_qubits: int) -> None:
             f"{n_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} "
             f"(a density matrix stores 4^n complex numbers)"
         )
+
+
+def check_qubits(what: str, qubits, count: int | None = None) -> tuple[int, ...]:
+    """The one check of a qubit list: distinct ints >= 0, never a bool, and
+    `count` of them unless it is None; returns them as a tuple of int."""
+    qubits = tuple(qubits)
+    ints = all(isinstance(q, Integral) and not isinstance(q, bool) and q >= 0 for q in qubits)
+    if not ints or len(set(qubits)) != len(qubits) or count not in (None, len(qubits)):
+        many = "" if count is None else f"{count} "
+        raise ValueError(f"{what} needs {many}distinct non-negative qubit(s), got {qubits}")
+    return tuple(map(int, qubits))
 
 
 def new_statevector(n_qubits: int) -> StateVector:

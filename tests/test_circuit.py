@@ -114,9 +114,12 @@ class TestGateValidation:
             q.Gate("Rx", (0,), float(angle))
 
     @pytest.mark.parametrize(
-        "qubits", [(-1,), (0.0,), ("0",), ()], ids=["negative", "float", "str", "none"]
+        "qubits",
+        [(-1,), (0.0,), ("0",), (), (True,), (np.bool_(True),)],
+        ids=["negative", "float", "str", "none", "bool", "numpy_bool"],
     )
     def test_qubits_must_be_non_negative_ints(self, qubits):
+        # a bool used to be taken as qubit 0 or 1
         for cls in (q.Gate, q.BoundGate):
             with pytest.raises(ValueError, match=r"X needs 1 distinct non-negative qubit\(s\)"):
                 cls("X", qubits)

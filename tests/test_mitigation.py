@@ -261,5 +261,10 @@ class TestGroupValidation:
             q.RemovalGroup("g", (0,), 0.0)
 
     def test_nan_weight(self):
-        with pytest.raises(ValueError, match="weight must be positive, got nan"):
+        with pytest.raises(ValueError, match="weight must be finite and positive, got nan"):
             q.RemovalGroup("g", (0,), float("nan"))
+
+    def test_infinite_weight(self):
+        # inf used to be taken, and turned a correction into inf or NaN
+        with pytest.raises(ValueError, match="weight must be finite and positive, got inf"):
+            q.RemovalGroup("g", (0,), float("inf"))

@@ -99,11 +99,14 @@ class TestLindbladTerm:
         with pytest.raises(ValueError):
             q.LindbladTerm("amplitude_damping", (-1,), 0.1)
 
-    @pytest.mark.parametrize("qubit", [1.5, 1.0, "1", None], ids=["1.5", "1.0", "str", "None"])
+    @pytest.mark.parametrize(
+        "qubit", [1.5, 1.0, "1", None, True], ids=["1.5", "1.0", "str", "None", "bool"]
+    )
     def test_non_int_qubit(self, qubit):
-        # 1.5 used to fail at the propagator build with an IndexError, and
-        # "1" with a TypeError from `min`
-        with pytest.raises(ValueError, match=r"needs 1 distinct int qubit\(s\) >= 0"):
+        # 1.5 used to fail at the propagator build with an IndexError, "1"
+        # with a TypeError from `min`, and True was taken as qubit 1
+        message = r"amplitude_damping needs 1 distinct non-negative qubit\(s\), got"
+        with pytest.raises(ValueError, match=message):
             q.LindbladTerm("amplitude_damping", (qubit,), 0.1)
 
     def test_numpy_int_qubits_are_stored_as_ints(self):
@@ -505,6 +508,34 @@ class TestEvolve:
         out = q.evolve(rho, ad_model(10.0), q.PropagatorConfig(tau=1.0, substeps=64))
         assert out.data[1, 1].real == pytest.approx(math.exp(-10.0), abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "terms, n, qubits",
+        [
+            ([("amplitude_damping", (1,))], 3, r"\[1\]"),
+            ([("correlated", (2, 0))], 3, r"\[0, 2\]"),
+            ([("correlated", (j, (j + 1) % 5)) for j in range(5)], 5, r"\[0, 1, 2, 3, 4\]"),
+        ],
+        ids=["product_pass", "dense_block", "wide_block"],
+    )
+    def test_an_unstable_block_of_any_width_is_refused(self, terms, n, qubits, monkeypatch):
+        # h * radius is 20 on the 1-qubit channel and 40 on each other
+        # block; every block is checked before any is built
+        model = q.NoiseModel(tuple(q.LindbladTerm(kind, qs, 10.0) for kind, qs in terms))
+        cfg = q.PropagatorConfig(tau=1.0, substeps=1)
+        monkeypatch.setattr(noise, "_block", lambda *args: pytest.fail("a block was built"))
+        ansatz = q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
+        theta = np.zeros(ansatz.n_params)
+        problem = q.VqeProblem(q.PauliSum([(1.0, q.PauliString({0: "Z"}))], n), ansatz, model, cfg)
+        psi = q.new_statevector(n)
+        message = rf"on qubits {qubits} exceeds the RK4 stability limit 2.785; increase substeps"
+        for run in (
+            lambda: q.run_noisy_circuit(psi, q.bind(ansatz, theta), model, cfg),
+            lambda: q.evolve(psi, model, cfg),
+            lambda: q.energy_objective(problem, theta),
+        ):
+            with pytest.raises(IntegrationError, match=message):
+                run()
+
     def test_config_validation(self):
         for tau in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -608,6 +639,23 @@ class TestRunNoisyCircuit:
         for g in gates:
             rho = q.apply_gate(rho, g)
         assert np.max(np.abs(noisy.data - rho.data)) < 1e-14
+
+    def test_a_channel_free_propagator_leaves_the_gates_alone(self):
+        # no product pass and no kernel: an interval is the identity, bit
+        # for bit, and a DensityMatrix start ends where its gates put it
+        n, circuit = 3, TestBatch.circuit()
+        rho = random_density_matrix(n, np.random.default_rng(3))
+        want = rho
+        for gate in circuit.gates:
+            want = q.apply_gate(want, gate)
+        quiet = build_template_model("gamma1_gamma2", n, 0.0)  # zero rates drop out
+        for model in (q.NoiseModel(), quiet):
+            propagator = IntervalPropagator([model] * 2, n, q.PropagatorConfig())
+            assert propagator.stacks == [] and propagator.kernels == []
+            for row in propagator.run(rho, circuit):
+                assert np.array_equal(row.data, want.data)
+            stack = PairedDensity(n, np.stack([pair(rho).data] * 2))
+            assert np.array_equal(propagator.propagate(stack).data, stack.data)
 
     def test_single_gate_sees_no_noise(self):
         circuit = q.BoundCircuit(1, (q.BoundGate("X", (0,)),))
@@ -754,6 +802,27 @@ class TestBatch:
             message = rf"trace drifted by 0.00401 over the run in row {first_row + 1};"
             with pytest.raises(IntegrationError, match=message):
                 propagator.run(rho, self.circuit())
+
+    def test_the_final_check_tests_each_row_alone(self):
+        # three rows 5e-7 off are accepted, though their drifts sum past
+        # TRACE_DRIFT_LIMIT; of two rows off the first is named, and a NaN
+        # row is named too
+        assert 3 * 5e-7 > noise.TRACE_DRIFT_LIMIT
+        propagator = IntervalPropagator([ad_model(0.1)] * 3, 1, q.PropagatorConfig(), first_row=5)
+
+        def stack(*scales):
+            rows = [pair(q.DensityMatrix(1, PLUS * s)).data for s in scales]
+            return PairedDensity(1, np.stack(rows))
+
+        scales = (1 + 5e-7, 1 - 5e-7, 1 + 5e-7)
+        rows = propagator.finish(stack(*scales))
+        assert [row.trace() for row in rows] == pytest.approx(scales, abs=1e-15)
+        message = r"trace drifted by 0.002 over the run in row 6;"
+        with pytest.raises(IntegrationError, match=message):
+            propagator.finish(stack(1.0, 1 + 2e-3, 1 - 1e-3))
+        message = r"trace drifted by nan over the run in row 7; increase substeps \(currently 64\)"
+        with pytest.raises(IntegrationError, match=message):
+            propagator.finish(stack(1.0, 1 + 5e-7, math.nan))
 
     def test_a_nan_row_of_a_one_gate_run_raises(self):
         # no interval runs, so no check after an interval ever saw this row;

@@ -217,6 +217,23 @@ class TestGroundEnergy:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "ops",
+        [{True: "Z"}, {1.5: "X"}, {-1: "X"}, {"0": "X"}, [(0, "X"), (0, "Z")]],
+        ids=["bool", "float", "negative", "str", "duplicate"],
+    )
+    def test_qubits_must_be_distinct_non_negative_ints(self, ops):
+        # True used to print as "ZTrue" and act on qubit 1, and 1.5 to fail
+        # later, in `masks`, with a TypeError
+        message = r"Pauli string needs distinct non-negative qubit\(s\), got"
+        with pytest.raises(ValueError, match=message):
+            q.PauliString(ops)
+
+    def test_numpy_int_qubits_are_stored_as_ints(self):
+        ps = q.PauliString({np.int64(2): "X", 0: "Z"})
+        assert ps.ops == ((0, "Z"), (2, "X")) and type(ps.ops[1][0]) is int
+        assert str(ps) == "Z0 X2" and ps.masks() == (0b100, 0, 0b001)
+
     def test_non_finite_coefficient(self):
         with pytest.raises(ValueError):
             psum([(float("nan"), {0: "Z"})], 1)

@@ -16,10 +16,11 @@ It writes one JSON record: for each workload and each end-to-end metric
 of BENCHMARK.json, the runs of both sides, their medians and quartiles,
 the change's median against the parent's in percent, and in how many
 pairs the change was better; each run's `correct` flag and failed-op
-count; and the machine the runs were made on, with the Python version
-and PYTHONDONTWRITEBYTECODE: where that is set, every job compiles
-qemsim from source, so the size of its source moves `setup_s` and
-`peak_rss_mb`.
+count; each side's `wc -l src/qemsim/*.py`, per file and in total, the
+line count the design aim tracks; and the machine the runs were made
+on, with the Python version and PYTHONDONTWRITEBYTECODE: where that is
+set, every job compiles qemsim from source, so the size of its source
+moves `setup_s` and `peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def bench(tree: Path, workload: str, seconds: float, seed: int) -> tuple[dict, s
     return json.loads(lines[-1]), machine
 
 
+def source_lines(tree: Path) -> dict:
+    """`wc -l src/qemsim/*.py` of a tree: newlines per file, and their total."""
+    files = {p.name: p.read_bytes().count(b"\n") for p in sorted(tree.glob("src/qemsim/*.py"))}
+    return {"total": sum(files.values()), "files": files}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -114,6 +121,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         record["parent"] = extract(args.against, trees["parent"])
         record["change"] = extract(args.change, trees["change"])
+        record["source_lines"] = {side: source_lines(tree) for side, tree in trees.items()}
         machines = set()
         for workload in workloads:
             runs = {side: [] for side in trees}
