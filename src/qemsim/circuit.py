@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import PauliParseError
 from .paulis import PauliString, _content_lines, _header, parse_pauli_string
-from .state import _kron, check_qubits
+from .state import _kron, check_count, check_qubits, check_real
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
 FIXED_KINDS = ("H", "X", "CNOT")
@@ -38,19 +37,13 @@ class Param:
     prefactor: float = 1.0
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """The one check of a register size or parameter count: an int >= least."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-
-
 def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
     """The one check of a `Gate` or `BoundGate`: a known kind, an angle
     exactly on rotations, finite and real unless `symbolic`, and as many
     qubits as the kind acts on (`state.check_qubits`), as a tuple."""
     if kind in ROTATION_KINDS:
-        if not (isinstance(angle, symbolic) or isinstance(angle, Real) and math.isfinite(angle)):
-            raise ValueError(f"{kind} needs a finite angle, got {angle}")
+        if not isinstance(angle, symbolic):
+            check_real(f"{kind} angle", angle)
     elif kind not in FIXED_KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
     elif angle is not None:
@@ -179,8 +172,8 @@ class Circuit:
     n_params: int
 
     def __post_init__(self):
-        _check_count("n_qubits", self.n_qubits, 1)
-        _check_count("n_params", self.n_params, 0)
+        check_count("n_qubits", self.n_qubits, 1)
+        check_count("n_params", self.n_params, 0)
         object.__setattr__(self, "gates", tuple(self.gates))
         slots, params = {}, {}  # a BoundGate, or a Param gate's index in _params
         for g in self.gates:
@@ -205,7 +198,7 @@ class BoundCircuit:
     gates: tuple[BoundGate, ...]
 
     def __post_init__(self):
-        _check_count("n_qubits", self.n_qubits, 1)
+        check_count("n_qubits", self.n_qubits, 1)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -296,8 +289,7 @@ class AnsatzSpec:
                 if ps.is_identity():
                     raise ValueError("identity generator string")
         elif self.kind == "Entangling":
-            if self.layers < 1:
-                raise ValueError("entangling ansatz needs at least one layer")
+            check_count("Entangling ansatz layers", self.layers, 1)
         else:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
 
@@ -319,8 +311,7 @@ def build_ansatz(spec: AnsatzSpec, n_qubits: int) -> Circuit:
         return Circuit(n_qubits, tuple(gates), n_params)
 
     n, d = n_qubits, spec.layers
-    if n < 2:  # its CNOT ring needs two qubits
-        raise ValueError(f"Entangling ansatz needs at least 2 qubits, got {n}")
+    check_count("Entangling ansatz n_qubits", n, 2)  # its CNOT ring needs two qubits
     gates = []
     for q in range(n):
         gates.append(Gate("Rx", (q,), Param(2 * q)))

@@ -18,7 +18,7 @@ from .noise import (
     evolve,
 )
 from .paulis import PauliString, PauliSum, dense_matrix
-from .state import DensityMatrix, StateVector, gate_op, new_pure_ground
+from .state import DensityMatrix, StateVector, check_count, gate_op, new_pure_ground
 
 CHEMICAL_ACCURACY = 1.6e-3  # Hartree
 
@@ -110,8 +110,7 @@ def scaling_ladder(
     interval length while the corrected residual drops quadratically
     (first-order cancellation).
     """
-    if n_points < 2:
-        raise ValueError(f"a slope needs at least 2 points, got {n_points}")
+    check_count("n_points", n_points, 2)  # a slope needs two points
     if cfg is None:
         cfg = PropagatorConfig()
     rows = []
@@ -236,12 +235,8 @@ def check_compiled_exponentials() -> tuple[bool, str]:
 
 
 def run_validation_suite(substeps: int) -> list[tuple[str, bool, str]]:
-    limit = int(MAX_SUBSTEPS // _DECAY_CHECK_T)
-    if substeps > limit:
-        raise ValueError(
-            f"validate substeps must be <= {limit}, got {substeps}: the decay "
-            f"checks take {_DECAY_CHECK_T:g} * substeps steps, at most {MAX_SUBSTEPS}"
-        )
+    # the decay checks take _DECAY_CHECK_T * substeps steps, at most MAX_SUBSTEPS
+    check_count("validate substeps", substeps, 1, int(MAX_SUBSTEPS // _DECAY_CHECK_T))
     checks = [
         ("amplitude_damping_decay", check_amplitude_damping(substeps)),
         ("dephasing_coherence", check_dephasing(substeps)),

@@ -20,7 +20,6 @@ first-order noise contributions cancel.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .noise import (
@@ -31,7 +30,7 @@ from .noise import (
     scale_terms,
 )
 from .paulis import PauliSum, expectation
-from .state import new_statevector
+from .state import check_real, new_statevector
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ class RemovalGroup:
     def __post_init__(self):
         if not self.removed_terms:
             raise ValueError("removal group must remove at least one term")
-        if not 0 < self.weight < math.inf:  # also refuses NaN
-            raise ValueError(f"weight must be finite and positive, got {self.weight}")
+        check_real("weight", self.weight, 0, above=True)
 
 
 @dataclass
@@ -81,7 +79,7 @@ class CorrectionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def build_groups(model: NoiseModel, n_qubits: int) -> list[RemovalGroup]:
+def build_groups(model: NoiseModel) -> list[RemovalGroup]:
     """One group per (qubit, term multiplicity) that removes >= 1 term.
 
     Multiplicity of a term is the number of distinct qubits it touches,
@@ -113,7 +111,7 @@ def _correct(circuit, model, observable, factor, cfg):
     `factor`, as rows of one batched run, plus the noiseless run."""
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
-    groups = build_groups(model, circuit.n_qubits)
+    groups = build_groups(model)
     models = [model] + [scale_terms(model, g.removed_terms, factor) for g in groups]
     psi0 = new_statevector(circuit.n_qubits)
     ideal = run_noisy_circuit(psi0, circuit, NoiseModel(), cfg)
@@ -168,6 +166,5 @@ def scaled_noise_correction(
     <A> - correction_i per group, so the standard correction identity
     still reconstructs a_corrected from the stored fields.
     """
-    if not factor > 1:
-        raise ValueError(f"inflation factor must exceed 1, got {factor}")
+    check_real("inflation factor", factor, 1, above=True)
     return _correct(circuit, model, observable, factor, cfg)

@@ -67,11 +67,9 @@ gate's product of a one-row stack can round differently).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -85,7 +83,9 @@ from .state import (
     _paired_diagonal,
     apply_gate,
     check_cap,
+    check_count,
     check_qubits,
+    check_real,
     gate_op,
     pair,
     paired_axes,
@@ -124,12 +124,11 @@ class LindbladTerm:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         want = 2 if self.kind == "correlated" else 1
         object.__setattr__(self, "qubits", check_qubits(self.kind, self.qubits, want))
-        if not 0 <= self.rate < math.inf:
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        check_real("rate", self.rate, 0)
         if (self.n_th is not None) != (self.kind == "thermal"):
             raise ValueError("n_th is required for thermal terms and only those")
-        if self.n_th is not None and not 0 <= self.n_th < math.inf:
-            raise ValueError(f"n_th must be finite and >= 0, got {self.n_th}")
+        if self.n_th is not None:
+            check_real("n_th", self.n_th, 0)
 
     def collapse_ops(self) -> list[tuple[float, int, int]]:
         """(rate, a, b) triples, each the collapse op |a><b| on the term's
@@ -174,22 +173,12 @@ class PropagatorConfig:
     substeps: int = 64
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if not isinstance(self.substeps, Integral):
-            raise ValueError(f"substeps must be an integer, got {self.substeps!r}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if self.substeps > MAX_SUBSTEPS:
-            raise ValueError(
-                f"substeps must be <= {MAX_SUBSTEPS}, got {self.substeps}: "
-                "round-off limits the step count, and more steps lose accuracy"
-            )
+        check_real("tau", self.tau, 0, above=True)
+        check_count("substeps", self.substeps, 1, MAX_SUBSTEPS)  # more lose accuracy to round-off
 
 
 def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
-    if factor < 0:
-        raise ValueError(f"scale factor must be >= 0, got {factor}")
+    check_real("scale factor", factor, 0)
     chosen = set(indices)
     outside = chosen - set(range(len(model)))
     if outside:
@@ -602,8 +591,8 @@ def build_template_model(
     Correlated terms use ring pairing (q, (q+1) mod n); explicit term
     lists override this when finer control is needed.
     """
-    if n_qubits < 1:
-        raise ValueError(f"a noise template needs at least 1 qubit, got {n_qubits}")
+    # the correlated ring pairs each qubit with the next, so needs two
+    check_count(f"{template} template n_qubits", n_qubits, 2 if template == "correlated" else 1)
     terms: list[LindbladTerm] = []
     if template in ("gamma1", "gamma1_gamma2"):
         terms += [
@@ -616,8 +605,6 @@ def build_template_model(
             LindbladTerm("thermal", (q,), rate, n_th=n_th) for q in range(n_qubits)
         ]
     if template == "correlated":
-        if n_qubits < 2:
-            raise ValueError("correlated template needs at least 2 qubits")
         terms += [
             LindbladTerm("correlated", (q, (q + 1) % n_qubits), rate)
             for q in range(n_qubits)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PauliParseError
-from .state import check_cap, check_qubits
+from .state import check_cap, check_count, check_qubits, check_real
 
 _PAULI_LETTERS = ("X", "Y", "Z")
 
@@ -72,10 +72,9 @@ class PauliSum:
     n_qubits: int
 
     def __init__(self, terms, n_qubits):
-        terms = tuple((float(c), p) for c, p in terms)
-        for c, p in terms:
-            if not np.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c}")
+        check_count("n_qubits", n_qubits, 1)
+        terms = tuple((float(check_real("coefficient", c)), p) for c, p in terms)
+        for _, p in terms:
             if p.max_qubit() >= n_qubits:
                 raise ValueError(
                     f"string {p} exceeds declared qubit count {n_qubits}"

@@ -42,9 +42,10 @@ row axis into its leading count, so one call acts on every row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -214,10 +215,31 @@ def check_qubits(what: str, qubits, count: int | None = None) -> tuple[int, ...]
     return tuple(map(int, qubits))
 
 
+def check_count(what: str, value, least: int, most: int | None = None) -> None:
+    """The one check of a count: an int, never a bool, from `least` up to
+    `most` (unbounded when None)."""
+    ok = isinstance(value, Integral) and not isinstance(value, bool)
+    if not ok or value < least or most is not None and value > most:
+        top = "" if most is None else f" and <= {most}"
+        raise ValueError(f"{what} must be an int >= {least}{top}, got {value!r}")
+
+
+def check_real(what: str, value, least: float = -math.inf, above: bool = False):
+    """The one check of a real setting: a finite real, never a bool, at
+    least `least`, or strictly above it when `above` is set; returns `value`."""
+    try:  # an int past the float range overflows here, as it would in any use
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok or (value <= least if above else value < least):
+        bound = "" if least == -math.inf else f" {'>' if above else '>='} {least}"
+        raise ValueError(f"{what} must be a finite real{bound}, got {value!r}")
+    return value
+
+
 def new_statevector(n_qubits: int) -> StateVector:
     """|0...0> on n qubits."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    check_count("n_qubits", n_qubits, 1)
     check_cap(n_qubits)
     data = np.zeros(2**n_qubits, dtype=complex)
     data[0] = 1.0

@@ -18,7 +18,7 @@ from . import noise
 from .circuit import Circuit, bind
 from .noise import NoiseModel, PropagatorConfig
 from .paulis import PauliSum, expectation
-from .state import new_statevector
+from .state import check_count, check_real, new_statevector
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,10 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        # each check is negated, so NaN fails it too
-        if not self.f_tol > 0 or not self.x_tol > 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.initial_step < np.inf:
-            raise ValueError(
-                f"initial_step must be finite and positive, got {self.initial_step}"
-            )
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
+        check_count("max_evals", self.max_evals, 1)
+        for name in ("f_tol", "x_tol", "initial_step"):
+            check_real(name, getattr(self, name), 0, above=True)
+        check_count("seed", self.seed, 0)  # numpy's generator takes no negative seed
 
 
 @dataclass

@@ -92,9 +92,9 @@ class TestGateValidation:
             ("Foo", (0,), None, "unknown gate kind 'Foo'"),
             ("H", (0,), 0.5, "H takes no angle, got 0.5"),
             ("CNOT", (0, 1), 0.5, "CNOT takes no angle, got 0.5"),
-            ("Rx", (0,), None, "Rx needs a finite angle, got None"),
-            ("Rz", (0,), math.nan, "Rz needs a finite angle, got nan"),
-            ("Ry", (0,), -math.inf, "Ry needs a finite angle, got -inf"),
+            ("Rx", (0,), None, "Rx angle must be a finite real, got None"),
+            ("Rz", (0,), math.nan, "Rz angle must be a finite real, got nan"),
+            ("Ry", (0,), -math.inf, "Ry angle must be a finite real, got -inf"),
         ],
         ids=["unknown", "angle_on_h", "angle_on_cnot", "missing_angle", "nan_angle", "inf_angle"],
     )
@@ -105,12 +105,12 @@ class TestGateValidation:
                 cls(kind, qubits, angle)
 
     def test_bound_gate_refuses_a_symbolic_angle(self):
-        with pytest.raises(ValueError, match=r"Rz needs a finite angle, got Param\(index=0"):
+        with pytest.raises(ValueError, match=r"Rz angle must be a finite real, got Param\(index=0"):
             q.BoundGate("Rz", (0,), Param(0))
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_literal_angle_is_refused_when_built(self, angle):
-        with pytest.raises(ValueError, match="Rx needs a finite angle"):
+        with pytest.raises(ValueError, match="Rx angle must be a finite real"):
             q.Gate("Rx", (0,), float(angle))
 
     @pytest.mark.parametrize(
@@ -224,7 +224,7 @@ class TestBuildAnsatz:
     @pytest.mark.parametrize("n", [0, 1])
     def test_entangling_needs_two_qubits(self, n):
         # one qubit used to fail inside its CNOT ring, and none gave an empty circuit
-        message = f"Entangling ansatz needs at least 2 qubits, got {n}"
+        message = f"Entangling ansatz n_qubits must be an int >= 2, got {n}"
         with pytest.raises(ValueError, match=message):
             q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
 

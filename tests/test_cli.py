@@ -70,6 +70,13 @@ class TestVqe:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        # it used to reach numpy's generator: "failure: expected non-negative integer", exit 1
+        cfg = write_config(tmp_path, "s.json", base_config(optimizer={"max_evals": 30}))
+        assert main(["vqe", "--config", cfg, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad optimizer setting: seed must be an int >= 0, got -1\n"
+
 
 class TestMitigate:
     def test_report_document(self, tmp_path, theta_file):
@@ -670,10 +677,10 @@ class TestConfigReader:
     @pytest.mark.parametrize(
         "optimizer, message",
         [
-            ({"initial_step": 0, "max_evals": 50}, "initial_step must be finite and positive"),
-            ({"initial_step": float("nan")}, "initial_step must be finite and positive"),
-            ({"f_tol": float("nan")}, "tolerances must be positive"),
-            ({"x_tol": 0}, "tolerances must be positive"),
+            ({"initial_step": 0, "max_evals": 50}, "initial_step must be a finite real > 0, got 0"),
+            ({"initial_step": float("nan")}, "initial_step must be a finite real > 0, got nan"),
+            ({"f_tol": float("nan")}, "f_tol must be a finite real > 0, got nan"),
+            ({"x_tol": 0}, "x_tol must be a finite real > 0, got 0"),
         ],
         ids=["zero_step", "nan_step", "nan_f_tol", "zero_x_tol"],
     )
@@ -708,7 +715,7 @@ class TestConfigReader:
         config = {"hamiltonian": "h1.txt", "ansatz": {"kind": "entangling", "layers": 1}}
         assert _run(tmp_path, monkeypatch, "vqe", config) == 1
         err = capsys.readouterr().err
-        assert err == "failure: Entangling ansatz needs at least 2 qubits, got 1\n"
+        assert err == "failure: Entangling ansatz n_qubits must be an int >= 2, got 1\n"
 
     def test_prep_qubit_past_declared_count_is_a_config_error(
         self, tmp_path, monkeypatch, capsys

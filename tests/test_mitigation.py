@@ -33,14 +33,14 @@ class TestBuildGroups:
         model = q.NoiseModel(
             (term("amplitude_damping", [0]), term("amplitude_damping", [1]))
         )
-        groups = build_groups(model, 2)
+        groups = build_groups(model)
         assert [g.label for g in groups] == ["q0", "q1"]
         assert [g.removed_terms for g in groups] == [(0,), (1,)]
         assert all(g.weight == 1.0 for g in groups)
 
     def test_correlated_term_halved(self):
         model = q.NoiseModel((term("correlated", [0, 1]),))
-        groups = build_groups(model, 2)
+        groups = build_groups(model)
         assert len(groups) == 2
         assert all(g.removed_terms == (0,) for g in groups)
         assert all(g.weight == 0.5 for g in groups)
@@ -49,7 +49,7 @@ class TestBuildGroups:
         model = q.NoiseModel(
             (term("amplitude_damping", [0]), term("correlated", [0, 1]))
         )
-        groups = build_groups(model, 2)
+        groups = build_groups(model)
         labels = {g.label: g for g in groups}
         assert set(labels) == {"q0/m1", "q0/m2", "q1"}
         assert labels["q0/m1"].removed_terms == (0,)
@@ -60,12 +60,12 @@ class TestBuildGroups:
         assert labels["q1"].weight == 0.5
 
     def test_empty_model(self):
-        assert build_groups(q.NoiseModel(), 3) == []
+        assert build_groups(q.NoiseModel()) == []
 
     @pytest.mark.parametrize("template", ["gamma1_gamma2", "correlated", "thermal"])
     def test_per_term_weights_sum_to_one(self, template):
         model = build_template_model(template, 4, 0.1, n_th=0.5)
-        groups = build_groups(model, 4)
+        groups = build_groups(model)
         total = {i: 0.0 for i in range(len(model))}
         for g in groups:
             for i in g.removed_terms:
@@ -121,7 +121,7 @@ class TestRunMitigation:
     @pytest.mark.parametrize(
         "kind, qubits, angle, message",
         [
-            ("Rx", (0,), float("nan"), "Rx needs a finite angle, got nan"),
+            ("Rx", (0,), float("nan"), "Rx angle must be a finite real, got nan"),
             ("CNOT", (0,), None, r"CNOT needs 2 distinct non-negative qubit\(s\), got \(0,\)"),
         ],
         ids=["nan_angle", "cnot_on_one_qubit"],
@@ -261,10 +261,10 @@ class TestGroupValidation:
             q.RemovalGroup("g", (0,), 0.0)
 
     def test_nan_weight(self):
-        with pytest.raises(ValueError, match="weight must be finite and positive, got nan"):
+        with pytest.raises(ValueError, match="weight must be a finite real > 0, got nan"):
             q.RemovalGroup("g", (0,), float("nan"))
 
     def test_infinite_weight(self):
         # inf used to be taken, and turned a correction into inf or NaN
-        with pytest.raises(ValueError, match="weight must be finite and positive, got inf"):
+        with pytest.raises(ValueError, match="weight must be a finite real > 0, got inf"):
             q.RemovalGroup("g", (0,), float("inf"))

@@ -545,15 +545,16 @@ class TestEvolve:
         # a float used to reach numpy's matrix power ("exponent must be an
         # integer"), or to run unchecked on a model without noise
         for substeps in (2.5, 64.0, "64"):
-            with pytest.raises(ValueError, match="substeps must be an integer"):
+            message = f"substeps must be an int >= 1 and <= {MAX_SUBSTEPS}, got {substeps!r}"
+            with pytest.raises(ValueError, match=message):
                 q.PropagatorConfig(substeps=substeps)
         rho = q.DensityMatrix(1, PLUS.copy())
         want = q.evolve(rho, ad_model(0.1), q.PropagatorConfig(substeps=8)).data
         got = q.evolve(rho, ad_model(0.1), q.PropagatorConfig(substeps=np.int64(8))).data
         assert np.array_equal(got, want)
-        # at 10^20 each step rounds to the identity; a trace-drift error
-        # used to ask for still more substeps
-        with pytest.raises(ValueError, match="round-off") as exc:
+        # at 10^20 each step rounds to the identity (MAX_SUBSTEPS caps the
+        # count for round-off); a trace-drift error used to ask for still more
+        with pytest.raises(ValueError, match=f"<= {MAX_SUBSTEPS}, got {10**20}") as exc:
             q.PropagatorConfig(substeps=10**20)
         assert "increase" not in str(exc.value)
         out = q.evolve(
@@ -1089,7 +1090,8 @@ class TestConfigHelpers:
 
     @pytest.mark.parametrize("n_qubits", [0, -1])
     def test_template_without_qubits_names_the_count(self, n_qubits):
-        with pytest.raises(ValueError, match=f"at least 1 qubit, got {n_qubits}"):
+        message = f"gamma1 template n_qubits must be an int >= 1, got {n_qubits}"
+        with pytest.raises(ValueError, match=message):
             build_template_model("gamma1", n_qubits, 0.1)
 
 

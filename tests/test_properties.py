@@ -501,7 +501,7 @@ def batch_cases(draw):
     circuit, model = draw(noisy_cases())
     n = circuit.n_qubits
     rows = [model, scale_terms(model, range(len(model.terms)), 0.0)]
-    for group in build_groups(model, n):
+    for group in build_groups(model):
         factor = draw(st.sampled_from([0.0, 2.0]))
         rows.append(scale_terms(model, group.removed_terms, factor))
     rows = draw(st.permutations(rows))
@@ -529,7 +529,7 @@ def _chain(n, rate, damping=True):
 
 
 def _removal_rows(model, n):
-    groups = build_groups(model, n)
+    groups = build_groups(model)
     return [model] + [scale_terms(model, g.removed_terms, 0.0) for g in groups]
 
 
@@ -572,7 +572,7 @@ def per_qubit_batch_cases(draw):
         terms.append(q.LindbladTerm(kind, (qubit,), draw(st.floats(1e-4, 0.01)), n_th))
     model = q.NoiseModel(tuple(terms))
     rows = [model]
-    for group in build_groups(model, n):
+    for group in build_groups(model):
         factor = draw(st.sampled_from([0.0, 2.0]))
         rows.append(scale_terms(model, group.removed_terms, factor))
     return circuit, draw(st.permutations(rows))
@@ -627,7 +627,7 @@ def wide_batch_cases(draw):
     model = q.NoiseModel(tuple(draw(st.permutations(terms))))
     rows = [model] + [
         scale_terms(model, group.removed_terms, draw(st.sampled_from([0.0, 2.0])))
-        for group in build_groups(model, n)
+        for group in build_groups(model)
     ]
     return circuit, draw(st.permutations(rows))
 
@@ -671,7 +671,7 @@ def test_correlated_mitigation_matches_dense_oracle():
         return q.expectation(q.DensityMatrix(4, dense_noisy_run(circuit, m, cfg)), observable)
 
     assert abs(report.a_noisy - oracle(model)) < 1e-12
-    groups = build_groups(model, 4)
+    groups = build_groups(model)
     assert len(report.a_removed) == len(groups) == 4
     for group, (label, value, _) in zip(groups, report.a_removed):
         assert label == group.label
@@ -743,7 +743,7 @@ def test_scale_by_zero_is_removal(case):
 def test_group_weights_sum_to_one_per_term(model):
     n = model.max_qubit() + 1
     totals = [0.0] * len(model.terms)
-    for group in build_groups(model, n):
+    for group in build_groups(model):
         for i in group.removed_terms:
             totals[i] += group.weight
     assert all(abs(t - 1.0) < 1e-12 for t in totals)

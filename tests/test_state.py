@@ -1,4 +1,6 @@
+import math
 import pickle
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -9,11 +11,15 @@ import pytest
 import qemsim as q
 from qemsim import state as state_module
 from qemsim.circuit import FusedGate, Param
+from qemsim.experiments import run_validation_suite, scaling_ladder
+from qemsim.noise import MAX_SUBSTEPS, scale_terms
 from qemsim.state import (
     LocalOp,
     PairedDensity,
     StateVector,
     _gate_op,
+    check_count,
+    check_real,
     pair,
     paired_axes,
     unpair,
@@ -271,7 +277,7 @@ class TestGateSuperopCache:
             ("CNOT", [1], None, r"CNOT needs 2 distinct non-negative qubit\(s\), got \(1,\)"),
             ("X", [0, 2], None, r"X needs 1 distinct non-negative qubit\(s\), got \(0, 2\)"),
             ("H", [0], 0.5, "H takes no angle, got 0.5"),
-            ("Rx", [0], None, "Rx needs a finite angle, got None"),
+            ("Rx", [0], None, "Rx angle must be a finite real, got None"),
             ("Foo", [0], None, "unknown gate kind 'Foo'"),
         ]:
             for _ in range(2):
@@ -516,3 +522,89 @@ class TestGateSuperopCache:
             kept = {id(g): g for g in c.fused()}
             assert fixed < set(kept) and len(kept) == 27 + 6
             assert all(list(g._ops) == [(n, StateVector)] for g in kept.values())
+
+
+_DEPHASING = q.NoiseModel((q.LindbladTerm("dephasing", (0,), 0.1),))
+_Z0 = q.PauliString({0: "Z"})
+
+# Each count or real setting that a constructor or entry point checks, by
+# `state.check_count` or `state.check_real`: (id, what its message names,
+# a call that passes the value, least, then for a count its `most` and any
+# further values to refuse, for a real whether it must be strictly above
+# `least`).
+COUNTS = [
+    ("new_statevector", "n_qubits", q.new_statevector, 1, None, (2.0,)),
+    ("Circuit.n_qubits", "n_qubits", lambda v: q.Circuit(v, (), 0), 1, None, ()),
+    ("Circuit.n_params", "n_params", lambda v: q.Circuit(1, (), v), 0, None, ()),
+    ("BoundCircuit.n_qubits", "n_qubits", lambda v: q.BoundCircuit(v, ()), 1, None, ()),
+    ("AnsatzSpec.layers", "Entangling ansatz layers",
+     lambda v: q.AnsatzSpec("Entangling", layers=v), 1, None, (1.5,)),
+    ("Entangling n_qubits", "Entangling ansatz n_qubits",
+     lambda v: q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), v), 2, None, ()),
+    ("PropagatorConfig.substeps", "substeps",
+     lambda v: q.PropagatorConfig(substeps=v), 1, MAX_SUBSTEPS, ()),
+    ("gamma1 template", "gamma1 template n_qubits",
+     lambda v: q.build_template_model("gamma1", v, 1e-3), 1, None, ()),
+    ("correlated template", "correlated template n_qubits",
+     lambda v: q.build_template_model("correlated", v, 1e-3), 2, None, ()),
+    ("max_evals", "max_evals", lambda v: q.OptimizerSettings(max_evals=v), 1, None, ()),
+    ("seed", "seed", lambda v: q.OptimizerSettings(seed=v), 0, None, (1.5,)),
+    ("scaling_ladder", "n_points", lambda v: scaling_ladder(None, None, None, n_points=v),
+     2, None, ()),
+    ("run_validation_suite", "validate substeps", run_validation_suite,
+     1, MAX_SUBSTEPS // 5, ()),
+    ("PauliSum.n_qubits", "n_qubits", lambda v: q.PauliSum([], v), 1, None, (2.7,)),
+]
+REALS = [
+    ("Gate angle", "Rx angle", lambda v: q.Gate("Rx", (0,), v), -math.inf, False),
+    ("BoundGate angle", "Rz angle", lambda v: q.BoundGate("Rz", (0,), v), -math.inf, False),
+    ("rate", "rate", lambda v: q.LindbladTerm("dephasing", (0,), v), 0, False),
+    ("n_th", "n_th", lambda v: q.LindbladTerm("thermal", (0,), 0.1, n_th=v), 0, False),
+    ("tau", "tau", lambda v: q.PropagatorConfig(tau=v), 0, True),
+    ("scale_terms", "scale factor", lambda v: scale_terms(_DEPHASING, (0,), v), 0, False),
+    ("f_tol", "f_tol", lambda v: q.OptimizerSettings(f_tol=v), 0, True),
+    ("x_tol", "x_tol", lambda v: q.OptimizerSettings(x_tol=v), 0, True),
+    ("initial_step", "initial_step", lambda v: q.OptimizerSettings(initial_step=v), 0, True),
+    ("weight", "weight", lambda v: q.RemovalGroup("g", (0,), v), 0, True),
+    ("inflation factor", "inflation factor",
+     lambda v: q.scaled_noise_correction(None, None, None, v), 1, True),
+    ("PauliSum coefficient", "coefficient", lambda v: q.PauliSum([(v, _Z0)], 1), -math.inf, False),
+]
+
+
+def _count_cases():
+    for name, what, call, least, most, extra in COUNTS:
+        top = "" if most is None else f" and <= {most}"
+        probes = (True, 2.5, least - 1) + (() if most is None else (most + 1,)) + extra
+        for value in probes:
+            message = f"{what} must be an int >= {least}{top}, got {value!r}"
+            yield pytest.param(call, value, message, id=f"{name}-{value!r}")
+
+
+def _real_cases():
+    for name, what, call, least, above in REALS:
+        bound = "" if least == -math.inf else f" {'>' if above else '>='} {least}"
+        # 10**400 passes a comparison with inf but overflows any float use
+        for value in (True, math.nan, math.inf, -math.inf, 10**400) + ((least,) if above else ()):
+            message = f"{what} must be a finite real{bound}, got {value!r}"
+            yield pytest.param(call, value, message, id=f"{name}-{value!r:.12}")
+
+
+class TestSettingChecks:
+    @pytest.mark.parametrize("call, value, message", [*_count_cases(), *_real_cases()])
+    def test_every_count_and_real_setting_is_refused_by_name(self, call, value, message):
+        # many of these used to be accepted (PauliSum([], 2.7) as 2 qubits, a
+        # True rate as 1) or to fail later in numpy with a TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+    def test_numpy_values_and_the_ends_of_a_range_pass(self):
+        for value in (1, 3, np.int64(3)):
+            check_count("n", value, 1, 3)
+        for value in (0.5, np.float32(0.5), 0, np.int8(0)):
+            assert check_real("x", value, 0) is value
+        assert check_real("x", 1e-300, 0, above=True) == 1e-300
+        assert check_real("x", -1e300) == -1e300
+        # PauliSum stores its register as an int and its coefficients as floats
+        observable = q.PauliSum([(np.float32(0.5), _Z0)], np.int64(1))
+        assert type(observable.n_qubits) is int and type(observable.terms[0][0]) is float

@@ -144,13 +144,13 @@ class TestNelderMead:
 class TestOptimizerSettings:
     @pytest.mark.parametrize("step", [0.0, -0.1, float("nan"), float("inf")])
     def test_step_that_cannot_move_the_simplex_is_refused(self, step):
-        with pytest.raises(ValueError, match="initial_step must be finite and positive"):
+        with pytest.raises(ValueError, match=f"initial_step must be a finite real > 0, got {step}"):
             q.OptimizerSettings(initial_step=step)
 
     @pytest.mark.parametrize("key", ["f_tol", "x_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan")])
     def test_tolerance_that_is_not_positive_is_refused(self, key, value):
-        with pytest.raises(ValueError, match="tolerances must be positive"):
+        with pytest.raises(ValueError, match=f"{key} must be a finite real > 0, got {value}"):
             q.OptimizerSettings(**{key: value})
 
 
