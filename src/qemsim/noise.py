@@ -37,21 +37,30 @@ both kinds of block:
   a layer of such blocks, at most one per row (see below).
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
-paired rho, one row per noise model, takes gate 1, an interval, gate 2,
-...  `run_noisy_batch` runs a mitigation's rows in chunks of at most
-BATCH_BYTES, `run_noisy_circuit` is its batch of one, and a noisy VQE
-problem keeps one propagator.  Only a batch of noiseless models from a
-StateVector stays on state vectors, where each fusion group of gates is
-one `circuit.FusedGate` (see `state`); any other batch returns each row
-as a DensityMatrix, and there each gate is one kernel call on all rows;
-it makes a new stack, which the interval after it steps and may
-overwrite.  Either way a gate's op is built at its first use and kept on
-the gate.  An interval applies every row's 1-qubit blocks in one product
-pass, by the shuffle algorithm for Kronecker products (de Boor, ACM
-Trans. Math. Softw. 5, 173, 1979; Fernandes, Plateau and Stewart, J. ACM
-45, 381, 1998): per qubit pair (2j+1, 2j), top first, a stack of each
-row's kron(P_2j+1, P_2j) is one batched matmul that applies it to the
-leading qubits of every row and rotates them to the end.  Each wider
+paired rho, one row per noise model, takes gate 1 and an interval, gate
+2 and an interval, ..., then gate G.  `run_noisy_batch` runs a
+mitigation's rows in chunks of at most BATCH_BYTES, `run_noisy_circuit`
+is its batch of one, and a noisy VQE problem keeps one propagator.  Only
+a batch of noiseless models from a StateVector stays on state vectors,
+where each fusion group of gates is one `circuit.FusedGate` (see
+`state`); any other batch returns each row as a DensityMatrix.  An
+interval applies every row's 1-qubit blocks in one product pass, by the
+shuffle algorithm for Kronecker products (de Boor, ACM Trans. Math.
+Softw. 5, 173, 1979; Fernandes, Plateau and Stewart, J. ACM 45, 381,
+1998): per qubit pair (2j+1, 2j), top first, a stack of each row's
+kron(P_2j+1, P_2j) is one batched matmul that applies it to the leading
+qubits of every row and rotates them to the end.  A gate whose qubits
+lie in one entry of that pass (a 1-qubit gate, the lone top qubit at odd
+n included, or a 2-qubit gate on both qubits of a pair) is folded into
+it: the entry M becomes M @ S, S = kron(U, conj(U)), so the interval
+after the gate applies gate and noise in the same matmuls.  A row with
+no 1-qubit block, which has no product pass in its run alone, keeps the
+identity there and takes the gate by its own op.  Any other gate, every
+gate where no row has a 1-qubit block, and the last gate are a pass of
+their own: one kernel call on all rows, which makes a new stack that
+the interval after it steps and may overwrite.  A gate's op is built at
+its first use and kept on the gate; a fold is kept on the propagator
+until its gate is freed.  Each wider
 block is then a kernel on just the rows holding it, called like a
 `state.LocalOp`.  A dense one is a `LocalOp` of its matrix, by highest
 qubit, descending; each distinct one is built once.  The wide blocks go
@@ -67,6 +76,7 @@ gate's product of a one-row stack can round differently).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -346,33 +356,42 @@ def _check_step(terms, cfg: PropagatorConfig) -> None:
         )
 
 
-def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
-    """One block of at most DENSE_BLOCK_MAX_QUBITS qubits over one
-    interval: the dense 4^k x 4^k matrix M on the paired axes of
+def _blocks(blocks, cfg: PropagatorConfig) -> np.ndarray:
+    """Blocks of one width k <= DENSE_BLOCK_MAX_QUBITS over one interval,
+    as a stack: each one's dense 4^k x 4^k matrix M on the paired axes of
     `_support(terms)`, stepped and powered one coherence-order sector at a
-    time, refused unless it keeps the trace, t M = t for the paired
-    identity row t, within TRACE_DRIFT_LIMIT."""
-    qubits = _support(terms)
+    time, that sector of every block in one `_power_step`, and each refused
+    unless it keeps the trace, t M = t for the paired identity row t,
+    within TRACE_DRIFT_LIMIT."""
+    supports = [_support(terms) for terms in blocks]
     # Row i of the identity is unit vector i, which the generator takes to
     # column i of h*L: the rows it gives are h*L transposed.
-    k = len(qubits)
-    hl = _generator((terms,), qubits, cfg.tau / cfg.substeps)(np.eye(4**k, dtype=complex)).T
+    k = len(supports[0])
+    eye, h = np.eye(4**k, dtype=complex), cfg.tau / cfg.substeps
+    hls = [_generator((t,), qs, h)(eye).T for t, qs in zip(blocks, supports)]
     # h*L is block-diagonal in coherence order (see KINDS): step and power
-    # its sectors alone, orders m and -m as one stack.
-    out = np.zeros((4**k, 4**k), dtype=complex)
+    # its sectors alone, orders m and -m as one stack, each block's laid
+    # out as that of a block built alone.
+    out = np.zeros((len(blocks), 4**k, 4**k), dtype=complex)
     for idx in _sectors(k):
         sector = idx[:, :, None], idx[:, None, :]
-        out[sector] = _power_step(hl[sector], cfg.substeps)
+        stack = np.stack([hl[sector] for hl in hls])
+        out[(slice(None),) + sector] = _power_step(stack, cfg.substeps)
     diagonal = _paired_diagonal(k)
-    t_m = out[diagonal].sum(axis=0)
-    t_m[diagonal] -= 1.0
-    defect = np.abs(t_m).max()
-    if not defect <= TRACE_DRIFT_LIMIT:  # NaN too
-        raise IntegrationError(
-            f"the channel on qubits {sorted(qubits)} changes the trace by "
-            f"{defect:.3g}; increase substeps (currently {cfg.substeps})"
-        )
+    t_m = out[:, diagonal].sum(axis=1)
+    t_m[:, diagonal] -= 1.0
+    for qubits, defect in zip(supports, np.abs(t_m).max(axis=1)):
+        if not defect <= TRACE_DRIFT_LIMIT:  # NaN too
+            raise IntegrationError(
+                f"the channel on qubits {sorted(qubits)} changes the trace by "
+                f"{defect:.3g}; increase substeps (currently {cfg.substeps})"
+            )
     return out
+
+
+def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
+    """The one block of `terms`, by `_blocks`."""
+    return _blocks([terms], cfg)[0]
 
 
 def _power_step(hl: np.ndarray, substeps: int) -> np.ndarray:
@@ -402,11 +421,14 @@ class IntervalPropagator:
     1-qubit channels there, the identity where it has none; it is empty if
     no row has one.  A stack is held as a transposed view, the right factor
     of a shuffle step: a transposed copy would send BLAS to a kernel whose
-    sums round differently.  `kernels` holds the wider components as
-    (kernel, rows) pairs, each kernel taking the stack of its rows (see
-    `_row_index`) and returning it stepped: the dense ones'
-    `state.LocalOp`s, then one `_Wide` per layer, in the module docstring's
-    order.  Rows are numbered from `first_row` in error messages.
+    sums round differently.  `entry` maps each qubit to the index of its
+    stack, `bare` picks the rows with no 1-qubit channel where others have
+    one (None if there are none), and `folds` keeps the stacks with a gate
+    folded in (`_fold`).  `kernels` holds the wider components as (kernel,
+    rows) pairs, each kernel taking the stack of its rows (see `_row_index`)
+    and returning it stepped: the dense ones' `state.LocalOp`s, then one
+    `_Wide` per layer, in the module docstring's order.  Rows are numbered
+    from `first_row` in error messages.
     """
 
     def __init__(
@@ -416,8 +438,6 @@ class IntervalPropagator:
         self.first_row = first_row
         self.n_rows = len(models)
         h = cfg.tau / cfg.substeps
-        # each distinct dense component is built once
-        block = lru_cache(maxsize=None)(lambda terms: _block(terms, cfg))
         lone = {}  # (qubit, row): 1-qubit component
         held: dict[tuple, list[int]] = {}  # dense wider component: rows
         wide: list[list] = [[] for _ in models]  # each row's wide components
@@ -431,18 +451,24 @@ class IntervalPropagator:
                 else:
                     wide[row].append(terms)
         self.stacks = []
-        if lone:
+        if lone:  # each distinct component is built once, the 1-qubit ones together
+            built = dict.fromkeys(lone.values())
+            built = dict(zip(built, _blocks(list(built), cfg)))
             channels = np.tile(np.eye(4, dtype=complex), (n_qubits, self.n_rows, 1, 1))
             for at, terms in lone.items():
-                channels[at] = block(terms)
+                channels[at] = built[terms]
             odd = n_qubits % 2
             self.stacks = [((n_qubits - 1,), channels[-1].transpose(0, 2, 1))] * odd + [
                 ((q, q - 1), _kron(channels[q], channels[q - 1]).transpose(0, 2, 1))
                 for q in range(n_qubits - 1 - odd, 0, -2)
             ]
+        self.entry = {q: at for at, (qubits, _) in enumerate(self.stacks) for q in qubits}
+        bare = sorted(set(range(self.n_rows)) - {row for _, row in lone})
+        self.bare = _row_index(bare, self.n_rows) if lone and bare else None
+        self.folds = {}  # id(gate): (weak reference to the gate, its `_fold`)
         self.kernels = []
         for terms in sorted(held, key=_support, reverse=True):
-            op = LocalOp(block(terms), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
+            op = LocalOp(_block(terms, cfg), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
             self.kernels.append((op, _row_index(held[terms], self.n_rows)))
         wide = [sorted(blocks, key=_support, reverse=True) for blocks in wide]
         for j in range(max(map(len, wide), default=0)):
@@ -450,17 +476,52 @@ class IntervalPropagator:
             step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
             self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
-    def propagate(self, rho: PairedDensity) -> PairedDensity:
-        """One interval on every row of rho, whose stack it may overwrite.
-        Work stacks belong to a call, so threads can share a propagator."""
+    def _fold(self, gate):
+        """`stacks` with `gate` folded into the one entry that holds all its
+        qubits: each row's M there becomes M @ S, S = kron(U, conj(U)) on
+        the entry's paired axes, but a `bare` row keeps the identity; None
+        if no one entry holds the gate.  Built at the gate's first use and
+        kept in `folds` until the gate or the propagator is freed (two
+        threads may both build it; the two are equal)."""
+        found = self.folds.get(id(gate))
+        if found is None:
+            at, folded = self.entry.get(gate.qubits[0]), None
+            if at is not None and all(self.entry.get(q) == at for q in gate.qubits):
+                qubits, m_t = self.stacks[at]
+                axes = paired_axes([q - qubits[-1] for q in gate.qubits], len(qubits))
+                # row i of M @ S is S^T on row i of M, and S^T is the S of U^T
+                u = gate.matrix().T
+                op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
+                m = op(m_t.transpose(0, 2, 1))
+                if self.bare is not None:
+                    m[self.bare] = np.eye(m_t.shape[-1])
+                folded = list(self.stacks)
+                folded[at] = qubits, m.transpose(0, 2, 1)
+            # the gate's death drops its entry, which holds the propagator weakly
+            owner, key = weakref.ref(self), id(gate)
+            ref = weakref.ref(gate, lambda _: (p := owner()) and p.folds.pop(key, None))
+            found = self.folds.setdefault(key, (ref, folded))
+        return found[1]
+
+    def propagate(self, rho: PairedDensity, gate=None) -> PairedDensity:
+        """`gate`, if given, then one interval, on every row of rho, whose
+        stack it may overwrite.  The gate is folded into the product pass
+        where one entry holds it (`_fold`), on `bare` rows by its own op;
+        else it is `apply_gate`.  Work stacks belong to a call, so threads
+        can share a propagator."""
+        fold = None if gate is None or not self.stacks else self._fold(gate)
+        if gate is not None and fold is None:
+            rho = apply_gate(rho, gate)
         data = rho.data
-        for _, m_t in self.stacks:
+        for _, m_t in fold or self.stacks:
             # The shuffle step: the leading qubits of each row, viewed as
             # (d, K), take their channel as x^T M^T and so rotate to the
             # end; after the last stack every qubit is back in place.
             x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
             data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
+        if fold is not None and self.bare is not None:
+            data[self.bare] = gate_op(gate, rho.n_qubits, PairedDensity)(data[self.bare])
         for kernel, rows in self.kernels:
             if rows is None:
                 data = kernel(data)
@@ -483,20 +544,19 @@ class IntervalPropagator:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, and the run is one
-        op per gate of the circuit's `fused()` on it; else each gate makes
-        a new stack, the run's own, which the interval after it may
-        overwrite, and each row ends as a DensityMatrix, by `finish`."""
+        op per gate of the circuit's `fused()` on it; else each gate but the
+        last is `propagate(state, gate)`, the last is `apply_gate`, and each
+        row ends as a DensityMatrix, by `finish`."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
                 data = gate_op(gate, n, StateVector)(data)
             return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
         state = _stack(state0, self.n_rows)
-        last = len(circuit.gates) - 1
-        for i, gate in enumerate(circuit.gates):
+        for gate in circuit.gates[:-1]:
+            state = self.propagate(state, gate)
+        for gate in circuit.gates[-1:]:
             state = apply_gate(state, gate)
-            if i != last:
-                state = self.propagate(state)
         return self.finish(state)
 
 

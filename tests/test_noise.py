@@ -453,7 +453,10 @@ class TestEvolve:
         ],
         ids=["product_pass", "dense_block"],
     )
-    @pytest.mark.parametrize("spoil", [1 + 1e-3, math.nan], ids=["scaled", "nan"])
+    # a purely imaginary defect counts too: 1 + 1e-3j moves t M off t by 1e-3j
+    @pytest.mark.parametrize(
+        "spoil", [1 + 1e-3, 1 + 1e-3j, math.nan], ids=["scaled", "imaginary", "nan"]
+    )
     def test_a_block_that_changes_the_trace_is_refused_at_build(
         self, term, qubits, spoil, monkeypatch
     ):
@@ -519,22 +522,27 @@ class TestEvolve:
     )
     def test_an_unstable_block_of_any_width_is_refused(self, terms, n, qubits, monkeypatch):
         # h * radius is 20 on the 1-qubit channel and 40 on each other
-        # block; every block is checked before any is built
-        model = q.NoiseModel(tuple(q.LindbladTerm(kind, qs, 10.0) for kind, qs in terms))
-        cfg = q.PropagatorConfig(tau=1.0, substeps=1)
-        monkeypatch.setattr(noise, "_block", lambda *args: pytest.fail("a block was built"))
+        # block at rate 10; at the second rate it is 4, above the limit,
+        # though h times the sum of the rates, 2, is below it; every block
+        # is checked before any is built
+        ops = sum(len(q.LindbladTerm(kind, qs, 1.0).collapse_ops()) for kind, qs in terms)
+        monkeypatch.setattr(noise, "_blocks", lambda *args: pytest.fail("a block was built"))
         ansatz = q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
         theta = np.zeros(ansatz.n_params)
-        problem = q.VqeProblem(q.PauliSum([(1.0, q.PauliString({0: "Z"}))], n), ansatz, model, cfg)
         psi = q.new_statevector(n)
+        observable = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], n)
+        cfg = q.PropagatorConfig(tau=1.0, substeps=1)
         message = rf"on qubits {qubits} exceeds the RK4 stability limit 2.785; increase substeps"
-        for run in (
-            lambda: q.run_noisy_circuit(psi, q.bind(ansatz, theta), model, cfg),
-            lambda: q.evolve(psi, model, cfg),
-            lambda: q.energy_objective(problem, theta),
-        ):
-            with pytest.raises(IntegrationError, match=message):
-                run()
+        for rate in (10.0, 2.0 / ops):
+            model = q.NoiseModel(tuple(q.LindbladTerm(kind, qs, rate) for kind, qs in terms))
+            problem = q.VqeProblem(observable, ansatz, model, cfg)
+            for run in (
+                lambda: q.run_noisy_circuit(psi, q.bind(ansatz, theta), model, cfg),
+                lambda: q.evolve(psi, model, cfg),
+                lambda: q.energy_objective(problem, theta),
+            ):
+                with pytest.raises(IntegrationError, match=message):
+                    run()
 
     def test_config_validation(self):
         for tau in (0.0, math.nan, math.inf):
@@ -821,6 +829,9 @@ class TestBatch:
         message = r"trace drifted by 0.002 over the run in row 6;"
         with pytest.raises(IntegrationError, match=message):
             propagator.finish(stack(1.0, 1 + 2e-3, 1 - 1e-3))
+        # a drift off the real axis alone counts as well
+        with pytest.raises(IntegrationError, match=message):
+            propagator.finish(stack(1.0, 1 + 2e-3j, 1.0))
         message = r"trace drifted by nan over the run in row 7; increase substeps \(currently 64\)"
         with pytest.raises(IntegrationError, match=message):
             propagator.finish(stack(1.0, 1 + 5e-7, math.nan))
@@ -868,21 +879,24 @@ class TestBatch:
         assert shapes == [(1, 4)]
 
     def test_distinct_blocks_are_built_once(self, monkeypatch):
-        built = []
-        block = noise._block
+        calls = []
+        blocks = noise._blocks
 
-        def counted_block(terms, *args):
-            built.append(terms)
-            return block(terms, *args)
+        def counted_blocks(terms, *args):
+            calls.append(list(terms))
+            return blocks(terms, *args)
 
-        monkeypatch.setattr(noise, "_block", counted_block)
+        monkeypatch.setattr(noise, "_blocks", counted_blocks)
         model = build_template_model("gamma1_gamma2", 3, 0.01)
         rows = [model] + [scale_terms(model, [k, k + 3], 0.0) for k in range(3)]
         propagator = IntervalPropagator(rows, 3, q.PropagatorConfig())
-        # one component per qubit, each held by the full row and two removals
+        # one component per qubit, each held by the full row and two
+        # removals, and every 1-qubit block built in the same call
+        (built,) = calls
         assert sorted([t.qubits for t in terms] for terms in built) == [
             [(0,), (0,)], [(1,), (1,)], [(2,), (2,)]
         ]
+        block = noise._block
         # each row's entry is the kron of its own blocks, the identity on a
         # qubit it has none on, bit for bit: qubit 2 leads alone (odd n),
         # then the pair (1, 0)
@@ -1049,9 +1063,9 @@ class TestBatch:
                 calls["build"] += 1
                 super().__init__(*args, **kwargs)
 
-            def propagate(self, rho):
+            def propagate(self, rho, gate=None):
                 calls["propagate"] += 1
-                return super().propagate(rho)
+                return super().propagate(rho, gate)
 
         monkeypatch.setattr(noise, "apply_gate", counted_gate)
         monkeypatch.setattr(noise, "IntervalPropagator", Counted)
@@ -1060,8 +1074,12 @@ class TestBatch:
         model = build_template_model("thermal", 3, 0.01)
         q.run_mitigation(circuit, model, self.observable())
         # the ideal run builds its propagator but applies fused ops on the
-        # state vector, so only the batched run passes the gate and interval sites
-        assert calls == {"gate": g, "build": 2, "propagate": g - 1}
+        # state vector, so only the batched run passes the gate and interval
+        # sites: each gate but the last with the interval after it, where
+        # H(0), CNOT(0, 1) on the pair (1, 0) and Rx(2) on the lone top qubit
+        # fold into the product pass, and CNOT(2, 0) and the last H(1) are
+        # passes of their own
+        assert calls == {"gate": 2, "build": 2, "propagate": g - 1}
 
 
 class TestModelEditing:
@@ -1112,6 +1130,43 @@ class TestParallelSafety:
             results = list(pool.map(lambda _: run(), range(4)))
         for r in results:
             assert np.array_equal(r.data, serial.data)
+
+    def test_threads_may_build_the_same_fold(self):
+        # a propagator with a product pass and a bare row: threads that
+        # build a gate's fold at once keep one of two equal folds
+        from concurrent.futures import ThreadPoolExecutor
+
+        n = 4
+        model = build_template_model("gamma1_gamma2", n, 0.02)
+        bare = q.NoiseModel((q.LindbladTerm("correlated", (3, 0), 0.02),))
+        propagator = IntervalPropagator([model, bare, model], n, q.PropagatorConfig(substeps=4))
+        # three gates that fold and one across the pairs, which does not
+        gates = (
+            q.BoundGate("H", (0,)),
+            q.BoundGate("CNOT", (1, 0)),
+            q.BoundGate("Ry", (3,), 0.4),
+            q.BoundGate("CNOT", (1, 2)),
+        )
+        circuit = q.BoundCircuit(n, gates * 3)
+
+        def run(_):
+            return propagator.run(q.new_statevector(n), circuit)
+
+        serial = run(None)
+        assert [fold is not None for _, fold in propagator.folds.values()] == [True] * 3 + [False]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                propagator.folds.clear()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(run, range(4), timeout=120))
+                for rows in results:
+                    for got, want in zip(rows, serial):
+                        assert np.array_equal(got.data, want.data)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(propagator.folds) == 4
 
     def test_threads_share_a_propagator_with_a_wide_block(self):
         # each call makes its own work stacks, so threads may share the

@@ -23,6 +23,7 @@ from conftest import (
     dense_rk4,
     kron_embed_multi,
     paired_superop,
+    random_density_matrix,
 )
 
 
@@ -639,6 +640,112 @@ def test_wide_block_rows_are_bit_identical_to_their_runs_alone(case):
     # order of moves, weighted 0 on a row without it, so a batch changes no
     # row's arithmetic
     assert_rows_match_alone(*case, substeps=4)
+
+
+@st.composite
+def bare_batch_cases(draw):
+    """A circuit and a batch that mixes rows with 1-qubit terms and bare
+    rows, which have none: a row of correlated terms only and its
+    zero-rate copy, in any order with the others.  A bare row has no
+    product pass in its run alone."""
+    circuit = draw(circuits(min_qubits=2))
+    n = circuit.n_qubits
+    single = [k for k in KINDS if k != "correlated"]
+
+    def term(kind, qubits):
+        n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+        return q.LindbladTerm(kind, qubits, draw(st.floats(1e-4, 0.01)), n_th)
+
+    lone = [
+        q.NoiseModel(tuple(
+            term(draw(st.sampled_from(single)), (draw(st.integers(0, n - 1)),))
+            for _ in range(draw(st.integers(1, 4)))
+        ))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    pairs = [tuple(draw(st.permutations(range(n)))[:2]) for _ in range(draw(st.integers(1, 3)))]
+    correlated = q.NoiseModel(tuple(term("correlated", qubits) for qubits in pairs))
+    both = q.NoiseModel(lone[0].terms + correlated.terms)
+    bare = [correlated, scale_terms(correlated, range(len(pairs)), 0.0)]
+    return circuit, draw(st.permutations(lone + bare + [both]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bare_batch_cases())
+def test_bare_rows_are_bit_identical_to_their_runs_alone(case):
+    # a bare row keeps the identity in the product pass, where the other
+    # rows take a folded gate, and takes that gate by its own op
+    assert_rows_match_alone(*case, substeps=4)
+
+
+@st.composite
+def fold_cases(draw):
+    """(n, rows, gate, seed): a propagator's models, whose first row has a
+    1-qubit term, so most have a product pass; any row may add a
+    correlated pair (a dense block, or part of a wider one) and, from five
+    qubits, a correlated chain over five of them (a wide block).  The gate
+    is a 1-qubit gate, or a CNOT on one pair (2j+1, 2j) of the pass, in
+    either order, or on any two qubits."""
+    n = draw(st.integers(1, 6))
+    rates = st.floats(1e-3, 0.05)
+    single = [k for k in KINDS if k != "correlated"]
+    rows = []
+    for row in range(draw(st.integers(1, 3))):
+        terms = []
+        for _ in range(draw(st.integers(0 if row else 1, 3))):
+            kind = draw(st.sampled_from(single))
+            n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+            terms.append(q.LindbladTerm(kind, (draw(st.integers(0, n - 1)),), draw(rates), n_th))
+        if n >= 2 and draw(st.booleans()):
+            qubits = tuple(draw(st.permutations(range(n)))[:2])
+            terms.append(q.LindbladTerm("correlated", qubits, draw(rates)))
+        if n >= 5 and draw(st.booleans()):
+            path = draw(st.permutations(range(n)))[:5]
+            terms += [q.LindbladTerm("correlated", path[j : j + 2], draw(rates)) for j in range(4)]
+        rows.append(q.NoiseModel(tuple(terms)))
+    kind = draw(st.sampled_from(GATE_KINDS if n > 1 else ("H", "X", "Rx", "Ry", "Rz")))
+    if kind != "CNOT":
+        qubits = (draw(st.integers(0, n - 1)),)
+    elif n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n // 2 - 1))
+        qubits = draw(st.sampled_from([(2 * j + 1, 2 * j), (2 * j, 2 * j + 1)]))
+    else:
+        qubits = tuple(draw(st.permutations(range(n)))[:2])
+    angle = draw(st.floats(-np.pi, np.pi)) if kind[0] == "R" else None
+    return n, rows, q.BoundGate(kind, qubits, angle), draw(st.integers(0, 2**32 - 1))
+
+
+def _mixed_rows(n):
+    """1-qubit blocks and a dense block on (n - 1, 0), a bare row with a
+    wide block on the top five qubits, and the 1-qubit blocks alone."""
+    lone = tuple(q.LindbladTerm("thermal", (k,), 0.02, n_th=0.2) for k in range(1, n - 1, 2))
+    dense = (q.LindbladTerm("correlated", (n - 1, 0), 0.03),)
+    wide = tuple(q.LindbladTerm("correlated", (k, k + 1), 0.04) for k in range(n - 5, n - 1))
+    return [q.NoiseModel(lone + dense), q.NoiseModel(wide), q.NoiseModel(lone)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_cases())
+# odd n: a gate on the lone top qubit, and a CNOT on the pair (1, 0)
+@example((5, _mixed_rows(5), q.BoundGate("Ry", (4,), 0.7), 1))
+@example((5, _mixed_rows(5), q.BoundGate("CNOT", (0, 1)), 2))
+# even n: a gate on the low qubit of a pair, a CNOT on a pair, and one across pairs
+@example((6, _mixed_rows(6), q.BoundGate("Rx", (2,), -1.1), 3))
+@example((6, _mixed_rows(6), q.BoundGate("CNOT", (5, 4)), 4))
+@example((6, _mixed_rows(6), q.BoundGate("CNOT", (3, 4)), 5))
+def test_folded_gate_matches_the_gate_then_the_interval(case):
+    n, rows, gate, seed = case
+    propagator = IntervalPropagator(rows, n, q.PropagatorConfig(substeps=4))
+    # the pass's entries: the lone top qubit at odd n, then the pairs
+    entry = {k: "top" if n % 2 and k == n - 1 else k // 2 for k in range(n)}
+    fits = len({entry[k] for k in gate.qubits}) == 1 and propagator.stacks != []
+    assert (propagator._fold(gate) is not None) == fits
+    rng = np.random.default_rng(seed)
+    data = np.stack([pair(random_density_matrix(n, rng)).data for _ in rows])
+    folded = propagator.propagate(PairedDensity(n, data.copy()), gate)
+    want = propagator.propagate(q.apply_gate(PairedDensity(n, data.copy()), gate))
+    assert np.max(np.abs(folded.data - want.data)) < 1e-13
+    assert np.max(np.abs(folded.data - data)) > 1e-6
 
 
 def test_correlated_mitigation_matches_dense_oracle():

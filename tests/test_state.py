@@ -66,6 +66,13 @@ class TestNewPureGround:
         with pytest.raises(ValueError):
             q.new_pure_ground(0)
 
+    def test_the_cap_itself_is_accepted(self):
+        # the check alone, so nothing of that size is allocated
+        cap = state_module.DEFAULT_QUBIT_CAP
+        state_module.check_cap(cap)
+        with pytest.raises(q.CapacityError, match=f"{cap + 1} qubits exceeds the cap of {cap} "):
+            state_module.check_cap(cap + 1)
+
 
 class TestApplyGate:
     def test_x_flips_ground(self):

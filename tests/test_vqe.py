@@ -49,6 +49,24 @@ class TestEnergyObjective:
             want = q.expectation(rho, h2_hamiltonian)
             assert abs(energy_objective(problem, theta) - want) < 1e-12
 
+    def test_the_propagator_keeps_folds_of_live_gates_only(self):
+        # the fixed gates every binding shares are folded once per problem;
+        # a Param gate's fold goes with its binding
+        n = 3
+        circuit = q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
+        ham = q.PauliSum([(1.0, q.PauliString({0: "Z", 2: "X"}))], n)
+        problem = q.VqeProblem(ham, circuit, build_template_model("gamma1_gamma2", n, 0.01))
+        fixed = {id(g) for g in circuit._slots if isinstance(g, q.BoundGate)}
+        rng = np.random.default_rng(0)
+        energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
+        folds = problem._intervals.folds
+        first = {key: fold for key, (_, fold) in folds.items()}
+        assert 0 < len(first) and set(first) <= fixed
+        for _ in range(1000):
+            energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
+            assert len(folds) <= len(fixed) + len(circuit._params)
+        assert {key: fold for key, (_, fold) in folds.items()} == first
+
     def test_pickled_problem_leaves_its_propagator_behind(self):
         circuit = q.Circuit(1, (q.Gate("Rx", (0,), Param(0)), q.Gate("X", (0,))), 1)
         ham = q.PauliSum([(1.0, q.PauliString({0: "Z"}))], 1)

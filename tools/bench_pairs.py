@@ -7,10 +7,12 @@
 Each side is extracted into a fresh directory of its own: the parent
 with `git archive`, the change likewise, or, by default, as the working
 tree's tracked and untracked files (`git ls-files`, ignored files left
-out).  For each workload the script runs `perfbench/run.py` of each side
-in turn, pair after pair, parent first in even pairs and change first in
-odd ones, so a slow drift of the machine charges both sides alike.  Pair
-i runs both sides at seed `--seed` + i.
+out), and its `src` is compiled once (`python -m compileall -q src`)
+before its first job.  For each workload the script runs
+`perfbench/run.py` of each side in turn, pair after pair, parent first
+in even pairs and change first in odd ones, so a slow drift of the
+machine charges both sides alike.  Pair i runs both sides at seed
+`--seed` + i.
 
 It writes one JSON record: for each workload and each end-to-end metric
 of BENCHMARK.json, the runs of both sides, their medians and quartiles,
@@ -18,9 +20,12 @@ the change's median against the parent's in percent, and in how many
 pairs the change was better; each run's `correct` flag and failed-op
 count; each side's `wc -l src/qemsim/*.py`, per file and in total, the
 line count the design aim tracks; and the machine the runs were made
-on, with the Python version and PYTHONDONTWRITEBYTECODE: where that is
-set, every job compiles qemsim from source, so the size of its source
-moves `setup_s` and `peak_rss_mb`.
+on, with the Python version and PYTHONDONTWRITEBYTECODE.  Where that is
+set, a job never writes the bytecode it compiles, so without the compile
+ahead every job would compile qemsim from source, and the size of that
+source would move `setup_s`, `peak_rss_mb` and even `wall_s`; a job
+still reads bytecode compiled ahead.  `perfbench/run.py` itself compiles
+nothing ahead.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ def main(argv=None) -> int:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         record["parent"] = extract(args.against, trees["parent"])
         record["change"] = extract(args.change, trees["change"])
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
         record["source_lines"] = {side: source_lines(tree) for side, tree in trees.items()}
         machines = set()
         for workload in workloads:
