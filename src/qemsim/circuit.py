@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import PauliParseError
-from .paulis import PauliString, _content_lines, _header, parse_pauli_string
+from .paulis import PauliString, _content_lines, _header, read_count, read_term
 from .state import _kron, check_count, check_qubits, check_real
 
 ROTATION_KINDS = ("Rx", "Ry", "Rz")
@@ -35,6 +35,10 @@ class Param:
 
     index: int
     prefactor: float = 1.0
+
+    def __post_init__(self):
+        check_count("parameter index", self.index, 0)
+        check_real("prefactor", self.prefactor)
 
 
 def _check_gate(kind: str, qubits, angle, symbolic=()) -> tuple[int, ...]:
@@ -77,10 +81,10 @@ class BoundGate:
 
     @classmethod
     def _of(cls, gate: Gate, angle: float) -> BoundGate:
-        """`gate` at a finite `angle`, with no second check of what the
-        Gate's own already passed."""
+        """`gate` at `angle`, checked since a finite prefactor times a finite
+        theta can overflow; no second check of what the Gate's own passed."""
         if not math.isfinite(angle):
-            raise ValueError(f"{gate.kind} needs a finite angle, got {angle}")
+            raise ValueError(f"{gate.kind} angle must be a finite real, got {angle!r}")
         bound = object.__new__(cls)
         vars(bound).update(kind=gate.kind, qubits=gate.qubits, angle=angle)
         return bound
@@ -338,7 +342,6 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
     lines = _content_lines(text)
     n_qubits = _header(lines, "qubits", 1)
     n_params = _header(lines, "params", 0)
-    too_wide = f"qubit index exceeds declared count {n_qubits}"
     prep = []
     generators = []
     for line_no, line in lines:
@@ -348,30 +351,14 @@ def parse_ansatz_file(text: str) -> tuple[AnsatzSpec, int]:
                 raise PauliParseError(
                     "reference-prep gates must precede generators", line_no
                 )
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise PauliParseError(f"bad prep line {line!r}", line_no)
-            if int(tokens[1]) >= n_qubits:
-                raise PauliParseError(too_wide, line_no)
-            prep.append(int(tokens[1]))
+            qubit = " ".join(tokens[1:])  # no digit string unless one token
+            prep.append(read_count(qubit, line_no, f"bad prep line {line!r}", n_qubits))
             continue
-        if len(tokens) < 3:
-            raise PauliParseError(f"bad generator line {line!r}", line_no)
-        if not tokens[0].isdigit():
-            raise PauliParseError(f"bad parameter index {tokens[0]!r}", line_no)
-        index = int(tokens[0])
-        if index >= n_params:
-            raise PauliParseError(
-                f"parameter index {index} >= declared params {n_params}", line_no
-            )
-        try:
-            prefactor = float(tokens[1])
-        except ValueError:
-            raise PauliParseError(f"bad prefactor {tokens[1]!r}", line_no) from None
-        if not math.isfinite(prefactor):
-            raise PauliParseError(f"prefactor must be finite, got {tokens[1]!r}", line_no)
-        ps = parse_pauli_string(tokens[2:], line_no)
-        if ps.max_qubit() >= n_qubits:
-            raise PauliParseError(too_wide, line_no)
+        bad = f"bad parameter index {tokens[0]!r}"
+        index = read_count(tokens[0], line_no, bad, n_params, "parameter index")
+        prefactor, ps = read_term(tokens[1:], line_no, n_qubits, "prefactor")
+        if ps.is_identity():
+            raise PauliParseError("identity generator string", line_no)
         generators.append((ps, index, prefactor))
     spec = AnsatzSpec(
         "UccsdLike",

@@ -108,7 +108,8 @@ def scaling_ladder(
 
     The uncorrected error |<A> - <A_a>| should scale linearly in the
     interval length while the corrected residual drops quadratically
-    (first-order cancellation).
+    (first-order cancellation).  An error that is 0 or not finite at
+    some scale has no logarithm to fit, and is refused.
     """
     check_count("n_points", n_points, 2)  # a slope needs two points
     if cfg is None:
@@ -118,12 +119,18 @@ def scaling_ladder(
         scale = 0.5**k
         step = replace(cfg, tau=cfg.tau * scale)
         report = run_mitigation(circuit, model, observable, step)
+        errors = abs(report.a_noisy - report.a_ideal), report.residual
+        if not all(0 < e < math.inf for e in errors):
+            raise ValueError(
+                f"uncorrected and corrected errors at scale {scale} are {errors[0]!r}"
+                f" and {errors[1]!r}; a log-log slope needs both finite and above 0"
+            )
         rows.append(
             {
                 "scale": scale,
                 "tau": step.tau,
-                "uncorrected_error": abs(report.a_noisy - report.a_ideal),
-                "corrected_error": report.residual,
+                "uncorrected_error": errors[0],
+                "corrected_error": errors[1],
             }
         )
     log_s = np.log([r["scale"] for r in rows])

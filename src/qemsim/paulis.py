@@ -7,10 +7,17 @@ strings of a sum are grouped by X/Y mask, once per PauliSum, into one
 diagonal d per mask: A|j> = sum over masks of d[j] |j ^ flip>.
 Expectation values Tr(rho A) = sum over masks of sum_j d[j] rho[j, j ^ flip]
 use index/bit arithmetic, never materializing A as a dense matrix.
+
+Both data files, observables here and ansatz generators in `circuit`,
+are read by one reader per kind of token: `read_count` (a count or index
+in ASCII digits), `read_number` (a finite number) and `read_term` (a
+"<number> <Pauli string>" line on the declared register); each refusal
+is a `PauliParseError` naming its line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,25 +146,45 @@ def exact_ground_energy(h: PauliSum) -> float:
     return float(np.linalg.eigvalsh(dense_matrix(h))[0])
 
 
-def _parse_token(token: str, line_no: int) -> tuple[int, str]:
-    letter, idx = token[0].upper(), token[1:]
-    if letter not in _PAULI_LETTERS or not idx.isdigit():
-        raise PauliParseError(f"bad Pauli token {token!r}", line_no)
-    return int(idx), letter
+def read_count(token: str, line_no, bad: str, below=None, what="qubit index") -> int:
+    """The one reader of an index or count token: ASCII digits alone
+    (`str.isdigit` also passes '²', which `int` refuses), else `bad`;
+    with `below`, an index at or past it is refused too."""
+    if not (token.isascii() and token.isdigit()):
+        raise PauliParseError(bad, line_no)
+    if below is not None and int(token) >= below:
+        raise PauliParseError(f"{what} exceeds declared count {below}", line_no)
+    return int(token)
 
 
-def parse_pauli_string(tokens, line_no=None) -> PauliString:
-    if len(tokens) == 1 and tokens[0].upper() == "I":
-        return PauliString(())
-    pairs = []
-    for token in tokens:
-        if token.upper() == "I":
-            raise PauliParseError(
-                "bare 'I' must stand alone as the identity string", line_no
-            )
-        pairs.append(_parse_token(token, line_no))
+def read_number(token: str, line_no, what: str) -> float:
+    """The one reader of a number token: a finite float, `what` in its refusals."""
     try:
-        return PauliString(pairs)
+        value = float(token)
+    except ValueError:
+        raise PauliParseError(f"bad {what} {token!r}", line_no) from None
+    if not math.isfinite(value):
+        raise PauliParseError(f"{what} must be finite, got {token!r}", line_no)
+    return value
+
+
+def read_term(tokens, line_no, n_qubits: int, what: str) -> tuple[float, PauliString]:
+    """The one reader of a "<number> <Pauli string>" line, split into
+    `tokens`: a finite number (`what` in its refusals), then "<P><idx>"
+    tokens on the declared `n_qubits`, or a bare "I" for the identity."""
+    if len(tokens) < 2:
+        raise PauliParseError(f"expected a {what} and a Pauli string", line_no)
+    number, letters = read_number(tokens[0], line_no, what), tokens[1:]
+    if len(letters) == 1 and letters[0].upper() == "I":
+        return number, PauliString(())
+    pairs = []
+    for token in letters:
+        if token.upper() == "I":
+            raise PauliParseError("bare 'I' must stand alone as the identity string", line_no)
+        index = read_count(token[1:], line_no, f"bad Pauli token {token!r}", n_qubits)
+        pairs.append((index, token[0].upper()))
+    try:  # PauliString refuses an unknown letter or a repeated qubit
+        return number, PauliString(pairs)
     except ValueError as exc:
         raise PauliParseError(str(exc), line_no) from exc
 
@@ -176,11 +203,13 @@ def _header(lines, key: str, least: int) -> int:
     if line is None:
         raise PauliParseError(f"expected '{key} N' header, got end of file")
     parts = line.split()
-    if len(parts) != 2 or parts[0].lower() != key or not parts[1].isdigit():
-        raise PauliParseError(f"expected '{key} N' header, got {line!r}", line_no)
-    if int(parts[1]) < least:
-        raise PauliParseError(f"'{key}' must be at least {least}, got {parts[1]}", line_no)
-    return int(parts[1])
+    bad = f"expected '{key} N' header, got {line!r}"
+    if len(parts) != 2 or parts[0].lower() != key:
+        raise PauliParseError(bad, line_no)
+    n = read_count(parts[1], line_no, bad)
+    if n < least:
+        raise PauliParseError(f"'{key}' must be at least {least}, got {n}", line_no)
+    return n
 
 
 def parse_pauli_sum(text: str) -> PauliSum:
@@ -192,18 +221,5 @@ def parse_pauli_sum(text: str) -> PauliSum:
     """
     lines = _content_lines(text)
     n_qubits = _header(lines, "qubits", 1)
-    terms = []
-    for line_no, line in lines:
-        tokens = line.split()
-        try:
-            coeff = float(tokens[0])
-        except ValueError:
-            raise PauliParseError(f"bad coefficient {tokens[0]!r}", line_no) from None
-        ps = parse_pauli_string(tokens[1:], line_no)
-        if ps.max_qubit() >= n_qubits:
-            raise PauliParseError(
-                f"qubit index exceeds declared count {n_qubits}", line_no
-            )
-        terms.append((coeff, ps))
+    terms = [read_term(line.split(), line_no, n_qubits, "coefficient") for line_no, line in lines]
     return PauliSum(terms, n_qubits)
-

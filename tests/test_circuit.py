@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,10 +60,13 @@ class TestBind:
         with pytest.raises(ValueError):
             q.bind(c, [0.1, angle])
 
-    def test_non_finite_prefactor_is_refused_in_bind(self):
-        c = q.Circuit(1, (q.Gate("H", (0,)), q.Gate("Rz", (0,), Param(0, math.nan))), 1)
-        with pytest.raises(ValueError, match="Rz needs a finite angle, got nan"):
-            q.bind(c, [0.1])
+    def test_non_finite_prefactor_is_refused_at_construction_and_overflow_in_bind(self):
+        # Param(0, nan) used to build a Circuit that every bind refused
+        with pytest.raises(ValueError, match="prefactor must be a finite real, got nan"):
+            Param(0, math.nan)
+        c = q.Circuit(1, (q.Gate("H", (0,)), q.Gate("Rz", (0,), Param(0, 1e300))), 1)
+        with pytest.raises(ValueError, match="Rz angle must be a finite real, got inf"):
+            q.bind(c, [1e10])
 
     def test_literal_angles_pass_through(self):
         c = q.Circuit(1, (q.Gate("Rx", (0,), 0.75),), 0)
@@ -285,18 +289,34 @@ class TestAnsatzFile:
             ("qubits 0\nparams 1\n0 1.0 Z0\n", "line 1: 'qubits' must be at least 1, got 0"),
             ("qubits 2\n", "expected 'params N' header, got end of file"),
             ("qubits 2\nparams x\n", "line 2: expected 'params N' header, got 'params x'"),
+            ("qubits 2\nparams ²\n", "line 2: expected 'params N' header, got 'params ²'"),
+            ("qubits ²\nparams 1\n", "line 1: expected 'qubits N' header, got 'qubits ²'"),
         ],
-        ids=["zero_qubits", "no_params", "bad_params"],
+        ids=["zero_qubits", "no_params", "bad_params", "superscript_params", "superscript_qubits"],
     )
     def test_bad_header_carries_its_line(self, text, message):
         with pytest.raises(q.PauliParseError, match=message):
             q.parse_ansatz_file(text)
 
-    @pytest.mark.parametrize("prefactor", ["nan", "inf", "-inf"])
-    def test_non_finite_prefactor_carries_its_line(self, prefactor):
-        text = f"qubits 2\nparams 1\n0 0.5 X0\n0 {prefactor} X0 Y1\n"
-        message = f"line 4: prefactor must be finite, got '{prefactor}'"
-        with pytest.raises(q.PauliParseError, match=message):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            *[(f"0 {p} X0 Y1", f"prefactor must be finite, got '{p}'")
+              for p in ("nan", "inf", "-inf", "1e999")],
+            # '¹' passes str.isdigit, and int() used to refuse it with no line
+            ("x ¹", "bad prep line 'x ¹'"),
+            ("¹ 0.5 X0", "bad parameter index '¹'"),
+            ("0 0.5 X¹", "bad Pauli token 'X¹'"),
+            # AnsatzSpec used to refuse it with no line
+            ("0 1.0 I", "identity generator string"),
+            ("0 1.0", "expected a prefactor and a Pauli string"),
+        ],
+        ids=["nan", "inf", "-inf", "1e999", "prep_superscript", "index_superscript",
+             "qubit_superscript", "identity_generator", "no_string"],
+    )
+    def test_bad_line_carries_its_line(self, line, message):
+        text = f"qubits 2\nparams 1\nx 0\n{line}\n"
+        with pytest.raises(q.PauliParseError, match=re.escape(f"line 4: {message}")):
             q.parse_ansatz_file(text)
 
     def test_zero_params_is_a_prep_only_ansatz(self):

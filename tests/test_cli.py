@@ -244,6 +244,20 @@ class TestTauScaling:
         assert main(["tau-scaling", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("failure:")
 
+    def test_zero_rate_is_failure(self, tmp_path, capsys):
+        # the errors are all 0, whose logarithms used to be fitted to nan
+        # slopes, with exit 0
+        cfg = write_config(
+            tmp_path,
+            "t3.json",
+            base_config(theta=[0.1, 0.2, 0.3], noise={"template": "gamma1", "rate": 0.0}),
+        )
+        out = tmp_path / "tau.csv"
+        assert main(["tau-scaling", "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: uncorrected and corrected errors at scale 1.0 are 0.0")
+        assert not out.exists()
+
 
 class TestValidate:
     def test_passes_and_prints_lines(self, tmp_path, capsys):
@@ -314,6 +328,43 @@ class TestErrorHandling:
         )
         assert main(["vqe", "--config", cfg]) == 2
         assert "line 3: prefactor must be finite, got 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, hamiltonian, ansatz, message",
+        [
+            ("vqe", "qubits 4\n0.5 I\nnan Z0\n", None,
+             "line 3: coefficient must be finite, got 'nan'"),
+            ("mitigate", "qubits 4\n1e999 Z0\n", None,
+             "line 2: coefficient must be finite, got '1e999'"),
+            ("vqe", "qubits 4\n0.5\n", None, "line 2: expected a coefficient and a Pauli string"),
+            ("mitigate", "qubits ²\n0.5 I\n", None,
+             "line 1: expected 'qubits N' header, got 'qubits ²'"),
+            ("vqe", "qubits 4\n0.5 Z¹\n", None, "line 2: bad Pauli token 'Z¹'"),
+            ("mitigate", None, "qubits 4\nparams ²\n", "line 2: expected 'params N' header"),
+            ("vqe", None, "qubits 4\nparams 1\nx ¹\n", "line 3: bad prep line 'x ¹'"),
+            ("mitigate", None, "qubits 4\nparams 1\n¹ 1.0 X0\n",
+             "line 3: bad parameter index '¹'"),
+            ("vqe", None, "qubits 4\nparams 1\n0 1.0 I\n", "line 3: identity generator string"),
+        ],
+        ids=["nan_coefficient", "overflowing_coefficient", "coefficient_only", "superscript_qubits",
+             "superscript_qubit", "superscript_params", "superscript_prep",
+             "superscript_index", "identity_generator"],
+    )
+    def test_malformed_data_file_exits_2_with_its_line(
+        self, tmp_path, capsys, mode, hamiltonian, ansatz, message
+    ):
+        # each of these used to exit 1 with no line, or, for a coefficient
+        # alone, to run it as the identity term
+        config = base_config()  # each mode reads the files first
+        if hamiltonian is not None:
+            (tmp_path / "h.txt").write_text(hamiltonian, encoding="utf-8")
+            config["hamiltonian"] = str(tmp_path / "h.txt")
+        if ansatz is not None:
+            (tmp_path / "a.txt").write_text(ansatz, encoding="utf-8")
+            config["ansatz"] = {"kind": "uccsd", "path": str(tmp_path / "a.txt")}
+        cfg = write_config(tmp_path, "d.json", config)
+        assert main([mode, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_large_guard(self, tmp_path):
         ham = tmp_path / "big.txt"

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -65,13 +66,27 @@ class TestParsing:
         with pytest.raises(PauliParseError):
             q.parse_pauli_sum("qubits 2\n1.0 Z2\n")
 
-    def test_malformed_lines_carry_line_number(self):
-        with pytest.raises(PauliParseError, match="line 2"):
-            q.parse_pauli_sum("qubits 2\nnope Z0\n")
-        with pytest.raises(PauliParseError):
-            q.parse_pauli_sum("qubits 2\n1.0 Q0\n")
-        with pytest.raises(PauliParseError):
-            q.parse_pauli_sum("")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("nope Z0", "bad coefficient 'nope'"),
+            ("1.0 Q0", "unknown Pauli letter 'Q'"),
+            ("1.0 Z", "bad Pauli token 'Z'"),
+            # a coefficient that is not finite used to be refused by PauliSum,
+            # with no line
+            ("nan Z0", "coefficient must be finite, got 'nan'"),
+            ("1e999 Z0", "coefficient must be finite, got '1e999'"),
+            # used to be read as the identity term, which the format writes "I"
+            ("0.5", "expected a coefficient and a Pauli string"),
+            # '¹' passes str.isdigit, and int() used to refuse it with no line
+            ("0.5 Z¹", "bad Pauli token 'Z¹'"),
+        ],
+        ids=["bad_coefficient", "bad_letter", "no_index", "nan", "1e999", "coefficient_only",
+             "superscript"],
+    )
+    def test_malformed_lines_carry_line_number(self, line, message):
+        with pytest.raises(PauliParseError, match=re.escape(f"line 3: {message}")):
+            q.parse_pauli_sum(f"qubits 2\n0.5 I\n{line}\n")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -79,8 +94,10 @@ class TestParsing:
             ("# none\nqubits 0\n0.5 I\n", "line 2: 'qubits' must be at least 1, got 0"),
             ("qubits two\n0.5 I\n", "line 1: expected 'qubits N' header, got 'qubits two'"),
             ("# only a comment\n", "expected 'qubits N' header, got end of file"),
+            ("", "expected 'qubits N' header, got end of file"),
+            ("qubits ²\n0.5 I\n", "line 1: expected 'qubits N' header, got 'qubits ²'"),
         ],
-        ids=["zero_qubits", "bad_count", "empty"],
+        ids=["zero_qubits", "bad_count", "comment_only", "empty", "superscript_count"],
     )
     def test_bad_header_carries_its_line(self, text, message):
         with pytest.raises(PauliParseError, match=message):

@@ -561,6 +561,7 @@ COUNTS = [
     ("run_validation_suite", "validate substeps", run_validation_suite,
      1, MAX_SUBSTEPS // 5, ()),
     ("PauliSum.n_qubits", "n_qubits", lambda v: q.PauliSum([], v), 1, None, (2.7,)),
+    ("Param.index", "parameter index", q.Param, 0, None, ()),
 ]
 REALS = [
     ("Gate angle", "Rx angle", lambda v: q.Gate("Rx", (0,), v), -math.inf, False),
@@ -576,6 +577,7 @@ REALS = [
     ("inflation factor", "inflation factor",
      lambda v: q.scaled_noise_correction(None, None, None, v), 1, True),
     ("PauliSum coefficient", "coefficient", lambda v: q.PauliSum([(v, _Z0)], 1), -math.inf, False),
+    ("Param.prefactor", "prefactor", lambda v: q.Param(0, v), -math.inf, False),
 ]
 
 
