@@ -61,7 +61,6 @@ class TestBind:
             q.bind(c, [0.1, angle])
 
     def test_non_finite_prefactor_is_refused_at_construction_and_overflow_in_bind(self):
-        # Param(0, nan) used to build a Circuit that every bind refused
         with pytest.raises(ValueError, match="prefactor must be a finite real, got nan"):
             Param(0, math.nan)
         c = q.Circuit(1, (q.Gate("H", (0,)), q.Gate("Rz", (0,), Param(0, 1e300))), 1)
@@ -303,11 +302,10 @@ class TestAnsatzFile:
         [
             *[(f"0 {p} X0 Y1", f"prefactor must be finite, got '{p}'")
               for p in ("nan", "inf", "-inf", "1e999")],
-            # '¹' passes str.isdigit, and int() used to refuse it with no line
+            # str.isdigit passes superscript digits
             ("x ¹", "bad prep line 'x ¹'"),
             ("¹ 0.5 X0", "bad parameter index '¹'"),
             ("0 0.5 X¹", "bad Pauli token 'X¹'"),
-            # AnsatzSpec used to refuse it with no line
             ("0 1.0 I", "identity generator string"),
             ("0 1.0", "expected a prefactor and a Pauli string"),
         ],

@@ -245,8 +245,7 @@ class TestTauScaling:
         assert capsys.readouterr().err.startswith("failure:")
 
     def test_zero_rate_is_failure(self, tmp_path, capsys):
-        # the errors are all 0, whose logarithms used to be fitted to nan
-        # slopes, with exit 0
+        # the errors are all 0, which have no logarithm to fit
         cfg = write_config(
             tmp_path,
             "t3.json",
@@ -353,8 +352,6 @@ class TestErrorHandling:
     def test_malformed_data_file_exits_2_with_its_line(
         self, tmp_path, capsys, mode, hamiltonian, ansatz, message
     ):
-        # each of these used to exit 1 with no line, or, for a coefficient
-        # alone, to run it as the identity term
         config = base_config()  # each mode reads the files first
         if hamiltonian is not None:
             (tmp_path / "h.txt").write_text(hamiltonian, encoding="utf-8")

@@ -72,13 +72,11 @@ class TestParsing:
             ("nope Z0", "bad coefficient 'nope'"),
             ("1.0 Q0", "unknown Pauli letter 'Q'"),
             ("1.0 Z", "bad Pauli token 'Z'"),
-            # a coefficient that is not finite used to be refused by PauliSum,
-            # with no line
             ("nan Z0", "coefficient must be finite, got 'nan'"),
             ("1e999 Z0", "coefficient must be finite, got '1e999'"),
-            # used to be read as the identity term, which the format writes "I"
+            # the format writes the identity term as "I"
             ("0.5", "expected a coefficient and a Pauli string"),
-            # '¹' passes str.isdigit, and int() used to refuse it with no line
+            # str.isdigit passes superscript digits
             ("0.5 Z¹", "bad Pauli token 'Z¹'"),
         ],
         ids=["bad_coefficient", "bad_letter", "no_index", "nan", "1e999", "coefficient_only",

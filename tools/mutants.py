@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Check that tier-1 notices a wrong number: run it on one-line mutants.
 
-    python3 tools/mutants.py                      # every mutant
-    python3 tools/mutants.py --only rk4_1_24 --only cap_at_limit
+    python3 tools/mutants.py
 
 Each entry of MUTANTS replaces one line's text in one file under `src`
 (classic mutation analysis: DeMillo, Lipton and Sayward, IEEE Computer
@@ -24,7 +23,6 @@ fails that test, so the runs here leave it out.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -110,8 +108,7 @@ MUTANTS = [
 ]
 
 # tier-1 but the list's own test, which fails on any mutated tree
-TIER1 = ["-m", "pytest", "-x", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "--ignore=tests/test_mutants.py"]
+TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
 
 
 def mutate(tree: Path, file: str, original: str, mutated: str) -> None:
@@ -129,7 +126,7 @@ def run(name: str, file: str, original: str, mutated: str) -> tuple[str, float, 
         tree = Path(tmp) / "tree"
         extract(WORKTREE, tree)
         mutate(tree, file, original, mutated)
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
                               capture_output=True, text=True)
@@ -140,15 +137,9 @@ def run(name: str, file: str, original: str, mutated: str) -> tuple[str, float, 
     return verdict, seconds, failed[0] if failed else ""
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    names = [m[0] for m in MUTANTS]
-    p.add_argument("--only", action="append", choices=names, help="one mutant; repeat for more")
-    args = p.parse_args(argv)
+def main() -> int:
     failed = 0
     for name, file, original, mutated, what in MUTANTS:
-        if args.only and name not in args.only:
-            continue
         verdict, seconds, test = run(name, file, original, mutated)
         failed += verdict != "killed"
         print(f"{name:24} {verdict:8} {seconds:6.1f} s  {what}  {test}", flush=True)
