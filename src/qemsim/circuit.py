@@ -214,7 +214,8 @@ class BoundCircuit:
         `FusedGate`, and any other is its own, one per distinct group."""
         if "_fused" not in vars(self):
             gates = self.gates
-            fixed, own, run = vars(self).get("_fusion") or fusion_groups(gates, gates)
+            source = vars(self).get("_circuit")
+            fixed, own, run = source._fusion if source else fusion_groups(gates, gates)
             fused = fixed + tuple(FusedGate(tuple([gates[i] for i in g])) for g in own)
             vars(self).setdefault("_fused", tuple(map(fused.__getitem__, run)))
         return self._fused
@@ -235,7 +236,7 @@ def bind(circuit: Circuit, theta) -> BoundCircuit:
     ]
     bound = tuple(rotations[s] if isinstance(s, int) else s for s in circuit._slots)
     out = BoundCircuit(circuit.n_qubits, bound)
-    object.__setattr__(out, "_fusion", circuit._fusion)
+    object.__setattr__(out, "_circuit", circuit)  # whose fixed gates and groups it shares
     return out
 
 

@@ -104,12 +104,23 @@ def _given(section: Section, *keys) -> dict:
     return {k: _get(section, k) for k in keys if k in section.data}
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file at `path` as UTF-8 text; one that cannot be read or
+    decoded is a ConfigError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}")
+
+
 def _read_input(path_or_alias: str) -> str:
     if path_or_alias in BUNDLED_FILES:
         return bundled_text(path_or_alias)
     if os.path.exists(path_or_alias):
-        with open(path_or_alias) as fh:
-            return fh.read()
+        return _read_text(path_or_alias, "data file")
     try:
         return bundled_text(path_or_alias)
     except FileNotFoundError:
@@ -118,10 +129,7 @@ def _read_input(path_or_alias: str) -> str:
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path) as fh:
-            document = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}")
+        document = json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(document, dict):

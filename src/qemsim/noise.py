@@ -60,16 +60,31 @@ gate where no row has a 1-qubit block, and the last gate are a pass of
 their own: one kernel call on all rows, which makes a new stack that
 the interval after it steps and may overwrite.  A gate's op is built at
 its first use and kept on the gate; a fold is kept on the propagator
-until its gate is freed.  Each wider
-block is then a kernel on just the rows holding it, called like a
-`state.LocalOp`.  A dense one is a `LocalOp` of its matrix, by highest
-qubit, descending; each distinct one is built once.  The wide blocks go
-last, in layers: layer j is one `_Wide` on the rows that have a j-th
-wide block (each row's by highest qubit, descending), with one
-`_generator` of all their blocks, so a row never gets the summed
-generator of two of its blocks (whose RK4 step differs at O(h^5)); it
-steps its rows in place, in two work stacks of its own call.  The
-product pass and the layers give each row the arithmetic of its run
+until its gate is freed.  Each wider block is then a kernel on just the
+rows holding it, called like a `state.LocalOp`.  A dense one is a
+`LocalOp` of its matrix, by highest qubit, descending; each distinct one
+is built once.  The wide blocks go last, in layers: layer j is one
+`_Wide` on the rows that have a j-th wide block (each row's by highest
+qubit, descending), with one `_generator` of all their blocks, so a row
+never gets the summed generator of two of its blocks (whose RK4 step
+differs at O(h^5)); it steps its rows in place, in two work stacks of
+its own call.
+
+A propagator with no wider block and no bare row composes its passes
+instead of applying each to rho.  Two product passes compose entry by
+entry, (A2 x B2)(A1 x B1) = A2 A1 x B2 B1 (the mixed-product rule behind
+the shuffle algorithm), so rho owes one pending pass, into which each
+folded gate's pass multiplies by one batched matmul per entry size; rho
+pays it only before a gate of its own, the last gate among them.  A run
+bound from a `circuit.Circuit` takes each fixed run, a maximal run of
+folded gates that are the Circuit's own fixed gates, as one pass,
+composed left to right on its own before it multiplies into the pending
+one; from its second run of that Circuit on, a propagator keeps these
+passes, so a noisy VQE's evaluations reuse them, while a mitigation's
+propagator, which runs once, keeps none.  A propagator with a wider
+block or a bare row pays every interval.  `run_noisy_batch` chunks the
+rows that compose (1-qubit blocks alone) apart from the others (a wider
+block, or no block at all), so each row's arithmetic is that of its run
 alone, whatever rows share its batch, from two qubits up (on one, a
 gate's product of a one-row stack can round differently).
 """
@@ -78,6 +93,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Iterator
+from itertools import chain, groupby
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -415,20 +431,22 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the module
-    docstring).  `stacks` holds the product pass as (qubits, stack) pairs,
-    top first: a (rows, 16, 16) stack per qubit pair, after a (rows, 4, 4)
-    one for the lone top qubit at odd n, each row's entry the kron of its
-    1-qubit channels there, the identity where it has none; it is empty if
-    no row has one.  A stack is held as a transposed view, the right factor
-    of a shuffle step: a transposed copy would send BLAS to a kernel whose
-    sums round differently.  `entry` maps each qubit to the index of its
-    stack, `bare` picks the rows with no 1-qubit channel where others have
-    one (None if there are none), and `folds` keeps the stacks with a gate
-    folded in (`_fold`).  `kernels` holds the wider components as (kernel,
-    rows) pairs, each kernel taking the stack of its rows (see `_row_index`)
-    and returning it stepped: the dense ones' `state.LocalOp`s, then one
-    `_Wide` per layer, in the module docstring's order.  Rows are numbered
-    from `first_row` in error messages.
+    docstring).  `product` is the product pass, top first, as one stack
+    per entry size: a (1, rows, 4, 4) one for the lone top qubit at odd n,
+    then a (pairs, rows, 16, 16) one for the qubit pairs, each row's entry
+    the kron of its 1-qubit channels there, the identity where it has none;
+    it is empty if no row has one.  An entry is held as a transposed view,
+    the right factor of a shuffle step: a transposed copy would send BLAS
+    to a kernel whose sums round differently.  `stacks` lists the entries
+    as (qubits, entry) pairs, top first, and `entry` maps each qubit to the
+    index of its entry there.  `bare` picks the rows with no 1-qubit
+    channel where others have one (None if there are none), `folds` keeps
+    the passes with a gate folded in (`_fold`), and `plans` the fixed runs
+    of a Circuit's bindings (`_steps`).  `kernels` holds the wider
+    components as (kernel, rows) pairs, each kernel taking the stack of its
+    rows (see `_row_index`) and returning it stepped: the dense ones'
+    `state.LocalOp`s, then one `_Wide` per layer, in the module docstring's
+    order.  Rows are numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -450,7 +468,7 @@ class IntervalPropagator:
                     held.setdefault(terms, []).append(row)
                 else:
                     wide[row].append(terms)
-        self.stacks = []
+        self.product, self.stacks = (), []
         if lone:  # each distinct component is built once, the 1-qubit ones together
             built = dict.fromkeys(lone.values())
             built = dict(zip(built, _blocks(list(built), cfg)))
@@ -458,14 +476,18 @@ class IntervalPropagator:
             for at, terms in lone.items():
                 channels[at] = built[terms]
             odd = n_qubits % 2
-            self.stacks = [((n_qubits - 1,), channels[-1].transpose(0, 2, 1))] * odd + [
-                ((q, q - 1), _kron(channels[q], channels[q - 1]).transpose(0, 2, 1))
-                for q in range(n_qubits - 1 - odd, 0, -2)
-            ]
+            top = n_qubits - 1 - odd  # the top qubit of the top pair
+            groups = [channels[-1:]] * odd
+            if n_qubits > 1:
+                groups.append(_kron(channels[top:0:-2], channels[top - 1 :: -2]))
+            self.product = tuple(group.transpose(0, 1, 3, 2) for group in groups)
+            qubits = [(n_qubits - 1,)] * odd + [(q, q - 1) for q in range(top, 0, -2)]
+            self.stacks = list(zip(qubits, (m_t for group in self.product for m_t in group)))
         self.entry = {q: at for at, (qubits, _) in enumerate(self.stacks) for q in qubits}
         bare = sorted(set(range(self.n_rows)) - {row for _, row in lone})
         self.bare = _row_index(bare, self.n_rows) if lone and bare else None
         self.folds = {}  # id(gate): (weak reference to the gate, its `_fold`)
+        self.plans = {}  # id(Circuit): (weak reference to it, its `_plan` once kept)
         self.kernels = []
         for terms in sorted(held, key=_support, reverse=True):
             op = LocalOp(_block(terms, cfg), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
@@ -477,48 +499,100 @@ class IntervalPropagator:
             self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
     def _fold(self, gate):
-        """`stacks` with `gate` folded into the one entry that holds all its
+        """`product` with `gate` folded into the one entry that holds all its
         qubits: each row's M there becomes M @ S, S = kron(U, conj(U)) on
         the entry's paired axes, but a `bare` row keeps the identity; None
         if no one entry holds the gate.  Built at the gate's first use and
-        kept in `folds` until the gate or the propagator is freed (two
-        threads may both build it; the two are equal)."""
+        kept in `folds` (`_keep`)."""
         found = self.folds.get(id(gate))
-        if found is None:
-            at, folded = self.entry.get(gate.qubits[0]), None
-            if at is not None and all(self.entry.get(q) == at for q in gate.qubits):
-                qubits, m_t = self.stacks[at]
-                axes = paired_axes([q - qubits[-1] for q in gate.qubits], len(qubits))
-                # row i of M @ S is S^T on row i of M, and S^T is the S of U^T
-                u = gate.matrix().T
-                op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
-                m = op(m_t.transpose(0, 2, 1))
-                if self.bare is not None:
-                    m[self.bare] = np.eye(m_t.shape[-1])
-                folded = list(self.stacks)
-                folded[at] = qubits, m.transpose(0, 2, 1)
-            # the gate's death drops its entry, which holds the propagator weakly
-            owner, key = weakref.ref(self), id(gate)
-            ref = weakref.ref(gate, lambda _: (p := owner()) and p.folds.pop(key, None))
-            found = self.folds.setdefault(key, (ref, folded))
-        return found[1]
+        if found is not None:
+            return found[1]
+        at, folded = self.entry.get(gate.qubits[0]), None
+        if at is not None and all(self.entry.get(q) == at for q in gate.qubits):
+            qubits, m_t = self.stacks[at]
+            k = int(at >= len(self.product[0]))  # the entry's group, and its place there
+            i = at - k * len(self.product[0])
+            axes = paired_axes([q - qubits[-1] for q in gate.qubits], len(qubits))
+            # row i of M @ S is S^T on row i of M, and S^T is the S of U^T
+            u = gate.matrix().T
+            op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
+            group = self.product[k].transpose(0, 1, 3, 2).copy()  # each M as built
+            m = op(group[i])
+            if self.bare is not None:
+                m[self.bare] = np.eye(m_t.shape[-1])
+            group[i] = m
+            folded = self.product[:k] + (group.transpose(0, 1, 3, 2),) + self.product[k + 1 :]
+        return self._keep("folds", gate, folded)
 
-    def propagate(self, rho: PairedDensity, gate=None) -> PairedDensity:
+    def _keep(self, table: str, obj, value):
+        """`value`, kept in the dict attribute `table` under id(obj) until
+        obj or the propagator is freed: obj's death drops the entry, by a
+        callback that holds the propagator weakly.  Two threads may both
+        keep one; the values they keep are equal."""
+        owner, key = weakref.ref(self), id(obj)
+        ref = weakref.ref(obj, lambda _: (p := owner()) and getattr(p, table).pop(key, None))
+        getattr(self, table)[key] = ref, value
+        return value
+
+    def _plan(self, gates, slots) -> Iterator[tuple]:
+        """(i, pass) for each gate of a binding but the last, made as they
+        are taken: pass None for a gate to look up, but each fixed run is
+        one pass, its gates' folds composed left to right, at the position
+        of its last gate.  A fixed run is a maximal run of gates that fold
+        and are their Circuit's own, gates[i] is slots[i] (see `_steps`)."""
+
+        def fixed(i):
+            return gates[i] is slots[i] and self._fold(gates[i]) is not None
+
+        for is_fixed, run in groupby(range(len(gates) - 1), key=fixed):
+            if not is_fixed:
+                yield from ((i, None) for i in run)
+                continue
+            run = list(run)
+            product = self._fold(gates[run[0]])
+            for i in run[1:]:
+                product = tuple(map(np.matmul, product, self._fold(gates[i])))
+            yield run[-1], product
+
+    def _steps(self, circuit) -> Iterator[tuple]:
+        """(gate, pass) for each gate of `circuit`, in order: the gate's
+        `_fold`, None for a gate that does not fold and for the last gate;
+        but where the circuit was bound from a `circuit.Circuit`, each fixed
+        run is one step (`_plan`), at its last gate.  A Circuit's plan is
+        kept from its second run on, until the Circuit or the propagator is
+        freed; a run that uses it does what building it does, bit for bit."""
+        gates, source = circuit.gates, vars(circuit).get("_circuit")
+        if source is None:
+            plan = ((i, None) for i in range(len(gates) - 1))
+        else:
+            _, plan = self.plans.get(id(source), (None, None))
+            if plan is None:
+                plan = self._plan(gates, source._slots)
+                if id(source) in self.plans:  # the second run keeps the plan
+                    plan = self._keep("plans", source, list(plan))
+                else:  # the first marks the Circuit seen, so a propagator
+                    self._keep("plans", source, None)  # run once keeps none
+        steps = ((gates[i], self._fold(gates[i]) if p is None else p) for i, p in plan)
+        return chain(steps, [(gate, None) for gate in gates[-1:]])
+
+    def propagate(self, rho: PairedDensity, gate=None, product=None) -> PairedDensity:
         """`gate`, if given, then one interval, on every row of rho, whose
         stack it may overwrite.  The gate is folded into the product pass
         where one entry holds it (`_fold`), on `bare` rows by its own op;
-        else it is `apply_gate`.  Work stacks belong to a call, so threads
-        can share a propagator."""
+        else it is `apply_gate`.  A `product` given is the pass in place of
+        the interval's own: a composed run of folds (see `run`).  Work
+        stacks belong to a call, so threads can share a propagator."""
         fold = None if gate is None or not self.stacks else self._fold(gate)
         if gate is not None and fold is None:
             rho = apply_gate(rho, gate)
         data = rho.data
-        for _, m_t in fold or self.stacks:
-            # The shuffle step: the leading qubits of each row, viewed as
-            # (d, K), take their channel as x^T M^T and so rotate to the
-            # end; after the last stack every qubit is back in place.
-            x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
-            data = np.matmul(x, m_t)
+        for group in fold or product or self.product:
+            for m_t in group:
+                # The shuffle step: the leading qubits of each row, viewed as
+                # (d, K), take their channel as x^T M^T and so rotate to the
+                # end; after the last entry every qubit is back in place.
+                x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
+                data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
         if fold is not None and self.bare is not None:
             data[self.bare] = gate_op(gate, rho.n_qubits, PairedDensity)(data[self.bare])
@@ -544,19 +618,33 @@ class IntervalPropagator:
         """Gate 1, propagate, gate 2, ..., gate G, on one row per model,
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, and the run is one
-        op per gate of the circuit's `fused()` on it; else each gate but the
-        last is `propagate(state, gate)`, the last is `apply_gate`, and each
-        row ends as a DensityMatrix, by `finish`."""
+        op per gate of the circuit's `fused()` on it; else each row ends as
+        a DensityMatrix, by `finish`.  With kernels or `bare` rows each gate
+        but the last is `propagate(state, gate)`, and the last `apply_gate`.
+        Else the intervals compose: rho owes a pending pass, and each step
+        of `_steps` with a pass multiplies it in, entry by entry.  A gate of
+        its own is `apply_gate`, after `propagate` pays the pass owed before
+        it, and the plain `product` of the interval after it starts the next
+        pending pass; the one after the last gate is dropped."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
                 data = gate_op(gate, n, StateVector)(data)
             return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
         state = _stack(state0, self.n_rows)
-        for gate in circuit.gates[:-1]:
-            state = self.propagate(state, gate)
-        for gate in circuit.gates[-1:]:
-            state = apply_gate(state, gate)
+        if self.kernels or self.bare is not None or not self.stacks:
+            for gate in circuit.gates[:-1]:
+                state = self.propagate(state, gate)
+            for gate in circuit.gates[-1:]:
+                state = apply_gate(state, gate)
+            return self.finish(state)
+        pending = None  # the pass rho owes: (A2 x B2)(A1 x B1) = A2 A1 x B2 B1
+        for gate, product in self._steps(circuit):
+            if product is None:  # a gate of its own, after the pass owed before it
+                if pending is not None:
+                    state, pending = self.propagate(state, product=pending), None
+                state, product = apply_gate(state, gate), self.product
+            pending = product if pending is None else tuple(map(np.matmul, pending, product))
         return self.finish(state)
 
 
@@ -580,11 +668,22 @@ def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
     return PairedDensity(state0.n_qubits, np.broadcast_to(data, (rows, data.size)))
 
 
-def _chunks(n_rows: int, n_qubits: int) -> list[range]:
-    """The rows of a batch, in order, split so each chunk's stack fits
-    BATCH_BYTES."""
+def _composes(model: NoiseModel) -> bool:
+    """Whether the run of `model` alone composes its passes (see
+    `IntervalPropagator.run`): it has a component, and each is on one qubit."""
+    components = _components(model)
+    return bool(components) and all(len(support) == 1 for support, _ in components)
+
+
+def _chunks(models, n_qubits: int) -> list[range]:
+    """The rows of a batch, in order: each run of rows alike in `_composes`,
+    split so each chunk's stack fits BATCH_BYTES."""
     size = max(1, BATCH_BYTES // (16 * 4**n_qubits))
-    return [range(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
+    chunks, end = [], 0
+    for _, rows in groupby(map(_composes, models)):
+        start, end = end, end + len(list(rows))
+        chunks += [range(lo, min(lo + size, end)) for lo in range(start, end, size)]
+    return chunks
 
 
 def run_noisy_circuit(
@@ -613,11 +712,11 @@ def run_noisy_batch(
     cfg: PropagatorConfig | None = None,
 ) -> Iterator[StateVector | DensityMatrix]:
     """`run_noisy_circuit` of one circuit under each of `models`, as the
-    rows of one paired stack: one kernel call per gate (per fusion group
-    on a state vector) and one propagator per chunk of rows (see
-    BATCH_BYTES).  Returns an iterator over the final state of each model,
-    in order, made chunk by chunk; the inputs are checked by the call
-    itself.
+    rows of paired stacks: one propagator per chunk of rows (see
+    `_chunks`), whose run makes one kernel call per gate of its own (per
+    fusion group on a state vector).  Returns an iterator over the final
+    state of each model, in order, made chunk by chunk; the inputs are
+    checked by the call itself.
 
     Each row's channel is that of its own model, so a row matches its run
     alone.  If every model is noiseless and state0 is a StateVector, the
@@ -636,7 +735,7 @@ def run_noisy_batch(
         state0 = state0.to_density_matrix()  # one result type for every chunk
     return (
         state
-        for chunk in _chunks(len(models), n)
+        for chunk in _chunks(models, n)
         for state in IntervalPropagator(
             [models[i] for i in chunk], n, cfg, first_row=chunk.start
         ).run(state0, circuit)

@@ -363,6 +363,22 @@ class TestErrorHandling:
         assert main([mode, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("which", ["hamiltonian", "ansatz", "config", "theta_file"])
+    def test_a_file_that_is_not_utf8_exits_2_with_its_name(self, tmp_path, capsys, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"qubits 4\n0.5 Z\xff\n")
+        config, mode = base_config(), "vqe"
+        if which == "hamiltonian":
+            config["hamiltonian"] = str(bad)
+        elif which == "ansatz":
+            config["ansatz"] = {"kind": "uccsd", "path": str(bad)}
+        elif which == "theta_file":
+            config, mode = base_config(theta_file=str(bad)), "mitigate"
+        cfg = str(bad) if which == "config" else write_config(tmp_path, "u.json", config)
+        assert main([mode, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad} is not UTF-8 text" in err
+
     def test_large_guard(self, tmp_path):
         ham = tmp_path / "big.txt"
         terms = "\n".join(f"0.1 Z{i}" for i in range(9))

@@ -728,13 +728,23 @@ class TestBatch:
         )
 
     def test_chunk_plan(self):
+        model = build_template_model("gamma1", 2, 0.01)
         # one 12-qubit row is 256 MiB, over the budget: each runs alone
-        assert noise._chunks(13, 12) == [range(i, i + 1) for i in range(13)]
+        assert noise._chunks([model] * 13, 12) == [range(i, i + 1) for i in range(13)]
         # 16 MiB rows, four to a chunk
-        assert noise._chunks(13, 10) == [
+        assert noise._chunks([model] * 13, 10) == [
             range(0, 4), range(4, 8), range(8, 12), range(12, 13)
         ]
-        assert noise._chunks(13, 4) == [range(13)]
+        assert noise._chunks([model] * 13, 4) == [range(13)]
+        # a row with a correlated pair and a noiseless row do not compose,
+        # so each run of rows alike is chunked on its own
+        pair = q.NoiseModel((q.LindbladTerm("correlated", (0, 1), 0.01),))
+        rows = [model] * 5 + [pair, q.NoiseModel(), model, pair]
+        assert [noise._composes(row) for row in rows] == [True] * 5 + [False, False, True, False]
+        assert noise._chunks(rows, 10) == [
+            range(0, 4), range(4, 5), range(5, 7), range(7, 8), range(8, 9)
+        ]
+        assert noise._chunks(rows, 4) == [range(0, 5), range(5, 7), range(7, 8), range(8, 9)]
 
     @pytest.mark.parametrize("template", ["gamma1_gamma2", "correlated"])
     def test_chunked_mitigation_is_bit_identical(self, template, monkeypatch):
@@ -743,7 +753,7 @@ class TestBatch:
         whole = q.run_mitigation(circuit, model, obs)
         scaled = q.scaled_noise_correction(circuit, model, obs, 2.0)
         monkeypatch.setattr(noise, "BATCH_BYTES", 16 * 4**3)
-        assert noise._chunks(4, 3) == [range(i, i + 1) for i in range(4)]
+        assert noise._chunks([model] * 4, 3) == [range(i, i + 1) for i in range(4)]
         assert q.run_mitigation(circuit, model, obs).to_dict() == whole.to_dict()
         again = q.scaled_noise_correction(circuit, model, obs, 2.0)
         assert again.to_dict() == scaled.to_dict()
@@ -1063,9 +1073,9 @@ class TestBatch:
                 calls["build"] += 1
                 super().__init__(*args, **kwargs)
 
-            def propagate(self, rho, gate=None):
+            def propagate(self, *args, **kwargs):
                 calls["propagate"] += 1
-                return super().propagate(rho, gate)
+                return super().propagate(*args, **kwargs)
 
         monkeypatch.setattr(noise, "apply_gate", counted_gate)
         monkeypatch.setattr(noise, "IntervalPropagator", Counted)
@@ -1075,11 +1085,13 @@ class TestBatch:
         q.run_mitigation(circuit, model, self.observable())
         # the ideal run builds its propagator but applies fused ops on the
         # state vector, so only the batched run passes the gate and interval
-        # sites: each gate but the last with the interval after it, where
-        # H(0), CNOT(0, 1) on the pair (1, 0) and Rx(2) on the lone top qubit
-        # fold into the product pass, and CNOT(2, 0) and the last H(1) are
-        # passes of their own
-        assert calls == {"gate": 2, "build": 2, "propagate": g - 1}
+        # sites.  Its rows have 1-qubit blocks alone, so its passes compose:
+        # H(0), CNOT(0, 1) on the pair (1, 0) and Rx(2) on the lone top
+        # qubit fold into one pending pass, which is paid before CNOT(2, 0),
+        # a gate of its own; the interval after it is paid before the last
+        # H(1), a gate of its own
+        assert g == 5
+        assert calls == {"gate": 2, "build": 2, "propagate": 2}
 
 
 class TestModelEditing:

@@ -304,6 +304,13 @@ def circuits(draw, min_qubits=1, max_qubits=5):
     return q.BoundCircuit(n, tuple(gates))
 
 
+def bound_from_circuit(circuit):
+    """The same gates as the binding of a `Circuit` of fixed gates alone,
+    whose noisy runs compose their fixed runs (see `noise`)."""
+    gates = tuple(q.Gate(g.kind, g.qubits, g.angle) for g in circuit.gates)
+    return q.bind(q.Circuit(circuit.n_qubits, gates, 0), [])
+
+
 @st.composite
 def pauli_sums(draw, n):
     terms = []
@@ -672,10 +679,101 @@ def bare_batch_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(bare_batch_cases())
+# a 1-qubit-only row beside a correlated row, on a binding of a Circuit:
+# the first composes its passes and fixed runs, the second, with the row
+# that has both, pays every interval
+@example(
+    (
+        bound_from_circuit(_FIVE_QUBIT_CIRCUIT),
+        [
+            q.build_template_model("gamma1_gamma2", 5, 0.01),
+            q.NoiseModel((q.LindbladTerm("correlated", (4, 0), 0.01),)),
+            q.NoiseModel(
+                (
+                    q.LindbladTerm("thermal", (2,), 0.008, n_th=0.3),
+                    q.LindbladTerm("correlated", (1, 3), 0.005),
+                )
+            ),
+            q.build_template_model("thermal", 5, 0.02),
+        ],
+    )
+)
 def test_bare_rows_are_bit_identical_to_their_runs_alone(case):
-    # a bare row keeps the identity in the product pass, where the other
-    # rows take a folded gate, and takes that gate by its own op
+    # rows whose passes compose, with 1-qubit blocks alone, are chunked
+    # apart from the others; among the others, a bare row keeps the
+    # identity in the product pass, where the other rows take a folded
+    # gate, and takes that gate by its own op
     assert_rows_match_alone(*case, substeps=4)
+
+
+@st.composite
+def composed_cases(draw):
+    """A circuit on one to six qubits, as its own gates or as the binding
+    of a Circuit, and the rows of a batch with 1-qubit terms alone, any of
+    them zero-rate, in any order."""
+    circuit = draw(circuits(max_qubits=6))
+    if draw(st.booleans()):
+        circuit = bound_from_circuit(circuit)
+    n = circuit.n_qubits
+    single = [k for k in KINDS if k != "correlated"]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(single))
+            n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+            rate = draw(st.floats(1e-3, 0.05))
+            terms.append(q.LindbladTerm(kind, (draw(st.integers(0, n - 1)),), rate, n_th))
+        factor = draw(st.sampled_from([1.0, 1.0, 0.0]))
+        rows.append(scale_terms(q.NoiseModel(tuple(terms)), range(len(terms)), factor))
+    return circuit, rows
+
+
+def kron_apply(blocks, vec):
+    """kron(blocks[0], blocks[1], ...) @ vec, one factor per axis of vec's
+    (4,)*n view, blocks[0] on the leading one."""
+    t = vec.reshape((4,) * len(blocks))
+    for axis, block in enumerate(blocks):
+        t = np.moveaxis(np.tensordot(block, t, axes=([1], [axis])), 0, axis)
+    return t.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(composed_cases())
+# odd n: the lone top qubit's 4x4 entry composes beside the pairs, and a
+# noiseless row runs in a chunk of its own
+@example(
+    (
+        bound_from_circuit(_FIVE_QUBIT_CIRCUIT),
+        _removal_rows(q.build_template_model("thermal", 5, 0.02), 5) + [q.NoiseModel()],
+    )
+)
+def test_composed_run_matches_the_per_interval_loop_and_the_kron_oracle(case):
+    circuit, rows = case
+    n, gates = circuit.n_qubits, circuit.gates
+    cfg = q.PropagatorConfig(substeps=4)
+    batch = list(q.run_noisy_batch(q.new_pure_ground(n), circuit, rows, cfg))
+    # the per-interval loop: each gate but the last, then its interval
+    propagator = IntervalPropagator(rows, n, cfg)
+    state = PairedDensity(n, np.stack([pair(q.new_pure_ground(n)).data] * len(rows)))
+    for gate in gates[:-1]:
+        state = propagator.propagate(state, gate)
+    for gate in gates[-1:]:
+        state = q.apply_gate(state, gate)
+    for model, got, looped in zip(rows, batch, state.data):
+        assert np.max(np.abs(got.data - unpair(PairedDensity(n, looped)).data)) < 1e-14
+        # the kron oracle: each interval the kron of the row's 1-qubit
+        # blocks, top qubit first, and each gate U rho U^dag
+        lone = {min(qubits): terms for qubits, terms in noise._components(model)}
+        blocks = [noise._block(lone[k], cfg) if k in lone else np.eye(4) for k in reversed(range(n))]
+        rho = q.new_pure_ground(n).data
+        for i, gate in enumerate(gates):
+            u = kron_embed_multi(gate.matrix(), gate.qubits, n)
+            rho = u @ rho @ u.conj().T
+            if i < len(gates) - 1:
+                paired = kron_apply(blocks, pair(q.DensityMatrix(n, rho)).data)
+                rho = unpair(PairedDensity(n, paired)).data
+        assert np.max(np.abs(got.data - rho)) < 1e-14
 
 
 @st.composite

@@ -39,15 +39,29 @@ class TestEnergyObjective:
         assert energy_objective(noisy, []) == pytest.approx(want, abs=1e-9)
 
     def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit):
+        # the problem's propagator keeps a Circuit's fixed runs from its
+        # second run on; each Param gate dies with its binding, and a later
+        # one may take its id, so every run, at any theta and of another
+        # Circuit of as many gates, must be a fresh propagator's bit for bit
         model = build_template_model("gamma1_gamma2", 4, 1e-3)
         problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model)
-        for seed in range(3):
-            theta = np.random.default_rng(seed).uniform(-3, 3, h2_uccsd_circuit.n_params)
-            rho = q.run_noisy_circuit(
-                q.new_statevector(4), q.bind(h2_uccsd_circuit, theta), model
-            )
-            want = q.expectation(rho, h2_hamiltonian)
-            assert abs(energy_objective(problem, theta) - want) < 1e-12
+        gates = h2_uccsd_circuit.gates
+        assert gates[0] == q.Gate("X", (0,))
+        other = q.Circuit(4, (q.Gate("H", (0,)),) + gates[1:], h2_uccsd_circuit.n_params)
+        rng = np.random.default_rng(7)
+        thetas = [rng.uniform(-3, 3, h2_uccsd_circuit.n_params) for _ in range(3)]
+        psi = q.new_statevector(4)
+        for circuit in (h2_uccsd_circuit, other):
+            for theta in thetas + thetas[:1]:
+                (got,) = problem._intervals.run(psi, q.bind(circuit, theta))
+                fresh = noise.IntervalPropagator([model], 4, problem.propagator)
+                (want,) = fresh.run(psi, q.bind(circuit, theta))
+                assert np.array_equal(got.data, want.data)
+        plans = problem._intervals.plans
+        assert len(plans) == 2 and all(plan is not None for _, plan in plans.values())
+        for theta in thetas:
+            rho = q.run_noisy_circuit(psi, q.bind(h2_uccsd_circuit, theta), model)
+            assert energy_objective(problem, theta) == q.expectation(rho, h2_hamiltonian)
 
     def test_the_propagator_keeps_folds_of_live_gates_only(self):
         # the fixed gates every binding shares are folded once per problem;

@@ -84,6 +84,21 @@ MUTANTS = [
      "data[self.bare] = gate_op(gate, rho.n_qubits, PairedDensity)(data[self.bare])",
      "data[self.bare] = data[self.bare]",
      "a bare row skipping the gate"),
+    ("compose_swapped", "src/qemsim/noise.py",
+     "pending = product if pending is None else tuple(map(np.matmul, pending, product))",
+     "pending = product if pending is None else tuple(map(np.matmul, product, pending))",
+     "a pass composed into the pending one in the swapped order"),
+    ("no_pay_before_gate", "src/qemsim/noise.py",
+     "if pending is not None:", "if False:",
+     "a gate of its own applied before the pass owed before it"),
+    ("kept_plan_other_circuit", "src/qemsim/noise.py",
+     "_, plan = self.plans.get(id(source), (None, None))",
+     "_, plan = next(iter(self.plans.values()), (None, None))",
+     "the first kept fixed runs reused for any other Circuit"),
+    ("kept_plan_other_theta", "src/qemsim/noise.py",
+     "return gates[i] is slots[i] and self._fold(gates[i]) is not None",
+     "return self._fold(gates[i]) is not None",
+     "a Param gate's fold kept in a fixed run, so reused at another theta"),
     ("reader_not_finite", "src/qemsim/paulis.py",
      "if not math.isfinite(value):", "if False:",
      "the number reader accepting nan and inf"),
