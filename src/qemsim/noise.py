@@ -53,14 +53,13 @@ qubits of every row and rotates them to the end.  A gate whose qubits
 lie in one entry of that pass (a 1-qubit gate, the lone top qubit at odd
 n included, or a 2-qubit gate on both qubits of a pair) is folded into
 it: the entry M becomes M @ S, S = kron(U, conj(U)), so the interval
-after the gate applies gate and noise in the same matmuls.  A row with
-no 1-qubit block, which has no product pass in its run alone, keeps the
-identity there and takes the gate by its own op.  Any other gate, every
-gate where no row has a 1-qubit block, and the last gate are a pass of
-their own: one kernel call on all rows, which makes a new stack that
-the interval after it steps and may overwrite.  A gate's op is built at
-its first use and kept on the gate; a fold is kept on the propagator
-until its gate is freed.  Each wider block is then a kernel on just the
+after the gate applies gate and noise in the same matmuls (a row with
+no 1-qubit block of its own takes it through the identity there).  Any
+other gate, every gate where no row has a 1-qubit block, and the last
+gate are a pass of their own: one kernel call on all rows, which makes a
+new stack that the interval after it steps and may overwrite.  A gate's
+op is built at its first use and kept on the gate; a fold is kept on the
+propagator until its gate is freed.  Each wider block is then a kernel on just the
 rows holding it, called like a `state.LocalOp`.  A dense one is a
 `LocalOp` of its matrix, by highest qubit, descending; each distinct one
 is built once.  The wide blocks go last, in layers: layer j is one
@@ -70,23 +69,25 @@ never gets the summed generator of two of its blocks (whose RK4 step
 differs at O(h^5)); it steps its rows in place, in two work stacks of
 its own call.
 
-A propagator with no wider block and no bare row composes its passes
-instead of applying each to rho.  Two product passes compose entry by
-entry, (A2 x B2)(A1 x B1) = A2 A1 x B2 B1 (the mixed-product rule behind
-the shuffle algorithm), so rho owes one pending pass, into which each
-folded gate's pass multiplies by one batched matmul per entry size; rho
-pays it only before a gate of its own, the last gate among them.  A run
-bound from a `circuit.Circuit` takes each fixed run, a maximal run of
-folded gates that are the Circuit's own fixed gates, as one pass,
-composed left to right on its own before it multiplies into the pending
-one; from its second run of that Circuit on, a propagator keeps these
-passes, so a noisy VQE's evaluations reuse them, while a mitigation's
-propagator, which runs once, keeps none.  A propagator with a wider
-block or a bare row pays every interval.  `run_noisy_batch` chunks the
-rows that compose (1-qubit blocks alone) apart from the others (a wider
-block, or no block at all), so each row's arithmetic is that of its run
-alone, whatever rows share its batch, from two qubits up (on one, a
-gate's product of a one-row stack can round differently).
+A run owes the pass of each interval to rho until it must pay it.  Two
+product passes compose entry by entry, (A2 x B2)(A1 x B1) = A2 A1 x
+B2 B1 (the mixed-product rule behind the shuffle algorithm), so rho owes
+one pending pass, into which each folded gate's pass multiplies by one
+batched matmul per entry size; rho pays it, then the kernels, before a
+gate of its own, the last gate among them.  A propagator with a kernel
+pays before every gate, since no pass holds a kernel's interval.  A run
+with no kernel bound from a `circuit.Circuit` takes each fixed run, a
+maximal run of folded gates that are the Circuit's own fixed gates, as
+one pass, composed left to right on its own before it multiplies into
+the pending one; from its second run of that Circuit on, a propagator
+keeps these passes, so a noisy VQE's evaluations reuse them, while a
+mitigation's propagator, which runs once, keeps none.  `run_noisy_batch`
+chunks rows by the widths of block they hold: 1-qubit blocks alone,
+wider ones alone, both, or none.  So no chunk mixes rows with and without
+a product pass, or rows whose passes compose with rows that pay every
+interval, and each row's arithmetic is that of its run alone, whatever
+rows share its batch, from two qubits up (on one, a gate's product of a
+one-row stack can round differently).
 """
 
 from __future__ import annotations
@@ -439,14 +440,12 @@ class IntervalPropagator:
     the right factor of a shuffle step: a transposed copy would send BLAS
     to a kernel whose sums round differently.  `stacks` lists the entries
     as (qubits, entry) pairs, top first, and `entry` maps each qubit to the
-    index of its entry there.  `bare` picks the rows with no 1-qubit
-    channel where others have one (None if there are none), `folds` keeps
-    the passes with a gate folded in (`_fold`), and `plans` the fixed runs
-    of a Circuit's bindings (`_steps`).  `kernels` holds the wider
-    components as (kernel, rows) pairs, each kernel taking the stack of its
-    rows (see `_row_index`) and returning it stepped: the dense ones'
-    `state.LocalOp`s, then one `_Wide` per layer, in the module docstring's
-    order.  Rows are numbered from `first_row` in error messages.
+    index of its entry there.  `folds` keeps the passes with a gate folded
+    in (`_fold`), and `plans` the fixed runs of a Circuit's bindings
+    (`_steps`).  `kernels` holds the wider components as (kernel, rows)
+    pairs, each kernel taking the stack of its rows (see `_row_index`) and
+    returning it stepped: the dense ones' `state.LocalOp`s, then one
+    `_Wide` per layer, in the module docstring's order.  Rows are numbered from `first_row` in error messages.
     """
 
     def __init__(
@@ -484,8 +483,6 @@ class IntervalPropagator:
             qubits = [(n_qubits - 1,)] * odd + [(q, q - 1) for q in range(top, 0, -2)]
             self.stacks = list(zip(qubits, (m_t for group in self.product for m_t in group)))
         self.entry = {q: at for at, (qubits, _) in enumerate(self.stacks) for q in qubits}
-        bare = sorted(set(range(self.n_rows)) - {row for _, row in lone})
-        self.bare = _row_index(bare, self.n_rows) if lone and bare else None
         self.folds = {}  # id(gate): (weak reference to the gate, its `_fold`)
         self.plans = {}  # id(Circuit): (weak reference to it, its `_plan` once kept)
         self.kernels = []
@@ -501,15 +498,17 @@ class IntervalPropagator:
     def _fold(self, gate):
         """`product` with `gate` folded into the one entry that holds all its
         qubits: each row's M there becomes M @ S, S = kron(U, conj(U)) on
-        the entry's paired axes, but a `bare` row keeps the identity; None
-        if no one entry holds the gate.  Built at the gate's first use and
-        kept in `folds` (`_keep`)."""
+        the entry's paired axes; None if no one entry holds the gate, at
+        once if there is no product pass.  Built at the gate's first use
+        and kept in `folds` (`_keep`)."""
+        if not self.stacks:
+            return None
         found = self.folds.get(id(gate))
         if found is not None:
             return found[1]
         at, folded = self.entry.get(gate.qubits[0]), None
         if at is not None and all(self.entry.get(q) == at for q in gate.qubits):
-            qubits, m_t = self.stacks[at]
+            qubits, _ = self.stacks[at]
             k = int(at >= len(self.product[0]))  # the entry's group, and its place there
             i = at - k * len(self.product[0])
             axes = paired_axes([q - qubits[-1] for q in gate.qubits], len(qubits))
@@ -517,10 +516,7 @@ class IntervalPropagator:
             u = gate.matrix().T
             op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
             group = self.product[k].transpose(0, 1, 3, 2).copy()  # each M as built
-            m = op(group[i])
-            if self.bare is not None:
-                m[self.bare] = np.eye(m_t.shape[-1])
-            group[i] = m
+            group[i] = op(group[i])
             folded = self.product[:k] + (group.transpose(0, 1, 3, 2),) + self.product[k + 1 :]
         return self._keep("folds", gate, folded)
 
@@ -557,12 +553,13 @@ class IntervalPropagator:
     def _steps(self, circuit) -> Iterator[tuple]:
         """(gate, pass) for each gate of `circuit`, in order: the gate's
         `_fold`, None for a gate that does not fold and for the last gate;
-        but where the circuit was bound from a `circuit.Circuit`, each fixed
-        run is one step (`_plan`), at its last gate.  A Circuit's plan is
-        kept from its second run on, until the Circuit or the propagator is
-        freed; a run that uses it does what building it does, bit for bit."""
+        but where the circuit was bound from a `circuit.Circuit` and there
+        is no kernel, each fixed run is one step (`_plan`), at its last
+        gate.  A Circuit's plan is kept from its second run on, until the
+        Circuit or the propagator is freed; a run that uses it does what
+        building it does, bit for bit."""
         gates, source = circuit.gates, vars(circuit).get("_circuit")
-        if source is None:
+        if source is None or self.kernels:
             plan = ((i, None) for i in range(len(gates) - 1))
         else:
             _, plan = self.plans.get(id(source), (None, None))
@@ -575,18 +572,14 @@ class IntervalPropagator:
         steps = ((gates[i], self._fold(gates[i]) if p is None else p) for i, p in plan)
         return chain(steps, [(gate, None) for gate in gates[-1:]])
 
-    def propagate(self, rho: PairedDensity, gate=None, product=None) -> PairedDensity:
-        """`gate`, if given, then one interval, on every row of rho, whose
-        stack it may overwrite.  The gate is folded into the product pass
-        where one entry holds it (`_fold`), on `bare` rows by its own op;
-        else it is `apply_gate`.  A `product` given is the pass in place of
-        the interval's own: a composed run of folds (see `run`).  Work
-        stacks belong to a call, so threads can share a propagator."""
-        fold = None if gate is None or not self.stacks else self._fold(gate)
-        if gate is not None and fold is None:
-            rho = apply_gate(rho, gate)
+    def propagate(self, rho: PairedDensity, product=None) -> PairedDensity:
+        """One interval on every row of rho, whose stack it may overwrite:
+        the product pass, then the kernels.  A `product` given is the pass
+        in place of the interval's own: a fold, or a composed run of them
+        (see `run`).  Work stacks belong to a call, so threads can share a
+        propagator."""
         data = rho.data
-        for group in fold or product or self.product:
+        for group in product or self.product:
             for m_t in group:
                 # The shuffle step: the leading qubits of each row, viewed as
                 # (d, K), take their channel as x^T M^T and so rotate to the
@@ -594,8 +587,6 @@ class IntervalPropagator:
                 x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
                 data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
-        if fold is not None and self.bare is not None:
-            data[self.bare] = gate_op(gate, rho.n_qubits, PairedDensity)(data[self.bare])
         for kernel, rows in self.kernels:
             if rows is None:
                 data = kernel(data)
@@ -619,30 +610,25 @@ class IntervalPropagator:
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, and the run is one
         op per gate of the circuit's `fused()` on it; else each row ends as
-        a DensityMatrix, by `finish`.  With kernels or `bare` rows each gate
-        but the last is `propagate(state, gate)`, and the last `apply_gate`.
-        Else the intervals compose: rho owes a pending pass, and each step
+        a DensityMatrix, by `finish`: rho owes a pending pass, and each step
         of `_steps` with a pass multiplies it in, entry by entry.  A gate of
         its own is `apply_gate`, after `propagate` pays the pass owed before
         it, and the plain `product` of the interval after it starts the next
-        pending pass; the one after the last gate is dropped."""
+        pending pass; the one after the last gate is dropped.  With kernels
+        `propagate` pays before every gate."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
                 data = gate_op(gate, n, StateVector)(data)
             return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
         state = _stack(state0, self.n_rows)
-        if self.kernels or self.bare is not None or not self.stacks:
-            for gate in circuit.gates[:-1]:
-                state = self.propagate(state, gate)
-            for gate in circuit.gates[-1:]:
-                state = apply_gate(state, gate)
-            return self.finish(state)
         pending = None  # the pass rho owes: (A2 x B2)(A1 x B1) = A2 A1 x B2 B1
         for gate, product in self._steps(circuit):
-            if product is None:  # a gate of its own, after the pass owed before it
-                if pending is not None:
-                    state, pending = self.propagate(state, product=pending), None
+            # no pass holds a kernel's interval, so with kernels rho pays
+            # before every gate
+            if pending is not None and (product is None or self.kernels):
+                state, pending = self.propagate(state, pending), None
+            if product is None:
                 state, product = apply_gate(state, gate), self.product
             pending = product if pending is None else tuple(map(np.matmul, pending, product))
         return self.finish(state)
@@ -668,19 +654,14 @@ def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
     return PairedDensity(state0.n_qubits, np.broadcast_to(data, (rows, data.size)))
 
 
-def _composes(model: NoiseModel) -> bool:
-    """Whether the run of `model` alone composes its passes (see
-    `IntervalPropagator.run`): it has a component, and each is on one qubit."""
-    components = _components(model)
-    return bool(components) and all(len(support) == 1 for support, _ in components)
-
-
 def _chunks(models, n_qubits: int) -> list[range]:
-    """The rows of a batch, in order: each run of rows alike in `_composes`,
-    split so each chunk's stack fits BATCH_BYTES."""
+    """The rows of a batch, in order: each run of rows alike in the widths
+    of block they hold (1-qubit, wider, both or none), split so each
+    chunk's stack fits BATCH_BYTES."""
     size = max(1, BATCH_BYTES // (16 * 4**n_qubits))
+    kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)
     chunks, end = [], 0
-    for _, rows in groupby(map(_composes, models)):
+    for _, rows in groupby(kinds):
         start, end = end, end + len(list(rows))
         chunks += [range(lo, min(lo + size, end)) for lo in range(start, end, size)]
     return chunks
@@ -718,9 +699,11 @@ def run_noisy_batch(
     state of each model, in order, made chunk by chunk; the inputs are
     checked by the call itself.
 
-    Each row's channel is that of its own model, so a row matches its run
-    alone.  If every model is noiseless and state0 is a StateVector, the
-    rows are StateVectors; otherwise every row is a DensityMatrix.
+    Each row's channel is that of its own model, and a chunk's rows are
+    alike in the widths of block they hold, so each row takes the steps of
+    its run alone and matches it.  If every model is noiseless and state0
+    is a StateVector, the rows are StateVectors; otherwise every row is a
+    DensityMatrix.
     """
     if cfg is None:
         cfg = PropagatorConfig()

@@ -736,15 +736,21 @@ class TestBatch:
             range(0, 4), range(4, 8), range(8, 12), range(12, 13)
         ]
         assert noise._chunks([model] * 13, 4) == [range(13)]
-        # a row with a correlated pair and a noiseless row do not compose,
-        # so each run of rows alike is chunked on its own
+        # rows with 1-qubit blocks alone, none (zero rates drop out), wider
+        # blocks alone, both, and 1-qubit blocks alone again: each run of
+        # rows alike is chunked on its own, and each run differs from the
+        # next in one width of block only
         pair = q.NoiseModel((q.LindbladTerm("correlated", (0, 1), 0.01),))
-        rows = [model] * 5 + [pair, q.NoiseModel(), model, pair]
-        assert [noise._composes(row) for row in rows] == [True] * 5 + [False, False, True, False]
+        both = q.NoiseModel(pair.terms + (q.LindbladTerm("dephasing", (2,), 0.01),))
+        quiet = [q.NoiseModel(), scale_terms(pair, [0], 0.0)]
+        rows = [model] * 5 + quiet + [pair] * 5 + [both] * 5 + [model]
         assert noise._chunks(rows, 10) == [
-            range(0, 4), range(4, 5), range(5, 7), range(7, 8), range(8, 9)
+            range(0, 4), range(4, 5), range(5, 7), range(7, 11),
+            range(11, 12), range(12, 16), range(16, 17), range(17, 18),
         ]
-        assert noise._chunks(rows, 4) == [range(0, 5), range(5, 7), range(7, 8), range(8, 9)]
+        assert noise._chunks(rows, 4) == [
+            range(0, 5), range(5, 7), range(7, 12), range(12, 17), range(17, 18)
+        ]
 
     @pytest.mark.parametrize("template", ["gamma1_gamma2", "correlated"])
     def test_chunked_mitigation_is_bit_identical(self, template, monkeypatch):
@@ -1144,8 +1150,11 @@ class TestParallelSafety:
             assert np.array_equal(r.data, serial.data)
 
     def test_threads_may_build_the_same_fold(self):
-        # a propagator with a product pass and a bare row: threads that
-        # build a gate's fold at once keep one of two equal folds
+        # a propagator with a product pass and a row with no 1-qubit block,
+        # which takes each folded gate through the identity in its entry:
+        # right, though not its run alone bit for bit, which `_chunks` keeps
+        # by running it apart.  Threads that build a gate's fold at once
+        # keep one of two equal folds
         from concurrent.futures import ThreadPoolExecutor
 
         n = 4

@@ -77,20 +77,21 @@ MUTANTS = [
     ("fold_untransposed", "src/qemsim/noise.py",
      "u = gate.matrix().T", "u = gate.matrix()",
      "a folded gate's U not transposed"),
-    ("bare_row_keeps_fold", "src/qemsim/noise.py",
-     "m[self.bare] = np.eye(m_t.shape[-1])", "m[self.bare] = m[self.bare]",
-     "a bare row keeping the folded entry"),
-    ("bare_row_skips_gate", "src/qemsim/noise.py",
-     "data[self.bare] = gate_op(gate, rho.n_qubits, PairedDensity)(data[self.bare])",
-     "data[self.bare] = data[self.bare]",
-     "a bare row skipping the gate"),
     ("compose_swapped", "src/qemsim/noise.py",
      "pending = product if pending is None else tuple(map(np.matmul, pending, product))",
      "pending = product if pending is None else tuple(map(np.matmul, product, pending))",
      "a pass composed into the pending one in the swapped order"),
     ("no_pay_before_gate", "src/qemsim/noise.py",
-     "if pending is not None:", "if False:",
+     "if pending is not None and (product is None or self.kernels):",
+     "if pending is not None and self.kernels:",
      "a gate of its own applied before the pass owed before it"),
+    ("kernel_carried_past_gate", "src/qemsim/noise.py",
+     "if pending is not None and (product is None or self.kernels):",
+     "if pending is not None and product is None:",
+     "a kernel's interval left unpaid before a folded gate"),
+    ("plan_across_kernel", "src/qemsim/noise.py",
+     "if source is None or self.kernels:", "if source is None:",
+     "a Circuit's fixed runs composed across a kernel's intervals"),
     ("kept_plan_other_circuit", "src/qemsim/noise.py",
      "_, plan = self.plans.get(id(source), (None, None))",
      "_, plan = next(iter(self.plans.values()), (None, None))",
@@ -99,6 +100,14 @@ MUTANTS = [
      "return gates[i] is slots[i] and self._fold(gates[i]) is not None",
      "return self._fold(gates[i]) is not None",
      "a Param gate's fold kept in a fixed run, so reused at another theta"),
+    ("chunk_key_no_wider", "src/qemsim/noise.py",
+     "kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)",
+     "kinds = ({len(support) == 1 for support, _ in _components(model)} - {False} for model in models)",
+     "rows chunked with no regard to their wider blocks"),
+    ("chunk_key_no_lone", "src/qemsim/noise.py",
+     "kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)",
+     "kinds = ({len(support) == 1 for support, _ in _components(model)} - {True} for model in models)",
+     "rows chunked with no regard to their 1-qubit blocks"),
     ("reader_not_finite", "src/qemsim/paulis.py",
      "if not math.isfinite(value):", "if False:",
      "the number reader accepting nan and inf"),
