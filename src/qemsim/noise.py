@@ -58,9 +58,9 @@ no 1-qubit block of its own takes it through the identity there).  Any
 other gate, every gate where no row has a 1-qubit block, and the last
 gate are a pass of their own: one kernel call on all rows, which makes a
 new stack that the interval after it steps and may overwrite.  A gate's
-op is built at its first use and kept on the gate; a fold is kept on the
-propagator until its gate is freed.  Each wider block is then a kernel on just the
-rows holding it, called like a `state.LocalOp`.  A dense one is a
+op is built at its first use and kept on the gate; a fold is built once
+per run, which holds its gate.  Each wider block is then a kernel on just
+the rows holding it, called like a `state.LocalOp`.  A dense one is a
 `LocalOp` of its matrix, by highest qubit, descending; each distinct one
 is built once.  The wide blocks go last, in layers: layer j is one
 `_Wide` on the rows that have a j-th wide block (each row's by highest
@@ -79,24 +79,24 @@ pays before every gate, since no pass holds a kernel's interval.  A run
 with no kernel bound from a `circuit.Circuit` takes each fixed run, a
 maximal run of folded gates that are the Circuit's own fixed gates, as
 one pass, composed left to right on its own before it multiplies into
-the pending one; from its second run of that Circuit on, a propagator
-keeps these passes, so a noisy VQE's evaluations reuse them, while a
-mitigation's propagator, which runs once, keeps none.  `run_noisy_batch`
-chunks rows by the widths of block they hold: 1-qubit blocks alone,
-wider ones alone, both, or none.  So no chunk mixes rows with and without
-a product pass, or rows whose passes compose with rows that pay every
-interval, and each row's arithmetic is that of its run alone, whatever
+the pending one; a propagator keeps these passes for the last Circuit it
+ran, from its second run of it on, so a noisy VQE's evaluations reuse
+them, while a mitigation's propagator, which runs once, keeps none.
+`run_noisy_batch` chunks rows by the widths of block they hold: 1-qubit
+blocks alone, wider ones alone, both, or none.  So no chunk mixes rows
+with and without a product pass, or rows whose passes compose with rows
+that pay every interval, and each row's arithmetic is that of its run alone, whatever
 rows share its batch, from two qubits up (on one, a gate's product of a
 one-row stack can round differently).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterator
 from itertools import chain, groupby
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -207,9 +207,13 @@ class PropagatorConfig:
 def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     check_real("scale factor", factor, 0)
     chosen = set(indices)
-    outside = chosen - set(range(len(model)))
+    # True == 1 and 1.0 == 1, so either would pick term 1
+    outside = {i for i in chosen if isinstance(i, bool) or not isinstance(i, Integral)}
+    outside |= chosen - set(range(len(model)))
     if outside:
-        raise ValueError(f"term indices {sorted(outside)} out of range for {len(model)} terms")
+        raise ValueError(
+            f"term indices {sorted(outside, key=repr)} out of range for {len(model)} terms"
+        )
     return NoiseModel(
         tuple(
             replace(t, rate=t.rate * factor) if i in chosen else t
@@ -439,13 +443,15 @@ class IntervalPropagator:
     it is empty if no row has one.  An entry is held as a transposed view,
     the right factor of a shuffle step: a transposed copy would send BLAS
     to a kernel whose sums round differently.  `stacks` lists the entries
-    as (qubits, entry) pairs, top first, and `entry` maps each qubit to the
-    index of its entry there.  `folds` keeps the passes with a gate folded
-    in (`_fold`), and `plans` the fixed runs of a Circuit's bindings
-    (`_steps`).  `kernels` holds the wider components as (kernel, rows)
-    pairs, each kernel taking the stack of its rows (see `_row_index`) and
-    returning it stepped: the dense ones' `state.LocalOp`s, then one
-    `_Wide` per layer, in the module docstring's order.  Rows are numbered from `first_row` in error messages.
+    as (qubits, entry) pairs, top first, and `entry` maps the qubits of
+    each gate that one entry holds (each qubit, each pair in either order)
+    to that entry's index.  `kept` is the last Circuit whose bindings ran
+    and its fixed runs, once kept (`_steps`).  `kernels` holds the wider
+    components as (kernel, rows) pairs, each kernel taking the stack of
+    its rows (see `_row_index`) and returning it stepped: the dense ones'
+    `state.LocalOp`s, then one `_Wide` per layer, in the module
+    docstring's order.  Rows are numbered from `first_row` in error
+    messages.
     """
 
     def __init__(
@@ -482,9 +488,8 @@ class IntervalPropagator:
             self.product = tuple(group.transpose(0, 1, 3, 2) for group in groups)
             qubits = [(n_qubits - 1,)] * odd + [(q, q - 1) for q in range(top, 0, -2)]
             self.stacks = list(zip(qubits, (m_t for group in self.product for m_t in group)))
-        self.entry = {q: at for at, (qubits, _) in enumerate(self.stacks) for q in qubits}
-        self.folds = {}  # id(gate): (weak reference to the gate, its `_fold`)
-        self.plans = {}  # id(Circuit): (weak reference to it, its `_plan` once kept)
+        self.entry = {g: at for at, (qs, _) in enumerate(self.stacks) for g in [qs, qs[::-1], *zip(qs)]}
+        self.kept = None, None  # a Circuit and its `_plan`, once kept
         self.kernels = []
         for terms in sorted(held, key=_support, reverse=True):
             op = LocalOp(_block(terms, cfg), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
@@ -495,19 +500,14 @@ class IntervalPropagator:
             step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
             self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
-    def _fold(self, gate):
+    def _fold(self, gate, folds):
         """`product` with `gate` folded into the one entry that holds all its
         qubits: each row's M there becomes M @ S, S = kron(U, conj(U)) on
-        the entry's paired axes; None if no one entry holds the gate, at
-        once if there is no product pass.  Built at the gate's first use
-        and kept in `folds` (`_keep`)."""
-        if not self.stacks:
-            return None
-        found = self.folds.get(id(gate))
-        if found is not None:
-            return found[1]
-        at, folded = self.entry.get(gate.qubits[0]), None
-        if at is not None and all(self.entry.get(q) == at for q in gate.qubits):
+        the entry's paired axes; None if no one entry holds the gate.  Built
+        at the gate's first use in a run and kept in the run's `folds`, by
+        id(gate), which the run's circuit keeps alive."""
+        at = self.entry.get(gate.qubits)
+        if at is not None and id(gate) not in folds:
             qubits, _ = self.stacks[at]
             k = int(at >= len(self.product[0]))  # the entry's group, and its place there
             i = at - k * len(self.product[0])
@@ -517,37 +517,28 @@ class IntervalPropagator:
             op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
             group = self.product[k].transpose(0, 1, 3, 2).copy()  # each M as built
             group[i] = op(group[i])
-            folded = self.product[:k] + (group.transpose(0, 1, 3, 2),) + self.product[k + 1 :]
-        return self._keep("folds", gate, folded)
+            folds[id(gate)] = (*self.product[:k], group.transpose(0, 1, 3, 2), *self.product[k + 1 :])
+        return folds.get(id(gate))
 
-    def _keep(self, table: str, obj, value):
-        """`value`, kept in the dict attribute `table` under id(obj) until
-        obj or the propagator is freed: obj's death drops the entry, by a
-        callback that holds the propagator weakly.  Two threads may both
-        keep one; the values they keep are equal."""
-        owner, key = weakref.ref(self), id(obj)
-        ref = weakref.ref(obj, lambda _: (p := owner()) and getattr(p, table).pop(key, None))
-        getattr(self, table)[key] = ref, value
-        return value
-
-    def _plan(self, gates, slots) -> Iterator[tuple]:
+    def _plan(self, gates, slots, folds) -> Iterator[tuple]:
         """(i, pass) for each gate of a binding but the last, made as they
         are taken: pass None for a gate to look up, but each fixed run is
         one pass, its gates' folds composed left to right, at the position
         of its last gate.  A fixed run is a maximal run of gates that fold
-        and are their Circuit's own, gates[i] is slots[i] (see `_steps`)."""
+        and are their Circuit's own, gates[i] is slots[i] (see `_steps`);
+        `folds` is the run's (see `_fold`)."""
 
         def fixed(i):
-            return gates[i] is slots[i] and self._fold(gates[i]) is not None
+            return gates[i] is slots[i] and self._fold(gates[i], folds) is not None
 
         for is_fixed, run in groupby(range(len(gates) - 1), key=fixed):
             if not is_fixed:
                 yield from ((i, None) for i in run)
                 continue
             run = list(run)
-            product = self._fold(gates[run[0]])
+            product = self._fold(gates[run[0]], folds)
             for i in run[1:]:
-                product = tuple(map(np.matmul, product, self._fold(gates[i])))
+                product = tuple(map(np.matmul, product, self._fold(gates[i], folds)))
             yield run[-1], product
 
     def _steps(self, circuit) -> Iterator[tuple]:
@@ -555,21 +546,24 @@ class IntervalPropagator:
         `_fold`, None for a gate that does not fold and for the last gate;
         but where the circuit was bound from a `circuit.Circuit` and there
         is no kernel, each fixed run is one step (`_plan`), at its last
-        gate.  A Circuit's plan is kept from its second run on, until the
-        Circuit or the propagator is freed; a run that uses it does what
-        building it does, bit for bit."""
+        gate.  `kept` holds the last Circuit run: its first run marks it
+        seen, its second keeps its plan, and a run of another Circuit takes
+        the slot.  A run that uses a kept plan does what building it does,
+        bit for bit.  Each run folds into a `folds` dict of its own."""
         gates, source = circuit.gates, vars(circuit).get("_circuit")
+        folds = {}  # id(gate): its `_fold`, for this run only
         if source is None or self.kernels:
             plan = ((i, None) for i in range(len(gates) - 1))
         else:
-            _, plan = self.plans.get(id(source), (None, None))
-            if plan is None:
-                plan = self._plan(gates, source._slots)
-                if id(source) in self.plans:  # the second run keeps the plan
-                    plan = self._keep("plans", source, list(plan))
-                else:  # the first marks the Circuit seen, so a propagator
-                    self._keep("plans", source, None)  # run once keeps none
-        steps = ((gates[i], self._fold(gates[i]) if p is None else p) for i, p in plan)
+            seen, plan = self.kept
+            if seen is not source or plan is None:
+                plan = self._plan(gates, source._slots, folds)
+                if seen is source:  # the second run keeps the plan
+                    plan = list(plan)
+                    self.kept = source, plan
+                else:  # the first marks the Circuit seen, so a run once keeps none
+                    self.kept = source, None
+        steps = ((gates[i], self._fold(gates[i], folds) if p is None else p) for i, p in plan)
         return chain(steps, [(gate, None) for gate in gates[-1:]])
 
     def propagate(self, rho: PairedDensity, product=None) -> PairedDensity:

@@ -1106,8 +1106,10 @@ class TestModelEditing:
         scaled = scale_terms(model, [1], 3.0)
         assert scaled.terms[1].rate == pytest.approx(0.3)
         assert scaled.terms[0].rate == pytest.approx(0.1)
+        assert scale_terms(model, [np.int64(1)], 3.0) == scaled
 
-    @pytest.mark.parametrize("indices", [[3], [7], [-1], [0, 3]])
+    # True and 1.0 each equal 1, and used to remove term 1
+    @pytest.mark.parametrize("indices", [[3], [7], [-1], [0, 3], [True], [1.0], [0, "1"]])
     def test_index_outside_the_model_is_refused(self, indices):
         # such a "removal" used to return the full-noise model unchanged
         model = build_template_model("gamma1", 3, 0.1)
@@ -1149,45 +1151,37 @@ class TestParallelSafety:
         for r in results:
             assert np.array_equal(r.data, serial.data)
 
-    def test_threads_may_build_the_same_fold(self):
-        # a propagator with a product pass and a row with no 1-qubit block,
-        # which takes each folded gate through the identity in its entry:
-        # right, though not its run alone bit for bit, which `_chunks` keeps
-        # by running it apart.  Threads that build a gate's fold at once
-        # keep one of two equal folds
+    def test_threads_may_replace_the_kept_plan(self):
+        # threads run bindings of two Circuits on one propagator, so its one
+        # kept plan is marked, kept and replaced under them; a run reads the
+        # slot once and folds into a dict of its own, so each result is a
+        # fresh propagator's bit for bit
         from concurrent.futures import ThreadPoolExecutor
 
         n = 4
         model = build_template_model("gamma1_gamma2", n, 0.02)
-        bare = q.NoiseModel((q.LindbladTerm("correlated", (3, 0), 0.02),))
-        propagator = IntervalPropagator([model, bare, model], n, q.PropagatorConfig(substeps=4))
-        # three gates that fold and one across the pairs, which does not
-        gates = (
-            q.BoundGate("H", (0,)),
-            q.BoundGate("CNOT", (1, 0)),
-            q.BoundGate("Ry", (3,), 0.4),
-            q.BoundGate("CNOT", (1, 2)),
-        )
-        circuit = q.BoundCircuit(n, gates * 3)
+        cfg = q.PropagatorConfig(substeps=4)
+        circuits = [q.build_ansatz(q.AnsatzSpec("Entangling", layers=k), n) for k in (1, 2)]
+        rng = np.random.default_rng(5)
+        jobs = [(c, rng.uniform(-3, 3, c.n_params)) for c in circuits for _ in range(3)]
+        psi = q.new_statevector(n)
+        want = [IntervalPropagator([model], n, cfg).run(psi, q.bind(c, t)) for c, t in jobs]
+        propagator = IntervalPropagator([model], n, cfg)
 
-        def run(_):
-            return propagator.run(q.new_statevector(n), circuit)
+        def run(job):
+            circuit, theta = job
+            return propagator.run(psi, q.bind(circuit, theta))
 
-        serial = run(None)
-        assert [fold is not None for _, fold in propagator.folds.values()] == [True] * 3 + [False]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(4):
-                propagator.folds.clear()
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    results = list(pool.map(run, range(4), timeout=120))
-                for rows in results:
-                    for got, want in zip(rows, serial):
-                        assert np.array_equal(got.data, want.data)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, jobs * 8, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        assert len(propagator.folds) == 4
+        for (got,), (expected,) in zip(results, want * 8):
+            assert np.array_equal(got.data, expected.data)
+        assert propagator.kept[0] in circuits
 
     def test_threads_share_a_propagator_with_a_wide_block(self):
         # each call makes its own work stacks, so threads may share the

@@ -837,7 +837,7 @@ def test_folded_gate_matches_the_gate_then_the_interval(case):
     # the pass's entries: the lone top qubit at odd n, then the pairs
     entry = {k: "top" if n % 2 and k == n - 1 else k // 2 for k in range(n)}
     fits = len({entry[k] for k in gate.qubits}) == 1 and propagator.stacks != []
-    fold = propagator._fold(gate)
+    fold = propagator._fold(gate, {})
     assert (fold is not None) == fits
     rng = np.random.default_rng(seed)
     data = np.stack([pair(random_density_matrix(n, rng)).data for _ in rows])

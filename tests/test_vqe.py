@@ -39,10 +39,10 @@ class TestEnergyObjective:
         assert energy_objective(noisy, []) == pytest.approx(want, abs=1e-9)
 
     def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit):
-        # the problem's propagator keeps a Circuit's fixed runs from its
-        # second run on; each Param gate dies with its binding, and a later
-        # one may take its id, so every run, at any theta and of another
-        # Circuit of as many gates, must be a fresh propagator's bit for bit
+        # the problem's propagator keeps the last Circuit's fixed runs from
+        # its second run on, and each run folds its gates afresh: every run,
+        # at any theta and of another Circuit of as many gates, must be a
+        # fresh propagator's bit for bit
         model = build_template_model("gamma1_gamma2", 4, 1e-3)
         problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model)
         gates = h2_uccsd_circuit.gates
@@ -57,29 +57,29 @@ class TestEnergyObjective:
                 fresh = noise.IntervalPropagator([model], 4, problem.propagator)
                 (want,) = fresh.run(psi, q.bind(circuit, theta))
                 assert np.array_equal(got.data, want.data)
-        plans = problem._intervals.plans
-        assert len(plans) == 2 and all(plan is not None for _, plan in plans.values())
+        seen, plan = problem._intervals.kept
+        assert seen is other and isinstance(plan, list)
         for theta in thetas:
             rho = q.run_noisy_circuit(psi, q.bind(h2_uccsd_circuit, theta), model)
             assert energy_objective(problem, theta) == q.expectation(rho, h2_hamiltonian)
 
-    def test_the_propagator_keeps_folds_of_live_gates_only(self):
-        # the fixed gates every binding shares are folded once per problem;
-        # a Param gate's fold goes with its binding
+    def test_the_propagator_keeps_one_plan_and_nothing_per_gate(self):
+        # a run's folds go with the run; the propagator keeps only its one
+        # slot, the Circuit and, from its second run on, its fixed runs
         n = 3
         circuit = q.build_ansatz(q.AnsatzSpec("Entangling", layers=1), n)
         ham = q.PauliSum([(1.0, q.PauliString({0: "Z", 2: "X"}))], n)
         problem = q.VqeProblem(ham, circuit, build_template_model("gamma1_gamma2", n, 0.01))
-        fixed = {id(g) for g in circuit._slots if isinstance(g, q.BoundGate)}
-        rng = np.random.default_rng(0)
+        propagator, rng = problem._intervals, np.random.default_rng(0)
+        keys = set(vars(propagator))
         energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
-        folds = problem._intervals.folds
-        first = {key: fold for key, (_, fold) in folds.items()}
-        assert 0 < len(first) and set(first) <= fixed
+        assert propagator.kept == (circuit, None)
+        energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
+        seen, plan = propagator.kept
+        assert seen is circuit and any(step is not None for _, step in plan)
         for _ in range(1000):
             energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
-            assert len(folds) <= len(fixed) + len(circuit._params)
-        assert {key: fold for key, (_, fold) in folds.items()} == first
+            assert set(vars(propagator)) == keys and propagator.kept[1] is plan
 
     def test_pickled_problem_leaves_its_propagator_behind(self):
         circuit = q.Circuit(1, (q.Gate("Rx", (0,), Param(0)), q.Gate("X", (0,))), 1)

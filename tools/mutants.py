@@ -8,10 +8,11 @@ Each entry of MUTANTS replaces one line's text in one file under `src`
 11(4), 34, 1978).  For each mutant, one at a time, the script copies the
 working tree (tracked and untracked files, ignored ones left out, as
 `bench_pairs.py` extracts it) into a fresh temporary directory, applies
-the mutant there, runs tier-1 with `-x -q` and prints `killed` if a test
-failed, `survived` if every test passed, or `error` for any other pytest
-exit, with the seconds the run took and the first test that failed.  The
-exit status is 1 if any mutant was not killed.  A mutant is a fault
+the mutant there, runs tier-1 with `-x -q` and hypothesis seed 0 (so a
+rerun draws the same examples) and prints `killed` if a test failed,
+`survived` if every test passed, or `error` for any other pytest exit,
+with the seconds the run took and the first test that failed.  The exit
+status is 1 if any mutant was not killed.  A mutant is a fault
 tier-1 should catch, so every one should be killed; a survivor names a
 check that no test exercises.
 
@@ -92,14 +93,19 @@ MUTANTS = [
     ("plan_across_kernel", "src/qemsim/noise.py",
      "if source is None or self.kernels:", "if source is None:",
      "a Circuit's fixed runs composed across a kernel's intervals"),
-    ("kept_plan_other_circuit", "src/qemsim/noise.py",
-     "_, plan = self.plans.get(id(source), (None, None))",
-     "_, plan = next(iter(self.plans.values()), (None, None))",
-     "the first kept fixed runs reused for any other Circuit"),
     ("kept_plan_other_theta", "src/qemsim/noise.py",
-     "return gates[i] is slots[i] and self._fold(gates[i]) is not None",
-     "return self._fold(gates[i]) is not None",
+     "return gates[i] is slots[i] and self._fold(gates[i], folds) is not None",
+     "return self._fold(gates[i], folds) is not None",
      "a Param gate's fold kept in a fixed run, so reused at another theta"),
+    ("kept_plan_other_circuit", "src/qemsim/noise.py",
+     "if seen is not source or plan is None:", "if plan is None:",
+     "the kept fixed runs reused for another Circuit"),
+    ("folds_across_runs", "src/qemsim/noise.py",
+     "folds = {}  # id(gate)", 'folds = vars(self).setdefault("folds", {})  # id(gate)',
+     "folds kept across runs by id, so a dead gate's fold serves a new one"),
+    ("entry_one_pair_order", "src/qemsim/noise.py",
+     "for g in [qs, qs[::-1], *zip(qs)]", "for g in [qs, *zip(qs)]",
+     "a gate on a pair in descending order left unfolded"),
     ("chunk_key_no_wider", "src/qemsim/noise.py",
      "kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)",
      "kinds = ({len(support) == 1 for support, _ in _components(model)} - {False} for model in models)",
@@ -126,13 +132,19 @@ MUTANTS = [
     ("param_prefactor", "src/qemsim/circuit.py",
      'check_real("prefactor", self.prefactor)', "pass",
      "`Param` prefactor unchecked"),
+    ("scale_terms_any_type", "src/qemsim/noise.py",
+     "outside = {i for i in chosen if isinstance(i, bool) or not isinstance(i, Integral)}",
+     "outside = set()",
+     "`scale_terms` taking True or 1.0 as term 1"),
     ("ladder_unfittable", "src/qemsim/experiments.py",
      "if not all(0 < e < math.inf for e in errors):", "if False:",
      "`scaling_ladder` fitting an error of 0"),
 ]
 
-# tier-1 but the list's own test, which fails on any mutated tree
-TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
+# tier-1 but the list's own test, which fails on any mutated tree; a fixed
+# hypothesis seed gives each mutant the same examples, and so one verdict
+TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py",
+         "--hypothesis-seed=0"]
 
 
 def mutate(tree: Path, file: str, original: str, mutated: str) -> None:
