@@ -52,48 +52,49 @@ kron(P_2j+1, P_2j) is one batched matmul that applies it to the leading
 qubits of every row and rotates them to the end.  A gate whose qubits
 lie in one entry of that pass (a 1-qubit gate, the lone top qubit at odd
 n included, or a 2-qubit gate on both qubits of a pair) is folded into
-it: the entry M becomes M @ S, S = kron(U, conj(U)), so the interval
+it: its S = kron(U, conj(U)) multiplies into the entry, so the interval
 after the gate applies gate and noise in the same matmuls (a row with
 no 1-qubit block of its own takes it through the identity there).  Any
 other gate, every gate where no row has a 1-qubit block, and the last
 gate are a pass of their own: one kernel call on all rows, which makes a
 new stack that the interval after it steps and may overwrite.  A gate's
-op is built at its first use and kept on the gate; a fold is built once
-per run, which holds its gate.  Each wider block is then a kernel on just
-the rows holding it, called like a `state.LocalOp`.  A dense one is a
-`LocalOp` of its matrix, by highest qubit, descending; each distinct one
-is built once.  The wide blocks go last, in layers: layer j is one
-`_Wide` on the rows that have a j-th wide block (each row's by highest
-qubit, descending), with one `_generator` of all their blocks, so a row
-never gets the summed generator of two of its blocks (whose RK4 step
-differs at O(h^5)); it steps its rows in place, in two work stacks of
-its own call.
+op is built at its first use and kept on the gate.  Each wider block is
+then a kernel on just the rows holding it, called like a
+`state.LocalOp`.  A dense one is a `LocalOp` of its matrix, by highest
+qubit, descending; each distinct one is built once.  The wide blocks go
+last, in layers: layer j is one `_Wide` on the rows that have a j-th
+wide block (each row's by highest qubit, descending), with one
+`_generator` of all their blocks, so a row never gets the summed
+generator of two of its blocks (whose RK4 step differs at O(h^5)); it
+steps its rows in place, in two work stacks of its own call.
 
 A run owes the pass of each interval to rho until it must pay it.  Two
 product passes compose entry by entry, (A2 x B2)(A1 x B1) = A2 A1 x
 B2 B1 (the mixed-product rule behind the shuffle algorithm), so rho owes
-one pending pass, into which each folded gate's pass multiplies by one
-batched matmul per entry size; rho pays it, then the kernels, before a
-gate of its own, the last gate among them.  A propagator with a kernel
-pays before every gate, since no pass holds a kernel's interval.  A run
-with no kernel bound from a `circuit.Circuit` takes each fixed run, a
-maximal run of folded gates that are the Circuit's own fixed gates, as
-one pass, composed left to right on its own before it multiplies into
-the pending one; a propagator keeps these passes for the last Circuit it
-ran, from its second run of it on, so a noisy VQE's evaluations reuse
-them, while a mitigation's propagator, which runs once, keeps none.
-`run_noisy_batch` chunks rows by the widths of block they hold: 1-qubit
-blocks alone, wider ones alone, both, or none.  So no chunk mixes rows
-with and without a product pass, or rows whose passes compose with rows
-that pay every interval, and each row's arithmetic is that of its run alone, whatever
-rows share its batch, from two qubits up (on one, a gate's product of a
-one-row stack can round differently).
+one pending pass, which it pays, then the kernels, before a gate of its
+own, the last gate among them; with a kernel, before every gate, since
+no pass holds a kernel's interval.  A run takes one flat list of steps
+(`IntervalPropagator._plan`): a gate of its own; a `Param` gate of a
+`circuit.Circuit` in one entry, whose S multiplies into that entry of
+the pending pass before the plain pass after it composes in; or a fixed
+gate's fold, the plain pass after it with its S, built once a plan.
+Without kernels each maximal run of fixed folds composes once, into the
+plain pass that the step before it brings; with kernels each fold is a
+step of its own.  A propagator keeps the plan of the last Circuit it
+ran, from its second run of it on, so a noisy VQE's evaluations compose
+only their Param gates, while a mitigation's propagator, which runs
+once, keeps none.  `run_noisy_batch` chunks rows by the widths of block
+they hold: 1-qubit blocks alone, wider ones alone, both, or none.  So no
+chunk mixes rows with and without a product pass, or rows whose passes
+compose with rows that pay every interval, and each row's arithmetic is
+that of its run alone, whatever rows share its batch, from two qubits up
+(on one, a gate's product of a one-row stack can round differently).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, groupby
+from itertools import groupby
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
@@ -106,6 +107,7 @@ from .state import (
     LocalOp,
     PairedDensity,
     StateVector,
+    _gate_op,
     _kron,
     _paired_diagonal,
     apply_gate,
@@ -436,22 +438,21 @@ def _row_index(rows: list[int], n_rows: int):
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the module
-    docstring).  `product` is the product pass, top first, as one stack
-    per entry size: a (1, rows, 4, 4) one for the lone top qubit at odd n,
-    then a (pairs, rows, 16, 16) one for the qubit pairs, each row's entry
-    the kron of its 1-qubit channels there, the identity where it has none;
-    it is empty if no row has one.  An entry is held as a transposed view,
-    the right factor of a shuffle step: a transposed copy would send BLAS
-    to a kernel whose sums round differently.  `stacks` lists the entries
-    as (qubits, entry) pairs, top first, and `entry` maps the qubits of
-    each gate that one entry holds (each qubit, each pair in either order)
-    to that entry's index.  `kept` is the last Circuit whose bindings ran
-    and its fixed runs, once kept (`_steps`).  `kernels` holds the wider
-    components as (kernel, rows) pairs, each kernel taking the stack of
-    its rows (see `_row_index`) and returning it stepped: the dense ones'
-    `state.LocalOp`s, then one `_Wide` per layer, in the module
-    docstring's order.  Rows are numbered from `first_row` in error
-    messages.
+    docstring).  `product` is the product pass, top first: a (rows, 4, 4)
+    entry for the lone top qubit at odd n, then a (rows, 16, 16) one per
+    qubit pair, each row's entry the kron of its 1-qubit channels there,
+    the identity where it has none; it is empty if no row has one.  An
+    entry is held as a transposed view, the right factor of a shuffle step:
+    a transposed copy would send BLAS to a kernel whose sums round
+    differently.  `stacks` pairs each entry with its qubits, and `entry`
+    maps the qubits of each gate that one entry holds (each qubit, each
+    pair in either order) to that entry's index.  `kept` is the last
+    Circuit whose bindings ran and its plan, once kept (`_steps`).
+    `kernels` holds the wider components as (kernel, rows) pairs, each
+    kernel taking the stack of its rows (see `_row_index`) and returning
+    it stepped: the dense ones' `state.LocalOp`s, then one `_Wide` per
+    layer, in the module docstring's order.  Rows are numbered from
+    `first_row` in error messages.
     """
 
     def __init__(
@@ -485,9 +486,9 @@ class IntervalPropagator:
             groups = [channels[-1:]] * odd
             if n_qubits > 1:
                 groups.append(_kron(channels[top:0:-2], channels[top - 1 :: -2]))
-            self.product = tuple(group.transpose(0, 1, 3, 2) for group in groups)
+            self.product = tuple(m_t for group in groups for m_t in group.transpose(0, 1, 3, 2))
             qubits = [(n_qubits - 1,)] * odd + [(q, q - 1) for q in range(top, 0, -2)]
-            self.stacks = list(zip(qubits, (m_t for group in self.product for m_t in group)))
+            self.stacks = list(zip(qubits, self.product))
         self.entry = {g: at for at, (qs, _) in enumerate(self.stacks) for g in [qs, qs[::-1], *zip(qs)]}
         self.kept = None, None  # a Circuit and its `_plan`, once kept
         self.kernels = []
@@ -500,86 +501,81 @@ class IntervalPropagator:
             step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
             self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
 
-    def _fold(self, gate, folds):
-        """`product` with `gate` folded into the one entry that holds all its
-        qubits: each row's M there becomes M @ S, S = kron(U, conj(U)) on
-        the entry's paired axes; None if no one entry holds the gate.  Built
-        at the gate's first use in a run and kept in the run's `folds`, by
-        id(gate), which the run's circuit keeps alive."""
-        at = self.entry.get(gate.qubits)
-        if at is not None and id(gate) not in folds:
-            qubits, _ = self.stacks[at]
-            k = int(at >= len(self.product[0]))  # the entry's group, and its place there
-            i = at - k * len(self.product[0])
-            axes = paired_axes([q - qubits[-1] for q in gate.qubits], len(qubits))
-            # row i of M @ S is S^T on row i of M, and S^T is the S of U^T
-            u = gate.matrix().T
-            op = LocalOp(_kron(u, u.conj()), axes[0::2] + axes[1::2], 2 * len(qubits))
-            group = self.product[k].transpose(0, 1, 3, 2).copy()  # each M as built
-            group[i] = op(group[i])
-            folds[id(gate)] = (*self.product[:k], group.transpose(0, 1, 3, 2), *self.product[k + 1 :])
-        return folds.get(id(gate))
+    def _into(self, pending, gate, at, product) -> tuple:
+        """The pass `pending` (None for none), then `gate`, which entry `at`
+        holds, then the pass `product`, as one new pass.  The gate's op on
+        the entry's qubits takes S = kron(U, conj(U)) on each row of
+        pending's stored P^T there, which makes P^T S^T, and that composes
+        with product's entry; pending and product are left as they are.
+        With no pass owed it is the identity's: the entry is S^T M^T."""
+        qubits, _ = self.stacks[at]
+        # a Param gate keeps its op for its binding's next use of it (see
+        # `state.gate_op`); a fold is kept in a plan, and its op is not
+        build = _gate_op if pending is None else gate_op
+        op = build(gate, len(qubits), PairedDensity, qubits[-1])
+        if pending is None:
+            entry = op(np.eye(4 ** len(qubits), dtype=complex)) @ product[at]
+            return (*product[:at], entry, *product[at + 1 :])
+        pending = list(pending)
+        pending[at] = op(pending[at])
+        return tuple(map(np.matmul, pending, product))
 
-    def _plan(self, gates, slots, folds) -> Iterator[tuple]:
-        """(i, pass) for each gate of a binding but the last, made as they
-        are taken: pass None for a gate to look up, but each fixed run is
-        one pass, its gates' folds composed left to right, at the position
-        of its last gate.  A fixed run is a maximal run of gates that fold
-        and are their Circuit's own, gates[i] is slots[i] (see `_steps`);
-        `folds` is the run's (see `_fold`)."""
+    def _plan(self, gates, slots) -> Iterator[tuple]:
+        """(i, at, pass) for each step of a run of `gates`, made as they are
+        taken (see the module docstring); gate j is its Circuit's own fixed
+        gate where it is slots[j].  A gate of its own, the last among them,
+        has at None, a folded Param gate its entry, and the step of a fixed
+        gate's fold i None.  Each fold is built once a plan; without
+        kernels, a run of folds composes into the pass of the step before."""
+        folds, step, last = {}, None, len(gates) - 1  # folds: id(gate): its fold
+        for j, gate in enumerate(gates):
+            at = self.entry.get(gate.qubits) if j < last else None
+            if at is None or gate is not slots[j]:
+                made = j, at, self.product
+            else:  # a fixed gate
+                if id(gate) not in folds:
+                    folds[id(gate)] = self._into(None, gate, at, self.product)
+                if step is not None and not self.kernels:
+                    step = *step[:2], tuple(map(np.matmul, step[2], folds[id(gate)]))
+                    continue
+                made = None, None, folds[id(gate)]
+            if step is not None:
+                yield step
+            step = made
+        if step is not None:
+            yield step
 
-        def fixed(i):
-            return gates[i] is slots[i] and self._fold(gates[i], folds) is not None
-
-        for is_fixed, run in groupby(range(len(gates) - 1), key=fixed):
-            if not is_fixed:
-                yield from ((i, None) for i in run)
-                continue
-            run = list(run)
-            product = self._fold(gates[run[0]], folds)
-            for i in run[1:]:
-                product = tuple(map(np.matmul, product, self._fold(gates[i], folds)))
-            yield run[-1], product
-
-    def _steps(self, circuit) -> Iterator[tuple]:
-        """(gate, pass) for each gate of `circuit`, in order: the gate's
-        `_fold`, None for a gate that does not fold and for the last gate;
-        but where the circuit was bound from a `circuit.Circuit` and there
-        is no kernel, each fixed run is one step (`_plan`), at its last
-        gate.  `kept` holds the last Circuit run: its first run marks it
-        seen, its second keeps its plan, and a run of another Circuit takes
-        the slot.  A run that uses a kept plan does what building it does,
-        bit for bit.  Each run folds into a `folds` dict of its own."""
+    def _steps(self, circuit):
+        """`_plan` of `circuit`, each of its gates fixed unless it was bound
+        from a `circuit.Circuit`, whose Param gates are not.  `kept` holds
+        the last Circuit run: its first run marks it seen, its second keeps
+        its plan, and a run of another Circuit takes the slot.  A run that
+        uses a kept plan does what building it does, bit for bit."""
         gates, source = circuit.gates, vars(circuit).get("_circuit")
-        folds = {}  # id(gate): its `_fold`, for this run only
-        if source is None or self.kernels:
-            plan = ((i, None) for i in range(len(gates) - 1))
-        else:
-            seen, plan = self.kept
-            if seen is not source or plan is None:
-                plan = self._plan(gates, source._slots, folds)
-                if seen is source:  # the second run keeps the plan
-                    plan = list(plan)
-                    self.kept = source, plan
-                else:  # the first marks the Circuit seen, so a run once keeps none
-                    self.kept = source, None
-        steps = ((gates[i], self._fold(gates[i], folds) if p is None else p) for i, p in plan)
-        return chain(steps, [(gate, None) for gate in gates[-1:]])
+        if source is None:
+            return self._plan(gates, gates)
+        seen, plan = self.kept
+        if seen is not source or plan is None:
+            plan = self._plan(gates, source._slots)
+            if seen is source:  # the second run keeps the plan
+                plan = list(plan)
+                self.kept = source, plan
+            else:  # the first marks the Circuit seen, so a run once keeps none
+                self.kept = source, None
+        return plan
 
     def propagate(self, rho: PairedDensity, product=None) -> PairedDensity:
         """One interval on every row of rho, whose stack it may overwrite:
         the product pass, then the kernels.  A `product` given is the pass
-        in place of the interval's own: a fold, or a composed run of them
-        (see `run`).  Work stacks belong to a call, so threads can share a
-        propagator."""
+        in place of the interval's own, the pass owed (see `run`).  Work
+        stacks belong to a call, so threads can share a propagator."""
         data = rho.data
-        for group in product or self.product:
-            for m_t in group:
-                # The shuffle step: the leading qubits of each row, viewed as
-                # (d, K), take their channel as x^T M^T and so rotate to the
-                # end; after the last entry every qubit is back in place.
-                x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
-                data = np.matmul(x, m_t)
+        for m_t in product or self.product:
+            # The shuffle step: the leading qubits of each row, viewed as
+            # (d, K), take their channel as x^T M^T and so rotate to the
+            # end; after the last entry every qubit is back in place.
+            x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
+            data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
         for kernel, rows in self.kernels:
             if rows is None:
@@ -604,27 +600,29 @@ class IntervalPropagator:
         each from state0: the final state of each row, in order.  With no
         channel a StateVector start stays a StateVector, and the run is one
         op per gate of the circuit's `fused()` on it; else each row ends as
-        a DensityMatrix, by `finish`: rho owes a pending pass, and each step
-        of `_steps` with a pass multiplies it in, entry by entry.  A gate of
-        its own is `apply_gate`, after `propagate` pays the pass owed before
-        it, and the plain `product` of the interval after it starts the next
-        pending pass; the one after the last gate is dropped.  With kernels
-        `propagate` pays before every gate."""
+        a DensityMatrix, by `finish`, through the steps of `_steps`.
+        Before each step but a folded Param gate's (before every step, with
+        kernels) `propagate` pays the pass owed; a gate of its own is then
+        `apply_gate`, and the step's pass is owed, in a Param gate's step
+        after the gate has multiplied into the pass owed (`_into`).  The
+        pass after the last gate is dropped."""
         if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
                 data = gate_op(gate, n, StateVector)(data)
             return [StateVector(state0.n_qubits, data.copy()) for _ in range(self.n_rows)]
-        state = _stack(state0, self.n_rows)
+        state, gates = _stack(state0, self.n_rows), circuit.gates
         pending = None  # the pass rho owes: (A2 x B2)(A1 x B1) = A2 A1 x B2 B1
-        for gate, product in self._steps(circuit):
+        for i, at, product in self._steps(circuit):
             # no pass holds a kernel's interval, so with kernels rho pays
             # before every gate
-            if pending is not None and (product is None or self.kernels):
+            if pending is not None and (at is None or self.kernels):
                 state, pending = self.propagate(state, pending), None
-            if product is None:
-                state, product = apply_gate(state, gate), self.product
-            pending = product if pending is None else tuple(map(np.matmul, pending, product))
+            if at is not None:
+                product = self._into(pending, gates[i], at, product)
+            elif i is not None:
+                state = apply_gate(state, gates[i])
+            pending = product
         return self.finish(state)
 
 

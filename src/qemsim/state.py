@@ -251,13 +251,14 @@ def new_pure_ground(n_qubits: int) -> DensityMatrix:
     return new_statevector(n_qubits).to_density_matrix()
 
 
-def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
+def _gate_op(gate, n_qubits: int, layout: type, low: int = 0) -> LocalOp:
     """A gate, bound or fused, as one read-only LocalOp on a state of
-    class `layout`: U on axes n-1-q of a StateVector, or kron(U, conj(U))
-    on its qubits' row axes then column axes of a PairedDensity (LocalOp
-    reorders them).  The gate checked itself when it was built, so this
-    checks only that its qubits fit in the register."""
-    qubits = gate.qubits
+    class `layout` whose qubit 0 is qubit `low` of the gate's register (a
+    noisy run's product-pass entry is such a state): U on axes n-1-q of a
+    StateVector, or kron(U, conj(U)) on its qubits' row axes then column
+    axes of a PairedDensity (LocalOp reorders them).  The gate checked
+    itself when it was built, so this checks only that its qubits fit."""
+    qubits = [q - low for q in gate.qubits]
     if max(qubits) >= n_qubits:
         raise ValueError(f"qubit index {max(qubits)} out of range for {n_qubits} qubits")
     u = gate.matrix()
@@ -271,10 +272,10 @@ def _gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
     return op
 
 
-def gate_op(gate, n_qubits: int, layout: type) -> LocalOp:
+def gate_op(gate, n_qubits: int, layout: type, low: int = 0) -> LocalOp:
     """`_gate_op` of a gate, built at its first use and kept on the gate
     (two threads may both build it; the two ops are equal)."""
-    key = n_qubits, layout
+    key = (n_qubits, layout) + (low,) * (low != 0)  # (n, layout) for a whole register
     ops = getattr(gate, "_ops", None) or vars(gate).setdefault("_ops", {})
     return ops.get(key) or ops.setdefault(key, _gate_op(gate, *key))
 

@@ -1151,15 +1151,17 @@ class TestParallelSafety:
         for r in results:
             assert np.array_equal(r.data, serial.data)
 
-    def test_threads_may_replace_the_kept_plan(self):
+    @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
+    def test_threads_may_replace_the_kept_plan(self, kernel):
         # threads run bindings of two Circuits on one propagator, so its one
         # kept plan is marked, kept and replaced under them; a run reads the
-        # slot once and folds into a dict of its own, so each result is a
-        # fresh propagator's bit for bit
+        # slot once and writes only into passes of its own, so each result
+        # is a fresh propagator's bit for bit
         from concurrent.futures import ThreadPoolExecutor
 
         n = 4
         model = build_template_model("gamma1_gamma2", n, 0.02)
+        model = q.NoiseModel(model.terms + (q.LindbladTerm("correlated", (1, 2), 0.02),) * kernel)
         cfg = q.PropagatorConfig(substeps=4)
         circuits = [q.build_ansatz(q.AnsatzSpec("Entangling", layers=k), n) for k in (1, 2)]
         rng = np.random.default_rng(5)

@@ -837,14 +837,22 @@ def test_folded_gate_matches_the_gate_then_the_interval(case):
     # the pass's entries: the lone top qubit at odd n, then the pairs
     entry = {k: "top" if n % 2 and k == n - 1 else k // 2 for k in range(n)}
     fits = len({entry[k] for k in gate.qubits}) == 1 and propagator.stacks != []
-    fold = propagator._fold(gate, {})
-    assert (fold is not None) == fits
+    at = propagator.entry.get(gate.qubits)
+    assert (at is not None) == fits
     rng = np.random.default_rng(seed)
     data = np.stack([pair(random_density_matrix(n, rng)).data for _ in rows])
     want = propagator.propagate(q.apply_gate(PairedDensity(n, data.copy()), gate))
     assert np.max(np.abs(want.data - data)) > 1e-6
     if fits:
+        fold = propagator._into(None, gate, at, propagator.product)
         folded = propagator.propagate(PairedDensity(n, data.copy()), fold)
+        assert np.max(np.abs(folded.data - want.data)) < 1e-13
+    if fits and not propagator.kernels:
+        # with an interval owed before the gate, its S multiplies into that pass
+        owed = propagator._into(propagator.product, gate, at, propagator.product)
+        folded = propagator.propagate(PairedDensity(n, data.copy()), owed)
+        before = propagator.propagate(PairedDensity(n, data.copy()))
+        want = propagator.propagate(q.apply_gate(before, gate))
         assert np.max(np.abs(folded.data - want.data)) < 1e-13
 
 

@@ -11,6 +11,14 @@ from qemsim.noise import build_template_model
 from qemsim.vqe import energy_objective, initial_theta, nelder_mead
 
 
+def h2_model(kernel: bool) -> q.NoiseModel:
+    """gamma1_gamma2 on H2's four qubits at 1e-3, and with `kernel` a
+    correlated (1, 2) term too, which the propagator steps as a kernel."""
+    model = build_template_model("gamma1_gamma2", 4, 1e-3)
+    corr = (q.LindbladTerm("correlated", (1, 2), 1e-3),) * kernel
+    return q.NoiseModel(model.terms + corr)
+
+
 def rx_z_problem():
     """One Rx on one qubit against H = Z0: E(theta) = cos(theta)."""
     circuit = q.Circuit(1, (q.Gate("Rx", (0,), Param(0)),), 1)
@@ -38,12 +46,13 @@ class TestEnergyObjective:
         want = 2 * math.exp(-gamma) - 1
         assert energy_objective(noisy, []) == pytest.approx(want, abs=1e-9)
 
-    def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit):
-        # the problem's propagator keeps the last Circuit's fixed runs from
-        # its second run on, and each run folds its gates afresh: every run,
-        # at any theta and of another Circuit of as many gates, must be a
-        # fresh propagator's bit for bit
-        model = build_template_model("gamma1_gamma2", 4, 1e-3)
+    @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
+    def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit, kernel):
+        # the problem's propagator keeps the last Circuit's plan from its
+        # second run on, with a kernel or without, and each run multiplies
+        # its Param gates in afresh: every run, at any theta and of another
+        # Circuit of as many gates, must be a fresh propagator's bit for bit
+        model = h2_model(kernel)
         problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, model)
         gates = h2_uccsd_circuit.gates
         assert gates[0] == q.Gate("X", (0,))
@@ -76,10 +85,28 @@ class TestEnergyObjective:
         assert propagator.kept == (circuit, None)
         energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
         seen, plan = propagator.kept
-        assert seen is circuit and any(step is not None for _, step in plan)
+        assert seen is circuit and any(at is not None for _, at, _ in plan)
         for _ in range(1000):
             energy_objective(problem, rng.uniform(-1, 1, circuit.n_params))
             assert set(vars(propagator)) == keys and propagator.kept[1] is plan
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
+    def test_an_evaluation_leaves_the_kept_plan_as_it_was(
+        self, h2_hamiltonian, h2_uccsd_circuit, kernel
+    ):
+        # a Param gate's S multiplies into a pass of the run's own, never
+        # into one the plan or the propagator keeps for the next evaluation
+        problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, h2_model(kernel))
+        propagator, rng = problem._intervals, np.random.default_rng(3)
+        for _ in range(2):
+            energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+        _, plan = propagator.kept
+        arrays = [m for _, _, p in plan for m in p] + list(propagator.product)
+        before = [m.tobytes() for m in arrays]
+        assert len(arrays) > len(plan)
+        for _ in range(3):
+            energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+        assert propagator.kept[1] is plan and [m.tobytes() for m in arrays] == before
 
     def test_pickled_problem_leaves_its_propagator_behind(self):
         circuit = q.Circuit(1, (q.Gate("Rx", (0,), Param(0)), q.Gate("X", (0,))), 1)

@@ -16,8 +16,11 @@ machine charges both sides alike.  Pair i runs both sides at seed
 
 It writes one JSON record: for each workload and each end-to-end metric
 of BENCHMARK.json, the runs of both sides, their medians and quartiles,
-the change's median against the parent's in percent, and in how many
-pairs the change was better; each run's `correct` flag and failed-op
+the change's median against the parent's in percent, in how many
+pairs the change was better, whether the medians differ by more than
+the parent's quartile spread, and whether the change meets the rule for
+claiming a gain (better in at least nine tenths of the pairs, and that
+gap); each run's `correct` flag and failed-op
 count; each side's `wc -l src/qemsim/*.py`, per file and in total, the
 line count the design aim tracks; and the machine the runs were made
 on, with the Python version and PYTHONDONTWRITEBYTECODE.  Where that is
@@ -106,6 +109,27 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(parent: list[float], change: list[float], direction: str) -> dict:
+    """One metric's entry of the record: both sides' `summary`, the change's
+    median against the parent's in percent, the pairs the change won (ties
+    count for neither), whether the medians differ by more than the
+    parent's quartile spread, and whether the change meets the claim rule
+    of a gain: it wins at least 0.9 of the pairs and that gap holds."""
+    sign = 1 if direction == "lower" else -1
+    p, c = summary(parent), summary(change)
+    wins = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+    gap = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
+    return {
+        "better": direction,
+        "parent": p,
+        "change": c,
+        "change_pct": 100 * (c["median"] / p["median"] - 1),
+        "change_wins": wins,
+        "gap_past_parent_iqr": gap,
+        "meets_claim_rule": wins >= 0.9 * len(parent) and gap,
+    }
+
+
 def cpu_model() -> str:
     try:
         text = Path("/proc/cpuinfo").read_text()
@@ -145,18 +169,12 @@ def main(argv=None) -> int:
             }
             for name, direction in better.items():
                 parent, change = ([r["metrics"][name]["value"] for r in runs[s]] for s in trees)
-                sign = 1 if direction == "lower" else -1
-                p, c = summary(parent), summary(change)
-                entry[name] = {
-                    "better": direction,
-                    "parent": p,
-                    "change": c,
-                    "change_pct": 100 * (c["median"] / p["median"] - 1),
-                    "change_wins": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
-                }
-                print(f"{workload} {name}: {p['median']:.6g} -> {c['median']:.6g} "
-                      f"({entry[name]['change_pct']:+.1f}%, better in "
-                      f"{entry[name]['change_wins']} of {args.pairs})", flush=True)
+                e = entry[name] = compare(parent, change, direction)
+                print(f"{workload} {name}: {e['parent']['median']:.6g} -> "
+                      f"{e['change']['median']:.6g} ({e['change_pct']:+.1f}%, better in "
+                      f"{e['change_wins']} of {args.pairs}, gap past parent IQR "
+                      f"{e['gap_past_parent_iqr']}, meets claim rule {e['meets_claim_rule']})",
+                      flush=True)
             record["workloads"][workload] = entry
     record["machine"] = {
         "run_py": sorted(machines),

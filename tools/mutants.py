@@ -76,33 +76,37 @@ MUTANTS = [
      "zip(supports, np.abs(t_m).max(axis=1))", "zip(supports, np.abs(t_m.real).max(axis=1))",
      "`_block`'s defect on t_m.real only"),
     ("fold_untransposed", "src/qemsim/noise.py",
-     "u = gate.matrix().T", "u = gate.matrix()",
-     "a folded gate's U not transposed"),
+     "entry = op(np.eye(4 ** len(qubits), dtype=complex)) @ product[at]",
+     "entry = op(np.eye(4 ** len(qubits), dtype=complex)).T @ product[at]",
+     "a fold's S^T taken as S"),
     ("compose_swapped", "src/qemsim/noise.py",
-     "pending = product if pending is None else tuple(map(np.matmul, pending, product))",
-     "pending = product if pending is None else tuple(map(np.matmul, product, pending))",
-     "a pass composed into the pending one in the swapped order"),
+     "return tuple(map(np.matmul, pending, product))",
+     "return tuple(map(np.matmul, product, pending))",
+     "a Param gate's pass composed into the pending one in the swapped order"),
     ("no_pay_before_gate", "src/qemsim/noise.py",
-     "if pending is not None and (product is None or self.kernels):",
+     "if pending is not None and (at is None or self.kernels):",
      "if pending is not None and self.kernels:",
      "a gate of its own applied before the pass owed before it"),
     ("kernel_carried_past_gate", "src/qemsim/noise.py",
-     "if pending is not None and (product is None or self.kernels):",
-     "if pending is not None and product is None:",
-     "a kernel's interval left unpaid before a folded gate"),
+     "if pending is not None and (at is None or self.kernels):",
+     "if pending is not None and at is None:",
+     "a kernel's interval left unpaid before a folded Param gate"),
     ("plan_across_kernel", "src/qemsim/noise.py",
-     "if source is None or self.kernels:", "if source is None:",
-     "a Circuit's fixed runs composed across a kernel's intervals"),
+     "if step is not None and not self.kernels:", "if step is not None:",
+     "fixed folds composed across a kernel's intervals"),
     ("kept_plan_other_theta", "src/qemsim/noise.py",
-     "return gates[i] is slots[i] and self._fold(gates[i], folds) is not None",
-     "return self._fold(gates[i], folds) is not None",
-     "a Param gate's fold kept in a fixed run, so reused at another theta"),
+     "if at is None or gate is not slots[j]:", "if at is None:",
+     "a Param gate folded as a fixed one, so kept at another theta"),
     ("kept_plan_other_circuit", "src/qemsim/noise.py",
      "if seen is not source or plan is None:", "if plan is None:",
-     "the kept fixed runs reused for another Circuit"),
+     "the kept plan reused for another Circuit"),
     ("folds_across_runs", "src/qemsim/noise.py",
-     "folds = {}  # id(gate)", 'folds = vars(self).setdefault("folds", {})  # id(gate)',
-     "folds kept across runs by id, so a dead gate's fold serves a new one"),
+     "folds, step, last = {}, None, len(gates) - 1",
+     'folds, step, last = vars(self).setdefault("folds", {}), None, len(gates) - 1',
+     "folds kept across plans by id, so a dead gate's fold serves a new one"),
+    ("param_into_kept_pass", "src/qemsim/noise.py",
+     "pending[at] = op(pending[at])", "pending[at][...] = op(pending[at])",
+     "a Param gate's S written into the pass owed, which the plan may keep"),
     ("entry_one_pair_order", "src/qemsim/noise.py",
      "for g in [qs, qs[::-1], *zip(qs)]", "for g in [qs, *zip(qs)]",
      "a gate on a pair in descending order left unfolded"),
@@ -136,6 +140,13 @@ MUTANTS = [
      "outside = {i for i in chosen if isinstance(i, bool) or not isinstance(i, Integral)}",
      "outside = set()",
      "`scale_terms` taking True or 1.0 as term 1"),
+    ("entangling_rx_param", "src/qemsim/circuit.py",
+     'gates.append(Gate("Rx", (q,), Param(base + 3 * q + 1)))',
+     'gates.append(Gate("Rx", (q,), Param(base + 3 * q + 2)))',
+     "the Entangling ansatz's layer Rx on the angle of the Rz after it"),
+    ("contraction_against_second_worst", "src/qemsim/vqe.py",
+     "if fc < fvals[-1]:", "if fc < fvals[-2]:",
+     "Nelder-Mead's contraction accepted against the second-worst vertex"),
     ("ladder_unfittable", "src/qemsim/experiments.py",
      "if not all(0 < e < math.inf for e in errors):", "if False:",
      "`scaling_ladder` fitting an error of 0"),
