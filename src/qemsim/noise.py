@@ -6,35 +6,29 @@ occupation n_th), and a two-qubit correlated excitation-exchange pair.
 The inter-gate propagator exp(tau * L) is approximated by classic RK4
 with a configurable number of substeps; the integrator itself must
 preserve the trace (no renormalization), which doubles as a correctness
-signal.  It is checked where it can break: each dense block's matrix
-when it is built (`_block`), and each row's final trace once, at the end
-of its run (`IntervalPropagator.finish`), which catches accumulated
-round-off and a NaN alike; a wide block's generator keeps it by
-construction (`_generator`); a step outside RK4's stability interval is
-refused per block, before any block is built (`_check_step`).
+signal.  It is checked where it can break: each block when it is built
+(`_blocks`), and each row's final trace once, at the end of its run
+(`IntervalPropagator.finish`), which catches accumulated round-off and a
+NaN alike; a step outside RK4's stability interval is refused per block,
+before any block is built (`_check_step`).
 
 A model is split into blocks, the connected components of its terms'
 qubit supports (zero-rate terms dropped).  Blocks act on disjoint qubits,
 so their generators commute and each interval applies one block after
 another.  Every block works on its own qubits only, on the qubit-paired
-rho that a run holds between its two conversions (see `state`).  A
-collapse op is a basis-state pair (a, b), the matrix |a><b| on its
-term's qubits in their own order, so a block's generator h*L is one
-`_generator`: a real diagonal times rho, plus one strided slice move per
-collapse op.  One RK4 substep of the linear master equation is exactly
-the degree-4 Taylor polynomial of h*L, and one in-place `_rk4` serves
-both kinds of block:
-
-- a block of at most DENSE_BLOCK_MAX_QUBITS qubits is precomputed as
-  (RK4 step)^substeps, a 4^k x 4^k matrix (the Havel vec identity) on
-  its paired axes; its h*L is the generator applied to the rows of the
-  4^k x 4^k identity, transposed.  Every collapse op keeps the coherence
-  order m = popcount(row) - popcount(column) (see KINDS), so h*L, its
-  step and their power are block-diagonal in m (Buča and Prosen, New J.
-  Phys. 14, 073007, 2012): at every k, `_rk4` and the power run on each
-  sector's identity alone, and the sectors fill a zero matrix;
-- a wider block runs `_rk4` with the generator on rho each substep, in
-  a layer of such blocks, at most one per row (see below).
+rho that a run holds between its two conversions (see `state`), whose
+digits 2 * row bit + column bit are populations (0, 3) or coherences (1,
+2).  A collapse op moves no coherence digit, so h*L, its RK4 step and
+their power are block-diagonal in the pattern of coherence digits, a
+finer split than the coherence order of Buča and Prosen (New J. Phys. 14,
+073007, 2012): a pattern with p population digits is a real 2^p x 2^p
+matrix, the same as its conjugate's (1 <-> 2), (6^k + 4^k) / 2 reals for
+a k-qubit block (`_layout`).  Every block is built so, once: h*L
+(`_generator`), then its degree-4 Taylor polynomial, one RK4 substep, to
+the power substeps, one stack per sector size (`_blocks`).  A block of at
+most DENSE_BLOCK_MAX_QUBITS qubits is scattered into its 4^k x 4^k matrix
+(the Havel vec identity); a wider one steps an interval by one gather,
+real matmul and put per sector size (`_Layer`), whatever the substeps.
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
 paired rho, one row per noise model, takes gate 1 and an interval, gate
@@ -59,14 +53,11 @@ other gate, every gate where no row has a 1-qubit block, and the last
 gate are a pass of their own: one kernel call on all rows, which makes a
 new stack that the interval after it steps and may overwrite.  A gate's
 op is built at its first use and kept on the gate.  Each wider block is
-then a kernel on just the rows holding it, called like a
-`state.LocalOp`.  A dense one is a `LocalOp` of its matrix, by highest
-qubit, descending; each distinct one is built once.  The wide blocks go
-last, in layers: layer j is one `_Wide` on the rows that have a j-th
-wide block (each row's by highest qubit, descending), with one
-`_generator` of all their blocks, so a row never gets the summed
-generator of two of its blocks (whose RK4 step differs at O(h^5)); it
-steps its rows in place, in two work stacks of its own call.
+then a kernel on just the rows holding it: a dense one a `state.LocalOp`
+of its matrix, each distinct one built once, by highest qubit,
+descending; then the wide ones in layers, layer j one `_Layer` on the
+rows that have a j-th wide block (each row's by highest qubit,
+descending), which steps them in place.
 
 A run owes the pass of each interval to rho until it must pay it.  Two
 product passes compose entry by entry, (A2 x B2)(A1 x B1) = A2 A1 x
@@ -94,15 +85,15 @@ that of its run alone, whatever rows share its batch, from two qubits up
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import groupby
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import CapacityError, IntegrationError
 from .state import (
+    DEFAULT_QUBIT_CAP,
     DensityMatrix,
     LocalOp,
     PairedDensity,
@@ -121,15 +112,13 @@ from .state import (
     unpair,
 )
 
-# A collapse op c = |a><b| keeps coherence order, on which the dense block
-# build relies (see the module docstring): c rho c^dag moves only the
-# term entries (b, b) onto (a, a), and c^dag c = |b><b| is diagonal.
+# A collapse op c = |a><b| keeps the pattern of coherence digits, on which
+# the block build relies (see `_generator`).
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
 TRACE_DRIFT_LIMIT = 1e-6
-# A precomputed block is a 16^k complex matrix: 1 MiB at k = 4.  It is
-# built per coherence-order sector m, each C(2k, k + m) square: 70, 56,
-# 56, 28, 28, 8, 8, 1 and 1 at k = 4.
+# A dense block is a 16^k complex matrix, 1 MiB at k = 4; a wider one
+# keeps its (6^k + 4^k) / 2 sector reals.
 DENSE_BLOCK_MAX_QUBITS = 4
 # RK4 keeps |R(z)| <= 1 on the negative real axis down to z = -2.785.
 RK4_STABILITY_LIMIT = 2.785
@@ -137,7 +126,7 @@ RK4_STABILITY_LIMIT = 2.785
 # qubit at rate 1e-3 loses 2.6e-11 of trace at 10^6, 3.1e-7 at 10^10.
 MAX_SUBSTEPS = 10**6
 # A batched run holds at most this many bytes of rho stack (16 B an
-# entry, 4^n entries a row); a single row larger than that runs alone.
+# entry, 4^n entries a row) and wide blocks' sectors; a larger row runs alone.
 BATCH_BYTES = 64 * 2**20
 
 
@@ -224,82 +213,84 @@ def scale_terms(model: NoiseModel, indices, factor: float) -> NoiseModel:
     )
 
 
-def _generator(rows, register, h: float):
-    """h*L of one term tuple per row on a stack of paired rho whose (rows,)
-    + (4,)*k view holds register[i] on axis i + 1 (one tuple serves a
-    stack of any height): apply(x, out) writes h*L x = d * x, plus one
-    slice move per collapse op c = |a><b| weighted w = h * rate, into out.
-    c rho c^dag moves the entries whose term digits (2 * row bit + column
-    bit) are 3b onto those whose digits are 3a; -{c^dag c, rho} / 2 adds
-    -w / 2 to d where the term's row bits are b, and again where its
-    column bits are.  So each move's weight leaves its source's diagonal
-    twice, at w/2, as it lands on (a, a): h*L keeps the trace by
-    construction.  Each row has its own d, in its own term order.  A
-    move acts on all rows at once, weighted by a column that is 0 on rows
-    without it, and the moves go in one order whatever the rows, so no
-    row's arithmetic depends on the rows beside it."""
-    k = len(register)
-    d = np.zeros((len(rows),) + (4,) * k)
-    found = {}  # move key: [weight per row, to, src]
+@lru_cache(maxsize=None)
+def _layout(k: int) -> tuple:
+    """Where the sectors of a paired k-qubit block lie, by arithmetic on its
+    flat indices f, digit i on axis i, the top first: (digits, at, home,
+    local, representative, starts).  A class is a pattern whose top
+    coherence digit is 1 (or none), and for p < k population digits its
+    conjugate too; at[p] holds their f, (classes, partners, 2^p), each by
+    its local index, the bits of its population digits (3 for 1).  A block
+    is every class's 2^p x 2^p matrix, p ascending, size p from starts[p];
+    entry (f, g) of a class's own pattern is at home[f] + local[g]."""
+    f = np.arange(4**k)
+    digits = np.array([f >> 2 * (k - 1 - i) & 3 for i in range(k)], dtype=np.intp).reshape(k, 4**k)
+    local, pops, first, flip, threes = (np.zeros_like(f) for _ in range(5))
+    for i in reversed(range(k)):  # the lowest digit first
+        d, weight = digits[i], 3 << 2 * (k - 1 - i)
+        coherent = (d == 1) | (d == 2)
+        local += (d == 3) << pops
+        pops += ~coherent
+        first += coherent * (d - first)  # ends as the top coherence digit
+        flip += coherent * weight
+        threes += (d == 3) * weight
+    partner = (first == 2).astype(np.intp)
+    base = (f ^ flip * partner) - threes  # the class's own pattern
+    at, starts, home, rank = [], [0], np.zeros_like(f), np.zeros_like(f)
+    for p in range(k + 1):
+        classes = np.flatnonzero((base == f) & (pops == p))
+        rank[classes] = np.arange(len(classes))
+        mine = np.flatnonzero(pops == p)
+        c, m = rank[base[mine]], 1 << p
+        table = np.zeros((len(classes), 1 + (p < k), m), dtype=np.intp)
+        table[c, partner[mine], local[mine]] = mine
+        home[mine] = starts[-1] + (c * m + local[mine]) * m
+        starts.append(starts[-1] + len(classes) * m * m)
+        at.append(table)
+    own = partner == 0
+    for a in (digits, *at, home, local, own):
+        a.flags.writeable = False
+    return digits, tuple(at), home, local, own, tuple(starts)
 
-    def at(axes, bits, digits):
-        """digits[bit] on each of `axes` of the (4,)*k view, axes[0] taking
-        the top bit of `bits`."""
-        index = [slice(None)] * k
-        for j, ax in enumerate(reversed(axes)):
-            index[ax] = digits[bits >> j & 1]
-        return tuple(index)
 
-    for row, terms in enumerate(rows):
-        seen: dict[tuple, int] = {}
+def _generator(blocks, h: float) -> np.ndarray:
+    """h*L of each block (terms on its `_support`) as a (blocks, (6^k +
+    4^k) / 2) real stack of sectors.  A collapse op |a><b| weighted w = h *
+    rate adds -w/2 on the diagonal where its term's row bits are b, and
+    again where its column bits are, and moves w from each entry whose term
+    digits are 3b onto the one with 3a: so h*L keeps the trace, and each
+    pattern, on which it is real and the same as on its conjugate.  One
+    bincount sums each block's diagonal weights, then its moves."""
+    k = len(_support(blocks[0]))
+    digits, _, home, local, representative, starts = _layout(k)
+    slots, out = {}, np.zeros((len(blocks), starts[-1]))
+    for row, terms in enumerate(blocks):
+        register, diagonal, moves = _support(terms), [], []
         for term in terms:
-            axes = [register.index(q) for q in term.qubits]
+            axes = tuple(register.index(q) for q in term.qubits)
             for rate, a, b in term.collapse_ops():
                 w = h * rate
                 if w == 0.0:
                     continue
-                d[(row,) + at(axes, b, (slice(0, 2), slice(2, 4)))] -= 0.5 * w  # row bits b
-                d[(row,) + at(axes, b, (slice(0, 4, 2), slice(1, 4, 2)))] -= 0.5 * w  # columns
-                to, src = at(axes, a, (0, 3)), at(axes, b, (0, 3))
-                # Moves go by their term's highest qubit, then its lowest,
-                # descending (a ring's terms as `build_template_model` lists
-                # them), then by the entries they move, and a repeat by count.
-                key = (max(term.qubits), -min(term.qubits))
-                key += tuple(-1 if i == slice(None) else i for i in to + src)
-                seen[key] = seen.get(key, -1) + 1
-                found.setdefault(key + (seen[key],), [np.zeros(len(rows)), to, src])[0][row] = w
-    every = (slice(None),)  # the row axis
-    moves = [
-        (w.reshape((-1,) + (1,) * to.count(slice(None))), every + to, every + src)
-        for w, to, src in (found[key] for key in sorted(found))
-    ]
-
-    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        view = x.reshape((-1,) + d.shape[1:])
-        out = np.empty_like(x) if out is None else out
-        acc = np.multiply(d, view, out=out.reshape(view.shape))
-        for w, to, src in moves:
-            acc[to] += w * view[src]
-        return out
-
-    return apply
-
-
-def _rk4(apply, v, t1, t2):
-    """One classic RK4 step of the linear ODE v' = L v, in place: v becomes
-    exactly the Taylor polynomial v + t1 + t2/2 + t3/6 + t4/24, where t1
-    holds h*L v on entry and apply(t_k, out) writes t_{k+1} = h*L t_k into
-    out.  t1 and t2 are the work, and are overwritten."""
-    # The same numbers as v + t1 + t2 / 2 + t3 / 6 + t4 / 24 (numpy divides
-    # complex by real through the reciprocal), for a fifth of the cost of
-    # the division, summed in place in the same order.
-    v += t1
-    apply(t1, t2)
-    apply(t2, t1)  # t3, while t2 is summed
-    v += np.multiply(t2, 0.5, out=t2)
-    apply(t1, t2)
-    v += np.multiply(t1, 1 / 6, out=t1)
-    v += np.multiply(t2, 1 / 24, out=t2)
+                if (axes, a, b) not in slots:  # one op's slots, in a class's own pattern
+                    rows = cols = src = representative
+                    shift = 0
+                    for j, ax in enumerate(axes):
+                        top = len(axes) - 1 - j  # axes[0] takes the top bit
+                        bit_a, bit_b, d = a >> top & 1, b >> top & 1, digits[ax]
+                        rows, cols = rows & (d >> 1 == bit_b), cols & (d & 1 == bit_b)
+                        src = src & (d == 3 * bit_b)
+                        shift += 3 * (bit_a - bit_b) << 2 * (k - 1 - ax)
+                    rows, cols, src = map(np.flatnonzero, (rows, cols, src))
+                    on = np.concatenate([home[rows] + local[rows], home[cols] + local[cols]])
+                    slots[axes, a, b] = on, home[src + shift] + local[src]
+                on, to = slots[axes, a, b]
+                diagonal.append((on, -0.5 * w))
+                moves.append((to, w))
+        pieces = diagonal + moves
+        at = np.concatenate([np.zeros(0, dtype=np.intp)] + [x for x, _ in pieces])
+        out[row] = np.bincount(at, np.repeat([w for _, w in pieces], [len(x) for x, _ in pieces]), starts[-1])
+    return out
 
 
 def _components(model: NoiseModel) -> list[tuple[set[int], tuple[LindbladTerm, ...]]]:
@@ -328,44 +319,6 @@ def _support(terms) -> tuple[int, ...]:
     return tuple(sorted({q for t in terms for q in t.qubits}, reverse=True))
 
 
-class _Wide:
-    """One layer of blocks wider than DENSE_BLOCK_MAX_QUBITS, at most one
-    per row: `_rk4` each substep, with the `_generator` of every row's
-    block on the whole register.  A call steps the layer's rows of a
-    stack in place, in two work stacks of its own, and returns them."""
-
-    def __init__(self, step, substeps: int):
-        self.step = step
-        self.substeps = substeps
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        # Work stacks that start where v ends, as the heap places them, put
-        # each store to t1 16 B ahead of a load of v mod 4096, and on x86 the
-        # load waits for it (4K aliasing); 2 KiB of slack keeps them apart.
-        t1, t2 = np.empty(2 * v.size + 128, dtype=complex)[128:].reshape((2,) + v.shape)
-        for _ in range(self.substeps):
-            _rk4(self.step, v, self.step(v, t1), t2)
-        return v
-
-
-@lru_cache(maxsize=None)
-def _sectors(k: int) -> tuple[np.ndarray, ...]:
-    """The flat indices of a paired k-qubit block by coherence order
-    m = popcount(row) - popcount(column): for m = 0..k, an array whose
-    rows are the ascending indices of order m, then of order -m if m > 0.
-    Orders m and -m have the same size, C(2k, k + m), so they step as one
-    stack.  Each qubit is a base-4 digit d = 2 * row bit + column bit,
-    adding 0, -1, +1, 0 to m."""
-    order = np.zeros(1, dtype=int)
-    for _ in range(k):
-        order = (order[:, None] + np.array([0, -1, 1, 0])).reshape(-1)
-    at = {m: np.flatnonzero(order == m) for m in range(-k, k + 1)}
-    sectors = (at[0][None],) + tuple(np.stack([at[m], at[-m]]) for m in range(1, k + 1))
-    for idx in sectors:
-        idx.flags.writeable = False
-    return sectors
-
-
 def _check_step(terms, cfg: PropagatorConfig) -> None:
     """Refuse a block whose RK4 step is outside RK4's stability interval."""
     h = cfg.tau / cfg.substeps
@@ -380,49 +333,114 @@ def _check_step(terms, cfg: PropagatorConfig) -> None:
 
 
 def _blocks(blocks, cfg: PropagatorConfig) -> np.ndarray:
-    """Blocks of one width k <= DENSE_BLOCK_MAX_QUBITS over one interval,
-    as a stack: each one's dense 4^k x 4^k matrix M on the paired axes of
-    `_support(terms)`, stepped and powered one coherence-order sector at a
-    time, that sector of every block in one `_power_step`, and each refused
-    unless it keeps the trace, t M = t for the paired identity row t,
-    within TRACE_DRIFT_LIMIT."""
-    supports = [_support(terms) for terms in blocks]
-    # Row i of the identity is unit vector i, which the generator takes to
-    # column i of h*L: the rows it gives are h*L transposed.
-    k = len(supports[0])
-    eye, h = np.eye(4**k, dtype=complex), cfg.tau / cfg.substeps
-    hls = [_generator((t,), qs, h)(eye).T for t, qs in zip(blocks, supports)]
-    # h*L is block-diagonal in coherence order (see KINDS): step and power
-    # its sectors alone, orders m and -m as one stack, each block's laid
-    # out as that of a block built alone.
-    out = np.zeros((len(blocks), 4**k, 4**k), dtype=complex)
-    for idx in _sectors(k):
-        sector = idx[:, :, None], idx[:, None, :]
-        stack = np.stack([hl[sector] for hl in hls])
-        out[(slice(None),) + sector] = _power_step(stack, cfg.substeps)
-    diagonal = _paired_diagonal(k)
-    t_m = out[:, diagonal].sum(axis=1)
-    t_m[:, diagonal] -= 1.0
-    for qubits, defect in zip(supports, np.abs(t_m).max(axis=1)):
+    """Blocks of one width k over one interval, as the `_generator` stack
+    with each sector size stepped and powered in place as one stack; each
+    block is refused unless it keeps the trace, each column of its
+    all-population sector summing to 1 within TRACE_DRIFT_LIMIT."""
+    k = len(_support(blocks[0]))
+    starts = _layout(k)[-1]
+    out = _generator(blocks, cfg.tau / cfg.substeps)
+    # a dense block steps in complex arithmetic, as a run without wide blocks
+    # does throughout (real BLAS kernels would page in 256 KiB more of the
+    # library); a wide one in real, as its layer does
+    dtype = float if k > DENSE_BLOCK_MAX_QUBITS else complex
+    for p in range(k + 1):
+        sector = out[:, starts[p] : starts[p + 1]]
+        step = _power_step(sector.reshape(-1, 2**p, 2**p).astype(dtype, copy=False), cfg.substeps)
+        sector[...] = step.real.reshape(sector.shape)
+    sums = out[:, starts[k] :].reshape(len(blocks), 2**k, 2**k).sum(axis=1)
+    for terms, defect in zip(blocks, np.abs(sums - 1.0).max(axis=1)):
         if not defect <= TRACE_DRIFT_LIMIT:  # NaN too
             raise IntegrationError(
-                f"the channel on qubits {sorted(qubits)} changes the trace by "
+                f"the channel on qubits {sorted(_support(terms))} changes the trace by "
                 f"{defect:.3g}; increase substeps (currently {cfg.substeps})"
             )
     return out
 
 
-def _block(terms, cfg: PropagatorConfig) -> np.ndarray:
-    """The one block of `terms`, by `_blocks`."""
-    return _blocks([terms], cfg)[0]
+def _dense(sectors: np.ndarray, k: int) -> np.ndarray:
+    """Each block of a `_blocks` stack as its 4^k x 4^k complex matrix M on
+    the paired axes of its support: each class's matrix in its own
+    pattern and its conjugate's, zero between patterns."""
+    _, at, _, _, _, starts = _layout(k)
+    out = np.zeros((len(sectors), 4**k, 4**k), dtype=complex)
+    for p, idx in enumerate(at):
+        cells = sectors[:, starts[p] : starts[p + 1]].reshape(len(sectors), -1, 1, 2**p, 2**p)
+        out[:, idx[..., :, None], idx[..., None, :]] = cells  # both partners
+    return out
 
 
 def _power_step(hl: np.ndarray, substeps: int) -> np.ndarray:
-    """(RK4 step)^substeps of the matrix h*L, or of each of a stack of them."""
-    step = np.broadcast_to(np.eye(hl.shape[-1], dtype=complex), hl.shape).copy()
-    # t1 keeps hl's own layout, which picks the BLAS kernel of hl @ hl
-    _rk4(lambda m, out: np.matmul(m, hl, out=out), step, hl.copy(order="K"), np.empty_like(step))
-    return np.linalg.matrix_power(step, substeps)
+    """(RK4 step)^substeps of the matrix h*L, or of each of a stack of them:
+    one classic RK4 step of v' = L v is exactly the Taylor polynomial
+    I + t1 + t2/2 + t3/6 + t4/24 of t1 = h*L, t_k+1 = t_k h*L."""
+    v = np.broadcast_to(np.eye(hl.shape[-1], dtype=hl.dtype), hl.shape).copy()
+    # summed in place in that order, each division as numpy divides complex
+    # by real, through the reciprocal; t1 keeps hl's own layout, which picks
+    # the BLAS kernel of hl @ hl
+    t1 = hl.copy(order="K")
+    v += t1
+    t2 = t1 @ hl
+    np.matmul(t2, hl, out=t1)  # t3, while t2 is summed
+    v += np.multiply(t2, 0.5, out=t2)
+    np.matmul(t1, hl, out=t2)
+    v += np.multiply(t1, 1 / 6, out=t1)
+    v += np.multiply(t2, 1 / 24, out=t2)
+    return np.linalg.matrix_power(v, substeps)
+
+
+def _sector_bytes(terms) -> int:
+    """The bytes of a wide block's (6^k + 4^k) / 2 sector reals, refused,
+    before any is built, past those of a rho at the qubit cap."""
+    k = len(_support(terms))
+    size = 4 * (6**k + 4**k)
+    if size > 16 * 4**DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"a noise block on {k} qubits needs {size} bytes of sector matrices, "
+            f"more than a {DEFAULT_QUBIT_CAP}-qubit density matrix"
+        )
+    return size
+
+
+class _Layer:
+    """One layer of wide blocks, at most one per row, stepping the whole
+    stack in place: per width and sector size, one take of its rows'
+    entries (a pattern's beside its conjugate's), one real matmul by each
+    row's sectors, as `build` (`_blocks`) makes them, and one put back.
+    Work belongs to a call, so threads can share a layer."""
+
+    def __init__(self, blocks, rows, n_qubits: int, build):
+        self.steps = []  # (each row's matrices, where its entries are)
+        for k in sorted({len(_support(terms)) for terms in blocks}, reverse=True):
+            mine = [j for j, terms in enumerate(blocks) if len(_support(terms)) == k]
+            sectors = build([blocks[j] for j in mine])
+            digits, at, _, _, _, starts = _layout(k)
+            supports = np.array([_support(blocks[j]) for j in mine], dtype=np.intp)
+            others = [[q for q in range(n_qubits) if q not in s] for s in supports]
+            others = np.array(others, dtype=np.intp).reshape(len(mine), -1)
+            # each entry's place in the row, then each spectator's; each row's start
+            place = (4 ** supports[:, :, None] * digits).sum(axis=1)
+            spectators = (4 ** others[:, :, None] * _layout(n_qubits - k)[0]).sum(axis=1)
+            first = np.array([rows[j] for j in mine])[:, None] * 4**n_qubits + spectators
+            for p, idx in enumerate(at):
+                m = 2**p
+                # (rows, classes, m, partners x spectators): a row's classes
+                # read its own entries, each pattern's and its conjugate's
+                where = place[:, idx].transpose(0, 1, 3, 2)[..., None] + first[:, None, None, None]
+                where = where.reshape(len(mine), len(idx), m, -1)
+                matrices = sectors[:, starts[p] : starts[p + 1]].reshape(len(mine), -1, m, m)
+                self.steps.append((matrices, where))
+        self.size = max(where.size for _, where in self.steps)
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        flat = data.reshape(-1)  # a view: every stack a run steps is C-contiguous
+        work = np.empty(2 * self.size, dtype=complex)
+        for matrices, where in self.steps:
+            x = flat.take(where, out=work[: where.size].reshape(where.shape), mode="clip")
+            y = work[where.size : 2 * where.size].reshape(where.shape)
+            np.matmul(matrices, x.view(float), out=y.view(float))
+            flat[where] = y
+        return data
 
 
 def _row_index(rows: list[int], n_rows: int):
@@ -448,10 +466,10 @@ class IntervalPropagator:
     maps the qubits of each gate that one entry holds (each qubit, each
     pair in either order) to that entry's index.  `kept` is the last
     Circuit whose bindings ran and its plan, once kept (`_steps`).
-    `kernels` holds the wider components as (kernel, rows) pairs, each
-    kernel taking the stack of its rows (see `_row_index`) and returning
-    it stepped: the dense ones' `state.LocalOp`s, then one `_Wide` per
-    layer, in the module docstring's order.  Rows are numbered from
+    `kernels` holds the wider components as (kernel, rows) pairs (see
+    `_row_index`): the dense ones' `state.LocalOp`s, each taking the stack
+    of its rows and returning it stepped, then one `_Layer` per layer,
+    which takes the whole stack and its own rows.  Rows are numbered from
     `first_row` in error messages.
     """
 
@@ -461,7 +479,6 @@ class IntervalPropagator:
         self.cfg = cfg
         self.first_row = first_row
         self.n_rows = len(models)
-        h = cfg.tau / cfg.substeps
         lone = {}  # (qubit, row): 1-qubit component
         held: dict[tuple, list[int]] = {}  # dense wider component: rows
         wide: list[list] = [[] for _ in models]  # each row's wide components
@@ -473,11 +490,16 @@ class IntervalPropagator:
                 elif len(support) <= DENSE_BLOCK_MAX_QUBITS:
                     held.setdefault(terms, []).append(row)
                 else:
+                    _sector_bytes(terms)
                     wide[row].append(terms)
+        widths: dict[int, list] = {}  # each distinct dense component, built once by width
+        for terms in dict.fromkeys([*lone.values(), *held]):
+            widths.setdefault(len(_support(terms)), []).append(terms)
+        built = {}
+        for k, group in widths.items():
+            built.update(zip(group, _dense(_blocks(group, cfg), k)))
         self.product, self.stacks = (), []
-        if lone:  # each distinct component is built once, the 1-qubit ones together
-            built = dict.fromkeys(lone.values())
-            built = dict(zip(built, _blocks(list(built), cfg)))
+        if lone:
             channels = np.tile(np.eye(4, dtype=complex), (n_qubits, self.n_rows, 1, 1))
             for at, terms in lone.items():
                 channels[at] = built[terms]
@@ -493,25 +515,25 @@ class IntervalPropagator:
         self.kept = None, None  # a Circuit and its `_plan`, once kept
         self.kernels = []
         for terms in sorted(held, key=_support, reverse=True):
-            op = LocalOp(_block(terms, cfg), paired_axes(_support(terms), n_qubits), 2 * n_qubits)
+            op = LocalOp(built[terms], paired_axes(_support(terms), n_qubits), 2 * n_qubits)
             self.kernels.append((op, _row_index(held[terms], self.n_rows)))
         wide = [sorted(blocks, key=_support, reverse=True) for blocks in wide]
         for j in range(max(map(len, wide), default=0)):
             rows = [row for row, blocks in enumerate(wide) if len(blocks) > j]
-            step = _generator([wide[row][j] for row in rows], range(n_qubits - 1, -1, -1), h)
-            self.kernels.append((_Wide(step, cfg.substeps), _row_index(rows, self.n_rows)))
+            layer = _Layer([wide[row][j] for row in rows], rows, n_qubits, lambda b: _blocks(b, cfg))
+            self.kernels.append((layer, _row_index(rows, self.n_rows)))
 
-    def _into(self, pending, gate, at, product) -> tuple:
+    def _into(self, pending, gate, at, product, build=gate_op) -> tuple:
         """The pass `pending` (None for none), then `gate`, which entry `at`
         holds, then the pass `product`, as one new pass.  The gate's op on
         the entry's qubits takes S = kron(U, conj(U)) on each row of
         pending's stored P^T there, which makes P^T S^T, and that composes
         with product's entry; pending and product are left as they are.
-        With no pass owed it is the identity's: the entry is S^T M^T."""
+        With no pass owed it is the identity's: the entry is S^T M^T.  A
+        Param gate keeps its op for its binding's next use of it (see
+        `state.gate_op`); a fixed gate's fold, kept in a plan, builds its op
+        with `state._gate_op`, which keeps none."""
         qubits, _ = self.stacks[at]
-        # a Param gate keeps its op for its binding's next use of it (see
-        # `state.gate_op`); a fold is kept in a plan, and its op is not
-        build = _gate_op if pending is None else gate_op
         op = build(gate, len(qubits), PairedDensity, qubits[-1])
         if pending is None:
             entry = op(np.eye(4 ** len(qubits), dtype=complex)) @ product[at]
@@ -534,7 +556,7 @@ class IntervalPropagator:
                 made = j, at, self.product
             else:  # a fixed gate
                 if id(gate) not in folds:
-                    folds[id(gate)] = self._into(None, gate, at, self.product)
+                    folds[id(gate)] = self._into(None, gate, at, self.product, _gate_op)
                 if step is not None and not self.kernels:
                     step = *step[:2], tuple(map(np.matmul, step[2], folds[id(gate)]))
                     continue
@@ -578,7 +600,7 @@ class IntervalPropagator:
             data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
         for kernel, rows in self.kernels:
-            if rows is None:
+            if rows is None or isinstance(kernel, _Layer):  # a layer takes its own rows
                 data = kernel(data)
             else:  # a slice view stepped in place is not copied back
                 data[rows] = kernel(data[rows])
@@ -649,13 +671,19 @@ def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
 def _chunks(models, n_qubits: int) -> list[range]:
     """The rows of a batch, in order: each run of rows alike in the widths
     of block they hold (1-qubit, wider, both or none), split so each
-    chunk's stack fits BATCH_BYTES."""
-    size = max(1, BATCH_BYTES // (16 * 4**n_qubits))
-    kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)
-    chunks, end = [], 0
-    for _, rows in groupby(kinds):
-        start, end = end, end + len(list(rows))
-        chunks += [range(lo, min(lo + size, end)) for lo in range(start, end, size)]
+    chunk's stack and its wide blocks' sector matrices fit BATCH_BYTES."""
+    chunks, used, last = [], 0, None
+    for row, model in enumerate(models):
+        parts = _components(model)
+        kind = {len(support) == 1 for support, _ in parts}
+        size = 16 * 4**n_qubits + sum(
+            _sector_bytes(terms) for support, terms in parts if len(support) > DENSE_BLOCK_MAX_QUBITS
+        )
+        if kind == last and used + size <= BATCH_BYTES:
+            chunks[-1], used = range(chunks[-1].start, row + 1), used + size
+        else:
+            chunks.append(range(row, row + 1))
+            used, last = size, kind
     return chunks
 
 
@@ -706,11 +734,12 @@ def run_noisy_batch(
     for model in models:
         model.validate_for(n)
     check_cap(n)
+    chunks = _chunks(models, n)  # which refuses a wide block past the cap
     if isinstance(state0, StateVector) and any(t.rate for m in models for t in m.terms):
         state0 = state0.to_density_matrix()  # one result type for every chunk
     return (
         state
-        for chunk in _chunks(models, n)
+        for chunk in chunks
         for state in IntervalPropagator(
             [models[i] for i in chunk], n, cfg, first_row=chunk.start
         ).run(state0, circuit)

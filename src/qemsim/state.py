@@ -34,7 +34,7 @@ U @ kron(P_a, P_b), and each such group is one gate, a
 the gate it was built from (`gate_op`), so the FusedGate of a group of
 fixed gates, which a `Circuit` holds for all its bindings, is built once.
 Every dense noise channel on rho is a `LocalOp` too; a wider noise block
-steps with `noise._generator` instead.  `pair` and `unpair` convert at
+steps by its sector matrices instead (`noise._Layer`).  `pair` and `unpair` convert at
 the two ends of a run, one 4^n transpose each.  A batched run holds
 several rho as the rows of one (rows, 4^n) array; a `LocalOp` folds the
 row axis into its leading count, so one call acts on every row.

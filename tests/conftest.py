@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 import qemsim as q
+from qemsim import noise
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -108,15 +109,26 @@ def paired_superop(superop):
     return t.reshape(superop.shape)
 
 
-def coherence_order(k):
-    """Independent m = popcount(row) - popcount(column) of each flat index
-    of a paired k-qubit superoperator: qubit j's row bit is bit 2j + 1 of
-    the index, its column bit bit 2j."""
+def coherence_pattern(k):
+    """Independent coherence pattern of each flat index of a paired k-qubit
+    superoperator: the index with each population digit (0 or 3) read as
+    0, where qubit j's digit is 2 * row bit + column bit, bits 2j + 1 and
+    2j of the index."""
     return np.array(
         [
-            sum((i >> (2 * j + 1) & 1) - (i >> (2 * j) & 1) for j in range(k))
+            sum(d << 2 * j for j in range(k) if (d := i >> 2 * j & 3) in (1, 2))
             for i in range(4**k)
         ]
+    )
+
+
+def conjugate(k):
+    """Independent conjugate of each flat index of a paired k-qubit
+    superoperator: each coherence digit 1 (|0><1|) read as 2 (|1><0|) and
+    2 as 1, each population digit kept."""
+    swap = {0: 0, 1: 2, 2: 1, 3: 3}
+    return np.array(
+        [sum(swap[i >> 2 * j & 3] << 2 * j for j in range(k)) for i in range(4**k)]
     )
 
 
@@ -131,6 +143,13 @@ def dense_rk4(lmat, rho_data, tau, substeps):
         k4 = lmat @ (v + h * k3)
         v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return v.reshape(rho_data.shape)
+
+
+def dense_block(terms, cfg):
+    """The dense 4^k x 4^k channel matrix of the one noise block of `terms`
+    on its k qubits, as a propagator builds it."""
+    k = len(noise._support(terms))
+    return noise._dense(noise._blocks([terms], cfg), k)[0]
 
 
 def random_density_matrix(n, rng):

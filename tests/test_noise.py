@@ -17,15 +17,17 @@ from qemsim.noise import (
     KINDS,
     MAX_SUBSTEPS,
     IntervalPropagator,
-    _generator,
     build_template_model,
     scale_terms,
 )
 from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, unpair
 
 from conftest import (
-    coherence_order,
+    coherence_pattern,
+    conjugate,
+    dense_block,
     dense_liouvillian,
+    paired_superop,
     dense_rk4,
     random_density_matrix,
 )
@@ -47,20 +49,24 @@ def propagate_rows(propagator, rhos):
 
 
 def wide_layers(propagator):
-    """The (`_Wide`, rows) pairs of a propagator's kernels, layer by layer."""
-    return [(k, rows) for k, rows in propagator.kernels if isinstance(k, noise._Wide)]
+    """The (`_Layer`, rows) pairs of a propagator's kernels, layer by layer."""
+    return [(k, rows) for k, rows in propagator.kernels if isinstance(k, noise._Layer)]
 
 
-def register(n):
-    """The qubits of a paired n-qubit rho's (4,)*n view, axis by axis."""
-    return range(n - 1, -1, -1)
+def apply_generator(stack, terms, n, h):
+    """h*L of `terms` on each row of a paired (rows, 4^n) stack, as a new
+    stack: their `noise._generator` sectors on their own qubits, applied
+    by the take, matmul and put of a wide layer."""
+    terms = tuple(terms)
+    layer = noise._Layer([terms] * len(stack), range(len(stack)), n, lambda b: noise._generator(b, h))
+    return layer(np.array(stack, dtype=complex))
 
 
 def paired_rhs(rho_data, terms, n):
-    """`noise._generator` of `terms` at h = 1 on the whole register, on
-    rho_data in paired order, the result unpaired again."""
+    """`noise._generator` of `terms` at h = 1 on rho_data, through
+    `apply_generator`, the result unpaired again."""
     paired = pair(q.DensityMatrix(n, rho_data)).data[None]
-    (out,) = _generator((terms,), register(n), 1.0)(paired)
+    (out,) = apply_generator(paired, terms, n, 1.0)
     return unpair(PairedDensity(n, out)).data
 
 
@@ -157,37 +163,57 @@ class TestDissipator:
         assert abs(np.trace(inc)) < 1e-12
 
 
-class TestCoherenceOrder:
-    """The dense block build steps each coherence-order sector alone, which
-    is exact only if every kind's superoperator keeps coherence order."""
+class TestCoherencePattern:
+    """Every block is built and applied one sector at a time, one per class
+    of coherence patterns, which is exact only if every kind's
+    superoperator keeps the pattern, is real, and is the same on a pattern
+    and its conjugate."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_every_kind_keeps_coherence_order(self, kind):
+    def test_every_kind_keeps_the_pattern_on_its_conjugate_too(self, kind):
         rng = np.random.default_rng(KINDS.index(kind))
+        k = 2 if kind == "correlated" else 1
         qubits = (1, 0) if kind == "correlated" else (0,)
-        order = coherence_order(len(qubits))
-        between = order[:, None] != order[None, :]
+        pattern = coherence_pattern(k)
+        between = pattern[:, None] != pattern[None, :]
+        flip = conjugate(k)
         for _ in range(5):
             n_th = rng.uniform(0.0, 2.0) if kind == "thermal" else None
             term = q.LindbladTerm(kind, qubits, rng.uniform(0.01, 2.0), n_th)
-            # h*L on the term's own register, as `_block` forms it
-            eye = np.eye(4 ** len(qubits), dtype=complex)
-            superop = _generator(((term,),), qubits, 1.0)(eye).T
+            # the independent oracle, in the paired order of the term's qubits
+            superop = paired_superop(dense_liouvillian(q.NoiseModel((term,)), k).toarray())
             assert np.any(superop)
-            assert np.all(superop[between] == 0)
+            assert np.all(superop[between] == 0) and np.all(superop.imag == 0)
+            assert np.array_equal(superop[np.ix_(flip, flip)], superop)
+            # and the build's h*L, scattered into the dense matrix, is it
+            built = noise._dense(noise._generator([(term,)], 1.0), k)[0]
+            assert np.max(np.abs(built - superop)) < 1e-14
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_sectors_partition_the_block_by_order(self, k):
-        sectors = noise._sectors(k)
-        order = coherence_order(k)
-        flat = np.concatenate([idx.reshape(-1) for idx in sectors])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+    def test_layout_partitions_the_block_by_class(self, k):
+        digits, at, home, local, representative, starts = noise._layout(k)
+        pattern, flip = coherence_pattern(k), conjugate(k)
+        flat = np.concatenate([idx.reshape(-1) for idx in at])
         assert np.array_equal(np.sort(flat), np.arange(4**k))
-        assert len(sectors) == k + 1
-        for m, idx in enumerate(sectors):
-            assert idx.shape == (1 if m == 0 else 2, math.comb(2 * k, k + m))
-            for row, want in zip(idx, (m, -m)):
-                assert np.all(order[row] == want)
-                assert np.all(np.diff(row) > 0)
+        assert starts[-1] == (6**k + 4**k) // 2 and len(at) == k + 1
+        cells = []
+        for p, idx in enumerate(at):
+            assert starts[p + 1] - starts[p] == len(idx) * 4**p
+            assert idx.shape[1:] == (1 + (p < k), 2**p)
+            populations = np.isin(digits[:, idx], (0, 3)).sum(axis=0)
+            assert np.all(populations == p)
+            # one pattern per class and partner, the partner its conjugate,
+            # each entry at its local index, the bits of its digits 3
+            assert np.all(pattern[idx] == pattern[idx[..., :1]])
+            assert np.all(representative[idx[:, 0]]) and not np.any(representative[idx[:, 1:]])
+            if p < k:
+                assert np.array_equal(idx[:, 1], flip[idx[:, 0]])
+            assert np.all(local[idx] == np.arange(2**p))
+            rows = idx[:, 0]
+            cells.append((home[rows][:, :, None] + local[rows][:, None, :]).reshape(-1))
+        cells = np.concatenate(cells)
+        assert np.array_equal(np.sort(cells), np.arange(starts[-1]))
+        assert not any(a.flags.writeable for a in (digits, home, local, representative, *at))
 
 
 class TestLindbladRhs:
@@ -269,15 +295,16 @@ def generator_cases(draw):
 
 
 class TestGenerator:
-    """`noise._generator`, h*L as one diagonal plus one slice move per
-    collapse op, against the full-register oracle on multi-row stacks."""
+    """`noise._generator`, h*L as the real matrices of its sectors, applied
+    by a wide layer's take, matmul and put, against the full-register
+    oracle on multi-row stacks."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_kind_on_a_stack(self, kind):
         n, h = 3, 0.3
         term = one_term(kind, (2, 0) if kind == "correlated" else (1,))
         stack = random_stack(n, 4, KINDS.index(kind))
-        got = _generator(([term],), register(n), h)(stack)
+        got = apply_generator(stack, [term], n, h)
         assert np.max(np.abs(got - oracle_rhs(stack, [term], n, h))) < 1e-14
 
     @pytest.mark.parametrize("qubits", [(0, 1), (1, 2), (0, 2), (3, 0)])
@@ -286,7 +313,7 @@ class TestGenerator:
         n, h = 4, 0.25
         stack = random_stack(n, 3, sum(qubits))
         got = [
-            _generator(([one_term("correlated", tq)],), register(n), h)(stack)
+            apply_generator(stack, [one_term("correlated", tq)], n, h)
             for tq in (qubits, qubits[::-1])
         ]
         want = oracle_rhs(stack, [one_term("correlated", qubits)], n, h)
@@ -299,7 +326,7 @@ class TestGenerator:
     def test_matches_dense_oracle(self, case):
         n, terms, h, seed = case
         stack = random_stack(n, 2, seed)
-        got = _generator((terms,), register(n), h)(stack)
+        got = apply_generator(stack, terms, n, h)
         assert np.max(np.abs(got - oracle_rhs(stack, terms, n, h))) < 1e-13
 
     @settings(max_examples=30, deadline=None)
@@ -307,13 +334,18 @@ class TestGenerator:
     @example((6, tuple(build_template_model("correlated", 6, 0.3).terms), 0.5, 0))
     def test_keeps_the_trace_by_construction(self, case):
         # each move's weight w leaves its source's diagonal twice, at w/2, as
-        # it lands on its target's: the paired identity row t has t h*L = 0,
-        # on each row of a stack, with its own terms
+        # it lands on its target's: each column of the all-population sector
+        # sums to 0, so the paired identity row t has t h*L = 0, on each row
+        # of a stack, with its own terms
         n, terms, h, seed = case
         stack = random_stack(n, 3, seed)
-        got = _generator((terms, terms[::-1], terms[:1]), register(n), h)(stack)
-        traces = PairedDensity(n, got).trace()
-        assert np.max(np.abs(traces)) < 1e-13 * (1 + h * sum(t.rate for t in terms)) * 2**n
+        bound = 1e-13 * (1 + h * sum(t.rate for t in terms)) * 2**n
+        for row, own in enumerate((terms, terms[::-1], terms[:1])):
+            k = len(noise._support(own))
+            sums = noise._generator([own], h)[0, -(4**k) :].reshape(2**k, 2**k).sum(axis=0)
+            assert np.max(np.abs(sums)) < bound
+            (got,) = apply_generator(stack[row : row + 1], own, n, h)
+            assert abs(PairedDensity(n, got).trace()) < bound
 
 
 def test_wide_block_run_loads_no_scipy():
@@ -397,15 +429,15 @@ class TestEvolve:
         assert np.max(np.abs(fast.data - want)) < 1e-12
 
     def test_correlated_ring_wide_block_matches_dense_oracle(self):
-        # a 5-qubit ring is one block wider than the precomputed ones, so
-        # it runs RK4 with the block's generator on rho
+        # a 5-qubit ring is one block wider than the dense ones, so it
+        # steps rho by its sectors' matrices
         n = 5
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert plan(model) == [(4, 3, 2, 1, 0)]
         wide = wide_layers(propagator)
         assert propagator.stacks == [] and len(propagator.kernels) == len(wide)
-        assert isinstance(wide[0][0], noise._Wide)
+        assert isinstance(wide[0][0], noise._Layer)
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
@@ -445,29 +477,50 @@ class TestEvolve:
             want = dense_rk4(dense_liouvillian(block, n), want, cfg.tau, cfg.substeps)
         assert np.max(np.abs(got.data - want)) < 1e-12
 
-    @pytest.mark.parametrize(
-        "term, qubits",
+    BLOCKS = pytest.mark.parametrize(
+        "terms, n, qubits",
         [
-            (q.LindbladTerm("amplitude_damping", (1,), 0.1), r"\[1\]"),
-            (q.LindbladTerm("correlated", (2, 0), 0.1), r"\[0, 2\]"),
+            ([("amplitude_damping", (1,))], 3, r"\[1\]"),
+            ([("correlated", (2, 0))], 3, r"\[0, 2\]"),
+            ([("correlated", (j, (j + 1) % 5)) for j in range(5)], 5, r"\[0, 1, 2, 3, 4\]"),
         ],
-        ids=["product_pass", "dense_block"],
+        ids=["product_pass", "dense_block", "wide_block"],
     )
-    # a purely imaginary defect counts too: 1 + 1e-3j moves t M off t by 1e-3j
-    @pytest.mark.parametrize(
-        "spoil", [1 + 1e-3, 1 + 1e-3j, math.nan], ids=["scaled", "imaginary", "nan"]
-    )
+
+    @BLOCKS
+    @pytest.mark.parametrize("spoil", [1 + 1e-3, math.nan], ids=["scaled", "nan"])
     def test_a_block_that_changes_the_trace_is_refused_at_build(
-        self, term, qubits, spoil, monkeypatch
+        self, terms, n, qubits, spoil, monkeypatch
     ):
-        model, cfg = q.NoiseModel((term,)), q.PropagatorConfig()
+        # a block of every width is checked once, when it is built
+        model = q.NoiseModel(tuple(q.LindbladTerm(kind, qs, 0.1) for kind, qs in terms))
+        cfg = q.PropagatorConfig()
         power_step = noise._power_step
         monkeypatch.setattr(noise, "_power_step", lambda *args: power_step(*args) * spoil)
         message = rf"the channel on qubits {qubits} changes the trace by (0.001|nan);"
         with pytest.raises(IntegrationError, match=message):
-            IntervalPropagator([model], 3, cfg)
+            IntervalPropagator([model], n, cfg)
         monkeypatch.undo()
-        IntervalPropagator([model], 3, cfg)  # the true block passes
+        IntervalPropagator([model], n, cfg)  # the true block passes
+
+    @BLOCKS
+    def test_one_column_off_the_trace_is_refused_at_build(self, terms, n, qubits, monkeypatch):
+        # a weight into entry (0, 1) of the all-population sector of h*L with
+        # none out of its column: column 1 alone sums past 1 after the step
+        model = q.NoiseModel(tuple(q.LindbladTerm(kind, qs, 0.1) for kind, qs in terms))
+        cfg = q.PropagatorConfig(substeps=1)
+        generator = noise._generator
+
+        def spoilt(blocks, h):
+            out = generator(blocks, h)
+            k = len(noise._support(blocks[0]))
+            out[:, -(4**k) + 1] += 1e-3
+            return out
+
+        monkeypatch.setattr(noise, "_generator", spoilt)
+        message = rf"the channel on qubits {qubits} changes the trace by 0.0009\d*;"
+        with pytest.raises(IntegrationError, match=message):
+            IntervalPropagator([model], n, cfg)
 
     def test_integrator_failure_raises(self):
         rho = q.DensityMatrix(1, EXCITED.copy())
@@ -609,7 +662,7 @@ class TestTermQubitOrder:
             )
         )
         kernel, out, flipped = self.both_orders(model, 3)
-        assert not isinstance(kernel, noise._Wide)
+        assert not isinstance(kernel, noise._Layer)
         assert np.array_equal(out, flipped)
 
     def test_wide_block_on_adjacent_qubits_is_bit_identical(self):
@@ -621,7 +674,7 @@ class TestTermQubitOrder:
             )
         )
         kernel, out, flipped = self.both_orders(model, n)
-        assert isinstance(kernel, noise._Wide)
+        assert isinstance(kernel, noise._Layer)
         assert np.array_equal(out, flipped)
 
     def test_wrap_around_term_on_a_wide_block_is_bit_identical(self):
@@ -631,7 +684,7 @@ class TestTermQubitOrder:
         model = build_template_model("correlated", n, 0.2)
         assert model.terms[-1].qubits == (5, 0)
         kernel, out, flipped = self.both_orders(model, n)
-        assert isinstance(kernel, noise._Wide)
+        assert isinstance(kernel, noise._Layer)
         assert np.array_equal(out, flipped)
 
 
@@ -751,6 +804,40 @@ class TestBatch:
         assert noise._chunks(rows, 4) == [
             range(0, 5), range(5, 7), range(7, 12), range(12, 17), range(17, 18)
         ]
+
+    def test_chunks_count_each_wide_rows_sector_matrices(self, monkeypatch):
+        # a 5-qubit ring's sectors take 4 (6^5 + 4^5) bytes beside a 5-qubit
+        # rho's 16 4^5: three such rows fit a budget of three, and a 4-qubit
+        # ring, a dense block, counts its rho alone
+        ring = build_template_model("correlated", 5, 0.01)
+        row = 16 * 4**5 + 4 * (6**5 + 4**5)
+        assert noise._sector_bytes(ring.terms) == 4 * (6**5 + 4**5) == 35200
+        monkeypatch.setattr(noise, "BATCH_BYTES", 3 * row)
+        assert noise._chunks([ring] * 7, 5) == [range(0, 3), range(3, 6), range(6, 7)]
+        small = q.NoiseModel(build_template_model("correlated", 4, 0.01).terms)
+        assert noise._chunks([small] * 7, 5) == [range(7)]
+
+    def test_a_wide_block_past_the_cap_is_refused_before_anything_is_built(self, monkeypatch):
+        # a 12-qubit block's sectors, 8.8 GB, exceed a 14-qubit rho's 4 GiB,
+        # an 11-qubit block's, 1.5 GB, do not; only the estimate is made
+        def fail(*args):
+            raise AssertionError("allocated")
+
+        for name in ("_stack", "_blocks", "_generator", "_layout"):
+            monkeypatch.setattr(noise, name, fail)
+        monkeypatch.setattr(q.StateVector, "to_density_matrix", fail)
+        assert noise._sector_bytes(build_template_model("correlated", 11, 0.01).terms) < 16 * 4**14
+        ring = build_template_model("correlated", 12, 0.01)
+        message = r"a noise block on 12 qubits needs \d+ bytes of sector matrices, more than a 14-qubit"
+        circuit = q.BoundCircuit(12, (q.BoundGate("H", (0,)), q.BoundGate("X", (1,))))
+        psi = q.new_statevector(12)
+        for run in (
+            lambda: noise._chunks([ring], 12),
+            lambda: noise.run_noisy_batch(psi, circuit, [ring]),
+            lambda: IntervalPropagator([ring], 12, q.PropagatorConfig()),
+        ):
+            with pytest.raises(q.CapacityError, match=message):
+                run()
 
     @pytest.mark.parametrize("template", ["gamma1_gamma2", "correlated"])
     def test_chunked_mitigation_is_bit_identical(self, template, monkeypatch):
@@ -912,7 +999,7 @@ class TestBatch:
         assert sorted([t.qubits for t in terms] for terms in built) == [
             [(0,), (0,)], [(1,), (1,)], [(2,), (2,)]
         ]
-        block = noise._block
+        block = dense_block
         # each row's entry is the kron of its own blocks, the identity on a
         # qubit it has none on, bit for bit: qubit 2 leads alone (odd n),
         # then the pair (1, 0)
@@ -943,7 +1030,7 @@ class TestBatch:
         model = q.NoiseModel(tuple(terms))
         cfg = q.PropagatorConfig(substeps=8)
         propagator = IntervalPropagator([model], n, cfg)
-        blocks = [noise._block(tuple(terms[2 * k : 2 * k + 2]), cfg) for k in range(n)]
+        blocks = [dense_block(tuple(terms[2 * k : 2 * k + 2]), cfg) for k in range(n)]
         # top first: odd n leads with the top qubit alone, then the pairs
         want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
         assert [qubits for qubits, _ in propagator.stacks] == want_qubits
@@ -981,7 +1068,7 @@ class TestBatch:
             # the kron oracle: the whole interval as one 4^n x 4^n matrix
             lone = {t.qubits[0]: t for t in model.terms}
             factors = [
-                noise._block((lone[k],), cfg) if k in lone else eye
+                dense_block((lone[k],), cfg) if k in lone else eye
                 for k in reversed(range(n))
             ]
             want = reduce(np.kron, factors) @ pair(rho).data

@@ -4,6 +4,7 @@ the state-vector path against the density matrix, and the invariants of
 the correction estimator."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from qemsim.noise import KINDS, IntervalPropagator, build_template_model, scale_
 from qemsim.state import LocalOp, PairedDensity, pair, paired_axes, unpair
 
 from conftest import (
-    coherence_order,
+    coherence_pattern,
+    conjugate,
+    dense_block,
     dense_liouvillian,
     dense_rk4,
     kron_embed_multi,
@@ -167,7 +170,7 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
 @st.composite
 def dense_blocks(draw):
     """(k, terms, substeps): terms of every kind on qubits 0..k-1, each
-    qubit touched, zero rates included, so `_block` builds one dense block
+    qubit touched, zero rates included, so `dense_block` builds one dense block
     whose register is the whole k-qubit register."""
     k = draw(st.integers(1, 4))
     kinds = KINDS if k > 1 else tuple(x for x in KINDS if x != "correlated")
@@ -187,16 +190,18 @@ def dense_blocks(draw):
 
 
 def check_sector_build(terms, k, substeps, lmat):
-    """`_block` of terms on k qubits against the full-matrix oracle: the
+    """`dense_block` of terms on k qubits against the full-matrix oracle: the
     RK4 step of their Havel-order Liouvillian lmat, to the power substeps.
-    The build does each coherence-order sector alone, exact because the
-    oracle keeps every entry between sectors at exactly 0."""
+    The build does each class of coherence patterns alone, exact because
+    the oracle keeps every entry between patterns at exactly 0 and is the
+    same on a pattern and its conjugate."""
     cfg = q.PropagatorConfig(substeps=substeps)
     hl = cfg.tau / substeps * paired_superop(lmat)
     want = noise._power_step(hl, substeps)
-    order = coherence_order(k)
-    assert np.all(want[order[:, None] != order[None, :]] == 0)
-    got = noise._block(terms, cfg)
+    pattern, flip = coherence_pattern(k), conjugate(k)
+    assert np.all(want[pattern[:, None] != pattern[None, :]] == 0)
+    assert np.max(np.abs(want[np.ix_(flip, flip)] - want)) < 1e-15
+    got = dense_block(terms, cfg)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -209,7 +214,7 @@ def test_sector_build_matches_full_matrix_oracle(case):
 
 
 class StubTerm:
-    """A noise term as `_block` reads it: its qubits and its collapse ops,
+    """A noise term as `dense_block` reads it: its qubits and its collapse ops,
     here any (rate, a, b) triples, not only those of the four kinds."""
 
     def __init__(self, qubits, ops):
@@ -223,7 +228,7 @@ class StubTerm:
 def single_entry_blocks(draw):
     """(k, terms, substeps): stub terms of width 1-2 on qubits 0..k-1, each
     with 1-2 arbitrary collapse ops |a><b|, and dephasing on every qubit no
-    term touches, so `_block` builds one dense block on the k qubits."""
+    term touches, so `dense_block` builds one dense block on the k qubits."""
     k = draw(st.integers(1, 3))
     rates = st.just(0.0) | st.floats(0.0, 0.05)
     terms = []
@@ -619,8 +624,8 @@ def wide_batch_cases(draw):
     1-qubit terms, in any order.  Correlated terms along a random path
     join all five qubits, so the full row holds one wide block; a group's
     removal or scaled row holds a wide block, dense blocks, or both.
-    Rates up to 0.1 make each RK4 term large enough that a slice move
-    taken in another order changes the rounding of the step."""
+    Rates up to 0.1 make each RK4 term large enough that a sum taken in
+    another order changes the rounding of the step."""
     circuit = draw(circuits(min_qubits=5))
     n = circuit.n_qubits
     rates = st.floats(1e-3, 0.1)
@@ -644,10 +649,68 @@ def wide_batch_cases(draw):
 @settings(max_examples=25, deadline=None)
 @given(wide_batch_cases())
 def test_wide_block_rows_are_bit_identical_to_their_runs_alone(case):
-    # a wide layer applies each slice move to all its rows at once, in one
-    # order of moves, weighted 0 on a row without it, so a batch changes no
-    # row's arithmetic
+    # a wide layer applies each row's own sector matrices to that row's
+    # entries alone, one matmul of one shape per row and class, so a batch
+    # changes no row's arithmetic
     assert_rows_match_alone(*case, substeps=4)
+
+
+@st.composite
+def wide_models(draw):
+    """(n, model, substeps, seed): on 7 qubits, with dense blocks capped at
+    two qubits, two wide components on random disjoint qubits, 3 or 4 and
+    then 3, so one qubit may be a spectator.  Each component is a random
+    path of correlated terms, its pairs rarely adjacent, and up to three
+    terms of any kind inside it; rates up to 0.05 keep substeps 1 stable."""
+    n = 7
+    order = draw(st.permutations(range(n)))
+    first = draw(st.integers(3, 4))
+    rates = st.floats(1e-3, 0.05)
+    terms = []
+    for component in (order[:first], order[first : first + 3]):
+        path = draw(st.permutations(component))
+        for j in range(len(path) - 1):
+            terms.append(q.LindbladTerm("correlated", path[j : j + 2], draw(rates)))
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(KINDS))
+            qubits = tuple(draw(st.permutations(component))[: 2 if kind == "correlated" else 1])
+            n_th = draw(st.floats(0.0, 1.0)) if kind == "thermal" else None
+            terms.append(q.LindbladTerm(kind, qubits, draw(rates), n_th))
+    model = q.NoiseModel(tuple(draw(st.permutations(terms))))
+    return n, model, draw(st.sampled_from([1, 3, 64])), draw(st.integers(0, 2**32 - 1))
+
+
+def own_register(block):
+    """A block's terms on its own qubits, its lowest as qubit 0, and their count."""
+    support = sorted({j for t in block.terms for j in t.qubits})
+    terms = (replace(t, qubits=tuple(map(support.index, t.qubits))) for t in block.terms)
+    return q.NoiseModel(tuple(terms)), len(support)
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_models())
+def test_wide_sector_channel_matches_dense_rk4(case):
+    # a wide layer is the oracle's RK4 channel of each of its blocks, and
+    # the oracle's channel is the same on a pattern and on its conjugate
+    n, model, substeps, seed = case
+    cfg = q.PropagatorConfig(substeps=substeps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
+        propagator = IntervalPropagator([model], n, cfg)
+    layers = [kernel for kernel, _ in propagator.kernels]
+    assert propagator.stacks == [] and [type(k) for k in layers] == [noise._Layer] * 2
+    rho = random_density_matrix(n, np.random.default_rng(seed))
+    (got,) = propagator.propagate(PairedDensity(n, pair(rho).data[None].copy())).data
+    want = rho.data
+    for block in connected_blocks(model):
+        want = dense_rk4(dense_liouvillian(block, n), want, cfg.tau, cfg.substeps)
+        own, k = own_register(block)
+        hl = cfg.tau / substeps * paired_superop(dense_liouvillian(own, k).toarray())
+        channel, flip = noise._power_step(hl, substeps), conjugate(k)
+        assert np.max(np.abs(channel[np.ix_(flip, flip)] - channel)) < 1e-15
+        built = noise._dense(noise._blocks([own.terms], cfg), k)[0]
+        assert np.max(np.abs(built - channel)) < 1e-13
+    assert np.max(np.abs(unpair(PairedDensity(n, got)).data - want)) < 1e-13
 
 
 @st.composite
@@ -765,7 +828,7 @@ def test_composed_run_matches_the_per_interval_loop_and_the_kron_oracle(case):
         # the kron oracle: each interval the kron of the row's 1-qubit
         # blocks, top qubit first, and each gate U rho U^dag
         lone = {min(qubits): terms for qubits, terms in noise._components(model)}
-        blocks = [noise._block(lone[k], cfg) if k in lone else np.eye(4) for k in reversed(range(n))]
+        blocks = [dense_block(lone[k], cfg) if k in lone else np.eye(4) for k in reversed(range(n))]
         rho = q.new_pure_ground(n).data
         for i, gate in enumerate(gates):
             u = kron_embed_multi(gate.matrix(), gate.qubits, n)

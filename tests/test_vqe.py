@@ -91,6 +91,28 @@ class TestEnergyObjective:
             assert set(vars(propagator)) == keys and propagator.kept[1] is plan
 
     @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
+    def test_a_kept_plan_evaluation_builds_one_op_per_param_gate(
+        self, h2_hamiltonian, h2_uccsd_circuit, kernel, monkeypatch
+    ):
+        # each of the binding's 6 distinct Param gates builds its entry op
+        # once and keeps it, with a kernel too, though there each Param step
+        # pays the pass owed first; the fixed folds are kept in the plan
+        problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, h2_model(kernel))
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+        built = []
+        init = noise.LocalOp.__init__
+
+        def counted(op, *args):
+            built.append(op)
+            init(op, *args)
+
+        monkeypatch.setattr(noise.LocalOp, "__init__", counted)
+        energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
+        assert len(built) == 6
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
     def test_an_evaluation_leaves_the_kept_plan_as_it_was(
         self, h2_hamiltonian, h2_uccsd_circuit, kernel
     ):

@@ -56,9 +56,12 @@ MUTANTS = [
      "a_i = a_noisy - (a_i - a_noisy) / (factor - 0.999)",
      "the scaled variant's (factor - 1) -> (factor - 0.999)"),
     ("chunks_4_bytes", "src/qemsim/noise.py",
-     "size = max(1, BATCH_BYTES // (16 * 4**n_qubits))",
-     "size = max(1, BATCH_BYTES // (4 * 4**n_qubits))",
+     "size = 16 * 4**n_qubits + sum(", "size = 4 * 4**n_qubits + sum(",
      "`_chunks` sized at 4 B an entry"),
+    ("chunks_no_sector_bytes", "src/qemsim/noise.py",
+     "_sector_bytes(terms) for support, terms in parts if",
+     "0 for support, terms in parts if",
+     "the sector bytes left out of `_chunks`"),
     ("max_substeps", "src/qemsim/noise.py",
      "MAX_SUBSTEPS = 10**6", "MAX_SUBSTEPS = 10**7",
      "MAX_SUBSTEPS 10^6 -> 10^7"),
@@ -72,9 +75,13 @@ MUTANTS = [
      "if not abs(trace - 1.0) <= TRACE_DRIFT_LIMIT:",
      "if not abs(trace.real - 1.0) <= TRACE_DRIFT_LIMIT:",
      "`finish` testing trace.real only"),
-    ("block_real_defect", "src/qemsim/noise.py",
-     "zip(supports, np.abs(t_m).max(axis=1))", "zip(supports, np.abs(t_m.real).max(axis=1))",
-     "`_block`'s defect on t_m.real only"),
+    ("block_trace_unchecked", "src/qemsim/noise.py",
+     "if not defect <= TRACE_DRIFT_LIMIT:  # NaN too", "if False:",
+     "the all-population trace check skipped"),
+    ("conjugate_swapped", "src/qemsim/noise.py",
+     "table[c, partner[mine], local[mine]] = mine",
+     "table[c, partner[mine], local[mine] ^ (m - 1) * partner[mine]] = mine",
+     "a conjugate pattern taking its partner's entries in swapped order"),
     ("fold_untransposed", "src/qemsim/noise.py",
      "entry = op(np.eye(4 ** len(qubits), dtype=complex)) @ product[at]",
      "entry = op(np.eye(4 ** len(qubits), dtype=complex)).T @ product[at]",
@@ -111,12 +118,12 @@ MUTANTS = [
      "for g in [qs, qs[::-1], *zip(qs)]", "for g in [qs, *zip(qs)]",
      "a gate on a pair in descending order left unfolded"),
     ("chunk_key_no_wider", "src/qemsim/noise.py",
-     "kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)",
-     "kinds = ({len(support) == 1 for support, _ in _components(model)} - {False} for model in models)",
+     "kind = {len(support) == 1 for support, _ in parts}",
+     "kind = {len(support) == 1 for support, _ in parts} - {False}",
      "rows chunked with no regard to their wider blocks"),
     ("chunk_key_no_lone", "src/qemsim/noise.py",
-     "kinds = ({len(support) == 1 for support, _ in _components(model)} for model in models)",
-     "kinds = ({len(support) == 1 for support, _ in _components(model)} - {True} for model in models)",
+     "kind = {len(support) == 1 for support, _ in parts}",
+     "kind = {len(support) == 1 for support, _ in parts} - {True}",
      "rows chunked with no regard to their 1-qubit blocks"),
     ("reader_not_finite", "src/qemsim/paulis.py",
      "if not math.isfinite(value):", "if False:",

@@ -75,11 +75,14 @@ def _mitigation(template: str, factor: float | None = None):
     return job
 
 
-def _entangling_mitigation():
-    ansatz = _entangling(5)
-    bound = q.bind(ansatz, _angles(ansatz.n_params))
-    model = q.build_template_model("gamma1_gamma2", 5, RATE)
-    return _report(q.run_mitigation(bound, model, _ising_ring(5)))
+def _entangling_mitigation(template: str, n: int):
+    def job():
+        ansatz = _entangling(n)
+        bound = q.bind(ansatz, _angles(ansatz.n_params))
+        model = q.build_template_model(template, n, RATE)
+        return _report(q.run_mitigation(bound, model, _ising_ring(n)))
+
+    return job
 
 
 def _objective(kind: str, model):
@@ -117,7 +120,9 @@ JOBS = {
     "mitigation_h2_thermal": _mitigation("thermal"),
     "mitigation_h2_correlated": _mitigation("correlated"),
     "mitigation_h2_gamma1_gamma2_scaled_2": _mitigation("gamma1_gamma2", 2.0),
-    "mitigation_entangling5_gamma1_gamma2": _entangling_mitigation,
+    "mitigation_entangling5_gamma1_gamma2": _entangling_mitigation("gamma1_gamma2", 5),
+    # all 42 gates at the default 64 substeps: a 6-qubit ring is one wide block
+    "mitigation_entangling6_correlated": _entangling_mitigation("correlated", 6),
     "objective_h2_noiseless": _objective("uccsd", None),
     "objective_h2_gamma1_gamma2": _objective("uccsd", _gamma1_gamma2(4)),
     "objective_h2_correlated_1_2": _objective("uccsd", _correlated_h2),
