@@ -100,7 +100,6 @@ from .state import (
     StateVector,
     _gate_op,
     _kron,
-    _paired_diagonal,
     apply_gate,
     check_cap,
     check_count,
