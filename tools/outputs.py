@@ -10,7 +10,11 @@ a mitigation report, an objective, or a VQE's `evals`, `history`,
 `theta_opt` and `energy`.  The record writes each float as `float.hex`,
 so two records compare exactly, and a tolerance applies only where it is
 stated: `tests/test_golden.py` reruns every job and holds each float
-within TOLERANCE of the record, and each int exactly.  A change that
+within TOLERANCE of the record, and each int exactly.  A `cli_` job is
+the stdout of one `qemsim` mode on one small config, kept as text: CSV
+and `validate` text must match exactly (their floats print as `.12g`),
+JSON key by key, each float within TOLERANCE and everything else,
+the order of keys included, exactly.  A change that
 moves a value past TOLERANCE rewrites the record and says which values
 moved, and why.  The exit status of a comparison is 1 if any value
 moved past it.
@@ -18,14 +22,18 @@ moved past it.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import qemsim as q
+from qemsim.cli import main as cli_main
 
 RECORD = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
 TOLERANCE = 1e-12  # absolute, on values of order one
@@ -115,6 +123,63 @@ def _gamma1_gamma2(n: int):
     return lambda: q.build_template_model("gamma1_gamma2", n, RATE)
 
 
+def _cli(mode: str, config: dict | None = None):
+    """The stdout of `qemsim mode --config` on `config` (no --config for
+    None), which must exit 0; a `theta_file` names a file in a fresh
+    directory that holds the angles THETA."""
+
+    def job():
+        with tempfile.TemporaryDirectory() as tmp:
+            args, settings = [mode], dict(config or {})
+            if "theta_file" in settings:
+                settings["theta_file"] = str(Path(tmp, settings["theta_file"]))
+                Path(settings["theta_file"]).write_text(json.dumps({"theta_opt": THETA}))
+            if config is not None:
+                Path(tmp, "c.json").write_text(json.dumps(settings))
+                args += ["--config", str(Path(tmp, "c.json"))]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(args)
+        if code != 0:
+            raise RuntimeError(f"qemsim {mode} exited {code}")
+        return out.getvalue()
+
+    return job
+
+
+# The configs of tests/test_cli.py's matrix, and one correlated pair.
+THETA = [0.1, 0.2, 0.3]
+H2 = {"hamiltonian": "h2", "ansatz": {"kind": "uccsd", "path": "h2_uccsd"}}
+CLI = {
+    "vqe": ("vqe", {**H2, "optimizer": {"max_evals": 1}}),
+    "entangling": ("vqe", {
+        "hamiltonian": "h2", "ansatz": {"kind": "entangling", "layers": 1},
+        "optimizer": {"max_evals": 1},
+    }),
+    "mitigate": ("mitigate", {
+        **H2, "theta": THETA, "noise": {"template": "thermal", "rate": 1e-3, "n_th": 0.5},
+    }),
+    "theta_file": ("mitigate", {
+        **H2, "theta_file": "theta.json", "noise": {"template": "gamma1", "rate": 1e-3},
+    }),
+    "terms": ("mitigate", {**H2, "theta": THETA, "noise": {"terms": [
+        {"kind": "amplitude_damping", "qubits": [0], "rate": 1e-3},
+        {"kind": "thermal", "qubits": [1], "rate": 1e-3, "n_th": 0.5},
+    ]}}),
+    "correlated_terms": ("mitigate", {**H2, "theta": THETA, "noise": {"terms": [
+        {"kind": "correlated", "qubits": [1, 2], "rate": 1e-3},
+        {"kind": "amplitude_damping", "qubits": [0], "rate": 1e-3},
+    ]}}),
+    "sweep": ("sweep", {
+        **H2, "theta": THETA, "noise": {"template": "gamma1", "rates": [1e-3], "n_th": 0.5},
+    }),
+    "tau": ("tau-scaling", {
+        **H2, "theta": THETA, "noise": {"template": "gamma1", "rate": 1e-3},
+        "tau_scaling": {"points": 2},
+    }),
+    "validate": ("validate", None),
+}
+
 JOBS = {
     "mitigation_h2_gamma1_gamma2": _mitigation("gamma1_gamma2"),
     "mitigation_h2_thermal": _mitigation("thermal"),
@@ -132,17 +197,43 @@ JOBS = {
     "vqe_h2_noiseless": _vqe(None, 4000),
     "vqe20_h2_gamma1_gamma2": _vqe(_gamma1_gamma2(4)),
     "vqe20_h2_correlated_1_2": _vqe(_correlated_h2),
+    **{f"cli_{name}": _cli(*args) for name, args in CLI.items()},
 }
 
 
-def encode(values: list) -> list:
-    """Ints as they are, floats as `float.hex`."""
+def encode(values: list | str) -> list | str:
+    """Text as it is, ints as they are, floats as `float.hex`."""
+    if isinstance(values, str):
+        return values
     return [v if isinstance(v, int) else float(v).hex() for v in values]
 
 
-def moved(got: list, want: list) -> list[str]:
+def _json_moved(got, want, where: str) -> list[str]:
+    """How the JSON value `got` differs from the recorded `want`, key by
+    key: floats past TOLERANCE, anything else by value and type."""
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        return [line for k in want for line in _json_moved(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [line for i, (g, w) in enumerate(zip(got, want)) for line in _json_moved(g, w, f"{where}[{i}]")]
+    if isinstance(want, float) and isinstance(got, float):
+        same = abs(got - want) <= TOLERANCE  # NaN too
+    else:
+        same = type(got) is type(want) and got == want
+    return [] if same else [f"{where or 'document'}: {got!r}, recorded {want!r}"]
+
+
+def moved(got: list | str, want: list | str) -> list[str]:
     """How `got` differs from the recorded `want`: one line per value
-    past TOLERANCE, or one for a different length."""
+    past TOLERANCE, or one for a different length; for text, one per
+    JSON value that moved, or the first line that differs."""
+    if isinstance(want, str):
+        if want.startswith("{"):
+            return _json_moved(json.loads(got), json.loads(want), "")
+        if got == want:
+            return []
+        lines = zip(got.splitlines(True), want.splitlines(True))
+        g, w = next(((g, w) for g, w in lines if g != w), (got, want))
+        return [f"text: {g!r}, recorded {w!r}"]
     if len(got) != len(want):
         return [f"{len(got)} values, recorded {len(want)}"]
     out = []
