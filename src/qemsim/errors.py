@@ -17,6 +17,6 @@ class PauliParseError(ValueError):
 
 class IntegrationError(RuntimeError):
     """The master-equation integrator is unstable or lost accuracy: a step
-    outside RK4's stability interval, refused before a run; a dense noise
+    outside RK4's stability interval, refused before a run; a noise
     block that changes the trace, refused when it is built; or a row whose
     trace has drifted from 1 at the end of its run."""

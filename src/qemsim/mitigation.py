@@ -8,7 +8,7 @@ where <A_i> is measured with removal group i switched off, i.e. its
 rates scaled by 0.  The full-noise run and every group's run differ only
 in their rates, so they are the rows of one batched run
 (`noise.run_noisy_batch`): one pass through the gates, each distinct
-noise block built once.  The noiseless run stays a state vector, and a
+1-qubit noise block built once.  The noiseless run stays a state vector, and a
 row left with no nonzero rate takes its value.  Groups are per
 qubit; a term whose qubit list spans k qubits would be removed k times by
 the per-qubit sweep, so it carries per-group weight 1/k.  Groups mixing

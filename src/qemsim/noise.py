@@ -25,10 +25,10 @@ finer split than the coherence order of Buča and Prosen (New J. Phys. 14,
 matrix, the same as its conjugate's (1 <-> 2), (6^k + 4^k) / 2 reals for
 a k-qubit block (`_layout`).  Every block is built so, once: h*L
 (`_generator`), then its degree-4 Taylor polynomial, one RK4 substep, to
-the power substeps, one stack per sector size (`_blocks`).  A block of at
-most DENSE_BLOCK_MAX_QUBITS qubits is scattered into its 4^k x 4^k matrix
-(the Havel vec identity); a wider one steps an interval by one gather,
-real matmul and put per sector size (`_Layer`), whatever the substeps.
+the power substeps, one stack per sector size (`_blocks`).  A 1-qubit
+block is scattered into its 4 x 4 matrix (the Havel vec identity); a
+wider one steps an interval by one gather, real matmul and put per
+sector size (`_Layer`), whatever the substeps.
 
 Every run is `IntervalPropagator.run`, the one gate loop: a stack of
 paired rho, one row per noise model, takes gate 1 and an interval, gate
@@ -52,25 +52,22 @@ no 1-qubit block of its own takes it through the identity there).  Any
 other gate, every gate where no row has a 1-qubit block, and the last
 gate are a pass of their own: one kernel call on all rows, which makes a
 new stack that the interval after it steps and may overwrite.  A gate's
-op is built at its first use and kept on the gate.  Each wider block is
-then a kernel on just the rows holding it: a dense one a `state.LocalOp`
-of its matrix, each distinct one built once, by highest qubit,
-descending; then the wide ones in layers, layer j one `_Layer` on the
-rows that have a j-th wide block (each row's by highest qubit,
-descending), which steps them in place.
+op is built at its first use and kept on the gate.  The wider blocks
+then step in layers, layer j one `_Layer` on the rows that have a j-th
+wider block (each row's by highest qubit, descending), in place.
 
 A run owes the pass of each interval to rho until it must pay it.  Two
 product passes compose entry by entry, (A2 x B2)(A1 x B1) = A2 A1 x
 B2 B1 (the mixed-product rule behind the shuffle algorithm), so rho owes
-one pending pass, which it pays, then the kernels, before a gate of its
-own, the last gate among them; with a kernel, before every gate, since
-no pass holds a kernel's interval.  A run takes one flat list of steps
+one pending pass, which it pays, then the layers, before a gate of its
+own, the last gate among them; with a layer, before every gate, since
+no pass holds a layer's interval.  A run takes one flat list of steps
 (`IntervalPropagator._plan`): a gate of its own; a `Param` gate of a
 `circuit.Circuit` in one entry, whose S multiplies into that entry of
 the pending pass before the plain pass after it composes in; or a fixed
 gate's fold, the plain pass after it with its S, built once a plan.
-Without kernels each maximal run of fixed folds composes once, into the
-plain pass that the step before it brings; with kernels each fold is a
+Without layers each maximal run of fixed folds composes once, into the
+plain pass that the step before it brings; with layers each fold is a
 step of its own.  A propagator keeps the plan of the last Circuit it
 ran, from its second run of it on, so a noisy VQE's evaluations compose
 only their Param gates, while a mitigation's propagator, which runs
@@ -95,7 +92,6 @@ from .errors import CapacityError, IntegrationError
 from .state import (
     DEFAULT_QUBIT_CAP,
     DensityMatrix,
-    LocalOp,
     PairedDensity,
     StateVector,
     _gate_op,
@@ -107,7 +103,6 @@ from .state import (
     check_real,
     gate_op,
     pair,
-    paired_axes,
     unpair,
 )
 
@@ -116,16 +111,13 @@ from .state import (
 KINDS = ("amplitude_damping", "dephasing", "thermal", "correlated")
 
 TRACE_DRIFT_LIMIT = 1e-6
-# A dense block is a 16^k complex matrix, 1 MiB at k = 4; a wider one
-# keeps its (6^k + 4^k) / 2 sector reals.
-DENSE_BLOCK_MAX_QUBITS = 4
 # RK4 keeps |R(z)| <= 1 on the negative real axis down to z = -2.785.
 RK4_STABILITY_LIMIT = 2.785
 # Past this many substeps round-off outgrows the RK4 error: one damped
 # qubit at rate 1e-3 loses 2.6e-11 of trace at 10^6, 3.1e-7 at 10^10.
 MAX_SUBSTEPS = 10**6
 # A batched run holds at most this many bytes of rho stack (16 B an
-# entry, 4^n entries a row) and wide blocks' sectors; a larger row runs alone.
+# entry, 4^n entries a row) and wider blocks' sectors; a larger row runs alone.
 BATCH_BYTES = 64 * 2**20
 
 
@@ -339,10 +331,10 @@ def _blocks(blocks, cfg: PropagatorConfig) -> np.ndarray:
     k = len(_support(blocks[0]))
     starts = _layout(k)[-1]
     out = _generator(blocks, cfg.tau / cfg.substeps)
-    # a dense block steps in complex arithmetic, as a run without wide blocks
-    # does throughout (real BLAS kernels would page in 256 KiB more of the
-    # library); a wide one in real, as its layer does
-    dtype = float if k > DENSE_BLOCK_MAX_QUBITS else complex
+    # a 1-qubit block steps in complex arithmetic, as a run without wider
+    # blocks does throughout (real BLAS kernels would page in 256 KiB more of
+    # the library); a wider one in real, as its layer does
+    dtype = complex if k == 1 else float
     for p in range(k + 1):
         sector = out[:, starts[p] : starts[p + 1]]
         step = _power_step(sector.reshape(-1, 2**p, 2**p).astype(dtype, copy=False), cfg.substeps)
@@ -389,7 +381,7 @@ def _power_step(hl: np.ndarray, substeps: int) -> np.ndarray:
 
 
 def _sector_bytes(terms) -> int:
-    """The bytes of a wide block's (6^k + 4^k) / 2 sector reals, refused,
+    """The bytes of a wider block's (6^k + 4^k) / 2 sector reals, refused,
     before any is built, past those of a rho at the qubit cap."""
     k = len(_support(terms))
     size = 4 * (6**k + 4**k)
@@ -402,7 +394,7 @@ def _sector_bytes(terms) -> int:
 
 
 class _Layer:
-    """One layer of wide blocks, at most one per row, stepping the whole
+    """One layer of wider blocks, at most one per row, stepping the whole
     stack in place: per width and sector size, one take of its rows'
     entries (a pattern's beside its conjugate's), one real matmul by each
     row's sectors, as `build` (`_blocks`) makes them, and one put back.
@@ -415,9 +407,11 @@ class _Layer:
             sectors = build([blocks[j] for j in mine])
             digits, at, _, _, _, starts = _layout(k)
             supports = np.array([_support(blocks[j]) for j in mine], dtype=np.intp)
-            others = [[q for q in range(n_qubits) if q not in s] for s in supports]
+            others = [[q for q in reversed(range(n_qubits)) if q not in s] for s in supports]
             others = np.array(others, dtype=np.intp).reshape(len(mine), -1)
-            # each entry's place in the row, then each spectator's; each row's start
+            # each entry's place in the row, then each spectator's, the top
+            # digit on the highest qubit, so spectators run in memory order;
+            # each row's start
             place = (4 ** supports[:, :, None] * digits).sum(axis=1)
             spectators = (4 ** others[:, :, None] * _layout(n_qubits - k)[0]).sum(axis=1)
             first = np.array([rows[j] for j in mine])[:, None] * 4**n_qubits + spectators
@@ -442,16 +436,6 @@ class _Layer:
         return data
 
 
-def _row_index(rows: list[int], n_rows: int):
-    """How a kernel reaches its rows of the stack: None for all of them, a
-    slice view for a run of adjacent rows, else an index array to gather."""
-    if len(rows) == n_rows:
-        return None
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows)
-
-
 class IntervalPropagator:
     """Reusable approximation of exp(tau * L) for a fixed config, on a
     (rows, 4^n) stack of paired rho, with one model per row (see the module
@@ -465,10 +449,8 @@ class IntervalPropagator:
     maps the qubits of each gate that one entry holds (each qubit, each
     pair in either order) to that entry's index.  `kept` is the last
     Circuit whose bindings ran and its plan, once kept (`_steps`).
-    `kernels` holds the wider components as (kernel, rows) pairs (see
-    `_row_index`): the dense ones' `state.LocalOp`s, each taking the stack
-    of its rows and returning it stepped, then one `_Layer` per layer,
-    which takes the whole stack and its own rows.  Rows are numbered from
+    `layers` holds the wider components, one `_Layer` per layer, each of
+    which steps its own rows of the whole stack.  Rows are numbered from
     `first_row` in error messages.
     """
 
@@ -479,26 +461,19 @@ class IntervalPropagator:
         self.first_row = first_row
         self.n_rows = len(models)
         lone = {}  # (qubit, row): 1-qubit component
-        held: dict[tuple, list[int]] = {}  # dense wider component: rows
-        wide: list[list] = [[] for _ in models]  # each row's wide components
+        wide: list[list] = [[] for _ in models]  # each row's wider components
         for row, model in enumerate(models):
             for support, terms in _components(model):
                 _check_step(terms, cfg)
                 if len(support) == 1:
                     lone[min(support), row] = terms
-                elif len(support) <= DENSE_BLOCK_MAX_QUBITS:
-                    held.setdefault(terms, []).append(row)
                 else:
                     _sector_bytes(terms)
                     wide[row].append(terms)
-        widths: dict[int, list] = {}  # each distinct dense component, built once by width
-        for terms in dict.fromkeys([*lone.values(), *held]):
-            widths.setdefault(len(_support(terms)), []).append(terms)
-        built = {}
-        for k, group in widths.items():
-            built.update(zip(group, _dense(_blocks(group, cfg), k)))
         self.product, self.stacks = (), []
         if lone:
+            distinct = list(dict.fromkeys(lone.values()))  # each built once
+            built = dict(zip(distinct, _dense(_blocks(distinct, cfg), 1)))
             channels = np.tile(np.eye(4, dtype=complex), (n_qubits, self.n_rows, 1, 1))
             for at, terms in lone.items():
                 channels[at] = built[terms]
@@ -512,15 +487,12 @@ class IntervalPropagator:
             self.stacks = list(zip(qubits, self.product))
         self.entry = {g: at for at, (qs, _) in enumerate(self.stacks) for g in [qs, qs[::-1], *zip(qs)]}
         self.kept = None, None  # a Circuit and its `_plan`, once kept
-        self.kernels = []
-        for terms in sorted(held, key=_support, reverse=True):
-            op = LocalOp(built[terms], paired_axes(_support(terms), n_qubits), 2 * n_qubits)
-            self.kernels.append((op, _row_index(held[terms], self.n_rows)))
+        self.layers = []
         wide = [sorted(blocks, key=_support, reverse=True) for blocks in wide]
         for j in range(max(map(len, wide), default=0)):
             rows = [row for row, blocks in enumerate(wide) if len(blocks) > j]
             layer = _Layer([wide[row][j] for row in rows], rows, n_qubits, lambda b: _blocks(b, cfg))
-            self.kernels.append((layer, _row_index(rows, self.n_rows)))
+            self.layers.append(layer)
 
     def _into(self, pending, gate, at, product, build=gate_op) -> tuple:
         """The pass `pending` (None for none), then `gate`, which entry `at`
@@ -547,7 +519,7 @@ class IntervalPropagator:
         gate where it is slots[j].  A gate of its own, the last among them,
         has at None, a folded Param gate its entry, and the step of a fixed
         gate's fold i None.  Each fold is built once a plan; without
-        kernels, a run of folds composes into the pass of the step before."""
+        layers, a run of folds composes into the pass of the step before."""
         folds, step, last = {}, None, len(gates) - 1  # folds: id(gate): its fold
         for j, gate in enumerate(gates):
             at = self.entry.get(gate.qubits) if j < last else None
@@ -556,7 +528,7 @@ class IntervalPropagator:
             else:  # a fixed gate
                 if id(gate) not in folds:
                     folds[id(gate)] = self._into(None, gate, at, self.product, _gate_op)
-                if step is not None and not self.kernels:
+                if step is not None and not self.layers:
                     step = *step[:2], tuple(map(np.matmul, step[2], folds[id(gate)]))
                     continue
                 made = None, None, folds[id(gate)]
@@ -587,7 +559,7 @@ class IntervalPropagator:
 
     def propagate(self, rho: PairedDensity, product=None) -> PairedDensity:
         """One interval on every row of rho, whose stack it may overwrite:
-        the product pass, then the kernels.  A `product` given is the pass
+        the product pass, then the layers.  A `product` given is the pass
         in place of the interval's own, the pass owed (see `run`).  Work
         stacks belong to a call, so threads can share a propagator."""
         data = rho.data
@@ -598,11 +570,8 @@ class IntervalPropagator:
             x = data.reshape(self.n_rows, m_t.shape[-1], -1).transpose(0, 2, 1)
             data = np.matmul(x, m_t)
         data = data.reshape(rho.data.shape)
-        for kernel, rows in self.kernels:
-            if rows is None or isinstance(kernel, _Layer):  # a layer takes its own rows
-                data = kernel(data)
-            else:  # a slice view stepped in place is not copied back
-                data[rows] = kernel(data[rows])
+        for layer in self.layers:
+            data = layer(data)
         return PairedDensity(rho.n_qubits, data)
 
     def finish(self, rho: PairedDensity) -> list[DensityMatrix]:
@@ -623,11 +592,11 @@ class IntervalPropagator:
         op per gate of the circuit's `fused()` on it; else each row ends as
         a DensityMatrix, by `finish`, through the steps of `_steps`.
         Before each step but a folded Param gate's (before every step, with
-        kernels) `propagate` pays the pass owed; a gate of its own is then
+        layers) `propagate` pays the pass owed; a gate of its own is then
         `apply_gate`, and the step's pass is owed, in a Param gate's step
         after the gate has multiplied into the pass owed (`_into`).  The
         pass after the last gate is dropped."""
-        if isinstance(state0, StateVector) and not (self.stacks or self.kernels):
+        if isinstance(state0, StateVector) and not (self.stacks or self.layers):
             data, n = state0.data, state0.n_qubits
             for gate in circuit.fused():
                 data = gate_op(gate, n, StateVector)(data)
@@ -635,9 +604,9 @@ class IntervalPropagator:
         state, gates = _stack(state0, self.n_rows), circuit.gates
         pending = None  # the pass rho owes: (A2 x B2)(A1 x B1) = A2 A1 x B2 B1
         for i, at, product in self._steps(circuit):
-            # no pass holds a kernel's interval, so with kernels rho pays
+            # no pass holds a layer's interval, so with layers rho pays
             # before every gate
-            if pending is not None and (at is None or self.kernels):
+            if pending is not None and (at is None or self.layers):
                 state, pending = self.propagate(state, pending), None
             if at is not None:
                 product = self._into(pending, gates[i], at, product)
@@ -670,13 +639,13 @@ def _stack(state0: StateVector | DensityMatrix, rows: int) -> PairedDensity:
 def _chunks(models, n_qubits: int) -> list[range]:
     """The rows of a batch, in order: each run of rows alike in the widths
     of block they hold (1-qubit, wider, both or none), split so each
-    chunk's stack and its wide blocks' sector matrices fit BATCH_BYTES."""
+    chunk's stack and its wider blocks' sector matrices fit BATCH_BYTES."""
     chunks, used, last = [], 0, None
     for row, model in enumerate(models):
         parts = _components(model)
         kind = {len(support) == 1 for support, _ in parts}
         size = 16 * 4**n_qubits + sum(
-            _sector_bytes(terms) for support, terms in parts if len(support) > DENSE_BLOCK_MAX_QUBITS
+            _sector_bytes(terms) for support, terms in parts if len(support) > 1
         )
         if kind == last and used + size <= BATCH_BYTES:
             chunks[-1], used = range(chunks[-1].start, row + 1), used + size
@@ -733,7 +702,7 @@ def run_noisy_batch(
     for model in models:
         model.validate_for(n)
     check_cap(n)
-    chunks = _chunks(models, n)  # which refuses a wide block past the cap
+    chunks = _chunks(models, n)  # which refuses a block past the cap
     if isinstance(state0, StateVector) and any(t.rate for m in models for t in m.terms):
         state0 = state0.to_density_matrix()  # one result type for every chunk
     return (

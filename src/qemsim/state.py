@@ -9,9 +9,9 @@ has one axis per qubit (axis n-1-q).
 
 `LocalOp` applies a small 2^k x 2^k matrix to k chosen axes of a
 (2,)*N view, O(2^k * 2^N) per call instead of the O(8^n) of a full
-matrix product; it orders the matrix to its axes once, so a gate or
-channel applied many times pays only the call, and it is the one code
-that places a matrix on axes.  Gates and noise act on rho as
+matrix product; it orders the matrix to its axes once, so a gate
+applied many times pays only the call, and it is the one code that
+places a matrix on axes.  Gates and noise act on rho as
 superoperators: with row-major vec, vec(A rho B) = (A kron B^T) vec(rho)
 (Havel, J. Math. Phys. 44, 534, 2003), so a k-qubit channel is a
 4^k x 4^k matrix and a gate U is kron(U, conj(U)).
@@ -33,11 +33,12 @@ U @ kron(P_a, P_b), and each such group is one gate, a
 `circuit.FusedGate`.  Every op is built at its first use and kept on
 the gate it was built from (`gate_op`), so the FusedGate of a group of
 fixed gates, which a `Circuit` holds for all its bindings, is built once.
-Every dense noise channel on rho is a `LocalOp` too; a wider noise block
-steps by its sector matrices instead (`noise._Layer`).  `pair` and `unpair` convert at
-the two ends of a run, one 4^n transpose each.  A batched run holds
-several rho as the rows of one (rows, 4^n) array; a `LocalOp` folds the
-row axis into its leading count, so one call acts on every row.
+Noise takes no `LocalOp`: 1-qubit channels step rho in `noise`'s product
+pass, and each wider block by its sector matrices (`noise._Layer`).
+`pair` and `unpair` convert at the two ends of a run, one 4^n transpose
+each.  A batched run holds several rho as the rows of one (rows, 4^n)
+array; a `LocalOp` folds the row axis into its leading count, so one
+call acts on every row.
 """
 
 from __future__ import annotations

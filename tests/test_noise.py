@@ -48,9 +48,11 @@ def propagate_rows(propagator, rhos):
     return [unpair(PairedDensity(n, row)) for row in propagator.propagate(stack).data]
 
 
-def wide_layers(propagator):
-    """The (`_Layer`, rows) pairs of a propagator's kernels, layer by layer."""
-    return [(k, rows) for k, rows in propagator.kernels if isinstance(k, noise._Layer)]
+def layer_rows(propagator, n):
+    """The rows of the stack that each of a propagator's layers takes, layer
+    by layer: where its gathers reach, over a row's 4^n entries."""
+    reach = ([where.ravel() // 4**n for _, where in layer.steps] for layer in propagator.layers)
+    return [np.unique(np.concatenate(rows)).tolist() for rows in reach]
 
 
 def apply_generator(stack, terms, n, h):
@@ -429,15 +431,13 @@ class TestEvolve:
         assert np.max(np.abs(fast.data - want)) < 1e-12
 
     def test_correlated_ring_wide_block_matches_dense_oracle(self):
-        # a 5-qubit ring is one block wider than the dense ones, so it
-        # steps rho by its sectors' matrices
+        # a 5-qubit ring is one block, so one layer steps rho by its
+        # sectors' matrices
         n = 5
         model = build_template_model("correlated", n, 0.2)
         propagator = IntervalPropagator([model], n, q.PropagatorConfig(substeps=8))
         assert plan(model) == [(4, 3, 2, 1, 0)]
-        wide = wide_layers(propagator)
-        assert propagator.stacks == [] and len(propagator.kernels) == len(wide)
-        assert isinstance(wide[0][0], noise._Layer)
+        assert propagator.stacks == [] and layer_rows(propagator, n) == [[0]]
         rho = random_density_matrix(n, np.random.default_rng(11))
         # populations alone would only see the exchange terms' diagonal
         rho = q.apply_gate(q.apply_gate(rho, q.BoundGate("X", (0,))), q.BoundGate("H", (4,)))
@@ -464,9 +464,9 @@ class TestEvolve:
         cfg = q.PropagatorConfig(tau=1.0, substeps=16)
         propagator = IntervalPropagator([model], n, cfg)
         assert plan(model) == [(5, 1), (4, 3, 2), (0,)]
-        # qubit 0 is the product pass; the wider blocks are kernels
+        # qubit 0 is the product pass; the wider blocks are two layers
         assert [qubits for qubits, _ in propagator.stacks] == [(5, 4), (3, 2), (1, 0)]
-        assert len(propagator.kernels) == 2
+        assert layer_rows(propagator, n) == [[0], [0]]
         rho = random_density_matrix(n, np.random.default_rng(4))
         (got,) = propagate_rows(propagator, [rho])
         # the blocks commute, so one dense RK4 per block in any order is
@@ -634,7 +634,8 @@ class TestTermQubitOrder:
     @staticmethod
     def both_orders(model, n, substeps=8):
         """One interval on one rho under model, and under model with every
-        correlated term's qubits reversed: (kernel, out, reversed out)."""
+        correlated term's qubits reversed: (out, reversed out), each by the
+        one layer of model's one block."""
         flipped = q.NoiseModel(
             tuple(
                 q.LindbladTerm(t.kind, t.qubits[::-1], t.rate)
@@ -648,43 +649,39 @@ class TestTermQubitOrder:
         propagators = [IntervalPropagator([m], n, cfg) for m in (model, flipped)]
         out, reversed_out = (propagate_rows(p, [rho])[0].data for p in propagators)
         assert np.max(np.abs(out - rho.data)) > 1e-3
-        (kernel, _), *_ = propagators[0].kernels
-        return kernel, out, reversed_out
+        assert [[type(layer) for layer in p.layers] for p in propagators] == [[noise._Layer]] * 2
+        return out, reversed_out
 
-    @pytest.mark.parametrize("pair_qubits", [(1, 2), (0, 2)], ids=["adjacent", "apart"])
-    def test_dense_block_is_bit_identical(self, pair_qubits):
-        a, b = pair_qubits
-        model = q.NoiseModel(
+    @staticmethod
+    def pair_model(a, b):
+        return q.NoiseModel(
             (
                 q.LindbladTerm("correlated", (a, b), 0.2),
                 q.LindbladTerm("amplitude_damping", (a,), 0.1),
                 q.LindbladTerm("thermal", (b,), 0.05, n_th=0.3),
             )
         )
-        kernel, out, flipped = self.both_orders(model, 3)
-        assert not isinstance(kernel, noise._Layer)
-        assert np.array_equal(out, flipped)
 
-    def test_wide_block_on_adjacent_qubits_is_bit_identical(self):
-        n = 5
-        model = q.NoiseModel(
-            tuple(
-                q.LindbladTerm("correlated", (k, k + 1), 0.1 + 0.02 * k)
-                for k in range(n - 1)
-            )
-        )
-        kernel, out, flipped = self.both_orders(model, n)
-        assert isinstance(kernel, noise._Layer)
-        assert np.array_equal(out, flipped)
-
-    def test_wrap_around_term_on_a_wide_block_is_bit_identical(self):
-        # (5, 0) sits on non-adjacent paired axes; reversing a term only
-        # swaps its two slice moves, which reach disjoint entries
-        n = 6
-        model = build_template_model("correlated", n, 0.2)
-        assert model.terms[-1].qubits == (5, 0)
-        kernel, out, flipped = self.both_orders(model, n)
-        assert isinstance(kernel, noise._Layer)
+    @pytest.mark.parametrize(
+        "model, n",
+        [
+            (pair_model(1, 2), 3),
+            (pair_model(0, 2), 3),
+            (
+                q.NoiseModel(
+                    tuple(q.LindbladTerm("correlated", (k, k + 1), 0.1 + 0.02 * k) for k in range(4))
+                ),
+                5,
+            ),
+            # (5, 0) sits on non-adjacent paired axes
+            (build_template_model("correlated", 6, 0.2), 6),
+        ],
+        ids=["pair_adjacent", "pair_apart", "chain5", "ring6"],
+    )
+    def test_block_is_bit_identical(self, model, n):
+        # reversing a term only swaps its two slice moves, which reach
+        # disjoint entries
+        out, flipped = self.both_orders(model, n)
         assert np.array_equal(out, flipped)
 
 
@@ -713,7 +710,7 @@ class TestRunNoisyCircuit:
         quiet = build_template_model("gamma1_gamma2", n, 0.0)  # zero rates drop out
         for model in (q.NoiseModel(), quiet):
             propagator = IntervalPropagator([model] * 2, n, q.PropagatorConfig())
-            assert propagator.stacks == [] and propagator.kernels == []
+            assert propagator.stacks == [] and propagator.layers == []
             for row in propagator.run(rho, circuit):
                 assert np.array_equal(row.data, want.data)
             stack = PairedDensity(n, np.stack([pair(rho).data] * 2))
@@ -784,7 +781,9 @@ class TestBatch:
         model = build_template_model("gamma1", 2, 0.01)
         # one 12-qubit row is 256 MiB, over the budget: each runs alone
         assert noise._chunks([model] * 13, 12) == [range(i, i + 1) for i in range(13)]
-        # 16 MiB rows, four to a chunk
+        # 16 MiB rows, four to a chunk; a block of two or more qubits adds
+        # its sector matrices, so a row with one takes 16 MiB and 208 bytes,
+        # and three of those fill a chunk
         assert noise._chunks([model] * 13, 10) == [
             range(0, 4), range(4, 8), range(8, 12), range(12, 13)
         ]
@@ -798,8 +797,8 @@ class TestBatch:
         quiet = [q.NoiseModel(), scale_terms(pair, [0], 0.0)]
         rows = [model] * 5 + quiet + [pair] * 5 + [both] * 5 + [model]
         assert noise._chunks(rows, 10) == [
-            range(0, 4), range(4, 5), range(5, 7), range(7, 11),
-            range(11, 12), range(12, 16), range(16, 17), range(17, 18),
+            range(0, 4), range(4, 5), range(5, 7), range(7, 10), range(10, 12),
+            range(12, 15), range(15, 17), range(17, 18),
         ]
         assert noise._chunks(rows, 4) == [
             range(0, 5), range(5, 7), range(7, 12), range(12, 17), range(17, 18)
@@ -807,15 +806,15 @@ class TestBatch:
 
     def test_chunks_count_each_wide_rows_sector_matrices(self, monkeypatch):
         # a 5-qubit ring's sectors take 4 (6^5 + 4^5) bytes beside a 5-qubit
-        # rho's 16 4^5: three such rows fit a budget of three, and a 4-qubit
-        # ring, a dense block, counts its rho alone
+        # rho's 16 4^5: three such rows fit a budget of three; a 4-qubit
+        # ring counts its 4 (6^4 + 4^4) bytes too, so six of its rows fit
         ring = build_template_model("correlated", 5, 0.01)
         row = 16 * 4**5 + 4 * (6**5 + 4**5)
         assert noise._sector_bytes(ring.terms) == 4 * (6**5 + 4**5) == 35200
         monkeypatch.setattr(noise, "BATCH_BYTES", 3 * row)
         assert noise._chunks([ring] * 7, 5) == [range(0, 3), range(3, 6), range(6, 7)]
         small = q.NoiseModel(build_template_model("correlated", 4, 0.01).terms)
-        assert noise._chunks([small] * 7, 5) == [range(7)]
+        assert noise._chunks([small] * 7, 5) == [range(0, 6), range(6, 7)]
 
     def test_a_wide_block_past_the_cap_is_refused_before_anything_is_built(self, monkeypatch):
         # a 12-qubit block's sectors, 8.8 GB, exceed a 14-qubit rho's 4 GiB,
@@ -1017,7 +1016,7 @@ class TestBatch:
         want = [np.kron(p1, p0), np.kron(p1, eye), np.kron(eye, p0), np.kron(p1, p0)]
         for got, entry in zip(pair_stack, want):
             assert np.array_equal(got, entry)
-        assert propagator.kernels == []
+        assert propagator.layers == []
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_paired_kernel_is_its_two_blocks_in_turn(self, n):
@@ -1034,7 +1033,7 @@ class TestBatch:
         # top first: odd n leads with the top qubit alone, then the pairs
         want_qubits = [(n - 1,)] * (n % 2) + [(k + 1, k) for k in reversed(range(0, n - 1, 2))]
         assert [qubits for qubits, _ in propagator.stacks] == want_qubits
-        assert propagator.kernels == []
+        assert propagator.layers == []
         for qubits, stack in propagator.stacks:
             assert np.array_equal(stack[0].T, reduce(np.kron, [blocks[k] for k in qubits]))
         rho = random_density_matrix(n, np.random.default_rng(n))
@@ -1075,12 +1074,10 @@ class TestBatch:
             want = unpair(PairedDensity(n, want)).data
             assert np.max(np.abs(got.data - want)) < 1e-14
 
-    def test_two_wide_layers_in_one_row(self, monkeypatch):
-        # with dense blocks capped at two qubits each 3-qubit chain is wide:
-        # layer 0 steps the full row's top chain and the one-block row's
-        # chain, gathered from rows 0 and 2, and layer 1 the full row's low
-        # chain; the middle row has a 1-qubit and a dense block only
-        monkeypatch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
+    def test_two_layers_in_one_row(self):
+        # layer 0 steps each row's top block, the full row's top chain, the
+        # middle row's pair and the last row's chain, and layer 1 the full
+        # row's low chain; the middle row has a 1-qubit block as well
         n = 6
         top = (
             q.LindbladTerm("correlated", (5, 4), 0.2),
@@ -1092,17 +1089,16 @@ class TestBatch:
             q.LindbladTerm("dephasing", (0,), 0.1),
             q.LindbladTerm("correlated", (2, 1), 0.15),
         )
-        no_wide = q.NoiseModel(
+        middle = q.NoiseModel(
             (q.LindbladTerm("thermal", (3,), 0.1, n_th=0.2), q.LindbladTerm("correlated", (5, 4), 0.1))
         )
-        rows = [q.NoiseModel(top + low), no_wide, q.NoiseModel(low)]
+        rows = [q.NoiseModel(top + low), middle, q.NoiseModel(low)]
         cfg = q.PropagatorConfig(substeps=4)
         propagator = IntervalPropagator(rows, n, cfg)
-        (_, first), (_, second) = wide_layers(propagator)
-        assert first.tolist() == [0, 2] and second == slice(0, 1)
+        assert layer_rows(propagator, n) == [[0, 1, 2], [0]]
         assert [plan(row) for row in rows] == [[(5, 4, 3), (2, 1, 0)], [(5, 4), (3,)], [(2, 1, 0)]]
         alone = [IntervalPropagator([model], n, cfg) for model in rows]
-        assert [len(wide_layers(p)) for p in alone] == [2, 0, 1]
+        assert [len(p.layers) for p in alone] == [2, 1, 1]
         rhos = [random_density_matrix(n, np.random.default_rng(s)) for s in range(3)]
         batch = propagate_rows(propagator, rhos)
         for model, single, rho, got in zip(rows, alone, rhos, batch):
@@ -1115,11 +1111,10 @@ class TestBatch:
             assert np.max(np.abs(got.data - want)) < 1e-12
             assert np.max(np.abs(got.data - rho.data)) > 1e-3
 
-    def test_entry_points_leave_the_callers_state_unchanged(self, monkeypatch):
+    def test_entry_points_leave_the_callers_state_unchanged(self):
         # an interval may overwrite the stack it steps, so every entry point
-        # hands it one of its own; with dense blocks capped at two qubits
-        # the model holds a 1-qubit, a dense and a wide block
-        monkeypatch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
+        # hands it one of its own; the model holds a 1-qubit, a 2-qubit and
+        # a 3-qubit block
         n = 6
         model = q.NoiseModel(
             (
@@ -1131,8 +1126,7 @@ class TestBatch:
         )
         assert plan(model) == [(5, 4, 3), (2, 1), (0,)]
         propagator = IntervalPropagator([model], n, q.PropagatorConfig())
-        assert len(propagator.stacks) == 3 and len(wide_layers(propagator)) == 1
-        assert len(propagator.kernels) == 2
+        assert len(propagator.stacks) == 3 and layer_rows(propagator, n) == [[0], [0]]
         cfg = q.PropagatorConfig(substeps=4)
         circuit = q.BoundCircuit(
             n, tuple(q.BoundGate("H", (k,)) for k in range(n)) + (q.BoundGate("CNOT", (0, 5)),)
@@ -1144,7 +1138,7 @@ class TestBatch:
         for start in starts:
             before = start.data.copy()
             rho = start.to_density_matrix() if isinstance(start, q.StateVector) else start
-            for m in (model, q.NoiseModel(model.terms[2:])):  # the wide block alone too
+            for m in (model, q.NoiseModel(model.terms[2:])):  # the 3-qubit block alone too
                 evolved = q.evolve(start, m, cfg)
                 assert np.max(np.abs(evolved.data - rho.data)) > 1e-4
                 assert np.array_equal(start.data, before)
@@ -1281,7 +1275,7 @@ class TestParallelSafety:
         model = build_template_model("correlated", n, 0.05)
         rows = [model, scale_terms(model, [0], 0.0), scale_terms(model, [2], 2.0)]
         propagator = IntervalPropagator(rows, n, q.PropagatorConfig(substeps=2))
-        assert [held for _, held in wide_layers(propagator)] == [None]
+        assert layer_rows(propagator, n) == [[0, 1, 2]]
         circuit = q.BoundCircuit(
             n, tuple(q.BoundGate("H", (k,)) for k in range(n)) + (q.BoundGate("CNOT", (0, 3)),)
         )

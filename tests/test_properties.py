@@ -155,9 +155,9 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     psi /= np.linalg.norm(psi)
     rho = q.DensityMatrix(n, np.outer(psi, psi.conj()))
     propagator = IntervalPropagator([model], n, q.PropagatorConfig())
-    # each wider block, dense or a wide layer, and each stack entry of the
-    # product pass on its qubits
-    channels = [kernel for kernel, _ in propagator.kernels] + [
+    # each layer of wider blocks, and each stack entry of the product pass
+    # on its qubits
+    channels = propagator.layers + [
         LocalOp(stack[0].T, paired_axes(qubits, n), 2 * n) for qubits, stack in propagator.stacks
     ]
     for kernel in channels:
@@ -482,8 +482,8 @@ _FIVE_QUBIT_CIRCUIT = q.BoundCircuit(
 )
 
 
-# (4, 0) alone is a dense 2-qubit block on non-contiguous axes
-_LONE_AND_DENSE = q.NoiseModel(
+# (4, 0) alone is a 2-qubit block on non-contiguous axes
+_LONE_AND_PAIR = q.NoiseModel(
     (
         q.LindbladTerm("correlated", (4, 0), 0.01),
         q.LindbladTerm("amplitude_damping", (0,), 0.005),
@@ -494,12 +494,12 @@ _LONE_AND_DENSE = q.NoiseModel(
 
 @settings(max_examples=30, deadline=None)
 @given(wrapped_noisy_cases())
-# the 5-qubit ring is one wide block, its (4, 0) term a non-contiguous part
+# the 5-qubit ring is one block, its (4, 0) term a non-contiguous part
 @example((_FIVE_QUBIT_CIRCUIT, q.build_template_model("correlated", 5, 0.01)))
-@example((_FIVE_QUBIT_CIRCUIT, _LONE_AND_DENSE))
+@example((_FIVE_QUBIT_CIRCUIT, _LONE_AND_PAIR))
 # on a binding of a Circuit its first three gates are a fixed run, which
-# the dense block's interval after each gate keeps from composing
-@example((bound_from_circuit(_FIVE_QUBIT_CIRCUIT), _LONE_AND_DENSE))
+# the 2-qubit block's interval after each gate keeps from composing
+@example((bound_from_circuit(_FIVE_QUBIT_CIRCUIT), _LONE_AND_PAIR))
 def test_noisy_run_matches_dense_oracle(case):
     circuit, model = case
     cfg = q.PropagatorConfig(substeps=4)
@@ -549,10 +549,10 @@ def _removal_rows(model, n):
 
 @settings(max_examples=40, deadline=None)
 @given(batch_cases())
-# a 4-qubit chain is one dense block; removing qubit 1 or 2 splits it
+# a 4-qubit chain is one block; removing qubit 1 or 2 splits it
 @example((_FIVE_QUBIT_CIRCUIT, _removal_rows(_chain(4, 0.01), 5)))
-# a 6-qubit chain is one wide block; removing an end qubit leaves a 5-qubit
-# wide block, removing qubit 2 or 3 splits it into two dense blocks
+# a 6-qubit chain is one block; removing an end qubit leaves a 5-qubit
+# block, removing qubit 2 or 3 splits it into two smaller ones
 @example((_SIX_QUBIT_CIRCUIT, _removal_rows(_chain(6, 0.01, damping=False), 6)))
 def test_batched_rows_match_their_serial_runs(case):
     circuit, rows = case
@@ -622,8 +622,8 @@ def assert_rows_match_alone(circuit, rows, substeps):
 def wide_batch_cases(draw):
     """A 5-qubit circuit and a mitigation's rows under correlated and
     1-qubit terms, in any order.  Correlated terms along a random path
-    join all five qubits, so the full row holds one wide block; a group's
-    removal or scaled row holds a wide block, dense blocks, or both.
+    join all five qubits, so the full row holds one 5-qubit block; a
+    group's removal or scaled row holds it or smaller blocks.
     Rates up to 0.1 make each RK4 term large enough that a sum taken in
     another order changes the rounding of the step."""
     circuit = draw(circuits(min_qubits=5))
@@ -649,7 +649,7 @@ def wide_batch_cases(draw):
 @settings(max_examples=25, deadline=None)
 @given(wide_batch_cases())
 def test_wide_block_rows_are_bit_identical_to_their_runs_alone(case):
-    # a wide layer applies each row's own sector matrices to that row's
+    # a layer applies each row's own sector matrices to that row's
     # entries alone, one matmul of one shape per row and class, so a batch
     # changes no row's arithmetic
     assert_rows_match_alone(*case, substeps=4)
@@ -657,17 +657,17 @@ def test_wide_block_rows_are_bit_identical_to_their_runs_alone(case):
 
 @st.composite
 def wide_models(draw):
-    """(n, model, substeps, seed): on 7 qubits, with dense blocks capped at
-    two qubits, two wide components on random disjoint qubits, 3 or 4 and
-    then 3, so one qubit may be a spectator.  Each component is a random
-    path of correlated terms, its pairs rarely adjacent, and up to three
-    terms of any kind inside it; rates up to 0.05 keep substeps 1 stable."""
+    """(n, model, substeps, seed): on 7 qubits, two wider components on
+    random disjoint qubits, 2 to 4 and then 2 or 3, so up to three qubits
+    may be spectators.  Each component is a random path of correlated
+    terms, its pairs rarely adjacent, and up to three terms of any kind
+    inside it; rates up to 0.05 keep substeps 1 stable."""
     n = 7
     order = draw(st.permutations(range(n)))
-    first = draw(st.integers(3, 4))
+    first, second = draw(st.integers(2, 4)), draw(st.integers(2, 3))
     rates = st.floats(1e-3, 0.05)
     terms = []
-    for component in (order[:first], order[first : first + 3]):
+    for component in (order[:first], order[first : first + second]):
         path = draw(st.permutations(component))
         for j in range(len(path) - 1):
             terms.append(q.LindbladTerm("correlated", path[j : j + 2], draw(rates)))
@@ -690,15 +690,12 @@ def own_register(block):
 @settings(max_examples=20, deadline=None)
 @given(wide_models())
 def test_wide_sector_channel_matches_dense_rk4(case):
-    # a wide layer is the oracle's RK4 channel of each of its blocks, and
-    # the oracle's channel is the same on a pattern and on its conjugate
+    # a layer is the oracle's RK4 channel of each of its blocks, and the
+    # oracle's channel is the same on a pattern and on its conjugate
     n, model, substeps, seed = case
     cfg = q.PropagatorConfig(substeps=substeps)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(noise, "DENSE_BLOCK_MAX_QUBITS", 2)
-        propagator = IntervalPropagator([model], n, cfg)
-    layers = [kernel for kernel, _ in propagator.kernels]
-    assert propagator.stacks == [] and [type(k) for k in layers] == [noise._Layer] * 2
+    propagator = IntervalPropagator([model], n, cfg)
+    assert propagator.stacks == [] and [type(k) for k in propagator.layers] == [noise._Layer] * 2
     rho = random_density_matrix(n, np.random.default_rng(seed))
     (got,) = propagator.propagate(PairedDensity(n, pair(rho).data[None].copy())).data
     want = rho.data
@@ -843,8 +840,8 @@ def test_composed_run_matches_the_per_interval_loop_and_the_kron_oracle(case):
 def fold_cases(draw):
     """(n, rows, gate, seed): a propagator's models, whose first row has a
     1-qubit term, so most have a product pass; any row may add a
-    correlated pair (a dense block, or part of a wider one) and, from five
-    qubits, a correlated chain over five of them (a wide block).  The gate
+    correlated pair (a 2-qubit block, or part of a wider one) and, from
+    five qubits, a correlated chain over five of them.  The gate
     is a 1-qubit gate, or a CNOT on one pair (2j+1, 2j) of the pass, in
     either order, or on any two qubits."""
     n = draw(st.integers(1, 6))
@@ -877,8 +874,8 @@ def fold_cases(draw):
 
 
 def _mixed_rows(n):
-    """1-qubit blocks and a dense block on (n - 1, 0), a bare row with a
-    wide block on the top five qubits, and the 1-qubit blocks alone."""
+    """1-qubit blocks and a 2-qubit block on (n - 1, 0), a bare row with a
+    5-qubit block on the top five qubits, and the 1-qubit blocks alone."""
     lone = tuple(q.LindbladTerm("thermal", (k,), 0.02, n_th=0.2) for k in range(1, n - 1, 2))
     dense = (q.LindbladTerm("correlated", (n - 1, 0), 0.03),)
     wide = tuple(q.LindbladTerm("correlated", (k, k + 1), 0.04) for k in range(n - 5, n - 1))
@@ -910,7 +907,7 @@ def test_folded_gate_matches_the_gate_then_the_interval(case):
         fold = propagator._into(None, gate, at, propagator.product)
         folded = propagator.propagate(PairedDensity(n, data.copy()), fold)
         assert np.max(np.abs(folded.data - want.data)) < 1e-13
-    if fits and not propagator.kernels:
+    if fits and not propagator.layers:
         # with an interval owed before the gate, its S multiplies into that pass
         owed = propagator._into(propagator.product, gate, at, propagator.product)
         folded = propagator.propagate(PairedDensity(n, data.copy()), owed)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qemsim as q
-from qemsim import noise
+from qemsim import noise, state
 from qemsim.circuit import Param
 from qemsim.noise import build_template_model
 from qemsim.vqe import energy_objective, initial_theta, nelder_mead
@@ -13,7 +13,7 @@ from qemsim.vqe import energy_objective, initial_theta, nelder_mead
 
 def h2_model(kernel: bool) -> q.NoiseModel:
     """gamma1_gamma2 on H2's four qubits at 1e-3, and with `kernel` a
-    correlated (1, 2) term too, which the propagator steps as a kernel."""
+    correlated (1, 2) term too, which the propagator steps as a layer."""
     model = build_template_model("gamma1_gamma2", 4, 1e-3)
     corr = (q.LindbladTerm("correlated", (1, 2), 1e-3),) * kernel
     return q.NoiseModel(model.terms + corr)
@@ -49,7 +49,7 @@ class TestEnergyObjective:
     @pytest.mark.parametrize("kernel", [False, True], ids=["gamma1_gamma2", "with_a_kernel"])
     def test_noisy_objective_matches_a_fresh_run(self, h2_hamiltonian, h2_uccsd_circuit, kernel):
         # the problem's propagator keeps the last Circuit's plan from its
-        # second run on, with a kernel or without, and each run multiplies
+        # second run on, with a layer or without, and each run multiplies
         # its Param gates in afresh: every run, at any theta and of another
         # Circuit of as many gates, must be a fresh propagator's bit for bit
         model = h2_model(kernel)
@@ -95,20 +95,20 @@ class TestEnergyObjective:
         self, h2_hamiltonian, h2_uccsd_circuit, kernel, monkeypatch
     ):
         # each of the binding's 6 distinct Param gates builds its entry op
-        # once and keeps it, with a kernel too, though there each Param step
+        # once and keeps it, with a layer too, though there each Param step
         # pays the pass owed first; the fixed folds are kept in the plan
         problem = q.VqeProblem(h2_hamiltonian, h2_uccsd_circuit, h2_model(kernel))
         rng = np.random.default_rng(4)
         for _ in range(2):
             energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
         built = []
-        init = noise.LocalOp.__init__
+        init = state.LocalOp.__init__
 
         def counted(op, *args):
             built.append(op)
             init(op, *args)
 
-        monkeypatch.setattr(noise.LocalOp, "__init__", counted)
+        monkeypatch.setattr(state.LocalOp, "__init__", counted)
         energy_objective(problem, rng.uniform(-3, 3, h2_uccsd_circuit.n_params))
         assert len(built) == 6
 

@@ -62,6 +62,10 @@ MUTANTS = [
      "_sector_bytes(terms) for support, terms in parts if",
      "0 for support, terms in parts if",
      "the sector bytes left out of `_chunks`"),
+    ("chunks_sector_bytes_past_4", "src/qemsim/noise.py",
+     "for support, terms in parts if len(support) > 1",
+     "for support, terms in parts if len(support) > 4",
+     "`_chunks` counting sector bytes only past 4 qubits"),
     ("max_substeps", "src/qemsim/noise.py",
      "MAX_SUBSTEPS = 10**6", "MAX_SUBSTEPS = 10**7",
      "MAX_SUBSTEPS 10^6 -> 10^7"),
@@ -82,6 +86,10 @@ MUTANTS = [
      "table[c, partner[mine], local[mine]] = mine",
      "table[c, partner[mine], local[mine] ^ (m - 1) * partner[mine]] = mine",
      "a conjugate pattern taking its partner's entries in swapped order"),
+    ("neighbour_sectors", "src/qemsim/noise.py",
+     "sectors = build([blocks[j] for j in mine])",
+     "sectors = np.roll(build([blocks[j] for j in mine]), k <= 4, axis=0)",
+     "a block of at most 4 qubits taking its row's neighbour's sector matrices"),
     ("fold_untransposed", "src/qemsim/noise.py",
      "entry = op(np.eye(4 ** len(qubits), dtype=complex)) @ product[at]",
      "entry = op(np.eye(4 ** len(qubits), dtype=complex)).T @ product[at]",
@@ -91,16 +99,16 @@ MUTANTS = [
      "return tuple(map(np.matmul, product, pending))",
      "a Param gate's pass composed into the pending one in the swapped order"),
     ("no_pay_before_gate", "src/qemsim/noise.py",
-     "if pending is not None and (at is None or self.kernels):",
-     "if pending is not None and self.kernels:",
+     "if pending is not None and (at is None or self.layers):",
+     "if pending is not None and self.layers:",
      "a gate of its own applied before the pass owed before it"),
-    ("kernel_carried_past_gate", "src/qemsim/noise.py",
-     "if pending is not None and (at is None or self.kernels):",
+    ("layer_carried_past_gate", "src/qemsim/noise.py",
+     "if pending is not None and (at is None or self.layers):",
      "if pending is not None and at is None:",
-     "a kernel's interval left unpaid before a folded Param gate"),
-    ("plan_across_kernel", "src/qemsim/noise.py",
-     "if step is not None and not self.kernels:", "if step is not None:",
-     "fixed folds composed across a kernel's intervals"),
+     "a layer's interval left unpaid before a folded Param gate"),
+    ("plan_across_layer", "src/qemsim/noise.py",
+     "if step is not None and not self.layers:", "if step is not None:",
+     "fixed folds composed across a layer's intervals"),
     ("kept_plan_other_theta", "src/qemsim/noise.py",
      "if at is None or gate is not slots[j]:", "if at is None:",
      "a Param gate folded as a fixed one, so kept at another theta"),

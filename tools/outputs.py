@@ -214,7 +214,8 @@ def _json_moved(got, want, where: str) -> list[str]:
     if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
         return [line for k in want for line in _json_moved(got[k], want[k], f"{where}.{k}")]
     if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
-        return [line for i, (g, w) in enumerate(zip(got, want)) for line in _json_moved(g, w, f"{where}[{i}]")]
+        pairs = enumerate(zip(got, want))
+        return [line for i, (g, w) in pairs for line in _json_moved(g, w, f"{where}[{i}]")]
     if isinstance(want, float) and isinstance(got, float):
         same = abs(got - want) <= TOLERANCE  # NaN too
     else:
