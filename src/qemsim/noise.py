@@ -117,7 +117,9 @@ RK4_STABILITY_LIMIT = 2.785
 # qubit at rate 1e-3 loses 2.6e-11 of trace at 10^6, 3.1e-7 at 10^10.
 MAX_SUBSTEPS = 10**6
 # A batched run holds at most this many bytes of rho stack (16 B an
-# entry, 4^n entries a row) and wider blocks' sectors; a larger row runs alone.
+# entry, 4^n entries a row) and, per wider block, its sectors and its
+# layer's gather index (8 B an entry of its row); a larger row runs alone.
+# A layer's work buffer belongs to one call, so is not counted.
 BATCH_BYTES = 64 * 2**20
 
 
@@ -261,8 +263,6 @@ def _generator(blocks, h: float) -> np.ndarray:
             axes = tuple(register.index(q) for q in term.qubits)
             for rate, a, b in term.collapse_ops():
                 w = h * rate
-                if w == 0.0:
-                    continue
                 if (axes, a, b) not in slots:  # one op's slots, in a class's own pattern
                     rows = cols = src = representative
                     shift = 0
@@ -412,8 +412,8 @@ class _Layer:
             # each entry's place in the row, then each spectator's, the top
             # digit on the highest qubit, so spectators run in memory order;
             # each row's start
-            place = (4 ** supports[:, :, None] * digits).sum(axis=1)
-            spectators = (4 ** others[:, :, None] * _layout(n_qubits - k)[0]).sum(axis=1)
+            place = 4**supports @ digits
+            spectators = 4**others @ np.indices((4,) * (n_qubits - k)).reshape(-1, 4 ** (n_qubits - k))
             first = np.array([rows[j] for j in mine])[:, None] * 4**n_qubits + spectators
             for p, idx in enumerate(at):
                 m = 2**p
@@ -645,7 +645,7 @@ def _chunks(models, n_qubits: int) -> list[range]:
         parts = _components(model)
         kind = {len(support) == 1 for support, _ in parts}
         size = 16 * 4**n_qubits + sum(
-            _sector_bytes(terms) for support, terms in parts if len(support) > 1
+            _sector_bytes(terms) + 8 * 4**n_qubits for support, terms in parts if len(support) > 1
         )
         if kind == last and used + size <= BATCH_BYTES:
             chunks[-1], used = range(chunks[-1].start, row + 1), used + size

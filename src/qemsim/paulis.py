@@ -43,10 +43,6 @@ class PauliString:
                 raise ValueError(f"unknown Pauli letter {letter!r}")
         object.__setattr__(self, "ops", tuple(sorted(zip(qubits, (letter for _, letter in pairs)))))
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.ops)
-
     def is_identity(self) -> bool:
         return not self.ops
 

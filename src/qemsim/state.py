@@ -128,26 +128,14 @@ class DensityMatrix:
     n_qubits: int
     data: np.ndarray  # (2^n, 2^n) complex128
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.data.copy())
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data)[0])
 
 
 @dataclass
 class StateVector:
     n_qubits: int
     data: np.ndarray  # (2^n,) complex128
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.data.copy())
 
     def to_density_matrix(self) -> DensityMatrix:
         """|psi><psi|."""
@@ -173,9 +161,8 @@ class PairedDensity:
 def _paired_diagonal(n_qubits: int) -> np.ndarray:
     """Flat indices of rho's diagonal in paired order: (i, i) is at the
     base-4 number whose digit q is 3 * (bit q of i)."""
-    idx = np.zeros(1, dtype=np.intp)
-    for q in range(n_qubits):
-        idx = np.concatenate([idx, idx + 3 * 4**q])
+    bits = np.indices((2,) * n_qubits).reshape(n_qubits, -1)  # the top bit first
+    idx = 3 * 4 ** np.arange(n_qubits - 1, -1, -1) @ bits
     idx.flags.writeable = False
     return idx
 

@@ -191,6 +191,20 @@ class TestCoherencePattern:
             built = noise._dense(noise._generator([(term,)], 1.0), k)[0]
             assert np.max(np.abs(built - superop)) < 1e-14
 
+    def test_a_layer_asks_for_the_layout_of_its_blocks_width_only(self, monkeypatch):
+        # its spectators' digits come from a plain digit table, not from a
+        # sector layout of the 7-qubit spectator register
+        widths, layout = [], noise._layout
+
+        def recorded(k):
+            widths.append(k)
+            return layout(k)
+
+        monkeypatch.setattr(noise, "_layout", recorded)
+        model = q.NoiseModel((q.LindbladTerm("correlated", (1, 2), 0.01),))
+        propagator = IntervalPropagator([model], 9, q.PropagatorConfig())
+        assert len(propagator.layers) == 1 and set(widths) == {2}
+
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     def test_layout_partitions_the_block_by_class(self, k):
         digits, at, home, local, representative, starts = noise._layout(k)
@@ -397,7 +411,7 @@ class TestEvolve:
         rho = q.apply_gate(q.new_pure_ground(2), q.BoundGate("H", (0,)))
         out = q.evolve(rho, model, q.PropagatorConfig())
         assert abs(out.trace() - 1.0) < 1e-9
-        assert out.min_eigenvalue() > -1e-7
+        assert np.linalg.eigvalsh(out.data)[0] > -1e-7
 
     def test_semigroup_property(self):
         model = build_template_model("gamma1_gamma2", 2, 0.08)
@@ -782,8 +796,9 @@ class TestBatch:
         # one 12-qubit row is 256 MiB, over the budget: each runs alone
         assert noise._chunks([model] * 13, 12) == [range(i, i + 1) for i in range(13)]
         # 16 MiB rows, four to a chunk; a block of two or more qubits adds
-        # its sector matrices, so a row with one takes 16 MiB and 208 bytes,
-        # and three of those fill a chunk
+        # its sector matrices and its layer's gather index, 8 bytes an entry
+        # of the row, so a row with one takes 24 MiB and 208 bytes, and two
+        # of those fill a chunk
         assert noise._chunks([model] * 13, 10) == [
             range(0, 4), range(4, 8), range(8, 12), range(12, 13)
         ]
@@ -797,24 +812,25 @@ class TestBatch:
         quiet = [q.NoiseModel(), scale_terms(pair, [0], 0.0)]
         rows = [model] * 5 + quiet + [pair] * 5 + [both] * 5 + [model]
         assert noise._chunks(rows, 10) == [
-            range(0, 4), range(4, 5), range(5, 7), range(7, 10), range(10, 12),
-            range(12, 15), range(15, 17), range(17, 18),
+            range(0, 4), range(4, 5), range(5, 7), range(7, 9), range(9, 11), range(11, 12),
+            range(12, 14), range(14, 16), range(16, 17), range(17, 18),
         ]
         assert noise._chunks(rows, 4) == [
             range(0, 5), range(5, 7), range(7, 12), range(12, 17), range(17, 18)
         ]
 
     def test_chunks_count_each_wide_rows_sector_matrices(self, monkeypatch):
-        # a 5-qubit ring's sectors take 4 (6^5 + 4^5) bytes beside a 5-qubit
-        # rho's 16 4^5: three such rows fit a budget of three; a 4-qubit
-        # ring counts its 4 (6^4 + 4^4) bytes too, so six of its rows fit
+        # a 5-qubit ring's sectors take 4 (6^5 + 4^5) bytes and its layer's
+        # gather index 8 4^5 beside a 5-qubit rho's 16 4^5: three such rows
+        # fit a budget of three; a 4-qubit ring counts its 4 (6^4 + 4^4)
+        # bytes and the same index, so five of its rows fit
         ring = build_template_model("correlated", 5, 0.01)
-        row = 16 * 4**5 + 4 * (6**5 + 4**5)
+        row = 16 * 4**5 + 4 * (6**5 + 4**5) + 8 * 4**5
         assert noise._sector_bytes(ring.terms) == 4 * (6**5 + 4**5) == 35200
         monkeypatch.setattr(noise, "BATCH_BYTES", 3 * row)
         assert noise._chunks([ring] * 7, 5) == [range(0, 3), range(3, 6), range(6, 7)]
         small = q.NoiseModel(build_template_model("correlated", 4, 0.01).terms)
-        assert noise._chunks([small] * 7, 5) == [range(0, 6), range(6, 7)]
+        assert noise._chunks([small] * 7, 5) == [range(0, 5), range(5, 7)]
 
     def test_a_wide_block_past_the_cap_is_refused_before_anything_is_built(self, monkeypatch):
         # a 12-qubit block's sectors, 8.8 GB, exceed a 14-qubit rho's 4 GiB,

@@ -163,8 +163,8 @@ def test_block_channels_trace_preserving_and_positive(case, seed):
     for kernel in channels:
         out = unpair(PairedDensity(n, kernel(pair(rho).data[None])[0]))
         assert abs(out.trace() - 1.0) < 1e-12
-        assert out.hermiticity_defect() < 1e-12
-        assert out.min_eigenvalue() >= -1e-12
+        assert np.max(np.abs(out.data - out.data.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(out.data)[0] >= -1e-12
 
 
 @st.composite
@@ -267,6 +267,7 @@ def test_any_single_entry_op_keeps_the_sector_build_exact(case):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="RK4 interval channels are not completely positive: the degree-4 "
     "Taylor polynomial of h*L for a block that joins two damped qubits has a "
     "negative Choi eigenvalue, and nothing checks it",
@@ -289,7 +290,7 @@ def test_block_channel_positive_on_entangled_input():
     rho = q.DensityMatrix(4, np.outer(psi, psi.conj()))
     out = q.evolve(rho, model, q.PropagatorConfig(tau=1.0, substeps=1))
     assert abs(out.trace() - 1.0) < 1e-12
-    assert out.min_eigenvalue() >= -1e-12
+    assert np.linalg.eigvalsh(out.data)[0] >= -1e-12
 
 
 GATE_KINDS = ("H", "X", "CNOT", "Rx", "Ry", "Rz")

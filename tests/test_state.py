@@ -149,17 +149,12 @@ class TestApplyGate:
 
 
 class TestDiagnostics:
-    def test_min_eigenvalue_of_pure_state(self):
-        rho = q.new_pure_ground(2)
-        rho = q.apply_gate(rho, bound("H", [0]))
-        rho = q.apply_gate(rho, bound("CNOT", [0, 1]))
-        assert abs(rho.min_eigenvalue()) < 1e-9
-
-    def test_hermiticity_defect(self):
-        rho = q.new_pure_ground(1)
-        assert rho.hermiticity_defect() < 1e-15
-        rho.data[0, 1] = 0.1j
-        assert rho.hermiticity_defect() == pytest.approx(0.1)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_paired_diagonal_puts_digit_3_on_each_set_bit(self, n):
+        # (i, i) in paired order: base-4 digit q is 3 where bit q of i is set
+        want = [sum(3 * 4**b for b in range(n) if i >> b & 1) for i in range(2**n)]
+        got = state_module._paired_diagonal(n)
+        assert got.tolist() == want and not got.flags.writeable
 
     def test_debug_json_round_trip(self):
         rho = q.apply_gate(q.new_pure_ground(2), bound("H", [1]))

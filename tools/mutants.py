@@ -59,9 +59,11 @@ MUTANTS = [
      "size = 16 * 4**n_qubits + sum(", "size = 4 * 4**n_qubits + sum(",
      "`_chunks` sized at 4 B an entry"),
     ("chunks_no_sector_bytes", "src/qemsim/noise.py",
-     "_sector_bytes(terms) for support, terms in parts if",
-     "0 for support, terms in parts if",
+     "_sector_bytes(terms) + 8 * 4**n_qubits for", "0 + 8 * 4**n_qubits for",
      "the sector bytes left out of `_chunks`"),
+    ("chunks_no_index_bytes", "src/qemsim/noise.py",
+     "_sector_bytes(terms) + 8 * 4**n_qubits for", "_sector_bytes(terms) for",
+     "the gather index left out of `_chunks`"),
     ("chunks_sector_bytes_past_4", "src/qemsim/noise.py",
      "for support, terms in parts if len(support) > 1",
      "for support, terms in parts if len(support) > 4",
@@ -72,6 +74,9 @@ MUTANTS = [
     ("stability_radius_halved", "src/qemsim/noise.py",
      "radius = 2.0 * sum(", "radius = 1.0 * sum(",
      "`_check_step`'s radius 2.0 -> 1.0"),
+    ("paired_diagonal_digit_2", "src/qemsim/state.py",
+     "idx = 3 * 4 ** np.arange(", "idx = 2 * 4 ** np.arange(",
+     "the paired diagonal at digit 2 on each set bit, not 3"),
     ("cap_at_limit", "src/qemsim/state.py",
      "if n_qubits > DEFAULT_QUBIT_CAP:", "if n_qubits >= DEFAULT_QUBIT_CAP:",
      "`check_cap`'s > -> >="),
