@@ -5,10 +5,16 @@ state vector for a noiseless objective, Tr(rho H) of the density matrix
 for a noisy one.  By default the parameters are optimized with the noise
 model emptied, so on the state-vector path, and reused at every noise
 rate; optimizing under the full model is available behind a flag.
+
+The start point's jitter is numpy's `default_rng(seed)` stream, drawn in
+Python by `initial_theta`: importing numpy's random package would cost
+each run more time than a short noisy VQE takes.  The stream pin test in
+`tests/test_vqe.py` holds the two equal bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -168,10 +174,56 @@ def nelder_mead(objective, theta0, settings: OptimizerSettings) -> VqeResult:
     return VqeResult(verts[i_best].copy(), fvals[i_best], evals, converged, history)
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def initial_theta(n_params: int, seed: int) -> np.ndarray:
-    """All zeros plus +-0.01 uniform jitter to break simplex degeneracy."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-0.01, 0.01, size=n_params)
+    """All zeros plus +-0.01 uniform jitter to break simplex degeneracy.
+
+    The jitter is numpy's `default_rng(seed).uniform(-0.01, 0.01,
+    n_params)`, drawn in Python so that no run pays the import of numpy's
+    random package: SeedSequence mixes the seed into four 32-bit words,
+    which seed a PCG64 (O'Neill, HMC-CS-2014-0905); each XSL-RR output
+    becomes one double.  `TestInitialTheta` holds the two bit for bit.
+    """
+    check_count("seed", seed, 0)
+    seed = operator.index(seed)  # a Python int, so no numpy overflow
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    seeds = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = ((seeds[2] << 64 | seeds[3]) << 1 | 1) & _M128
+    state = ((inc + (seeds[0] << 64 | seeds[1])) * _PCG64_MULT + inc) & _M128
+    low, high = -0.01, 0.01
+    theta = np.empty(n_params)
+    for i in range(n_params):
+        state = (state * _PCG64_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        theta[i] = low + (high - low) * ((x >> 11) * 2**-53)
+    return theta
 
 
 def solve_vqe(

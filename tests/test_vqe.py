@@ -1,5 +1,9 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,37 @@ class TestInitialTheta:
     def test_seed_determinism(self):
         assert np.array_equal(initial_theta(5, 3), initial_theta(5, 3))
         assert not np.array_equal(initial_theta(5, 3), initial_theta(5, 4))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 60])  # 60: 12 qubits, one layer
+    def test_stream_is_numpys_bit_for_bit(self, n):
+        # numpy's generator is the reference the Python draw reproduces
+        seeds = [*range(256), 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, np.int64(5)]
+        for seed in seeds:
+            want = np.random.default_rng(seed).uniform(-0.01, 0.01, n)
+            assert np.array_equal(initial_theta(n, seed), want), seed
+
+
+def test_noisy_vqe_never_imports_numpy_random():
+    code = (
+        "import sys, qemsim as q\n"
+        "from qemsim.noise import build_template_model\n"
+        "ham = q.parse_pauli_sum(q.bundled_text('h2'))\n"
+        "circuit = q.build_ansatz(*q.parse_ansatz_file(q.bundled_text('h2_uccsd')))\n"
+        "model = build_template_model('gamma1_gamma2', 4, 1e-3)\n"
+        "problem = q.VqeProblem(ham, circuit, model)\n"
+        "q.solve_vqe(problem, q.OptimizerSettings(max_evals=2), True)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestSolveVqe:

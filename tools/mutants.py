@@ -170,6 +170,9 @@ MUTANTS = [
     ("ladder_unfittable", "src/qemsim/experiments.py",
      "if not all(0 < e < math.inf for e in errors):", "if False:",
      "`scaling_ladder` fitting an error of 0"),
+    ("xsl_rr_rotation", "src/qemsim/vqe.py",
+     "state >> 122", "state >> 121",
+     "the start point's XSL-RR rotation read from bit 121, not 122"),
 ]
 
 # tier-1 but the list's own test, which fails on any mutated tree; a fixed
